@@ -117,9 +117,6 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
     step = steps[index]
     findings = []
     warnings = []
-    signature = model.signature
-    connections = set(model.connections)
-
     rationale = model.find_contract(step.rationale)
     if rationale is None:
         findings.append(Finding("UNKNOWN_RATIONALE", VIOLATED,
@@ -211,7 +208,7 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
         sigmas = [{}]
         for j, ref_set in enumerate(step.refs):
             facts, unknown = _reference_facts(ref_set, contract, steps,
-                                              connections)
+                                              model.connection_set)
             for p_in, p_out in unknown:
                 findings.append(Finding(
                     "UNKNOWN_CONNECTION", VIOLATED,
@@ -225,8 +222,9 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
                                       renaming)
             extended = []
             for sigma in sigmas:
-                found = e.match_trigger([goal], facts, variables, signature,
-                                        sigma=sigma, budget=budget)
+                found = e.match_trigger([goal], facts, variables,
+                                        model.signature, sigma=sigma,
+                                        budget=budget)
                 if found is None:
                     findings.append(Finding(
                         "C3", INCONCLUSIVE,

@@ -10,7 +10,7 @@ yields an inconclusive verdict, never an acceptance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import model as m
@@ -140,16 +140,6 @@ class Congruence:
                    and tuple(self.find(t) for t in ts) == keys
                    for p, ts in self.atoms)
 
-    def representatives(self):
-        """One canonical term per class, in registration order."""
-        seen, out = set(), []
-        for t in self.order:
-            r = self.find(t)
-            if r not in seen:
-                seen.add(r)
-                out.append(t)
-        return out
-
     def value_representatives(self):
         """One port-free term per class that has one, registration order.
 
@@ -213,12 +203,6 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # Trigger matching
 
-@dataclass(frozen=True)
-class Match:
-    substitution: dict = field(default_factory=dict)   # var name -> Term
-    ambiguous: bool = False
-
-
 def _candidates(cong, sort, signature):
     out = []
     for t in cong.value_representatives():
@@ -247,7 +231,8 @@ def match_predicate(goal, cong, variables, signature, sigma):
         lit = m.substitute(literals[i], sub)
         # only declared rationale variables are bindable; anything else is a
         # frozen constant of the surrounding contract
-        unbound = sorted((free_vars(lit) & set(variables)) - set(sub))
+        unbound = sorted((m.free_variables(lit) & set(variables))
+                         - set(sub))
         if not unbound:
             if _instance_holds(lit, cong):
                 solve(i + 1, sub)
@@ -259,12 +244,6 @@ def match_predicate(goal, cong, variables, signature, sigma):
 
     solve(0, dict(sigma))
     return results
-
-
-def free_vars(p):
-    if isinstance(p, (m.Var, m.PortRef, m.App)):
-        return m.free_variables(m.Eq(p, p))
-    return m.free_variables(p)
 
 
 def _instance_holds(lit, cong):

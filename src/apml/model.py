@@ -7,6 +7,7 @@ pure and returns diagnostics instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .diagnostics import (Diagnostic, SourceSpan, ERROR, WARNING)
@@ -244,12 +245,6 @@ class Contract:
     def qualified(self):
         return "%s.%s" % (self.owner, self.name) if self.owner else self.name
 
-    def variable_sort(self, name):
-        for n, s in self.variables:
-            if n == name:
-                return s
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Proofs
@@ -300,12 +295,6 @@ class ComponentType:
     def ports(self):
         return self.inputs + self.outputs
 
-    def contract(self, name):
-        for c in self.contracts:
-            if c.name == name:
-                return c
-        return None
-
 
 @dataclass(frozen=True)
 class Model:
@@ -316,20 +305,40 @@ class Model:
     connections: tuple = ()              # of (input Port, output Port)
     contracts: tuple = ()                # of ArchitectureContract
 
-    @property
+    # Per-model indexes, built on first use; a model is immutable.  Lookups
+    # by name resolve to the first declaration, hence the reversed walks.
+
+    @cached_property
     def signature(self):
         return Signature(self.datatypes)
 
+    @cached_property
+    def connection_set(self):
+        return frozenset(self.connections)
+
+    @cached_property
+    def connections_by_owner(self):
+        """Input owner -> its connections, in declaration order."""
+        out = {}
+        for p_in, p_out in self.connections:
+            out.setdefault(p_in.owner, []).append((p_in, p_out))
+        return out
+
+    @cached_property
+    def _components(self):
+        return {ct.name: ct for ct in reversed(self.component_types)}
+
+    @cached_property
+    def _contracts(self):
+        return {"%s.%s" % (ct.name, c.name): c
+                for ct in self._components.values()
+                for c in reversed(ct.contracts)}
+
     def component(self, name):
-        for ct in self.component_types:
-            if ct.name == name:
-                return ct
-        return None
+        return self._components.get(name)
 
     def find_contract(self, qualified):
-        owner, _, name = qualified.rpartition(".")
-        ct = self.component(owner)
-        return ct.contract(name) if ct else None
+        return self._contracts.get(qualified)
 
     def connection_map(self):
         """input port -> output port (first declaration wins on conflict)."""

@@ -8,15 +8,13 @@ oracle for the proof checker.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import model as m
 from . import entailment as e
-from . import checker
-
-EXPLOSION = "explosion"
 
 FOUND = "found"
 NO_PROOF_AT_BOUND = "no-proof-at-bound"
@@ -336,11 +334,20 @@ class _Fact:
     index: int                       # position in the fact list
 
 
-def _connections_for(model, owner, fact_state):
-    """Connections from the owner's inputs to ports visible in a fact."""
-    ports = m.ports_of(fact_state)
-    return tuple((p_in, p_out) for p_in, p_out in model.connections
-                 if p_in.owner == owner and p_out in ports)
+def _anchors(contract, budget):
+    """(offset, ports) of each port-anchored trigger of a contract."""
+    def anchored(lit):
+        if isinstance(lit, m.Atom):
+            return bool(m.ports_of(lit))
+        return (bool(m.ports_of(m.Eq(lit.lhs, lit.lhs)))
+                != bool(m.ports_of(m.Eq(lit.rhs, lit.rhs))))
+
+    out = []
+    for t in contract.triggers:
+        disjuncts = e.dnf(t.predicate, budget)
+        if disjuncts and all(any(map(anchored, d)) for d in disjuncts):
+            out.append((t.time, m.ports_of(t.predicate)))
+    return out
 
 
 def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
@@ -350,51 +357,85 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     component contract at every base time whose reference sets can be
     assembled and whose triggers are entailed.  Search stops when a fact at
     the architecture's duration entails its guarantee.
+
+    Indexes kept up to date as facts are added replace the scans of all
+    facts and connections on every try: the references at each time
+    (architecture triggers first, then facts in discovery order), the keys
+    of the known facts, the connections feeding each component, and for each
+    port the times it is visible at.  A port is visible at a time when a
+    reference there mentions it or a declared connection feeds it from one
+    that does, so every port in the hypotheses of a trigger at time t is
+    visible at t.
+
+    A trigger is port-anchored when every disjunct of its DNF has a literal
+    that is false whenever its ports are fresh: an equality with ports on
+    exactly one side, or a predicate atom with a port argument.  A term with
+    a fresh port is congruent only to terms with that port, and matching
+    binds variables to port-free terms only, so such a literal never follows
+    from hypotheses that do not mention its ports.  A base at which some
+    port-anchored trigger has none of its ports visible would therefore fail,
+    and is skipped.  A contract's candidate bases are read from the port
+    index of its first anchor and tried in ascending order; a fact the
+    contract derives during its turn can add a later candidate.  Only skipped
+    tries differ from trying every known base, so the facts, their order and
+    the result are the same.
     """
     signature = model.signature
-    triggers = list(contract.triggers)
+    by_owner = model.connections_by_owner
+    feeds = {}                       # output port -> inputs it feeds
+    for p_in, p_out in model.connections:
+        feeds.setdefault(p_out, []).append(p_in)
     facts = []                       # derived steps, in discovery order
+    keys = set()                     # (time, state, rationale) of facts
+    refs = {}                        # time -> [(ref, state, fact, ports)]
+    port_times = {}                  # port -> times it is visible at
 
-    def refs_at(time):
-        """All references (with facts) available at one time point."""
-        out = []
-        for j, t in enumerate(triggers):
-            if t.time == time:
-                out.append((m.TriggerRef(j, "t%d" % j), t.predicate, None))
-        for f in facts:
-            if f.time == time:
-                out.append((None, f.state, f))
-        return out
+    def add_ref(time, ref, state, fact):
+        ports = m.ports_of(state)
+        refs.setdefault(time, []).append((ref, state, fact, ports))
+        for p in ports:
+            for q in [p] + feeds.get(p, []):
+                port_times.setdefault(q, set()).add(time)
+
+    for j, t in enumerate(contract.triggers):
+        add_ref(t.time, m.TriggerRef(j, "t%d" % j), t.predicate, None)
+
+    def known_before(time, mark):
+        """Did a reference exist at this time before fact number mark?"""
+        avail = refs.get(time)
+        return bool(avail) and (avail[0][2] is None
+                                or avail[0][2].index < mark)
+
+    def gate_open(anchors, base):
+        return all(any(base + offset in port_times.get(p, ()) for p in ports)
+                   for offset, ports in anchors)
 
     def goal_reached():
-        for f in facts:
-            if f.time == contract.duration:
-                if e.entails([f.state], contract.guarantee, budget):
-                    return f
+        for _, state, fact, _ in refs.get(contract.duration, ()):
+            if fact is not None and e.entails([state], contract.guarantee,
+                                              budget):
+                return fact
         return None
 
     def try_apply(ct, c, base):
         renaming = {name: ("%s@s" % name, sort) for name, sort in c.variables}
         variables = {new: sort for new, sort in renaming.values()}
         ref_sets, sigma_list = [], [{}]
-        for j, trig in enumerate(c.triggers):
-            time = base + trig.time
-            avail = refs_at(time)
+        for trig in c.triggers:
+            avail = refs.get(base + trig.time)
             if not avail:
                 return None
             facts_j, refs_j = [], []
-            for tref, state, fact in avail:
-                if tref is not None:
-                    refs_j.append(tref)
-                    facts_j.append(state)
-                else:
-                    conns = _connections_for(model, ct.name, state)
-                    refs_j.append(m.StepRef(fact.index, conns,
-                                            "s%d" % fact.index))
-                    facts_j.append(fact.state)
+            for ref, state, fact, ports in avail:
+                facts_j.append(state)
+                if fact is not None:
+                    conns = tuple(conn for conn in by_owner.get(ct.name, ())
+                                  if conn[1] in ports)
+                    ref = m.StepRef(fact.index, conns, "s%d" % fact.index)
                     for p_in, p_out in conns:
                         facts_j.append(m.Eq(m.PortRef(p_in),
                                             m.PortRef(p_out)))
+                refs_j.append(ref)
             goal = m.rename_variables(trig.predicate, renaming)
             extended = []
             for sigma in sigma_list:
@@ -410,12 +451,17 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         state = m.substitute(m.rename_variables(c.guarantee, renaming), sigma)
         return state, tuple(ref_sets)
 
-    def add_fact(time, state, rationale, refs):
-        for f in facts:
-            if (f.time, f.state, f.rationale) == (time, state, rationale):
-                return False
-        facts.append(_Fact(time, state, rationale, refs, len(facts)))
+    def add_fact(time, state, rationale, ref_sets):
+        if (time, state, rationale) in keys:
+            return False
+        keys.add((time, state, rationale))
+        fact = _Fact(time, state, rationale, ref_sets, len(facts))
+        facts.append(fact)
+        add_ref(time, None, state, fact)
         return True
+
+    plan = [(ct, c, _anchors(c, budget))
+            for ct in model.component_types for c in ct.contracts]
 
     exhausted = False
     while not exhausted:
@@ -424,47 +470,59 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         if len(facts) >= max_steps:
             return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
         grew = False
-        for ct in model.component_types:
-            for c in ct.contracts:
-                if not c.triggers:
-                    for time in range(c.duration, contract.duration + 1):
-                        if add_fact(time, c.guarantee, c.qualified, ()):
-                            grew = True
-                    continue
-                bases = sorted({t.time for t in triggers}
-                               | {f.time for f in facts})
-                for base in bases:
-                    if base + c.duration > contract.duration:
-                        continue
-                    applied = try_apply(ct, c, base)
-                    if applied is None:
-                        continue
-                    state, ref_sets = applied
-                    if add_fact(base + c.duration, state, c.qualified,
-                                ref_sets):
+        for ct, c, anchors in plan:
+            if not c.triggers:
+                for time in range(c.duration, contract.duration + 1):
+                    if add_fact(time, c.guarantee, c.qualified, ()):
                         grew = True
-                    if len(facts) > max_steps:
-                        return SearchResult(BUDGET_EXCEEDED,
-                                            steps_explored=len(facts))
+                continue
+            # candidate bases, tried in ascending order
+            mark = len(facts)
+            if anchors:
+                offset, ports = anchors[0]
+                bases = sorted({t - offset for p in ports
+                                for t in port_times.get(p, ())})
+            else:
+                bases = sorted(refs)
+            queued = set(bases)
+            for base in bases:
+                if (base + c.duration > contract.duration
+                        or not known_before(base, mark)
+                        or not gate_open(anchors, base)):
+                    continue
+                applied = try_apply(ct, c, base)
+                if applied is None:
+                    continue
+                state, ref_sets = applied
+                time = base + c.duration
+                if add_fact(time, state, c.qualified, ref_sets):
+                    grew = True
+                    # the new fact may make the first anchor visible at a
+                    # later base known when this turn began; insort puts it
+                    # past the current base, so this loop still reaches it
+                    later = time - offset if anchors else base
+                    if later > base and later not in queued:
+                        queued.add(later)
+                        bisect.insort(bases, later)
+                if len(facts) > max_steps:
+                    return SearchResult(BUDGET_EXCEEDED,
+                                        steps_explored=len(facts))
         exhausted = not grew
 
     goal = goal_reached()
     if goal is None:
         return SearchResult(NO_PROOF_AT_BOUND, steps_explored=len(facts))
 
-    # collect the facts reachable from the goal, in construction order
+    # collect the facts reachable from the goal, in construction order; a
+    # work list, since a chain of facts can be deeper than the recursion limit
     needed = set()
-
-    def visit(fact):
-        if fact.index in needed:
-            return
-        needed.add(fact.index)
-        for ref_set in fact.refs:
-            for r in ref_set:
-                if isinstance(r, m.StepRef):
-                    visit(facts[r.index])
-
-    visit(goal)
+    pending = [goal]
+    while pending:
+        fact = pending.pop()
+        if fact.index not in needed:
+            needed.add(fact.index)
+            pending.extend(facts[r.index] for ref_set in fact.refs
+                           for r in ref_set if isinstance(r, m.StepRef))
     ordered = [f for f in facts if f.index in needed]
     new_index = {f.index: i for i, f in enumerate(ordered)}
     steps = []

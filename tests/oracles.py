@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from apml import entailment as e
 from apml import model as m
+from apml import oracle as o
 
 SORT = "D.V"
 
@@ -239,6 +241,24 @@ def random_chain_model(rng):
                    connections=tuple(connections), contracts=(arch,))
 
 
+def relay_chain_model(n):
+    """An n-stage chain of unit-delay forwarders, S0 feeding S1 and so on."""
+    stages = [_stage("S%d" % k, 1, 1, 0) for k in range(n)]
+    connections = tuple((b.inputs[0], a.outputs[0])
+                        for a, b in zip(stages, stages[1:]))
+    w = m.Var("w", SORT)
+    arch = m.ArchitectureContract(
+        name="relayed", owner="", variables=(("w", SORT),),
+        triggers=(m.Trigger("t0", m.Eq(m.PortRef(stages[0].inputs[0]), w),
+                            0),),
+        guarantee=m.Eq(m.PortRef(stages[-1].outputs[0]), w), duration=n,
+        proof=None)
+    return m.Model(name="Relay", short_name="relay",
+                   datatypes=(m.DataType(name="D", sort="V"),),
+                   component_types=tuple(stages), connections=connections,
+                   contracts=(arch,))
+
+
 def mutate_proof(rng, proof):
     """Perturb one step: nudge its time or swap its state's right side."""
     steps = list(proof)
@@ -252,3 +272,156 @@ def mutate_proof(rng, proof):
             if isinstance(s.state, m.Eq) else s.state
         steps[i] = m.ProofStep(s.label, s.time, wrong, s.rationale, s.refs)
     return tuple(steps)
+
+
+# ---------------------------------------------------------------------------
+# Reference proof search
+
+def _connections_for(model, owner, fact_state):
+    """Connections from the owner's inputs to ports visible in a fact."""
+    ports = m.ports_of(fact_state)
+    return tuple((p_in, p_out) for p_in, p_out in model.connections
+                 if p_in.owner == owner and p_out in ports)
+
+
+def naive_search_proof(model, contract, max_steps=32,
+                       budget=e.DEFAULT_BUDGET):
+    """Reference for ``apml.oracle.search_proof``: saturation without indexes.
+
+    Every round tries every contract at every known base time, re-scanning
+    all facts and all connections on each try.
+
+    Facts start from the architecture triggers; each round applies every
+    component contract at every base time whose reference sets can be
+    assembled and whose triggers are entailed.  Search stops when a fact at
+    the architecture's duration entails its guarantee.
+    """
+    signature = model.signature
+    triggers = list(contract.triggers)
+    facts = []                       # derived steps, in discovery order
+
+    def refs_at(time):
+        """All references (with facts) available at one time point."""
+        out = []
+        for j, t in enumerate(triggers):
+            if t.time == time:
+                out.append((m.TriggerRef(j, "t%d" % j), t.predicate, None))
+        for f in facts:
+            if f.time == time:
+                out.append((None, f.state, f))
+        return out
+
+    def goal_reached():
+        for f in facts:
+            if f.time == contract.duration:
+                if e.entails([f.state], contract.guarantee, budget):
+                    return f
+        return None
+
+    def try_apply(ct, c, base):
+        renaming = {name: ("%s@s" % name, sort) for name, sort in c.variables}
+        variables = {new: sort for new, sort in renaming.values()}
+        ref_sets, sigma_list = [], [{}]
+        for j, trig in enumerate(c.triggers):
+            time = base + trig.time
+            avail = refs_at(time)
+            if not avail:
+                return None
+            facts_j, refs_j = [], []
+            for tref, state, fact in avail:
+                if tref is not None:
+                    refs_j.append(tref)
+                    facts_j.append(state)
+                else:
+                    conns = _connections_for(model, ct.name, state)
+                    refs_j.append(m.StepRef(fact.index, conns,
+                                            "s%d" % fact.index))
+                    facts_j.append(fact.state)
+                    for p_in, p_out in conns:
+                        facts_j.append(m.Eq(m.PortRef(p_in),
+                                            m.PortRef(p_out)))
+            goal = m.rename_variables(trig.predicate, renaming)
+            extended = []
+            for sigma in sigma_list:
+                found = e.match_trigger([goal], facts_j, variables,
+                                        signature, sigma=sigma, budget=budget)
+                if found:
+                    extended.extend(s for s in found if s not in extended)
+            if not extended:
+                return None
+            sigma_list = extended
+            ref_sets.append(tuple(refs_j))
+        sigma = sigma_list[0]
+        state = m.substitute(m.rename_variables(c.guarantee, renaming), sigma)
+        return state, tuple(ref_sets)
+
+    def add_fact(time, state, rationale, refs):
+        for f in facts:
+            if (f.time, f.state, f.rationale) == (time, state, rationale):
+                return False
+        facts.append(o._Fact(time, state, rationale, refs, len(facts)))
+        return True
+
+    exhausted = False
+    while not exhausted:
+        if goal_reached():
+            break
+        if len(facts) >= max_steps:
+            return o.SearchResult(o.BUDGET_EXCEEDED,
+                                  steps_explored=len(facts))
+        grew = False
+        for ct in model.component_types:
+            for c in ct.contracts:
+                if not c.triggers:
+                    for time in range(c.duration, contract.duration + 1):
+                        if add_fact(time, c.guarantee, c.qualified, ()):
+                            grew = True
+                    continue
+                bases = sorted({t.time for t in triggers}
+                               | {f.time for f in facts})
+                for base in bases:
+                    if base + c.duration > contract.duration:
+                        continue
+                    applied = try_apply(ct, c, base)
+                    if applied is None:
+                        continue
+                    state, ref_sets = applied
+                    if add_fact(base + c.duration, state, c.qualified,
+                                ref_sets):
+                        grew = True
+                    if len(facts) > max_steps:
+                        return o.SearchResult(o.BUDGET_EXCEEDED,
+                                            steps_explored=len(facts))
+        exhausted = not grew
+
+    goal = goal_reached()
+    if goal is None:
+        return o.SearchResult(o.NO_PROOF_AT_BOUND,
+                              steps_explored=len(facts))
+
+    # collect the facts reachable from the goal, in construction order
+    needed = set()
+
+    def visit(fact):
+        if fact.index in needed:
+            return
+        needed.add(fact.index)
+        for ref_set in fact.refs:
+            for r in ref_set:
+                if isinstance(r, m.StepRef):
+                    visit(facts[r.index])
+
+    visit(goal)
+    ordered = [f for f in facts if f.index in needed]
+    new_index = {f.index: i for i, f in enumerate(ordered)}
+    steps = []
+    for i, f in enumerate(ordered):
+        refs = tuple(tuple(m.StepRef(new_index[r.index], r.connections,
+                                     "s%d" % new_index[r.index])
+                           if isinstance(r, m.StepRef) else r
+                           for r in ref_set)
+                     for ref_set in f.refs)
+        steps.append(m.ProofStep(label="s%d" % i, time=f.time, state=f.state,
+                                 rationale=f.rationale, refs=refs))
+    return o.SearchResult(o.FOUND, proof=tuple(steps),
+                          steps_explored=len(facts))

@@ -221,6 +221,24 @@ def test_connection_map_first_declaration_wins():
     assert {p.qualified for p in outputs} == {"Merger.o"}
 
 
+def test_name_lookups_resolve_to_the_first_declaration():
+    model, _ = load("radder.apml")
+    first = model.component_types[0]
+    fwd = first.contracts[0]
+    twin = m.Contract(fwd.name, fwd.owner, (), (), fwd.guarantee, 9)
+    shadowed = m.Model(
+        name=model.name, short_name=model.short_name,
+        datatypes=model.datatypes,
+        component_types=(m.ComponentType(first.name, first.inputs,
+                                         first.outputs,
+                                         first.contracts + (twin,)),)
+        + model.component_types,
+        connections=model.connections, contracts=model.contracts)
+    assert shadowed.find_contract(fwd.qualified) is fwd
+    assert shadowed.component(first.name).contracts[-1] is twin
+    assert shadowed.find_contract(first.name + ".nope") is None
+    assert shadowed.connections_by_owner == model.connections_by_owner
+
 def test_substitute_and_free_variables():
     x = m.Var("x", "B.NAT")
     y = m.Var("y", "B.NAT")

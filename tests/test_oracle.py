@@ -1,15 +1,21 @@
 """Finite-domain semantics: universes, traces, satisfaction, proof search."""
 
 import dataclasses
+import random
+import sys
 
 import pytest
 
+from apml import entailment
 from apml import model as m
 from apml.checker import check_proof, OK
 from apml.oracle import (ExplosionError, FiniteUniverse, compose_behaviors,
                          parse_universe, print_universe, search_proof,
                          trace_satisfies, verify_satisfaction,
                          FOUND, NO_PROOF_AT_BOUND, BUDGET_EXCEEDED)
+from apml.parser import parse_model
+
+from oracles import naive_search_proof, random_chain_model, relay_chain_model
 
 from conftest import load, CORPUS
 
@@ -166,3 +172,134 @@ def test_search_proof_on_relay_matches_the_written_one(relay):
     result = search_proof(relay, contract, max_steps=8)
     assert result.status == FOUND
     assert result.proof == contract.proof
+
+
+# ---------------------------------------------------------------------------
+# Proof search against the unindexed reference
+
+_CTYPE = """
+    CType %s {
+      InputPorts { %s }
+      OutputPorts { %s }
+      Contracts { %s }
+    }"""
+
+_CONTRACT = """
+        Contract %s {
+          var x: Bit.BIT
+          triggers { t1: %s }
+          guarantees { %s }
+          duration 1
+        }"""
+
+
+def _bit_model(ctypes, connections, triggers, guarantee, duration):
+    """A valid model over one sort from (name, inputs, outputs, contracts)
+    component rows; every component contract has one trigger, duration 1."""
+    def ports(kind, names):
+        return ", ".join("%sPort %s (Type: Bit.BIT)" % (kind, n)
+                         for n in names.split())
+
+    text = """Pattern P ShortName p {
+  DTSpec { DT Bit ( Sort BIT ) }
+  CTypes { %s }
+  Connections { %s }
+  Contracts {
+    Contract goal {
+      var w: Bit.BIT
+      triggers { %s }
+      guarantees { %s }
+      duration %d
+    }
+  }
+}""" % (",".join(_CTYPE % (name, ports("Input", ins), ports("Output", outs),
+                           ",".join(_CONTRACT % c for c in contracts))
+                 for name, ins, outs, contracts in ctypes),
+        connections, triggers, guarantee, duration)
+    model, diags = parse_model(text)
+    assert not diags and not m.validate_structure(model)
+    return model
+
+
+# B's trigger has a port-free disjunct, so B applies with its input unseen
+PORT_FREE_DISJUNCT = dict(
+    ctypes=[("A", "i", "o", [("fwd", "[i = x]", "[o = x]")]),
+            ("B", "i", "o", [("any", "[i = x] \\/ [x = x]", "[o = x]")])],
+    connections="", triggers="t1: [A.i = w]", guarantee="[B.o = w]",
+    duration=1)
+
+# L's output feeds L back.  In one round L.loop applies at time 1, which
+# makes its input visible at time 2, a time M reached earlier in the round,
+# so L.loop applies there too; the fact this puts at the new time 3 must
+# wait for the next round.
+FEEDBACK = dict(
+    ctypes=[("M", "i", "o", [("fwd", "[i = x]", "[o = x]")]),
+            ("L", "i f", "o q", [("fwd", "[i = x]", "[o = x] /\\ [q = x]"),
+                                 ("loop", "[f = x]",
+                                  "[o = x] /\\ [q = x]")])],
+    connections="(L.f, L.o)",
+    triggers="t1: [L.i = w], t2: [M.i = w] at 1", guarantee="[L.q = w]",
+    duration=4)
+
+
+def _search_cases():
+    for path in sorted(CORPUS.glob("*.apml")):
+        model, _ = load(path.name)
+        for contract in model.contracts:
+            yield "%s:%s" % (path.stem, contract.name), model, contract
+    for name, spec in [("port-free-disjunct", PORT_FREE_DISJUNCT),
+                       ("feedback", FEEDBACK)]:
+        model = _bit_model(**spec)
+        yield name, model, model.contracts[0]
+
+
+# the step budget cuts FEEDBACK's search short at 3 and 4 facts, where a
+# fact found a round late or a base tried too early changes the outcome
+@pytest.mark.parametrize("max_steps", [1, 2, 3, 4, 8, 16, 32])
+def test_search_matches_the_reference_saturation(max_steps):
+    for name, model, contract in _search_cases():
+        assert (search_proof(model, contract, max_steps=max_steps)
+                == naive_search_proof(model, contract, max_steps=max_steps)
+                ), name
+
+
+def test_search_matches_the_reference_on_random_chains():
+    rng = random.Random(20260823)
+    for case in range(100):
+        model = random_chain_model(rng)
+        contract = model.contracts[0]
+        max_steps = (2, 8, 16)[case % 3]
+        assert (search_proof(model, contract, max_steps=max_steps)
+                == naive_search_proof(model, contract, max_steps=max_steps)
+                ), case
+
+
+def test_port_free_disjunct_is_not_gated():
+    model = _bit_model(**PORT_FREE_DISJUNCT)
+    result = search_proof(model, model.contracts[0], max_steps=4)
+    assert result.status == FOUND
+    assert [s.rationale for s in result.proof] == ["B.any"]
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_search_matches_each_stage_a_bounded_number_of_times(n,
+                                                             monkeypatch):
+    calls = []
+    match = entailment.match_trigger
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(entailment, "match_trigger", counting)
+    model = relay_chain_model(n)
+    result = search_proof(model, model.contracts[0], max_steps=n)
+    assert result.status == FOUND and len(result.proof) == n
+    assert len(calls) <= 2 * n + 4
+
+
+def test_search_finds_a_proof_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    model = relay_chain_model(n)
+    result = search_proof(model, model.contracts[0], max_steps=n)
+    assert result.status == FOUND and len(result.proof) == n
