@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 violations found, 2 inconclusive or budget
-exceeded, 3 unreadable or unparseable input.
+exceeded, 3 unreadable or unparseable input.  An unexpected exception is
+reported as one line ``error: internal: ...`` and also exits 3, never with a
+traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from . import model as m
 from . import checker, entailment, isar, oracle
 from .diagnostics import errors
 from .parser import parse_model
-from .printer import print_model, print_predicate
+from .printer import print_model, print_step
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -21,13 +23,17 @@ EXIT_INCONCLUSIVE = 2
 EXIT_BAD_INPUT = 3
 
 
+def _fail(message):
+    print("error: %s" % message, file=sys.stderr)
+    raise SystemExit(EXIT_BAD_INPUT)
+
+
 def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        _fail(exc)
 
 
 def _write(path, text):
@@ -38,8 +44,7 @@ def _write(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        _fail(exc)
 
 
 def _load_model(path):
@@ -54,16 +59,12 @@ def _load_model(path):
 def _pick_contract(model, name):
     if name is None:
         if not model.contracts:
-            print("error: model declares no architecture contracts",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_BAD_INPUT)
+            _fail("model declares no architecture contracts")
         return model.contracts[0]
     for c in model.contracts:
         if c.name == name:
             return c
-    print("error: no architecture contract named '%s'" % name,
-          file=sys.stderr)
-    raise SystemExit(EXIT_BAD_INPUT)
+    _fail("no architecture contract named '%s'" % name)
 
 
 def cmd_check(args):
@@ -97,17 +98,8 @@ def cmd_search(args):
     result = oracle.search_proof(model, contract, max_steps=args.max_steps,
                                  budget=args.dnf_budget)
     if result.status == oracle.FOUND:
-        lines = []
-        for s in result.proof:
-            refs = ""
-            if s.refs:
-                from .printer import _ref_set
-                refs = " from [ %s ]" % ", ".join(_ref_set(r)
-                                                  for r in s.refs)
-            lines.append("%s: at %d have %s%s using %s"
-                         % (s.label, s.time, print_predicate(s.state),
-                            refs, s.rationale))
-        _write(args.output, "\n".join(lines) + "\n")
+        _write(args.output, "".join(print_step(s) + "\n"
+                                    for s in result.proof))
         return EXIT_OK
     print("%s after exploring %d fact(s)"
           % (result.status, result.steps_explored), file=sys.stderr)
@@ -120,8 +112,7 @@ def cmd_simulate(args):
     try:
         universe = oracle.parse_universe(_read(args.universe))
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+        _fail(exc)
     contract = _pick_contract(model, args.contract)
     try:
         holds, counter = oracle.verify_satisfaction(model, contract, universe,
@@ -141,11 +132,7 @@ def cmd_simulate(args):
 
 
 def cmd_fmt(args):
-    model, diags = parse_model(_read(args.input), args.input)
-    if errors(diags):
-        for d in diags:
-            print(str(d), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    model, _ = _load_model(args.input)
     _write(args.output, print_model(model))
     return EXIT_OK
 
@@ -205,6 +192,11 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return exc.code
+    except Exception as exc:         # a bug, reported without a traceback
+        print("error: internal: %s: %s"
+              % (type(exc).__name__, " ".join(str(exc).split())),
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -1,9 +1,26 @@
-"""Finite-domain semantics: universes, traces, composition and proof search.
+"""Finite-domain semantics: universes, trace search and proof search.
 
 A finite universe interprets every sort as a small carrier and every symbol
-as a table.  Traces are finite sequences of port valuations.  This gives an
-executable version of the satisfaction relation, used as an independent
-oracle for the proof checker.
+as a table.  A trace is a finite sequence of port valuations; it satisfies a
+contract when every window lying in the trace whose triggers hold at their
+offsets has the guarantee hold at its duration.  This executable semantics
+is an independent oracle for the proof checker.
+
+``verify_satisfaction`` checks an architecture contract of duration d on
+traces of ``horizon + d + 1`` states, for windows starting before horizon;
+states after the last window only add constraints.  Its depth-first search
+builds one state per level.  For a fixed window start and assignment,
+whether a prefix extends to a counterexample depends only on its length and
+its last L states, L the largest trigger offset or duration of a component
+contract: a component window or functional output completing at the next
+level reads at most L states back, and the architecture's triggers and
+guarantee are checked on the new state at fixed levels (a full trace has
+passed the guarantee's level, so it is a counterexample).  Keys whose
+subtree held no counterexample are skipped when met again, so the first
+counterexample found is unchanged.  A prefix of at most L states is its own
+key and is met only once, so only longer prefixes are recorded.  The memo
+holds at most ``MEMO_KEYS`` keys and starts afresh when full; forgetting
+keys only visits more nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +36,8 @@ from . import entailment as e
 FOUND = "found"
 NO_PROOF_AT_BOUND = "no-proof-at-bound"
 BUDGET_EXCEEDED = "budget-exceeded"
+NODE_BUDGET = 2000000                # default states enumerated by simulate
+MEMO_KEYS = 250000                   # dead keys kept per search, bounds memory
 
 
 class ExplosionError(Exception):
@@ -94,120 +113,54 @@ def parse_universe(text):
     return uni
 
 
-def print_universe(uni):
-    out = []
-    for sort, values in uni.carriers.items():
-        out.append("sort %s: %s" % (sort, " ".join(values)))
-    for op, table in uni.operations.items():
-        for args, result in sorted(table.items()):
-            out.append("op %s: %s -> %s" % (op, " ".join(args), result))
-    for pred, tuples in uni.predicates.items():
-        for args in sorted(tuples):
-            out.append("pred %s: %s" % (pred, " ".join(args)))
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Traces
-
-def _assignments(universe, variables):
-    """All environments for (name, sort) pairs over the carriers."""
-    names = [n for n, _ in variables]
-    domains = [universe.carrier(s) for _, s in variables]
-    for combo in itertools.product(*domains):
-        yield dict(zip(names, combo))
-
-
-def trace_satisfies(universe, trace, contract):
-    """Does a finite trace satisfy a contract?
-
-    For every window start n and every variable assignment: if all triggers
-    hold at their offsets, the guarantee holds at the duration offset.
-    Windows extending past the end of the trace are not constrained.
-    """
-    for n in range(len(trace)):
-        if n + contract.duration >= len(trace):
-            break
-        for env in _assignments(universe, contract.variables):
-            if all(universe.eval_predicate(t.predicate, env, trace[n + t.time])
-                   for t in contract.triggers):
-                if not universe.eval_predicate(contract.guarantee, env,
-                                               trace[n + contract.duration]):
-                    return False
-    return True
-
-
-def compose_behaviors(model, universe, horizon, budget=200000):
-    """All architecture traces of the given length.
-
-    Free ports (outputs and disconnected inputs) range over their carriers;
-    connected inputs mirror their outputs pointwise.  Raises ExplosionError
-    when the number of traces exceeds the budget.
-    """
-    conn = model.connection_map()
-    free = [p for ct in model.component_types for p in ct.ports
-            if p not in conn]
-    per_state = 1
-    for p in free:
-        per_state *= max(len(universe.carrier(p.sort)), 1)
-    if per_state ** max(horizon, 1) > budget:
-        raise ExplosionError("%d^%d traces exceed budget %d"
-                             % (per_state, horizon, budget))
-    domains = [universe.carrier(p.sort) for p in free]
-
-    def states():
-        for combo in itertools.product(*domains):
-            state = {p.qualified: v for p, v in zip(free, combo)}
-            for p_in, p_out in conn.items():
-                state[p_in.qualified] = state[p_out.qualified]
-            yield state
-
-    all_states = list(states())
-    for combo in itertools.product(all_states, repeat=horizon):
-        yield list(combo)
-
-
 # ---------------------------------------------------------------------------
 # Satisfaction of an architecture contract by all well-behaved traces
 
-def _component_ok_prefix(universe, trace, upto, contracts):
-    """Check the component constraint windows completing at trace[upto].
-
-    During the depth-first trace search each prefix extends one already
-    checked at the previous depth, so only windows whose last needed state
-    is the newest one must be (re)checked.
-    """
-    for c in contracts:
-        last_needed = max([t.time for t in c.triggers] + [c.duration])
-        n = upto - last_needed
-        if n < 0:
-            continue
-        for env in _assignments(universe, c.variables):
-            if all(universe.eval_predicate(t.predicate, env,
-                                           trace[n + t.time])
-                   for t in c.triggers):
-                if not universe.eval_predicate(c.guarantee, env,
-                                               trace[n + c.duration]):
-                    return False
-    return True
+def _compile(universe, node, names, slots):
+    """A function of (env, state) agreeing with ``eval_term`` on a term and
+    ``eval_predicate`` on a predicate: ``env`` and ``state`` are tuples,
+    indexed by ``names`` (variable name -> position) and ``slots`` (qualified
+    port name -> position)."""
+    if isinstance(node, m.Var):
+        j = names[node.name]
+        return lambda env, state: env[j]
+    if isinstance(node, m.PortRef):
+        i = slots[node.port.qualified]
+        return lambda env, state: state[i]
+    if isinstance(node, (m.App, m.Atom)):
+        args = [_compile(universe, a, names, slots) for a in node.args]
+        if isinstance(node, m.App):
+            table = universe.operations.get(node.op, {})
+            return lambda env, state: table.get(tuple(a(env, state)
+                                                      for a in args))
+        table = universe.predicates.get(node.pred, set())
+        return lambda env, state: tuple(a(env, state) for a in args) in table
+    lhs = _compile(universe, node.lhs, names, slots)
+    rhs = _compile(universe, node.rhs, names, slots)
+    if isinstance(node, m.Eq):
+        return lambda env, state: lhs(env, state) == rhs(env, state)
+    if isinstance(node, m.And):
+        return lambda env, state: lhs(env, state) and rhs(env, state)
+    return lambda env, state: lhs(env, state) or rhs(env, state)
 
 
 def _functional_form(c, outputs):
     """Recognize contracts that determine outputs from earlier inputs.
 
-    Shape: every trigger is ``[port = var]`` binding each variable once, and
-    the guarantee is a conjunction of ``[output = term]`` equations whose
-    right sides mention only bound variables and no ports.  For such a
-    contract the triggers fire on every trace (an equality trigger is
-    satisfied by the observed value), so the outputs at ``n + duration`` are
-    a function of the inputs; the trace search can compute them instead of
-    enumerating and rejecting.
+    Shape: every trigger is ``[port = var]`` at an offset below the duration,
+    binding each variable once, and the guarantee is a conjunction of
+    ``[output = term]`` equations whose right sides mention only bound
+    variables and no ports.  For such a contract the triggers fire on every
+    trace (an equality trigger is satisfied by the observed value), so the
+    outputs at ``n + duration`` are a function of earlier inputs; the trace
+    search can compute them instead of enumerating and rejecting.
     """
     binds = {}
     for t in c.triggers:
         p = t.predicate
         if not (isinstance(p, m.Eq) and isinstance(p.lhs, m.PortRef)
-                and isinstance(p.rhs, m.Var)) or p.rhs.name in binds:
+                and isinstance(p.rhs, m.Var)) or p.rhs.name in binds \
+                or t.time >= c.duration:
             return None
         binds[p.rhs.name] = (p.lhs.port, t.time)
     results = []
@@ -215,103 +168,152 @@ def _functional_form(c, outputs):
         if not (isinstance(conj, m.Eq) and isinstance(conj.lhs, m.PortRef)
                 and conj.lhs.port in outputs):
             return None
-        rhs_vars = m.free_variables(m.Eq(conj.rhs, conj.rhs))
-        if m.ports_of(m.Eq(conj.rhs, conj.rhs)) or not rhs_vars <= set(binds):
+        rhs = m.Eq(conj.rhs, conj.rhs)
+        if m.ports_of(rhs) or not m.free_variables(rhs) <= set(binds):
             return None
         results.append((conj.lhs.port, conj.rhs))
     return binds, results, c.duration
 
 
-def _forced_values(universe, trace, upto, functional):
-    """Output values dictated by functional contracts completing at upto.
-
-    Returns ``(values, consistent)``; inconsistent demands prune the level.
-    """
-    forced = {}
-    for binds, results, duration in functional:
-        n = upto - duration
-        if n < 0:
-            continue
-        env = {name: trace[n + t].get(port.qualified)
-               for name, (port, t) in binds.items()}
-        if None in env.values():
-            continue
-        for port, rhs in results:
-            value = universe.eval_term(rhs, env, {})
-            if value is None:
-                continue
-            if forced.get(port.qualified, value) != value:
-                return forced, False
-            forced[port.qualified] = value
-    return forced, True
-
-
 def verify_satisfaction(model, contract, universe, horizon=None,
-                        budget=2000000):
+                        budget=NODE_BUDGET):
     """Must every composed trace satisfying the component contracts satisfy
     the architecture contract?
 
     Searches for a counterexample trace per window start and variable
-    assignment; returns ``(True, None)`` when none exists, ``(False, trace)``
-    with a counterexample otherwise.  Raises ExplosionError past the budget.
+    assignment (see the module docstring); returns ``(True, None)`` when none
+    exists, ``(False, trace)`` with the first counterexample otherwise.  Each
+    enumerated state is a node; raises ExplosionError past ``budget`` nodes.
     """
     conn = model.connection_map()
     free = [p for ct in model.component_types for p in ct.ports
             if p not in conn]
-    comp_contracts = [c for ct in model.component_types for c in ct.contracts]
-    functional = [form for ct in model.component_types
-                  for c in ct.contracts
-                  for form in (_functional_form(c, ct.outputs),)
-                  if form is not None]
+    slots = {p.qualified: i for i, p in enumerate(free)}
+    for p_in, p_out in conn.items():
+        slots[p_in.qualified] = slots[p_out.qualified]
+    carriers = [universe.carrier(p.sort) for p in free]
+
+    windows = []                 # (span, envs, triggers, duration, guarantee)
+    functional = []              # (reads, outputs, duration)
+    for ct in model.component_types:
+        for c in ct.contracts:
+            names = {name: j for j, (name, _) in enumerate(c.variables)}
+            windows.append((
+                max([t.time for t in c.triggers] + [c.duration]),
+                list(itertools.product(*[universe.carrier(s)
+                                         for _, s in c.variables])),
+                [(t.time, _compile(universe, t.predicate, names, slots))
+                 for t in c.triggers],
+                c.duration, _compile(universe, c.guarantee, names, slots)))
+            form = _functional_form(c, ct.outputs)
+            if form is not None:
+                binds, results, duration = form
+                order = {name: j for j, name in enumerate(binds)}
+                functional.append((
+                    [(t, slots[port.qualified]) for port, t in binds.values()],
+                    [(slots[port.qualified],
+                      _compile(universe, rhs, order, {}))
+                     for port, rhs in results],
+                    duration))
+    lookback = max([w[0] for w in windows], default=0)
+
+    names = {name: j for j, (name, _) in enumerate(contract.variables)}
+    arch_triggers = [(t.time, _compile(universe, t.predicate, names, slots))
+                     for t in contract.triggers]
+    arch_guarantee = _compile(universe, contract.guarantee, names, slots)
     if horizon is None:
         horizon = contract.duration + 1
     length = horizon + contract.duration + 1
-    nodes = [0]
+    nodes = 0
 
-    def extend(trace, upto, n, env):
-        """DFS over states; returns a counterexample trace or None."""
-        if upto == length:
-            if not universe.eval_predicate(contract.guarantee, env,
-                                           trace[n + contract.duration]):
-                return list(trace)
-            return None
-        forced, consistent = _forced_values(universe, trace, upto, functional)
-        if not consistent:
-            return None
-        domains = [[forced[p.qualified]] if p.qualified in forced
-                   else universe.carrier(p.sort) for p in free]
-        for combo in itertools.product(*domains):
-            nodes[0] += 1
-            if nodes[0] > budget:
-                raise ExplosionError("search exceeded %d nodes" % budget)
-            state = {p.qualified: v for p, v in zip(free, combo)}
-            for p_in, p_out in conn.items():
-                state[p_in.qualified] = state[p_out.qualified]
-            trace.append(state)
-            ok = _component_ok_prefix(universe, trace, upto, comp_contracts)
-            if ok:
-                # architecture triggers of the chosen window must hold
-                for t in contract.triggers:
-                    if n + t.time == upto and not universe.eval_predicate(
-                            t.predicate, env, state):
-                        ok = False
+    def candidates(trace, upto):
+        """The states to try at level upto: none when the functional
+        contracts completing there demand two values for one output."""
+        forced = {}
+        for reads, outputs, duration in functional:
+            n = upto - duration
+            if n < 0:
+                continue
+            env = tuple(trace[n + t][i] for t, i in reads)
+            for i, rhs in outputs:
+                value = rhs(env, ())
+                if value is not None and forced.setdefault(i, value) != value:
+                    return ()
+        domains = list(carriers)
+        for i, value in forced.items():
+            domains[i] = (value,)
+        return itertools.product(*domains)
+
+    def windows_hold(trace, upto):
+        """Do the component windows completing at trace[upto] hold?"""
+        for span, envs, triggers, duration, guarantee in windows:
+            n = upto - span
+            if n < 0:
+                continue
+            checks = [(f, trace[n + t]) for t, f in triggers]
+            last = trace[n + duration]
+            for env in envs:
+                for f, state in checks:
+                    if not f(env, state):
                         break
-            if ok and upto == n + contract.duration:
-                # fail fast: this state must already falsify the guarantee
-                if universe.eval_predicate(contract.guarantee, env, state):
-                    ok = False
-            if ok:
-                found = extend(trace, upto + 1, n, env)
-                if found is not None:
-                    return found
-            trace.pop()
+                else:
+                    if not guarantee(env, last):
+                        return False
+        return True
+
+    def search(n, env):
+        """The first counterexample for window start n and assignment env."""
+        nonlocal nodes
+        # what each level's state must satisfy: the architecture triggers of
+        # this window, and at its duration the negated guarantee
+        arch_at = [[] for _ in range(length)]
+        for t, f in arch_triggers:
+            if n + t < length:
+                arch_at[n + t].append(f)
+        arch_at[n + contract.duration].append(
+            lambda env, state: not arch_guarantee(env, state))
+        dead = set()                 # keys of levels that failed to extend
+        trace = []
+        levels = [(None, candidates(trace, 0))]
+        while levels:
+            key, states = levels[-1]
+            upto = len(levels) - 1
+            del trace[upto:]
+            for state in states:
+                nodes += 1
+                if nodes > budget:
+                    raise ExplosionError(
+                        "node budget %d exhausted (%d nodes enumerated)"
+                        % (budget, nodes))
+                trace.append(state)
+                if (windows_hold(trace, upto)
+                        and all(f(env, state) for f in arch_at[upto])):
+                    break
+                trace.pop()
+            else:
+                if key is not None:
+                    if len(dead) >= MEMO_KEYS:
+                        dead.clear()     # the memo is only a cache
+                    dead.add(key)
+                levels.pop()
+                continue
+            if upto + 1 == length:
+                return trace
+            key = None               # a prefix within the lookback is met once
+            if upto >= lookback:
+                key = (upto + 1, tuple(trace[upto + 1 - lookback:]))
+                if key in dead:
+                    continue
+            levels.append((key, candidates(trace, upto + 1)))
         return None
 
     for n in range(horizon):
-        for env in _assignments(universe, contract.variables):
-            counter = extend([], 0, n, env)
+        for env in itertools.product(*[universe.carrier(s)
+                                       for _, s in contract.variables]):
+            counter = search(n, env)
             if counter is not None:
-                return False, counter
+                return False, [{q: state[i] for q, i in slots.items()}
+                               for state in counter]
     return True, None
 
 

@@ -78,6 +78,16 @@ def _ref_set(refs):
     return "{ %s }" % ", ".join(_ref(r) for r in refs)
 
 
+def print_step(step, owner=None, shadowed=frozenset()):
+    """One proof step in surface syntax, as inside a ``proof { ... }``."""
+    frm = ""
+    if step.refs:
+        frm = " from [ %s ]" % ", ".join(_ref_set(r) for r in step.refs)
+    return "%s: at %d have %s%s using %s" % (
+        step.label, step.time, print_predicate(step.state, owner, shadowed),
+        frm, step.rationale)
+
+
 def _contract(c, out, ind, owner):
     out.append("%sContract %s {" % (ind, c.name))
     inner = ind + INDENT
@@ -102,14 +112,9 @@ def _contract(c, out, ind, owner):
     if proof is not None:
         out.append("%sproof {" % inner)
         for i, s in enumerate(proof):
-            frm = ""
-            if s.refs:
-                frm = " from [ %s ]" % ", ".join(_ref_set(r) for r in s.refs)
             comma = "," if i + 1 < len(proof) else ""
-            out.append("%s%s: at %d have %s%s using %s%s"
-                       % (inner + INDENT, s.label, s.time,
-                          print_predicate(s.state, owner, shadowed), frm,
-                          s.rationale, comma))
+            out.append("%s%s%s" % (inner + INDENT,
+                                   print_step(s, owner, shadowed), comma))
         out.append("%s}" % inner)
     out.append("%s}" % ind)
 

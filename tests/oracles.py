@@ -259,6 +259,71 @@ def relay_chain_model(n):
                    contracts=(arch,))
 
 
+def random_tiny_model(rng):
+    """(model, universe): one to three one-input, one-output components over
+    a two-valued carrier with a random unary operation and predicate.
+
+    Contracts mix equalities, predicate atoms, the operation, conjunctions
+    and disjunctions, with trigger offsets and durations from 0 to 2, so
+    some are functional forms and some are checked window by window.
+    """
+    values = ["0", "1"]
+    universe = o.FiniteUniverse(
+        carriers={SORT: values},
+        operations={"D.f": {(v,): rng.choice(values) for v in values}},
+        predicates={"D.P": {(v,) for v in values if rng.random() < 0.5}})
+    x = m.Var("x", SORT)
+
+    def app(t):
+        return m.App("D.f", (t,))
+
+    def pick(*options):
+        return rng.choice(options)
+
+    components = []
+    for k in range(rng.randint(1, 3)):
+        name = "C%d" % k
+        i = m.PortRef(m.Port("i", name, m.INPUT, SORT))
+        out = m.PortRef(m.Port("o", name, m.OUTPUT, SORT))
+        triggers = tuple(
+            m.Trigger("t%d" % j, pick(m.Eq(i, x), m.Eq(i, x), m.Eq(app(i), x),
+                                      m.And(m.Atom("D.P", (i,)), m.Eq(i, x)),
+                                      m.Or(m.Eq(i, x), m.Eq(out, x))),
+                      rng.randint(0, 2))
+            for j in range(rng.randint(1, 2)))
+        guarantee = pick(m.Eq(out, x), m.Eq(out, app(x)),
+                         m.Or(m.Eq(out, x), m.Eq(out, app(x))),
+                         m.And(m.Eq(out, x), m.Atom("D.P", (out,))),
+                         m.Or(m.Atom("D.P", (out,)), m.Eq(out, x)))
+        contract = m.Contract(name="c", owner=name, variables=(("x", SORT),),
+                              triggers=triggers, guarantee=guarantee,
+                              duration=rng.randint(0, 2))
+        components.append(m.ComponentType(
+            name=name, inputs=(i.port,), outputs=(out.port,),
+            contracts=(contract,)))
+    connections = tuple((b.inputs[0], a.outputs[0])
+                        for a, b in zip(components, components[1:])
+                        if rng.random() < 0.7)
+    ports = [p for ct in components for p in ct.ports]
+    w = m.Var("w", SORT)
+    head, tail = m.PortRef(rng.choice(ports)), m.PortRef(rng.choice(ports))
+    arch = m.ArchitectureContract(
+        name="goal", owner="", variables=(("w", SORT),),
+        triggers=(m.Trigger("t0", pick(m.Eq(head, w),
+                                       m.And(m.Eq(head, w),
+                                             m.Atom("D.P", (w,)))), 0),),
+        guarantee=pick(m.Eq(tail, w), m.Or(m.Eq(tail, w), m.Eq(tail, app(w))),
+                       m.Atom("D.P", (tail,))),
+        duration=rng.randint(0, 2), proof=None)
+    model = m.Model(name="Tiny", short_name="tiny",
+                    datatypes=(m.DataType(name="D", sort="V",
+                                          predicates=(("P", (SORT,)),),
+                                          operations=(("f", (SORT,), SORT),)),),
+                    component_types=tuple(components),
+                    connections=connections, contracts=(arch,))
+    return model, universe
+
+
 def mutate_proof(rng, proof):
     """Perturb one step: nudge its time or swap its state's right side."""
     steps = list(proof)
@@ -272,6 +337,228 @@ def mutate_proof(rng, proof):
             if isinstance(s.state, m.Eq) else s.state
         steps[i] = m.ProofStep(s.label, s.time, wrong, s.rationale, s.refs)
     return tuple(steps)
+
+
+# ---------------------------------------------------------------------------
+# Universe files
+
+def print_universe(uni):
+    """Universe file text that ``parse_universe`` reads back as ``uni``."""
+    out = []
+    for sort, values in uni.carriers.items():
+        out.append("sort %s: %s" % (sort, " ".join(values)))
+    for op, table in uni.operations.items():
+        for args, result in sorted(table.items()):
+            out.append("op %s: %s -> %s" % (op, " ".join(args), result))
+    for pred, tuples in uni.predicates.items():
+        for args in sorted(tuples):
+            out.append("pred %s: %s" % (pred, " ".join(args)))
+    return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Trace semantics
+
+def _assignments(universe, variables):
+    """All environments for (name, sort) pairs over the carriers."""
+    names = [n for n, _ in variables]
+    domains = [universe.carrier(s) for _, s in variables]
+    for combo in itertools.product(*domains):
+        yield dict(zip(names, combo))
+
+
+def trace_satisfies(universe, trace, contract):
+    """Does a finite trace satisfy a contract?
+
+    For every window start n and every variable assignment: if all triggers
+    hold at their offsets, the guarantee holds at the duration offset.
+    Windows extending past the end of the trace (through a trigger offset or
+    the duration) are not constrained.
+    """
+    span = max([t.time for t in contract.triggers] + [contract.duration])
+    for n in range(len(trace) - span):
+        for env in _assignments(universe, contract.variables):
+            if all(universe.eval_predicate(t.predicate, env, trace[n + t.time])
+                   for t in contract.triggers):
+                if not universe.eval_predicate(contract.guarantee, env,
+                                               trace[n + contract.duration]):
+                    return False
+    return True
+
+
+def compose_behaviors(model, universe, horizon, budget=200000):
+    """All architecture traces of the given length.
+
+    Free ports (outputs and disconnected inputs) range over their carriers;
+    connected inputs mirror their outputs pointwise.  Raises ExplosionError
+    when the number of traces exceeds the budget.
+    """
+    conn = model.connection_map()
+    free = [p for ct in model.component_types for p in ct.ports
+            if p not in conn]
+    per_state = 1
+    for p in free:
+        per_state *= max(len(universe.carrier(p.sort)), 1)
+    if per_state ** max(horizon, 1) > budget:
+        raise o.ExplosionError("%d^%d traces exceed budget %d"
+                               % (per_state, horizon, budget))
+    domains = [universe.carrier(p.sort) for p in free]
+
+    def states():
+        for combo in itertools.product(*domains):
+            state = {p.qualified: v for p, v in zip(free, combo)}
+            for p_in, p_out in conn.items():
+                state[p_in.qualified] = state[p_out.qualified]
+            yield state
+
+    all_states = list(states())
+    for combo in itertools.product(all_states, repeat=horizon):
+        yield list(combo)
+
+
+def brute_force_verify(model, contract, universe, horizon=None,
+                       budget=200000):
+    """Does every composed trace of ``horizon + duration + 1`` states that
+    satisfies the component contracts satisfy the architecture contract's
+    windows starting before ``horizon``?  Architecture triggers past the end
+    of the trace are not required.  Raises ExplosionError past ``budget``
+    traces."""
+    if horizon is None:
+        horizon = contract.duration + 1
+    length = horizon + contract.duration + 1
+    components = [c for ct in model.component_types for c in ct.contracts]
+    for trace in compose_behaviors(model, universe, length, budget):
+        if not all(trace_satisfies(universe, trace, c) for c in components):
+            continue
+        if violated_window(universe, trace, contract, horizon) is not None:
+            return False
+    return True
+
+
+def violated_window(universe, trace, contract, horizon):
+    """The first (window start, assignment) before horizon at which the
+    architecture triggers hold and its guarantee fails, or None."""
+    for n in range(horizon):
+        for env in _assignments(universe, contract.variables):
+            if all(universe.eval_predicate(t.predicate, env, trace[n + t.time])
+                   for t in contract.triggers if n + t.time < len(trace)) \
+                    and not universe.eval_predicate(
+                        contract.guarantee, env, trace[n + contract.duration]):
+                return n, env
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Reference trace search
+
+def _component_ok_prefix(universe, trace, upto, contracts):
+    """Check the component constraint windows completing at trace[upto]."""
+    for c in contracts:
+        last_needed = max([t.time for t in c.triggers] + [c.duration])
+        n = upto - last_needed
+        if n < 0:
+            continue
+        for env in _assignments(universe, c.variables):
+            if all(universe.eval_predicate(t.predicate, env,
+                                           trace[n + t.time])
+                   for t in c.triggers):
+                if not universe.eval_predicate(c.guarantee, env,
+                                               trace[n + c.duration]):
+                    return False
+    return True
+
+
+def _forced_values(universe, trace, upto, functional):
+    """Output values dictated by functional contracts completing at upto.
+
+    Returns ``(values, consistent)``; inconsistent demands prune the level.
+    """
+    forced = {}
+    for binds, results, duration in functional:
+        n = upto - duration
+        if n < 0:
+            continue
+        env = {name: trace[n + t].get(port.qualified)
+               for name, (port, t) in binds.items()}
+        if None in env.values():
+            continue
+        for port, rhs in results:
+            value = universe.eval_term(rhs, env, {})
+            if value is None:
+                continue
+            if forced.get(port.qualified, value) != value:
+                return forced, False
+            forced[port.qualified] = value
+    return forced, True
+
+
+def naive_verify_satisfaction(model, contract, universe, horizon=None,
+                              budget=2000000):
+    """Reference for ``apml.oracle.verify_satisfaction``: the same depth-first
+    trace search without memo or compiled predicates, over dict states.
+
+    Searches for a counterexample trace per window start and variable
+    assignment; returns ``(True, None)`` when none exists, ``(False, trace)``
+    with a counterexample otherwise.  Raises ExplosionError past the budget.
+    """
+    conn = model.connection_map()
+    free = [p for ct in model.component_types for p in ct.ports
+            if p not in conn]
+    comp_contracts = [c for ct in model.component_types for c in ct.contracts]
+    functional = [form for ct in model.component_types
+                  for c in ct.contracts
+                  for form in (o._functional_form(c, ct.outputs),)
+                  if form is not None]
+    if horizon is None:
+        horizon = contract.duration + 1
+    length = horizon + contract.duration + 1
+    nodes = [0]
+
+    def extend(trace, upto, n, env):
+        """DFS over states; returns a counterexample trace or None."""
+        if upto == length:
+            if not universe.eval_predicate(contract.guarantee, env,
+                                           trace[n + contract.duration]):
+                return list(trace)
+            return None
+        forced, consistent = _forced_values(universe, trace, upto, functional)
+        if not consistent:
+            return None
+        domains = [[forced[p.qualified]] if p.qualified in forced
+                   else universe.carrier(p.sort) for p in free]
+        for combo in itertools.product(*domains):
+            nodes[0] += 1
+            if nodes[0] > budget:
+                raise o.ExplosionError("search exceeded %d nodes" % budget)
+            state = {p.qualified: v for p, v in zip(free, combo)}
+            for p_in, p_out in conn.items():
+                state[p_in.qualified] = state[p_out.qualified]
+            trace.append(state)
+            ok = _component_ok_prefix(universe, trace, upto, comp_contracts)
+            if ok:
+                # architecture triggers of the chosen window must hold
+                for t in contract.triggers:
+                    if n + t.time == upto and not universe.eval_predicate(
+                            t.predicate, env, state):
+                        ok = False
+                        break
+            if ok and upto == n + contract.duration:
+                # fail fast: this state must already falsify the guarantee
+                if universe.eval_predicate(contract.guarantee, env, state):
+                    ok = False
+            if ok:
+                found = extend(trace, upto + 1, n, env)
+                if found is not None:
+                    return found
+            trace.pop()
+        return None
+
+    for n in range(horizon):
+        for env in _assignments(universe, contract.variables):
+            counter = extend([], 0, n, env)
+            if counter is not None:
+                return False, counter
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,18 @@ def test_simulate_counterexample(tmp_path, capsys):
     assert "Stage2.o=" in out
 
 
+def test_simulate_zero_duration_components(tmp_path, capsys):
+    # each stage now forwards within one state; the result at 2 is free
+    text = (CORPUS / "relay.apml").read_text().replace("duration 1",
+                                                       "duration 0")
+    broken = tmp_path / "relay.apml"
+    broken.write_text(text)
+    code, out, err = run(capsys, "simulate", str(broken), "--universe", TINY)
+    assert code == 1
+    assert out.splitlines()[0] == "contract relayed: counterexample"
+    assert err == ""
+
+
 def test_simulate_bad_universe(tmp_path, capsys):
     bad = tmp_path / "bad.uni"
     bad.write_text("frob X: 1 2")
@@ -142,6 +154,19 @@ def test_fmt_is_idempotent(tmp_path, capsys):
     code, twice, _ = run(capsys, "fmt", str(formatted))
     assert code == 0
     assert once == twice
+
+
+def test_internal_error_is_one_line(tmp_path, capsys):
+    # deeper than the recursion limit of the predicate walks
+    wide = " /\\ ".join(["[o = x]"] * 3000)
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "guarantees { [o = x] }", "guarantees { %s }" % wide, 1)
+    model = tmp_path / "wide.apml"
+    model.write_text(text)
+    code, _, err = run(capsys, "check", str(model))
+    assert code == 3
+    assert err.startswith("error: internal: RecursionError: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["check"], ["simulate", RELAY], []])

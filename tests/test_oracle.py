@@ -1,21 +1,25 @@
 """Finite-domain semantics: universes, traces, satisfaction, proof search."""
 
 import dataclasses
+import itertools
 import random
 import sys
 
 import pytest
 
-from apml import entailment
+from apml import entailment, oracle
 from apml import model as m
 from apml.checker import check_proof, OK
-from apml.oracle import (ExplosionError, FiniteUniverse, compose_behaviors,
-                         parse_universe, print_universe, search_proof,
-                         trace_satisfies, verify_satisfaction,
+from apml.oracle import (ExplosionError, FiniteUniverse, parse_universe,
+                         search_proof, verify_satisfaction,
                          FOUND, NO_PROOF_AT_BOUND, BUDGET_EXCEEDED)
 from apml.parser import parse_model
+from apml.printer import print_model
 
-from oracles import naive_search_proof, random_chain_model, relay_chain_model
+from oracles import (SORT, brute_force_verify, compose_behaviors,
+                     naive_search_proof, naive_verify_satisfaction,
+                     print_universe, random_chain_model, random_tiny_model,
+                     relay_chain_model, trace_satisfies, violated_window)
 
 from conftest import load, CORPUS
 
@@ -136,8 +140,177 @@ def test_wrong_duration_produces_a_counterexample(relay, bits):
 
 
 def test_verify_satisfaction_budget(relay, bits):
-    with pytest.raises(ExplosionError):
+    message = r"^node budget 3 exhausted \(4 nodes enumerated\)$"
+    with pytest.raises(ExplosionError, match=message):
         verify_satisfaction(relay, relay.contracts[0], bits, budget=3)
+
+
+# ---------------------------------------------------------------------------
+# Trace search against the reference search and brute force
+
+def _with_durations(model, durations):
+    """The model with its component contracts' durations replaced in order."""
+    durations = iter(durations)
+    return dataclasses.replace(model, component_types=tuple(
+        dataclasses.replace(ct, contracts=tuple(
+            dataclasses.replace(c, duration=next(durations))
+            for c in ct.contracts))
+        for ct in model.component_types))
+
+
+def test_verify_satisfaction_matches_the_reference_on_relay_variants(relay,
+                                                                     bits):
+    for stages in itertools.product(range(3), repeat=2):
+        model = _with_durations(relay, stages)
+        for duration in (1, 2, 3):
+            contract = dataclasses.replace(model.contracts[0],
+                                           duration=duration)
+            assert (verify_satisfaction(model, contract, bits, horizon=1)
+                    == naive_verify_satisfaction(model, contract, bits,
+                                                 horizon=1)
+                    ), (stages, duration)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_verify_satisfaction_matches_the_reference_on_relay_chains(n):
+    model = relay_chain_model(n)
+    universe = FiniteUniverse(carriers={SORT: ["0", "1"]})
+    for duration in (n - 1, n, n + 1):
+        contract = dataclasses.replace(model.contracts[0], duration=duration)
+        assert (verify_satisfaction(model, contract, universe, horizon=1)
+                == naive_verify_satisfaction(model, contract, universe,
+                                             horizon=1)), duration
+
+
+def test_verify_satisfaction_matches_the_reference_on_random_chains():
+    """Each chain's contract claims one step less than its total delay, so
+    every case has a counterexample.  Skipping a subtree can only lose a
+    counterexample, and the first one found must be the reference's; the
+    reference takes seconds per chain to prove an unmutated contract."""
+    rng = random.Random(20260823)
+    universe = FiniteUniverse(carriers={SORT: ["0", "1"]})
+    for case in range(100):
+        model = random_chain_model(rng)
+        contract = model.contracts[0]
+        contract = dataclasses.replace(contract,
+                                       duration=contract.duration - 1)
+        result = verify_satisfaction(model, contract, universe, horizon=1)
+        assert not result[0]
+        assert result == naive_verify_satisfaction(model, contract, universe,
+                                                   horizon=1), case
+
+
+def test_verify_satisfaction_agrees_with_brute_force_on_tiny_models():
+    rng = random.Random(20261018)
+    verdicts = []
+    while len(verdicts) < 100:
+        model, universe = random_tiny_model(rng)
+        contract = model.contracts[0]
+        horizon = rng.randint(1, 2)
+        try:
+            # brute force enumerates every trace: keep it to 4096 of them
+            expected = brute_force_verify(model, contract, universe, horizon,
+                                          budget=4096)
+        except ExplosionError:
+            continue
+        holds, counter = verify_satisfaction(model, contract, universe,
+                                             horizon=horizon)
+        assert holds == expected, print_model(model)
+        if counter is not None:
+            assert len(counter) == horizon + contract.duration + 1
+            assert all(trace_satisfies(universe, counter, c)
+                       for ct in model.component_types for c in ct.contracts)
+            assert violated_window(universe, counter, contract, horizon)
+        verdicts.append(holds)
+    assert 20 <= verdicts.count(True) <= 80
+
+
+def test_component_duration_at_a_trigger_offset_is_checked_by_window(relay,
+                                                                     bits):
+    """With duration 0 a forwarder constrains the state its trigger reads,
+    so its output cannot be computed from earlier states."""
+    model = _with_durations(relay, (0, 0))
+    contract = model.contracts[0]
+    holds, counter = verify_satisfaction(model, contract, bits, horizon=1)
+    assert not holds
+    assert holds == brute_force_verify(model, contract, bits, horizon=1)
+    assert all(s["Stage2.o"] == s["Stage1.i"] for s in counter)
+
+
+# A delay-2 inverter: Inv.o at t + 2 is the negation of Inv.i at t.  The
+# contract claims Inv.o is one at 4 when Inv.i is one at 0, but Inv.o at 4
+# follows Inv.i at 2.  The search first exhausts the prefixes with Inv.i = 0
+# at 2; a memo keyed on the last state alone would then skip those with
+# Inv.i = 1 at 2, whose states at 3 are the same, and miss the counterexample.
+INVERTER = """Pattern Inv ShortName inv {
+  DTSpec { DT Bit ( Sort BIT
+                    Operation neg: Bit.BIT => Bit.BIT
+                    Predicate one: Bit.BIT ) }
+  CTypes {
+    CType Inv {
+      InputPorts { InputPort i (Type: Bit.BIT) }
+      OutputPorts { OutputPort o (Type: Bit.BIT) }
+      Contracts {
+        Contract slow {
+          var x: Bit.BIT
+          triggers { t1: [i = x] }
+          guarantees { [o = Bit.neg[x]] }
+          duration 2
+        }
+      }
+    }
+  }
+  Contracts {
+    Contract late {
+      triggers { t1: Bit.one[Inv.i] }
+      guarantees { Bit.one[Inv.o] }
+      duration 4
+    }
+  }
+}"""
+
+
+def test_memo_key_spans_the_lookback():
+    model, diags = parse_model(INVERTER)
+    assert not diags and not m.validate_structure(model)
+    universe = parse_universe("sort Bit.BIT: 0 1\n"
+                              "op Bit.neg: 0 -> 1\nop Bit.neg: 1 -> 0\n"
+                              "pred Bit.one: 1\n")
+    contract = model.contracts[0]
+    result = verify_satisfaction(model, contract, universe, horizon=1)
+    assert not result[0]
+    assert not brute_force_verify(model, contract, universe, horizon=1)
+    assert result == naive_verify_satisfaction(model, contract, universe,
+                                               horizon=1)
+
+
+def test_a_full_memo_starts_afresh(monkeypatch):
+    """Forgetting dead keys only visits more nodes: relay4 needs 320 nodes
+    with the whole memo and 1024 when it holds two keys, and verdicts and
+    counterexamples stay the reference's."""
+    universe = FiniteUniverse(carriers={SORT: ["0", "1"]})
+    model = relay_chain_model(4)
+    contract = model.contracts[0]
+    assert verify_satisfaction(model, contract, universe, horizon=1,
+                               budget=320) == (True, None)
+    monkeypatch.setattr(oracle, "MEMO_KEYS", 2)
+    with pytest.raises(ExplosionError):
+        verify_satisfaction(model, contract, universe, horizon=1, budget=320)
+    for duration in (3, 4):
+        contract = dataclasses.replace(model.contracts[0], duration=duration)
+        assert (verify_satisfaction(model, contract, universe, horizon=1,
+                                    budget=1024)
+                == naive_verify_satisfaction(model, contract, universe,
+                                             horizon=1)), duration
+
+
+def test_counterexample_longer_than_the_recursion_limit():
+    model = relay_chain_model(2)
+    contract = dataclasses.replace(model.contracts[0],
+                                   duration=sys.getrecursionlimit() + 100)
+    universe = FiniteUniverse(carriers={SORT: ["0", "1"]})
+    holds, counter = verify_satisfaction(model, contract, universe, horizon=1)
+    assert not holds and len(counter) == contract.duration + 2
 
 
 # ---------------------------------------------------------------------------
