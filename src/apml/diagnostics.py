@@ -34,6 +34,7 @@ RULES = frozenset([
     "UNTERMINATED_COMMENT",
     "EXPECTED_PATTERN",
     "UNEXPECTED_TOKEN",
+    "NESTING_LIMIT",
     # name resolution
     "DUPLICATE_DT",
     "DUPLICATE_NAME",

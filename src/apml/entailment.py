@@ -216,33 +216,32 @@ def match_predicate(goal, cong, variables, signature, sigma):
     """All substitutions extending sigma that make the goal hold in cong.
 
     ``variables`` maps variable name to sort.  The search binds variables to
-    class representatives, literal by literal, with backtracking.
+    class representatives, literal by literal, depth first with backtracking.
     """
     literals = []
     for p in m.conjuncts(goal):
         literals.extend(m.conjuncts(p))
     results = []
-
-    def solve(i, sub):
+    stack = [(0, dict(sigma))]           # (literals satisfied, bindings)
+    while stack:
+        i, sub = stack.pop()
         if i == len(literals):
             if sub not in results:
                 results.append(sub)
-            return
+            continue
         lit = m.substitute(literals[i], sub)
         # only declared rationale variables are bindable; anything else is a
         # frozen constant of the surrounding contract
-        unbound = sorted((m.free_variables(lit) & set(variables))
-                         - set(sub))
+        unbound = sorted((m.free_variables(lit) & set(variables)) - set(sub))
         if not unbound:
             if _instance_holds(lit, cong):
-                solve(i + 1, sub)
-            return
-        # bind the first unbound variable to each candidate class
+                stack.append((i + 1, sub))
+            continue
+        # bind the first unbound variable to each candidate class, the first
+        # candidate on top
         v = unbound[0]
-        for t in _candidates(cong, variables.get(v), signature):
-            solve(i, {**sub, v: t})
-
-    solve(0, dict(sigma))
+        stack.extend((i, {**sub, v: t}) for t in
+                     reversed(_candidates(cong, variables.get(v), signature)))
     return results
 
 

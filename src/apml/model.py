@@ -164,52 +164,40 @@ def terms_of(p):
     return terms_of(p.lhs) + terms_of(p.rhs)
 
 
-def ports_of(p):
-    out = set()
-
-    def walk_term(t):
-        if isinstance(t, PortRef):
-            out.add(t.port)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-
-    for t in terms_of(p):
-        walk_term(t)
+def _leaf_terms(p):
+    """The variables, ports and constants of a predicate, at any depth."""
+    out = []
+    stack = terms_of(p)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.extend(t.args)
+        else:
+            out.append(t)
     return out
+
+
+def ports_of(p):
+    return {t.port for t in _leaf_terms(p) if isinstance(t, PortRef)}
 
 
 def free_variables(p):
     """Names of the contract variables occurring in a predicate."""
-    out = set()
-
-    def walk_term(t):
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-
-    for t in terms_of(p):
-        walk_term(t)
-    return out
+    return {t.name for t in _leaf_terms(p) if isinstance(t, Var)}
 
 
 def substitute(p, subst):
     """Replace variables by terms throughout a predicate or term."""
-    def on_term(t):
-        if isinstance(t, Var):
-            return subst.get(t.name, t)
-        if isinstance(t, App):
-            return App(t.op, tuple(on_term(a) for a in t.args))
-        return t
-
-    if isinstance(p, (Var, PortRef, App)):
-        return on_term(p)
     if isinstance(p, Eq):
-        return Eq(on_term(p.lhs), on_term(p.rhs))
+        return Eq(substitute(p.lhs, subst), substitute(p.rhs, subst))
+    if isinstance(p, Var):
+        return subst.get(p.name, p)
+    if isinstance(p, PortRef):
+        return p
+    if isinstance(p, App):
+        return App(p.op, tuple(substitute(a, subst) for a in p.args))
     if isinstance(p, Atom):
-        return Atom(p.pred, tuple(on_term(a) for a in p.args))
+        return Atom(p.pred, tuple(substitute(a, subst) for a in p.args))
     if isinstance(p, And):
         return And(substitute(p.lhs, subst), substitute(p.rhs, subst))
     return Or(substitute(p.lhs, subst), substitute(p.rhs, subst))

@@ -2,11 +2,18 @@
 
 ``parse_model`` never raises on bad input: it returns a best-effort partial
 model together with span-carrying diagnostics.
+
+A token is a plain tuple ``(kind, text, file, line, col)``.  ``kind`` is ID,
+NAT, AND, OR, ARROW, EOF or a punctuation kind; NAT is ASCII digits only.
+A token's ``SourceSpan`` is built by ``token_span`` only where something
+keeps it, a model element or a diagnostic, so most tokens never get one.
+``tokenize`` matches one precompiled pattern per token, and the parser finds
+component types by name through a dict, so parsing is linear in the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .diagnostics import Diagnostic, SourceSpan, ERROR, WARNING
 from . import model as m
@@ -18,103 +25,80 @@ KEYWORDS = frozenset([
     "guarantees", "duration", "proof", "at", "have", "from", "with", "using",
 ])
 
-_PUNCT = {
-    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ":": "COLON",
-    ".": "DOT", "=": "EQ",
-}
+# One alternative per token kind, tried in this order after skipping blanks
+# within a line; the group that matched names the token kind.  ``\w`` is
+# exactly ``str.isalnum`` or "_", but no class is exactly ``str.isalpha``, so
+# an identifier that starts with a non-ASCII letter falls to OTHER, as do the
+# start of an unterminated block comment and a stray character.
+_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
+      (?P<ID>[A-Za-z_]\w*)
+    | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LPAREN>\() | (?P<RPAREN>\))
+    | (?P<LBRACK>\[) | (?P<RBRACK>\]) | (?P<COMMA>,) | (?P<COLON>:)
+    | (?P<DOT>\.) | (?P<ARROW>=>) | (?P<EQ>=)
+    | (?P<NL>\n)
+    | (?P<NAT>[0-9]+)
+    | (?P<COMMENT>//[^\n]*|/\*.*?\*/)
+    | (?P<AND>/\\) | (?P<OR>\\/)
+    | (?P<OTHER>[^ \t\r])
+    )""", re.VERBOSE | re.DOTALL)
+_WORD_RE = re.compile(r"\w*")
+
+# Parentheses and operation applications nest at most this deep in one
+# predicate.  Each level takes three Python frames here and a few in every
+# later recursive walk of the predicate, so deeper input is reported as
+# NESTING_LIMIT instead of exhausting the interpreter's recursion limit.
+MAX_NESTING = 200
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str          # ID, NAT, punctuation kind, AND, OR, ARROW, EOF
-    text: str
-    span: SourceSpan
+def token_span(tok):
+    """The source span of a token; a token lies on one line."""
+    _, text, file, line, col = tok
+    return SourceSpan(file, line, col, line, col + len(text))
 
 
 def tokenize(text, filename="<input>"):
+    """The tokens of text, ending with EOF, and the lexical diagnostics."""
     tokens = []
     diags = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def span(l0, c0, l1, c1):
-        return SourceSpan(filename, l0, c0, l1, c1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0          # line_start: offset of the line's col 1
+    pos, end = 0, len(text)
+    match = _TOKEN_RE.match
+    while True:
+        mo = match(text, pos)
+        if mo is None:               # only blanks are left
+            break
+        kind = mo.lastgroup
+        start = mo.start(kind)
+        pos = mo.end()
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        l0, c0 = line, col
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
-                                        "unterminated block comment",
-                                        span(l0, c0, l0, c0)))
-                break
-            chunk = text[i:end + 2]
-            nl = chunk.count("\n")
+            line_start = pos
+        elif kind == "COMMENT":
+            nl = text.count("\n", start, pos)
             if nl:
                 line += nl
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            i = end + 2
-            continue
-        if text.startswith("/\\", i):
-            tokens.append(Token("AND", "/\\", span(l0, c0, l0, c0 + 2)))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("\\/", i):
-            tokens.append(Token("OR", "\\/", span(l0, c0, l0, c0 + 2)))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("=>", i):
-            tokens.append(Token("ARROW", "=>", span(l0, c0, l0, c0 + 2)))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NAT", text[i:j], span(l0, c0, l0, c0 + j - i)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ID", text[i:j], span(l0, c0, l0, c0 + j - i)))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, span(l0, c0, l0, c0 + 1)))
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic(ERROR, "LEX_ERROR",
-                                "unexpected character %r" % c,
-                                span(l0, c0, l0, c0 + 1)))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", span(line, col, line, col)))
+                line_start = text.rfind("\n", start, pos) + 1
+        elif kind != "OTHER":
+            tokens.append((kind, text[start:pos], filename, line,
+                           start - line_start + 1))
+        elif text[start].isalpha():
+            pos = _WORD_RE.match(text, pos).end()
+            tokens.append(("ID", text[start:pos], filename, line,
+                           start - line_start + 1))
+        else:
+            col = start - line_start + 1
+            if text.startswith("/*", start):
+                diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
+                                        "unterminated block comment",
+                                        SourceSpan(filename, line, col,
+                                                   line, col)))
+                end = start
+                break
+            diags.append(Diagnostic(ERROR, "LEX_ERROR",
+                                    "unexpected character %r" % text[start],
+                                    SourceSpan(filename, line, col,
+                                               line, col + 1)))
+    tokens.append(("EOF", "", filename, line, end - line_start + 1))
     return tokens, diags
 
 
@@ -131,8 +115,12 @@ class Parser:
         self.datatypes = []
         self.signature = m.Signature([])
         self.component_types = []
+        self.component_by_name = {}      # first declaration wins
 
     # -- token plumbing ----------------------------------------------------
+    # t[0] is a token's kind and t[1] its text.  The list ends with EOF,
+    # which advance never passes; no caller accepts or expects EOF, so
+    # consuming a token that matched is a plain increment.
 
     @property
     def tok(self):
@@ -142,31 +130,33 @@ class Parser:
         return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
 
     def advance(self):
-        t = self.tok
-        if t.kind != "EOF":
+        t = self.tokens[self.pos]
+        if t[0] != "EOF":
             self.pos += 1
         return t
 
     def at(self, kind, text=None):
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
+        t = self.tokens[self.pos]
+        return t[0] == kind and (text is None or t[1] == text)
 
     def at_kw(self, word):
         return self.at("ID", word)
 
     def accept(self, kind, text=None):
-        if self.at(kind, text):
-            return self.advance()
+        t = self.tokens[self.pos]
+        if t[0] == kind and (text is None or t[1] == text):
+            self.pos += 1
+            return t
         return None
 
     def error(self, message, span=None):
         self.diags.append(Diagnostic(ERROR, "UNEXPECTED_TOKEN", message,
-                                     span or self.tok.span))
+                                     span or token_span(self.tok)))
 
     def expect(self, kind, what, text=None):
         t = self.accept(kind, text)
         if t is None:
-            self.error("expected %s, got %r" % (what, self.tok.text or "<eof>"))
+            self.error("expected %s, got %r" % (what, self.tok[1] or "<eof>"))
             raise _ParseError()
         return t
 
@@ -177,7 +167,7 @@ class Parser:
         """Panic-mode recovery: skip to a follow token at bracket depth 0."""
         depth = 0
         while not self.at("EOF"):
-            k = self.tok.kind
+            k = self.tok[0]
             if depth == 0 and k in until_kinds:
                 return
             if k in ("LBRACE", "LPAREN", "LBRACK"):
@@ -189,20 +179,21 @@ class Parser:
             self.advance()
 
     def ident(self, what="identifier"):
-        t = self.tok
-        if t.kind == "ID" and t.text not in KEYWORDS:
-            return self.advance()
-        self.error("expected %s, got %r" % (what, t.text or "<eof>"))
+        t = self.tokens[self.pos]
+        if t[0] == "ID" and t[1] not in KEYWORDS:
+            self.pos += 1
+            return t
+        self.error("expected %s, got %r" % (what, t[1] or "<eof>"))
         raise _ParseError()
 
     def nat(self):
         t = self.expect("NAT", "number")
-        return int(t.text)
+        return int(t[1])
 
     def comma_list(self, parse_item, closers):
         """Comma-separated items with per-item recovery."""
         items = []
-        while not self.at("EOF") and self.tok.kind not in closers:
+        while not self.at("EOF") and self.tok[0] not in closers:
             try:
                 item = parse_item()
                 if item is not None:
@@ -219,21 +210,21 @@ class Parser:
         if self.at("EOF"):
             self.diags.append(Diagnostic(ERROR, "EXPECTED_PATTERN",
                                          "empty input: expected a Pattern",
-                                         self.tok.span))
+                                         token_span(self.tok)))
             return m.EMPTY_MODEL
         if not self.at("ID", "Pattern"):
             self.diags.append(Diagnostic(ERROR, "EXPECTED_PATTERN",
                                          "input does not start with a Pattern",
-                                         self.tok.span))
+                                         token_span(self.tok)))
             return m.EMPTY_MODEL
         self.advance()
         name = short = ""
         connections = []
         arch_contracts = []
         try:
-            name = self.ident("pattern name").text
+            name = self.ident("pattern name")[1]
             self.expect_kw("ShortName")
-            short = self.ident("short name").text
+            short = self.ident("short name")[1]
             self.expect("LBRACE", "'{'")
             if self.at_kw("DTSpec"):
                 self.parse_dtspec()
@@ -273,8 +264,8 @@ class Parser:
         self.datatypes.extend(dts)
 
     def parse_dt(self):
-        start = self.expect_kw("DT")
-        name = self.ident("data type name").text
+        span = token_span(self.expect_kw("DT"))
+        name = self.ident("data type name")[1]
         self.expect("LPAREN", "'('")
         sort = None
         predicates = []
@@ -282,7 +273,7 @@ class Parser:
         while not self.at("RPAREN") and not self.at("EOF"):
             if self.at_kw("Sort"):
                 self.advance()
-                sort = self.ident("sort name").text
+                sort = self.ident("sort name")[1]
             elif self.at_kw("Predicate"):
                 self.advance()
                 predicates.extend(self.parse_symbol_decls(name, with_result=False))
@@ -294,7 +285,7 @@ class Parser:
                 raise _ParseError()
         self.expect("RPAREN", "')'")
         return m.DataType(name=name, sort=sort, predicates=tuple(predicates),
-                          operations=tuple(operations), span=start.span)
+                          operations=tuple(operations), span=span)
 
     def parse_symbol_decls(self, dt_name, with_result):
         """`name: S1, S2 => R, name2: ...` - a comma both separates argument
@@ -302,7 +293,7 @@ class Parser:
         declaration."""
         decls = []
         while True:
-            sym = self.ident("symbol name").text
+            sym = self.ident("symbol name")[1]
             self.expect("COLON", "':'")
             args = [self.parse_sort_ref(dt_name)]
             while self.at("COMMA") and not self._next_is_decl_or_end():
@@ -315,8 +306,7 @@ class Parser:
             else:
                 decls.append((sym, tuple(args)))
             # a comma followed by `ID :` continues the declaration list
-            if (self.at("COMMA") and self.peek().kind == "ID"
-                    and self.peek(2).kind == "COLON"):
+            if self.at("COMMA") and self._next_is_decl_or_end():
                 self.advance()
                 continue
             break
@@ -325,12 +315,12 @@ class Parser:
     def _next_is_decl_or_end(self):
         # after a comma inside an argument-sort list: `ID :` means a new
         # symbol declaration rather than a further argument sort
-        return self.peek().kind == "ID" and self.peek(2).kind == "COLON"
+        return self.peek()[0] == "ID" and self.peek(2)[0] == "COLON"
 
     def parse_sort_ref(self, dt_name):
-        first = self.ident("sort name").text
+        first = self.ident("sort name")[1]
         if self.accept("DOT"):
-            second = self.ident("sort name").text
+            second = self.ident("sort name")[1]
             return "%s.%s" % (first, second)
         return "%s.%s" % (dt_name, first)
 
@@ -342,10 +332,12 @@ class Parser:
         cts = self.comma_list(self.parse_ctype, ("RBRACE",))
         self.expect("RBRACE", "'}'")
         self.component_types.extend(cts)
+        for ct in cts:
+            self.component_by_name.setdefault(ct.name, ct)
 
     def parse_ctype(self):
-        start = self.expect_kw("CType")
-        name = self.ident("component type name").text
+        span = token_span(self.expect_kw("CType"))
+        name = self.ident("component type name")[1]
         self.expect("LBRACE", "'{'")
         inputs, outputs, contracts = [], [], []
         if self.at_kw("InputPorts"):
@@ -361,8 +353,7 @@ class Parser:
                 lambda: self.parse_port(name, m.OUTPUT), ("RBRACE",))
             self.expect("RBRACE", "'}'")
         ct = m.ComponentType(name=name, inputs=tuple(inputs),
-                             outputs=tuple(outputs), contracts=(),
-                             span=start.span)
+                             outputs=tuple(outputs), contracts=(), span=span)
         if self.at_kw("Contracts"):
             self.advance()
             self.expect("LBRACE", "'{'")
@@ -372,12 +363,12 @@ class Parser:
         self.expect("RBRACE", "'}'")
         return m.ComponentType(name=name, inputs=tuple(inputs),
                                outputs=tuple(outputs),
-                               contracts=tuple(contracts), span=start.span)
+                               contracts=tuple(contracts), span=span)
 
     def parse_port(self, owner, direction):
         kw = "InputPort" if direction == m.INPUT else "OutputPort"
         self.expect_kw(kw)
-        pname = self.ident("port name").text
+        pname = self.ident("port name")[1]
         self.expect("LPAREN", "'('")
         self.expect_kw("Type")
         self.expect("COLON", "':'")
@@ -386,26 +377,26 @@ class Parser:
         return m.Port(name=pname, owner=owner, direction=direction, sort=sort)
 
     def parse_qualified_sort(self):
-        first = self.ident("sort reference").text
+        first = self.ident("sort reference")[1]
         self.expect("DOT", "'.'")
-        second = self.ident("sort name").text
-        sort = "%s.%s" % (first, second)
+        second = self.ident("sort name")
+        sort = "%s.%s" % (first, second[1])
         if sort not in self.signature.sorts:
             self.diags.append(Diagnostic(ERROR, "UNDECLARED_SORT",
                                          "undeclared sort '%s'" % sort,
-                                         self.tokens[self.pos - 1].span))
+                                         token_span(second)))
         return sort
 
     # -- contracts -----------------------------------------------------------
 
     def parse_contract(self, ctype, arch=False):
-        start = self.expect_kw("Contract")
-        name = self.ident("contract name").text
+        span = token_span(self.expect_kw("Contract"))
+        name = self.ident("contract name")[1]
         self.expect("LBRACE", "'{'")
         variables = []
         while self.at_kw("var"):
             self.advance()
-            vname = self.ident("variable name").text
+            vname = self.ident("variable name")[1]
             self.expect("COLON", "':'")
             vsort = self.parse_qualified_sort()
             variables.append((vname, vsort))
@@ -433,10 +424,10 @@ class Parser:
             return m.ArchitectureContract(
                 name=name, owner=owner, variables=tuple(variables),
                 triggers=tuple(triggers), guarantee=guarantee,
-                duration=duration, proof=proof, span=start.span)
+                duration=duration, proof=proof, span=span)
         return m.Contract(name=name, owner=owner, variables=tuple(variables),
                           triggers=tuple(triggers), guarantee=guarantee,
-                          duration=duration, span=start.span)
+                          duration=duration, span=span)
 
     def parse_arch_contract(self):
         return self.parse_contract(None, arch=True)
@@ -449,8 +440,8 @@ class Parser:
         if self.at_kw("at"):
             self.advance()
             time = self.nat()
-        return m.Trigger(label=label_tok.text, predicate=pred, time=time,
-                         span=label_tok.span)
+        return m.Trigger(label=label_tok[1], predicate=pred, time=time,
+                         span=token_span(label_tok))
 
     # -- proofs ----------------------------------------------------------------
 
@@ -478,10 +469,10 @@ class Parser:
                 self.expect("RBRACK", "']'")
             self.expect_kw("using")
             rationale = self.parse_qualified_name("contract reference")
-            step = m.ProofStep(label=label_tok.text, time=time, state=state,
+            step = m.ProofStep(label=label_tok[1], time=time, state=state,
                                rationale=rationale,
                                refs=tuple(tuple(r) for r in refs),
-                               span=label_tok.span)
+                               span=token_span(label_tok))
             step_labels[step.label] = len(steps)
             steps.append(step)
             return step
@@ -502,7 +493,7 @@ class Parser:
 
     def parse_ref(self, trigger_labels, step_labels):
         label_tok = self.ident("trigger or step label")
-        label = label_tok.text
+        label = label_tok[1]
         connections = []
         has_with = False
         if self.at_kw("with"):
@@ -517,11 +508,11 @@ class Parser:
         if label in trigger_labels:
             if has_with:
                 self.error("'with' is only allowed on step references",
-                           label_tok.span)
+                           token_span(label_tok))
             return m.TriggerRef(index=trigger_labels[label], label=label)
         self.diags.append(Diagnostic(ERROR, "UNKNOWN_LABEL",
                                      "unknown trigger or step label '%s'"
-                                     % label, label_tok.span))
+                                     % label, token_span(label_tok)))
         return None
 
     def parse_connection(self):
@@ -537,89 +528,110 @@ class Parser:
     def parse_port_ref(self):
         tok = self.ident("qualified port")
         self.expect("DOT", "'.'")
-        pname = self.ident("port name").text
-        ct = next((c for c in self.component_types if c.name == tok.text),
-                  None)
+        pname = self.ident("port name")[1]
+        ct = self.component_by_name.get(tok[1])
         port = None
         if ct is not None:
             port = next((p for p in ct.ports if p.name == pname), None)
         if port is None:
             self.diags.append(Diagnostic(ERROR, "UNDECLARED_PORT",
                                          "unknown port '%s.%s'"
-                                         % (tok.text, pname), tok.span))
+                                         % (tok[1], pname), token_span(tok)))
         return port
 
     def parse_qualified_name(self, what):
-        first = self.ident(what).text
+        first = self.ident(what)[1]
         self.expect("DOT", "'.'")
-        second = self.ident(what).text
+        second = self.ident(what)[1]
         return "%s.%s" % (first, second)
 
     # -- predicates and terms ----------------------------------------------
 
-    def parse_predicate(self, scope):
-        lhs = self.parse_conjunction(scope)
+    def parse_predicate(self, scope, depth=0):
+        lhs = self.parse_conjunction(scope, depth)
         while self.accept("OR"):
-            rhs = self.parse_conjunction(scope)
+            rhs = self.parse_conjunction(scope, depth)
             lhs = m.Or(lhs, rhs)
         return lhs
 
-    def parse_conjunction(self, scope):
-        lhs = self.parse_atom(scope)
+    def parse_conjunction(self, scope, depth):
+        lhs = self.parse_atom(scope, depth)
         while self.accept("AND"):
-            rhs = self.parse_atom(scope)
+            rhs = self.parse_atom(scope, depth)
             lhs = m.And(lhs, rhs)
         return lhs
 
-    def parse_atom(self, scope):
-        if self.accept("LPAREN"):
-            p = self.parse_predicate(scope)
+    def parse_atom(self, scope, depth):
+        """``depth`` counts the parentheses and operation applications
+        around this atom; see MAX_NESTING."""
+        if self.at("LPAREN"):
+            if depth == MAX_NESTING:
+                self.skip_too_deep()
+                return m.Atom("?", ())
+            self.advance()
+            p = self.parse_predicate(scope, depth + 1)
             self.expect("RPAREN", "')'")
             return p
         if self.accept("LBRACK"):
-            lhs = self.parse_term(scope)
+            lhs = self.parse_term(scope, depth)
             self.expect("EQ", "'='")
-            rhs = self.parse_term(scope)
+            rhs = self.parse_term(scope, depth)
             self.expect("RBRACK", "']'")
             return m.Eq(lhs, rhs)
         # predicate-symbol application: DT.pred[args]
         tok = self.ident("predicate")
         self.expect("DOT", "'.'")
-        sym = self.ident("predicate name").text
-        qualified = "%s.%s" % (tok.text, sym)
+        sym = self.ident("predicate name")[1]
+        qualified = "%s.%s" % (tok[1], sym)
         self.expect("LBRACK", "'['")
-        args = self.comma_list(lambda: self.parse_term(scope), ("RBRACK",))
+        args = self.comma_list(lambda: self.parse_term(scope, depth),
+                               ("RBRACK",))
         self.expect("RBRACK", "']'")
         if qualified not in self.signature.predicate_symbols:
             self.diags.append(Diagnostic(
                 ERROR, "UNDECLARED_SYMBOL",
-                "'%s' is not a declared predicate" % qualified, tok.span))
+                "'%s' is not a declared predicate" % qualified,
+                token_span(tok)))
         return m.Atom(qualified, tuple(args))
 
-    def parse_term(self, scope):
+    def parse_term(self, scope, depth):
         tok = self.ident("term")
         if self.at("DOT"):
             self.advance()
-            second = self.ident("name").text
-            qualified = "%s.%s" % (tok.text, second)
-            if self.accept("LBRACK"):
-                args = self.comma_list(lambda: self.parse_term(scope),
-                                       ("RBRACK",))
+            second = self.ident("name")[1]
+            qualified = "%s.%s" % (tok[1], second)
+            if self.at("LBRACK"):
+                if depth == MAX_NESTING:
+                    self.skip_too_deep()
+                    return m.Var(qualified, "?")
+                self.advance()
+                args = self.comma_list(
+                    lambda: self.parse_term(scope, depth + 1), ("RBRACK",))
                 self.expect("RBRACK", "']'")
                 if qualified not in self.signature.operation_symbols:
                     self.diags.append(Diagnostic(
                         ERROR, "UNDECLARED_SYMBOL",
                         "'%s' is not a declared operation" % qualified,
-                        tok.span))
+                        token_span(tok)))
                 return m.App(qualified, tuple(args))
-            port = scope.resolve_qualified_port(tok.text, second)
+            port = scope.resolve_qualified_port(tok[1], second)
             if port is not None:
                 return m.PortRef(port)
             self.diags.append(Diagnostic(ERROR, "UNDECLARED_PORT",
                                          "unknown port '%s'" % qualified,
-                                         tok.span))
+                                         token_span(tok)))
             return m.Var(qualified, "?")
         return scope.resolve(tok, self)
+
+    def skip_too_deep(self):
+        """Report the bracket group opening at the current token, nested
+        past MAX_NESTING, and skip it whole."""
+        self.diags.append(Diagnostic(ERROR, "NESTING_LIMIT",
+                                     "nesting deeper than %d levels"
+                                     % MAX_NESTING, token_span(self.tok)))
+        self.advance()
+        self.skip_balanced(())
+        self.advance()
 
 
 class _Scope:
@@ -631,7 +643,7 @@ class _Scope:
         self.variables = variables       # name -> sort
 
     def resolve(self, tok, parser):
-        name = tok.text
+        name = tok[1]
         if name in self.variables:
             return m.Var(name, self.variables[name])
         if self.ctype is not None:
@@ -640,7 +652,7 @@ class _Scope:
                 return m.PortRef(port)
         parser.diags.append(Diagnostic(
             ERROR, "UNDECLARED_VARIABLE",
-            "unknown variable or port '%s'" % name, tok.span))
+            "unknown variable or port '%s'" % name, token_span(tok)))
         return m.Var(name, "?")
 
     def resolve_qualified_port(self, owner, pname):
@@ -649,8 +661,7 @@ class _Scope:
         if self.ctype is not None and self.ctype.name == owner:
             ct = self.ctype
         else:
-            ct = next((c for c in self.parser.component_types
-                       if c.name == owner), None)
+            ct = self.parser.component_by_name.get(owner)
         if ct is None:
             return None
         return next((p for p in ct.ports if p.name == pname), None)

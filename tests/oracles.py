@@ -13,8 +13,113 @@ import random
 from apml import entailment as e
 from apml import model as m
 from apml import oracle as o
+from apml.diagnostics import Diagnostic, SourceSpan, ERROR
 
 SORT = "D.V"
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer
+
+_PUNCT = {
+    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ":": "COLON",
+    ".": "DOT", "=": "EQ",
+}
+
+
+def naive_tokenize(text, filename="<input>"):
+    """Reference for ``apml.parser.tokenize``: a character loop.
+
+    Returns ``(kind, text, span)`` triples ending with EOF, and the
+    diagnostics.  A ``//`` comment advances the column, so EOF after a
+    trailing comment sits at the end of input.  Digits are ``str.isdigit``,
+    so this reference agrees with the package only on ASCII digits.
+    """
+    tokens = []
+    diags = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+
+    def span(l0, c0, l1, c1):
+        return SourceSpan(filename, l0, c0, l1, c1)
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        l0, c0 = line, col
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
+                                        "unterminated block comment",
+                                        span(l0, c0, l0, c0)))
+                break
+            chunk = text[i:end + 2]
+            nl = chunk.count("\n")
+            if nl:
+                line += nl
+                col = len(chunk) - chunk.rfind("\n")
+            else:
+                col += len(chunk)
+            i = end + 2
+            continue
+        if text.startswith("/\\", i):
+            tokens.append(("AND", "/\\", span(l0, c0, l0, c0 + 2)))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("\\/", i):
+            tokens.append(("OR", "\\/", span(l0, c0, l0, c0 + 2)))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("=>", i):
+            tokens.append(("ARROW", "=>", span(l0, c0, l0, c0 + 2)))
+            i += 2
+            col += 2
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("NAT", text[i:j], span(l0, c0, l0, c0 + j - i)))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ID", text[i:j], span(l0, c0, l0, c0 + j - i)))
+            col += j - i
+            i = j
+            continue
+        if c in _PUNCT:
+            tokens.append((_PUNCT[c], c, span(l0, c0, l0, c0 + 1)))
+            i += 1
+            col += 1
+            continue
+        diags.append(Diagnostic(ERROR, "LEX_ERROR",
+                                "unexpected character %r" % c,
+                                span(l0, c0, l0, c0 + 1)))
+        i += 1
+        col += 1
+    tokens.append(("EOF", "", span(line, col, line, col)))
+    return tokens, diags
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Proof checking: each condition, verdict shapes, and reports."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -9,9 +10,11 @@ from apml.checker import (check_model, check_proof, check_step,
                           overall_status, report_lines,
                           OK, VIOLATED, INCONCLUSIVE, NO_PROOF)
 from apml.diagnostics import Diagnostic, ERROR
+from apml.oracle import FOUND, search_proof
 from apml.parser import parse_model
 
 from conftest import load
+from oracles import relay_chain_model
 
 NAT = "Basic.NAT"
 
@@ -288,3 +291,23 @@ def test_overall_status_counts_error_diagnostics(radder):
     verdicts = check_model(radder)
     diag = Diagnostic(ERROR, "SORT_MISMATCH", "boom")
     assert overall_status(verdicts, [diag]) == VIOLATED
+
+
+def test_check_leaves_no_cyclic_garbage():
+    """Garbage in a reference cycle waits for the cyclic collector."""
+    model = relay_chain_model(50)
+    result = search_proof(model, arch(model), max_steps=64)
+    assert result.status == FOUND
+    model = dataclasses.replace(model, contracts=(
+        dataclasses.replace(arch(model), proof=result.proof),))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        verdicts = check_model(model)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert [v.status for v in verdicts] == [OK]
+    assert garbage == 0

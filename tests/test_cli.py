@@ -3,6 +3,7 @@
 import pytest
 
 from apml.cli import main
+from apml.parser import MAX_NESTING
 
 from conftest import CORPUS, ROOT
 
@@ -167,6 +168,30 @@ def test_internal_error_is_one_line(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: internal: RecursionError: ")
     assert err.count("\n") == 1
+
+
+def test_non_ascii_digit_is_a_lex_error(tmp_path, capsys):
+    model = tmp_path / "digit.apml"
+    model.write_text((CORPUS / "relay.apml").read_text().replace(
+        "duration 1", "duration \u00b2", 1))
+    code, _, err = run(capsys, "check", str(model))
+    assert code == 3
+    assert "[LEX_ERROR]" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_nesting_past_the_limit_is_a_diagnostic(tmp_path, capsys, command):
+    deep = "(" * 3000 + "[o = x]" + ")" * 3000
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "guarantees { [o = x] }", "guarantees { %s }" % deep, 1)
+    model = tmp_path / "deep.apml"
+    model.write_text(text)
+    code, _, err = run(capsys, command, str(model))
+    assert code == 3
+    line = next(n for n, s in enumerate(text.splitlines(), 1) if "(((" in s)
+    col = text.splitlines()[line - 1].index("(") + 1 + MAX_NESTING
+    assert err == ("%s:%d:%d: error: nesting deeper than %d levels "
+                   "[NESTING_LIMIT]\n" % (model, line, col, MAX_NESTING))
 
 
 @pytest.mark.parametrize("argv", [["check"], ["simulate", RELAY], []])

@@ -1,14 +1,18 @@
 """Lexer, parser and canonical printer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apml import model as m
-from apml.parser import parse_model, tokenize, KEYWORDS
+from apml.parser import (parse_model, token_span, tokenize, KEYWORDS,
+                         MAX_NESTING)
 from apml.printer import print_model
 from apml.model import validate_structure
 
-from conftest import load, CORPUS
+from conftest import load, CORPUS, ROOT
+from oracles import naive_tokenize, relay_chain_model
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.apml"))
 
@@ -37,14 +41,66 @@ def test_lex_error_character():
 def test_comments_and_whitespace_are_skipped():
     tokens, diags = tokenize("Pattern // c1\n/* c2\nc3 */ P\t{")
     assert not diags
-    assert [t.text for t in tokens[:-1]] == ["Pattern", "P", "{"]
-    assert tokens[1].span.start_line == 3
+    assert [t[1] for t in tokens[:-1]] == ["Pattern", "P", "{"]
+    assert token_span(tokens[1]).start_line == 3
+
+
+def test_eof_after_a_trailing_line_comment_is_at_the_end_of_input():
+    text = "Pattern P ShortName p { // trailing"
+    _, diags = parse_model(text)
+    assert [str(d) for d in diags] == [
+        "<input>:1:%d: error: expected '}', got '<eof>' [UNEXPECTED_TOKEN]"
+        % (len(text) + 1)]
 
 
 def test_token_spans_are_one_based():
     tokens, _ = tokenize("ab cd")
-    assert (tokens[0].span.start_line, tokens[0].span.start_col) == (1, 1)
-    assert (tokens[1].span.start_line, tokens[1].span.start_col) == (1, 4)
+    spans = [token_span(t) for t in tokens]
+    assert (spans[0].start_line, spans[0].start_col) == (1, 1)
+    assert (spans[1].start_line, spans[1].start_col) == (1, 4)
+
+
+@pytest.mark.parametrize("nest", [
+    lambda d: "(" * d + "[o = x]" + ")" * d,
+    lambda d: "[o = %sx%s]" % ("D.f[" * d, ", x]" * d),
+], ids=["parentheses", "applications"])
+def test_nesting_is_limited(nest):
+    def diagnostics(depth):
+        _, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT D ( Sort S Operation f: S, S => S ) }
+  CTypes {
+    CType A {
+      OutputPorts { OutputPort o (Type: D.S) }
+      Contracts { Contract c {
+        var x: D.S
+        guarantees { %s } duration 1 } }
+    }
+  }
+}""" % nest(depth))
+        return diags
+
+    assert diagnostics(MAX_NESTING) == []
+    (too_deep,) = diagnostics(MAX_NESTING + 1)
+    assert too_deep.rule == "NESTING_LIMIT"
+    assert too_deep.span.start_line == 9
+
+
+def test_qualified_ports_resolve_in_the_first_component_of_a_name():
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ) }
+  CTypes {
+    CType A { InputPorts { InputPort i (Type: B.NAT) } },
+    CType A { InputPorts { InputPort j (Type: B.NAT) } },
+    CType C { OutputPorts { OutputPort o (Type: B.NAT) } }
+  }
+  Connections { (A.i, C.o), (A.j, C.o) }
+}""")
+    assert [(d.rule, d.message) for d in diags] == [
+        ("UNDECLARED_PORT", "unknown port 'A.j'")]
+    assert model.connections == ((model.component_types[0].inputs[0],
+                                  model.component_types[2].outputs[0]),)
 
 
 def test_keywords_are_reserved():
@@ -201,6 +257,78 @@ def test_corpus_roundtrip_and_determinism(name):
     # diagnostics of the original parse are themselves stable
     model2, diags2 = load(name)
     assert model2 == model and diags2 == diags
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the reference character loop
+
+def _lexes_like_the_reference(text):
+    tokens, diags = tokenize(text, "f.apml")
+    expected, expected_diags = naive_tokenize(text, "f.apml")
+    assert [(t[0], t[1], token_span(t)) for t in tokens] == expected
+    assert diags == expected_diags
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS)
+def test_tokenize_matches_the_reference_on_the_corpus(name):
+    _lexes_like_the_reference((CORPUS / name).read_text())
+
+
+def test_tokenize_matches_the_reference_on_a_printed_chain():
+    _lexes_like_the_reference(print_model(relay_chain_model(30)))
+
+
+# Every character class the lexer tells apart, and the two-character
+# lexemes whole so that they are frequent; no non-ASCII digits, which the
+# reference lexes as NAT (the CLI tests cover them).
+_ALPHABET = (list("/\\*=>{}()[],:.") + [" ", "\t", "\n", "\r", "_", "$"]
+             + list("axZ09") + ["\u00e9", "\u03a9", "\u00df"]
+             + ["//", "/*", "*/", "=>", "/\\", "\\/", "Pattern"])
+
+
+def test_tokenize_matches_the_reference_on_random_strings():
+    rng = random.Random(20261018)
+    for _ in range(20000):
+        _lexes_like_the_reference("".join(
+            rng.choice(_ALPHABET) for _ in range(rng.randrange(40))))
+
+
+def _element_spans(model):
+    """One line per data type, component type, contract, trigger and proof
+    step, with its span: model equality ignores spans."""
+    lines = []
+
+    def add(kind, name, span):
+        lines.append("%s %s %d:%d-%d:%d" % (kind, name, span.start_line,
+                                            span.start_col, span.end_line,
+                                            span.end_col))
+
+    def add_contract(c):
+        add("contract", c.qualified, c.span)
+        for t in c.triggers:
+            add("trigger", "%s.%s" % (c.qualified, t.label), t.span)
+        for s in getattr(c, "proof", None) or ():
+            add("step", "%s.%s" % (c.qualified, s.label), s.span)
+
+    for dt in model.datatypes:
+        add("datatype", dt.name, dt.span)
+    for ct in model.component_types:
+        add("ctype", ct.name, ct.span)
+        for c in ct.contracts:
+            add_contract(c)
+    for c in model.contracts:
+        add_contract(c)
+    return lines
+
+
+def test_corpus_element_spans_match_the_golden():
+    """The golden file was written by the character-loop lexer's parser."""
+    lines = []
+    for name in ALL_CORPUS:
+        model, _ = load(name)
+        lines += ["== " + name] + _element_spans(model)
+    golden = ROOT / "tests" / "golden" / "corpus_spans.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()
 
 
 # ---------------------------------------------------------------------------
