@@ -6,6 +6,13 @@ exactly on derivable tuples.  Entailment is decided by checking the goal in
 that least model, disjunct by disjunct, which is sound and complete for this
 fragment.  Disjunctions are expanded to DNF under a budget; exceeding it
 yields an inconclusive verdict, never an acceptance.
+
+The kernel's invariant: a query (``entails`` or ``match_trigger``) builds the
+least model of each hypothesis case once, as one ``Congruence``, and decides
+every candidate in it.  Truth in a least model does not depend on which
+further terms are registered in it, so one model answers every question
+asked of its case.  Which terms are match candidates does: they are read in
+registration order, and the terms of earlier queries count.
 """
 
 from __future__ import annotations
@@ -69,115 +76,121 @@ class Congruence:
     """Union-find over ground terms with congruence propagation.
 
     Contract variables are treated as constants (they are frozen parameters
-    of the surrounding contract, not quantified here).
+    of the surrounding contract, not quantified here).  A term gets an id
+    when first registered, an application before its arguments; classes,
+    signatures and atoms are kept over ids, so a term is hashed once per
+    lookup rather than at every step of a find.
     """
 
     def __init__(self):
-        self.parent = {}
-        self.order = []                  # registration order, for determinism
-        self.apps = []                   # registered App terms
-        self.atoms = []                  # true (pred, args) facts
+        self.ids = {}                    # term -> id
+        self.terms = []                  # id -> term, registration order
+        self.parent = []                 # id -> parent id
+        self.free = []                   # id -> term has no port in it
+        self.apps = []                   # (id, op, argument ids) of Apps
+        self.atoms = []                  # true (pred, argument ids) facts
+        self.stale = False               # union or App since last closure
 
     def add_term(self, t):
-        if t in self.parent:
-            return
-        self.parent[t] = t
-        self.order.append(t)
-        if isinstance(t, m.App):
-            self.apps.append(t)
-            for a in t.args:
-                self.add_term(a)
+        """The id of a term, registering it and its subterms when new."""
+        i = self.ids.get(t)
+        if i is None:
+            i = self.ids[t] = len(self.terms)
+            self.terms.append(t)
+            self.parent.append(i)
+            self.free.append(not isinstance(t, m.PortRef))
+            if isinstance(t, m.App):
+                args = tuple(map(self.add_term, t.args))
+                self.free[i] = all(self.free[a] for a in args)
+                self.apps.append((i, t.op, args))
+                self.stale = True
+        return i
 
-    def find(self, t):
-        self.add_term(t)
-        root = t
-        while self.parent[root] is not root:
-            root = self.parent[root]
-        while self.parent[t] is not root:
-            self.parent[t], t = root, self.parent[t]
+    def find(self, i):
+        parent = self.parent
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
         return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self.parent[ra] = rb
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[ri] = rj
+            self.stale = True
 
     def assert_equal(self, a, b):
-        self.union(a, b)
+        self.union(self.add_term(a), self.add_term(b))
         self._close()
 
     def assert_atom(self, pred, args):
-        for a in args:
-            self.add_term(a)
-        self.atoms.append((pred, tuple(args)))
+        self.atoms.append((pred, tuple(map(self.add_term, args))))
 
     def _close(self):
-        changed = True
-        while changed:
-            changed = False
+        """Merge congruent Apps; a no-op unless a union or an App came in
+        since the last closure."""
+        find = self.find
+        while self.stale:
+            self.stale = False
             by_sig = {}
-            for t in self.apps:
-                sig = (t.op, tuple(self.find(a) for a in t.args))
-                other = by_sig.get(sig)
-                if other is None:
-                    by_sig[sig] = t
-                elif self.find(other) is not self.find(t):
-                    self.union(other, t)
-                    changed = True
+            for i, op, args in self.apps:
+                self.union(by_sig.setdefault((op, tuple(map(find, args))), i),
+                           i)
 
     def equal(self, a, b):
-        self.add_term(a)
-        self.add_term(b)
+        i, j = self.add_term(a), self.add_term(b)
         self._close()
-        return self.find(a) is self.find(b)
+        return self.find(i) == self.find(j)
 
     def holds_atom(self, pred, args):
-        for a in args:
-            self.add_term(a)
+        ids = tuple(map(self.add_term, args))
         self._close()
-        keys = tuple(self.find(a) for a in args)
-        return any(p == pred and len(ts) == len(args)
-                   and tuple(self.find(t) for t in ts) == keys
+        keys = tuple(map(self.find, ids))
+        return any(p == pred and tuple(map(self.find, ts)) == keys
                    for p, ts in self.atoms)
 
     def value_representatives(self):
-        """One port-free term per class that has one, registration order.
+        """One port-free term per class that has one: the first registered,
+        classes ordered by their first registered member.
 
         Ports denote time-indexed observations while contract variables are
         time-invariant values, so a variable may only be instantiated with a
         term built from values: picking a port would smuggle one time point's
         observation into another's.
         """
+        roots = list(map(self.find, range(len(self.terms))))
         chosen = {}
-        for t in self.order:
-            r = self.find(t)
-            if r not in chosen and not m.ports_of(m.Eq(t, t)):
-                chosen[r] = t
-        roots_in_order = []
-        for t in self.order:
-            r = self.find(t)
-            if r in chosen and chosen[r] is not None and r not in roots_in_order:
-                roots_in_order.append(r)
-        return [chosen[r] for r in roots_in_order]
+        for i, r in enumerate(roots):
+            if self.free[i]:
+                chosen.setdefault(r, i)
+        return [self.terms[chosen[r]] for r in dict.fromkeys(roots)
+                if r in chosen]
 
 
 def congruence_of(literals):
+    """The least model of a conjunction of Eq/Atom literals."""
     cong = Congruence()
     for lit in literals:
         if isinstance(lit, m.Eq):
-            cong.add_term(lit.lhs)
-            cong.add_term(lit.rhs)
-            cong.union(lit.lhs, lit.rhs)
+            cong.union(cong.add_term(lit.lhs), cong.add_term(lit.rhs))
         else:
             cong.assert_atom(lit.pred, lit.args)
     cong._close()
     return cong
 
 
-def _literal_holds(lit, cong):
-    if isinstance(lit, m.Eq):
-        return cong.equal(lit.lhs, lit.rhs)
-    return cong.holds_atom(lit.pred, lit.args)
+def _holds(p, cong):
+    """Does a predicate hold in the least model cong, its variables read
+    as constants?"""
+    if isinstance(p, m.Or):
+        return _holds(p.lhs, cong) or _holds(p.rhs, cong)
+    if isinstance(p, m.And):
+        return _holds(p.lhs, cong) and _holds(p.rhs, cong)
+    if isinstance(p, m.Eq):
+        return cong.equal(p.lhs, p.rhs)
+    return cong.holds_atom(p.pred, p.args)
 
 
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
@@ -192,7 +205,7 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
                       reason="goal DNF exceeds budget %d" % budget)
     for disjunct in hyp_disjuncts:
         cong = congruence_of(disjunct)
-        if not any(all(_literal_holds(lit, cong) for lit in g)
+        if not any(all(_holds(lit, cong) for lit in g)
                    for g in goal_disjuncts):
             return Result(FAILS, witness=m.conjoin(disjunct) if disjunct
                           else None,
@@ -203,24 +216,23 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # Trigger matching
 
-def _candidates(cong, sort, signature):
-    out = []
-    for t in cong.value_representatives():
-        ts = m.term_sort(t, signature)
-        if ts is None or sort is None or ts == sort:
-            out.append(t)
-    return out
-
-
 def match_predicate(goal, cong, variables, signature, sigma):
     """All substitutions extending sigma that make the goal hold in cong.
 
     ``variables`` maps variable name to sort.  The search binds variables to
     class representatives, literal by literal, depth first with backtracking.
+    Only declared variables are bindable; anything else is a frozen constant
+    of the surrounding contract.  A literal's unbound variables are those it
+    declares, unless a bindable variable occurs in the model or in sigma, and
+    so can come in with a binding: then they are read off the instance.
     """
-    literals = []
-    for p in m.conjuncts(goal):
-        literals.extend(m.conjuncts(p))
+    literals = m.conjuncts(goal)
+    own = [sorted(m.free_variables(lit) & variables.keys())
+           for lit in literals]
+    leaky = (any(isinstance(t, m.Var) and t.name in variables
+                 for t in cong.terms)
+             or any(m.free_variables(m.Eq(t, t)) & variables.keys()
+                    for t in sigma.values()))
     results = []
     stack = [(0, dict(sigma))]           # (literals satisfied, bindings)
     while stack:
@@ -229,53 +241,50 @@ def match_predicate(goal, cong, variables, signature, sigma):
             if sub not in results:
                 results.append(sub)
             continue
-        lit = m.substitute(literals[i], sub)
-        # only declared rationale variables are bindable; anything else is a
-        # frozen constant of the surrounding contract
-        unbound = sorted((m.free_variables(lit) & set(variables)) - set(sub))
+        unbound = [v for v in own[i] if v not in sub]
+        if leaky:
+            unbound = sorted(m.free_variables(m.substitute(literals[i], sub))
+                             & variables.keys() - sub.keys())
         if not unbound:
-            if _instance_holds(lit, cong):
+            if _holds(m.substitute(literals[i], sub), cong):
                 stack.append((i + 1, sub))
             continue
-        # bind the first unbound variable to each candidate class, the first
-        # candidate on top
-        v = unbound[0]
-        stack.extend((i, {**sub, v: t}) for t in
-                     reversed(_candidates(cong, variables.get(v), signature)))
+        # bind the first unbound variable to each candidate class of its
+        # sort, the first candidate on top
+        v, sort = unbound[0], variables.get(unbound[0])
+        stack.extend((i, {**sub, v: t}) for t in reversed([
+            t for t in cong.value_representatives() if sort is None
+            or m.term_sort(t, signature) in (None, sort)]))
     return results
-
-
-def _instance_holds(lit, cong):
-    if isinstance(lit, m.Or):
-        return _instance_holds(lit.lhs, cong) or _instance_holds(lit.rhs, cong)
-    if isinstance(lit, m.And):
-        return _instance_holds(lit.lhs, cong) and _instance_holds(lit.rhs, cong)
-    return _literal_holds(lit, cong)
 
 
 def match_trigger(trigger_preds, hypotheses, variables, signature,
                   sigma=None, budget=DEFAULT_BUDGET):
     """Substitutions making every trigger predicate follow from hypotheses.
 
-    Matching binds against the least model of the first hypothesis case;
-    every candidate is then verified against the full hypotheses with
-    ``entails``, so disjunctive hypotheses cannot sneak in unsound matches.
+    Matching binds against the least model of the first hypothesis case, and
+    each candidate is then decided in the least model of every other case,
+    so disjunctive hypotheses cannot sneak in unsound matches.  None when
+    the hypotheses' DNF exceeds the budget; a trigger whose DNF exceeds it
+    matches nothing, as ``entails`` would not accept it.
     """
     sigma = dict(sigma or {})
-    disjuncts = dnf_all(list(hypotheses), budget)
-    if disjuncts is None:
+    cases = dnf_all(list(hypotheses), budget)
+    if cases is None:
         return None
-    cong = congruence_of(disjuncts[0]) if disjuncts else Congruence()
+    if any(dnf(p, budget) is None for p in trigger_preds):
+        return []
+    cong = congruence_of(cases[0])
     subs = [sigma]
     for pred in trigger_preds:
         subs = [s2 for s in subs
                 for s2 in match_predicate(pred, cong, variables, signature, s)]
         if not subs:
             return []
+    others = [congruence_of(case) for case in cases[1:]]
     verified = []
     for s in subs:
-        if all(entails(hypotheses, m.substitute(p, s), budget)
-               for p in trigger_preds):
-            if s not in verified:
-                verified.append(s)
+        if s not in verified and all(_holds(m.substitute(p, s), c)
+                                     for c in others for p in trigger_preds):
+            verified.append(s)
     return verified

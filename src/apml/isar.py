@@ -107,40 +107,33 @@ def unmapped_sorts(model):
     return out
 
 
+def _predicates(model):
+    """Every trigger, guarantee and proof state, in declaration order."""
+    for c in [c for ct in model.component_types for c in ct.contracts] + \
+            list(model.contracts):
+        yield from (t.predicate for t in c.triggers)
+        yield c.guarantee
+        yield from (s.state for s in getattr(c, "proof", None) or ())
+
+
 def _symbols_used(model):
-    """(predicate symbols, operation symbols) referenced anywhere, in order."""
-    preds, ops = [], []
-
-    def walk_term(t):
-        if isinstance(t, m.App):
-            if t.op not in ops:
-                ops.append(t.op)
-            for a in t.args:
-                walk_term(a)
-
-    def walk(p):
-        if isinstance(p, (m.And, m.Or)):
-            walk(p.lhs)
-            walk(p.rhs)
-            return
-        if isinstance(p, m.Atom) and p.pred not in preds:
-            preds.append(p.pred)
-        for t in m.terms_of(p):
-            walk_term(t)
-
-    def walk_contract(c):
-        for t in c.triggers:
-            walk(t.predicate)
-        walk(c.guarantee)
-        for s in (getattr(c, "proof", None) or ()):
-            walk(s.state)
-
-    for ct in model.component_types:
-        for c in ct.contracts:
-            walk_contract(c)
-    for c in model.contracts:
-        walk_contract(c)
-    return preds, ops
+    """(predicate symbols, operation symbols) referenced anywhere, in order
+    of first occurrence, left to right and outside in."""
+    preds, ops = {}, {}                  # insertion-ordered sets
+    for root in _predicates(model):
+        stack = [root]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, (m.And, m.Or)):
+                stack += (p.rhs, p.lhs)
+            elif isinstance(p, m.App):
+                ops.setdefault(p.op)
+                stack.extend(reversed(p.args))
+            elif isinstance(p, (m.Eq, m.Atom)):
+                if isinstance(p, m.Atom):
+                    preds.setdefault(p.pred)
+                stack.extend(reversed(m.terms_of(p)))
+    return list(preds), list(ops)
 
 
 def symbol_params(model, config):
@@ -344,13 +337,18 @@ def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
     lines = ["proof -"]
     for i, step in enumerate(steps):
         rationale = model.find_contract(step.rationale)
-        inst = (verdict.steps[i].instantiation
-                if i < len(verdict.steps) else None) or {}
+        judged = verdict.steps[i] if i < len(verdict.steps) else None
+        inst = (judged.instantiation if judged else None) or {}
+        # a step the checker does not accept is left open, naming why
+        gap = None
+        if judged is not None and judged.status != checker.OK:
+            gap = "sorry (* %s *)" % ", ".join(dict.fromkeys(
+                "%s %s" % (f.condition, f.status) for f in judged.findings))
         if config.comments:
             lines.append("  (* step %d *)" % i)
         state = r.predicate(step.state, step.time)
         if not step.refs:
-            lines.append('  have s%d: "%s" by simp' % (i, state))
+            lines.append('  have s%d: "%s" %s' % (i, state, gap or "by simp"))
             continue
         for j, ref_set in enumerate(step.refs):
             time = checker.reference_time(ref_set[0], contract, steps)
@@ -371,13 +369,14 @@ def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
                             connection_name(r, p_in, p_out, legacy=True))
             using = (" using %s" % " ".join(conn_names)) if conn_names else ""
             prefix = "  moreover " if j > 0 else "  "
-            lines.append('%sfrom %s have "%s"%s by simp'
-                         % (prefix, " ".join(facts), goal, using))
+            lines.append('%sfrom %s have "%s"%s %s'
+                         % (prefix, " ".join(facts), goal, using,
+                            "sorry" if gap else "by simp"))
         closer = "hence" if len(step.refs) == 1 else "ultimately have"
         rname = names.get(step.rationale,
                           _sanitize(step.rationale.replace(".", "_")))
-        lines.append('  %s s%d: "%s" using %s by blast'
-                     % (closer, i, state, rname))
+        lines.append('  %s s%d: "%s" using %s %s'
+                     % (closer, i, state, rname, gap or "by blast"))
     lines.append("  thus ?thesis by auto")
     lines.append("qed")
     return "\n".join(lines)

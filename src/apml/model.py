@@ -366,67 +366,53 @@ def term_sort(term, signature):
     return op[1] if op else None
 
 
-def _check_term(term, signature, out, span):
-    if isinstance(term, App):
-        op = signature.operation_symbols.get(term.op)
-        if op is None:
-            out.append(Diagnostic(ERROR, "UNDECLARED_SYMBOL",
-                                  "unknown operation '%s'" % term.op, span))
-        else:
-            args, _ = op
-            if len(args) != len(term.args):
+def _check_terms(terms, signature, out, span):
+    for t in terms:
+        if isinstance(t, App):
+            _check_application(
+                "operation", t.op,
+                signature.operation_symbols.get(t.op, (None,))[0], t.args,
+                signature, out, span)
+
+
+def _check_application(kind, name, sorts, args, signature, out, span):
+    """Arity and argument sorts of an operation or predicate application,
+    then of the applications among its arguments; ``sorts`` is None for an
+    undeclared symbol."""
+    if sorts is None:
+        out.append(Diagnostic(ERROR, "UNDECLARED_SYMBOL",
+                              "unknown %s '%s'" % (kind, name), span))
+    elif len(sorts) != len(args):
+        out.append(Diagnostic(
+            ERROR, "SORT_MISMATCH", "%s '%s' expects %d arguments, got %d"
+            % (kind, name, len(sorts), len(args)), span))
+    else:
+        for expected, arg in zip(sorts, args):
+            got = term_sort(arg, signature)
+            if got is not None and got != expected:
                 out.append(Diagnostic(
                     ERROR, "SORT_MISMATCH",
-                    "operation '%s' expects %d arguments, got %d"
-                    % (term.op, len(args), len(term.args)), span))
-            else:
-                for expected, arg in zip(args, term.args):
-                    got = term_sort(arg, signature)
-                    if got is not None and got != expected:
-                        out.append(Diagnostic(
-                            ERROR, "SORT_MISMATCH",
-                            "argument of '%s' has sort %s, expected %s"
-                            % (term.op, got, expected), span))
-        for a in term.args:
-            _check_term(a, signature, out, span)
+                    "argument of '%s' has sort %s, expected %s"
+                    % (name, got, expected), span))
+    _check_terms(args, signature, out, span)
 
 
 def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
     if isinstance(pred, (And, Or)):
         check_predicate_sorts(pred.lhs, signature, out, span)
         check_predicate_sorts(pred.rhs, signature, out, span)
-        return
-    if isinstance(pred, Eq):
-        _check_term(pred.lhs, signature, out, span)
-        _check_term(pred.rhs, signature, out, span)
+    elif isinstance(pred, Eq):
+        _check_terms((pred.lhs, pred.rhs), signature, out, span)
         ls = term_sort(pred.lhs, signature)
         rs = term_sort(pred.rhs, signature)
         if ls is not None and rs is not None and ls != rs:
             out.append(Diagnostic(
                 ERROR, "SORT_MISMATCH",
                 "equality between sorts %s and %s" % (ls, rs), span))
-        return
-    # Atom
-    sig = signature.predicate_symbols.get(pred.pred)
-    if sig is None:
-        out.append(Diagnostic(ERROR, "UNDECLARED_SYMBOL",
-                              "unknown predicate '%s'" % pred.pred, span))
     else:
-        if len(sig) != len(pred.args):
-            out.append(Diagnostic(
-                ERROR, "SORT_MISMATCH",
-                "predicate '%s' expects %d arguments, got %d"
-                % (pred.pred, len(sig), len(pred.args)), span))
-        else:
-            for expected, arg in zip(sig, pred.args):
-                got = term_sort(arg, signature)
-                if got is not None and got != expected:
-                    out.append(Diagnostic(
-                        ERROR, "SORT_MISMATCH",
-                        "argument of '%s' has sort %s, expected %s"
-                        % (pred.pred, got, expected), span))
-    for a in pred.args:
-        _check_term(a, signature, out, span)
+        _check_application("predicate", pred.pred,
+                           signature.predicate_symbols.get(pred.pred),
+                           pred.args, signature, out, span)
 
 
 def _check_contract_shape(contract, out):

@@ -238,6 +238,181 @@ def brute_force_entails(hyps, goal):
 
 
 # ---------------------------------------------------------------------------
+# Reference trigger matching
+
+class NaiveCongruence:
+    """Reference for ``apml.entailment.Congruence``: union-find keyed by the
+    terms themselves, re-closed over every App on every query."""
+
+    def __init__(self):
+        self.parent = {}
+        self.order = []                  # registration order, for determinism
+        self.apps = []                   # registered App terms
+        self.atoms = []                  # true (pred, args) facts
+
+    def add_term(self, t):
+        if t in self.parent:
+            return
+        self.parent[t] = t
+        self.order.append(t)
+        if isinstance(t, m.App):
+            self.apps.append(t)
+            for a in t.args:
+                self.add_term(a)
+
+    def find(self, t):
+        self.add_term(t)
+        root = t
+        while self.parent[root] is not root:
+            root = self.parent[root]
+        while self.parent[t] is not root:
+            self.parent[t], t = root, self.parent[t]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra is not rb:
+            self.parent[ra] = rb
+
+    def assert_atom(self, pred, args):
+        for a in args:
+            self.add_term(a)
+        self.atoms.append((pred, tuple(args)))
+
+    def close(self):
+        changed = True
+        while changed:
+            changed = False
+            by_sig = {}
+            for t in self.apps:
+                sig = (t.op, tuple(self.find(a) for a in t.args))
+                other = by_sig.get(sig)
+                if other is None:
+                    by_sig[sig] = t
+                elif self.find(other) is not self.find(t):
+                    self.union(other, t)
+                    changed = True
+
+    def equal(self, a, b):
+        self.add_term(a)
+        self.add_term(b)
+        self.close()
+        return self.find(a) is self.find(b)
+
+    def holds_atom(self, pred, args):
+        for a in args:
+            self.add_term(a)
+        self.close()
+        keys = tuple(self.find(a) for a in args)
+        return any(p == pred and len(ts) == len(args)
+                   and tuple(self.find(t) for t in ts) == keys
+                   for p, ts in self.atoms)
+
+    def value_representatives(self):
+        """One port-free term per class that has one, registration order."""
+        chosen = {}
+        for t in self.order:
+            r = self.find(t)
+            if r not in chosen and not m.ports_of(m.Eq(t, t)):
+                chosen[r] = t
+        roots_in_order = []
+        for t in self.order:
+            r = self.find(t)
+            if r in chosen and r not in roots_in_order:
+                roots_in_order.append(r)
+        return [chosen[r] for r in roots_in_order]
+
+
+def naive_congruence_of(literals):
+    cong = NaiveCongruence()
+    for lit in literals:
+        if isinstance(lit, m.Eq):
+            cong.add_term(lit.lhs)
+            cong.add_term(lit.rhs)
+            cong.union(lit.lhs, lit.rhs)
+        else:
+            cong.assert_atom(lit.pred, lit.args)
+    cong.close()
+    return cong
+
+
+def _naive_holds(lit, cong):
+    if isinstance(lit, m.Or):
+        return _naive_holds(lit.lhs, cong) or _naive_holds(lit.rhs, cong)
+    if isinstance(lit, m.And):
+        return _naive_holds(lit.lhs, cong) and _naive_holds(lit.rhs, cong)
+    if isinstance(lit, m.Eq):
+        return cong.equal(lit.lhs, lit.rhs)
+    return cong.holds_atom(lit.pred, lit.args)
+
+
+def naive_entails(hypotheses, goal, budget=e.DEFAULT_BUDGET):
+    """Reference for ``apml.entailment.entails``, as a boolean."""
+    hyp_disjuncts = e.dnf_all(list(hypotheses), budget)
+    goal_disjuncts = e.dnf(goal, budget)
+    if hyp_disjuncts is None or goal_disjuncts is None:
+        return False
+    return all(any(all(_naive_holds(lit, cong) for lit in g)
+                   for g in goal_disjuncts)
+               for cong in map(naive_congruence_of, hyp_disjuncts))
+
+
+def naive_match_predicate(goal, cong, variables, signature, sigma):
+    """Depth-first binding of variables to class representatives, literal
+    by literal, re-reading each instance's free variables on every pop."""
+    literals = []
+    for p in m.conjuncts(goal):
+        literals.extend(m.conjuncts(p))
+    results = []
+    stack = [(0, dict(sigma))]
+    while stack:
+        i, sub = stack.pop()
+        if i == len(literals):
+            if sub not in results:
+                results.append(sub)
+            continue
+        lit = m.substitute(literals[i], sub)
+        unbound = sorted((m.free_variables(lit) & set(variables)) - set(sub))
+        if not unbound:
+            if _naive_holds(lit, cong):
+                stack.append((i + 1, sub))
+            continue
+        v = unbound[0]
+        sort = variables.get(v)
+        candidates = [t for t in cong.value_representatives()
+                      if m.term_sort(t, signature) in (None, sort)
+                      or sort is None]
+        stack.extend((i, {**sub, v: t}) for t in reversed(candidates))
+    return results
+
+
+def naive_match_trigger(trigger_preds, hypotheses, variables, signature,
+                        sigma=None, budget=e.DEFAULT_BUDGET):
+    """Reference for ``apml.entailment.match_trigger``: bind against the
+    least model of the first hypothesis case, then re-verify every candidate
+    with a full entailment check over all cases."""
+    sigma = dict(sigma or {})
+    disjuncts = e.dnf_all(list(hypotheses), budget)
+    if disjuncts is None:
+        return None
+    cong = naive_congruence_of(disjuncts[0])
+    subs = [sigma]
+    for pred in trigger_preds:
+        subs = [s2 for s in subs
+                for s2 in naive_match_predicate(pred, cong, variables,
+                                                signature, s)]
+        if not subs:
+            return []
+    verified = []
+    for s in subs:
+        if all(naive_entails(hypotheses, m.substitute(p, s), budget)
+               for p in trigger_preds):
+            if s not in verified:
+                verified.append(s)
+    return verified
+
+
+# ---------------------------------------------------------------------------
 # Random entailment cases
 
 def random_entailment_case(rng):
@@ -270,6 +445,87 @@ def random_entailment_case(rng):
     hyps = [predicate() for _ in range(rng.randint(1, 3))]
     goal = predicate()
     return hyps, goal
+
+
+MATCH_SIGNATURE = m.Signature([m.DataType(
+    name="D", sort="V", predicates=(("P", ("D.V",)),),
+    operations=(("f", ("D.V",), "D.V"), ("g", ("D.V", "D.V"), "D.V"),
+                ("h", ("D.V",), "D.W")))])
+
+
+def random_match_case(rng):
+    """(trigger predicates, hypotheses, variables, sigma, budget) for
+    ``match_trigger`` over ``MATCH_SIGNATURE``.
+
+    Terms nest up to two operations deep, so a closure can need more than
+    one round.  Hypotheses carry disjunctions and predicate atoms, and now
+    and then a bindable variable.  Most trigger literals are literals of the
+    first hypothesis case with some port-free subterms abstracted into
+    bindable variables, so they match there and the other cases decide.
+    ``h`` makes a second sort, so candidates are filtered by sort.  One case
+    in five conjoins true disjunctions to a trigger until its DNF exceeds a
+    small budget.
+    """
+    ports = [m.PortRef(m.Port("p%d" % i, "C", m.INPUT, SORT))
+             for i in range(3)]
+    consts = [m.Var("x", SORT), m.Var("y", SORT)]
+    variables = {"v": SORT, "w": SORT, "u": "D.W"}
+    bindable = [m.Var(name, sort) for name, sort in variables.items()]
+
+    def term(leaves, depth):
+        if depth > 0 and rng.random() < 0.4:
+            op = rng.choice(["D.f", "D.g", "D.h"])
+            return m.App(op, tuple(term(leaves, depth - 1)
+                                   for _ in range(2 if op == "D.g" else 1)))
+        return rng.choice(leaves)
+
+    def literal(leaves):
+        roll = rng.random()
+        if roll < 0.25:
+            return m.Atom("D.P", (term(leaves, 1),))
+        if roll < 0.6:
+            return m.Eq(rng.choice(ports), term(leaves[len(ports):], 1))
+        return m.Eq(term(leaves, 2), term(leaves, 2))
+
+    def abstract(t):
+        if not m.ports_of(m.Eq(t, t)) and rng.random() < 0.5:
+            sort = m.term_sort(t, MATCH_SIGNATURE)
+            return rng.choice([v for v in bindable if v.sort == sort])
+        if isinstance(t, m.App):
+            return m.App(t.op, tuple(map(abstract, t.args)))
+        return t
+
+    def pattern():
+        if rng.random() < 0.3:
+            return literal(hyp_leaves + bindable)
+        lit = rng.choice(first_case)
+        if isinstance(lit, m.Eq):
+            return m.Eq(abstract(lit.lhs), abstract(lit.rhs))
+        return m.Atom(lit.pred, tuple(map(abstract, lit.args)))
+
+    def predicate(lit, connectives, p_or):
+        p = lit()
+        for _ in range(rng.randint(0, connectives)):
+            p = (m.Or if rng.random() < p_or else m.And)(p, lit())
+        return p
+
+    hyp_leaves = ports + consts + bindable[:1] * (rng.random() < 0.1)
+    hyps = [predicate(lambda: literal(hyp_leaves), 2, 0.3)
+            for _ in range(rng.randint(1, 3))]
+    first_case = e.dnf_all(hyps)[0]
+    triggers = [predicate(pattern, 1, 0.2)
+                for _ in range(rng.randint(1, 2))]
+    sigma = {}
+    if rng.random() < 0.2:
+        sigma["v"] = term(consts + bindable[1:2] * (rng.random() < 0.2), 1)
+    budget = e.DEFAULT_BUDGET
+    if rng.random() < 0.2:
+        k = rng.randint(2, 3)
+        for _ in range(k):
+            triggers[0] = m.And(triggers[0], m.Or(
+                m.Eq(consts[0], consts[0]), pattern()))
+        budget = rng.randint(2 ** (k - 1), 2 ** k - 1)
+    return triggers, hyps, variables, sigma, budget
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from apml import model as m
 from apml.checker import (check_model, check_proof, check_step,
                           overall_status, report_lines,
                           OK, VIOLATED, INCONCLUSIVE, NO_PROOF)
+from apml.isar import emit_theory
 from apml.diagnostics import Diagnostic, ERROR
 from apml.oracle import FOUND, search_proof
 from apml.parser import parse_model
@@ -293,21 +294,35 @@ def test_overall_status_counts_error_diagnostics(radder):
     assert overall_status(verdicts, [diag]) == VIOLATED
 
 
-def test_check_leaves_no_cyclic_garbage():
-    """Garbage in a reference cycle waits for the cyclic collector."""
-    model = relay_chain_model(50)
+def _proved_chain(n):
+    model = relay_chain_model(n)
     result = search_proof(model, arch(model), max_steps=64)
     assert result.status == FOUND
-    model = dataclasses.replace(model, contracts=(
+    return dataclasses.replace(model, contracts=(
         dataclasses.replace(arch(model), proof=result.proof),))
+
+
+def _cyclic_garbage(fn, *args):
+    """fn's result and the number of objects it left for the cyclic
+    collector: garbage in a reference cycle waits for that collector."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        verdicts = check_model(model)
+        out = fn(*args)
         gc.collect()
-        garbage = len(gc.garbage)
+        return out, len(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+def test_check_leaves_no_cyclic_garbage():
+    verdicts, garbage = _cyclic_garbage(check_model, _proved_chain(50))
     assert [v.status for v in verdicts] == [OK]
+    assert garbage == 0
+
+
+def test_emit_leaves_no_cyclic_garbage():
+    theory, garbage = _cyclic_garbage(emit_theory, _proved_chain(50))
+    assert theory.endswith("end\n") and "sorry" not in theory
     assert garbage == 0

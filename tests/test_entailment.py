@@ -2,13 +2,20 @@
 
 import random
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
+from apml import checker, oracle
+from apml import entailment as e
 from apml import model as m
 from apml.entailment import (Congruence, dnf, entails, match_trigger,
                              HOLDS, FAILS, INCONCLUSIVE)
 
-from oracles import brute_force_entails, random_entailment_case, SORT
+from conftest import CORPUS, load
+from oracles import (brute_force_entails, naive_match_trigger,
+                     random_entailment_case, random_match_case,
+                     MATCH_SIGNATURE, SORT)
 
 P = [m.PortRef(m.Port("p%d" % i, "C", "output", SORT)) for i in range(4)]
 X = m.Var("x", SORT)
@@ -111,7 +118,7 @@ def test_match_trigger_reports_all_candidates_deterministically():
 def test_against_brute_force_sample():
     rng = random.Random(20240823)
     agree = 0
-    while agree < 150:
+    while agree < 1000:
         hyps, goal = random_entailment_case(rng)
         res = entails(hyps, goal)
         assert res.status in (HOLDS, FAILS)
@@ -130,3 +137,54 @@ def test_entailment_is_reflexive_and_monotone(seed):
     # adding hypotheses never turns a holding entailment into a failure
     if entails(hyps, goal).status == HOLDS:
         assert entails(hyps + [m.Eq(P[3], P[3])], goal).status == HOLDS
+
+
+def _in_order(subs):
+    """Substitutions with their bindings in order, so order is compared."""
+    return None if subs is None else [list(s.items()) for s in subs]
+
+
+def test_match_trigger_agrees_with_the_reference_kernel():
+    rng = random.Random(20261018)
+    seen = {"hits": 0, "split_hits": 0, "over_budget": 0, "none": 0}
+    for _ in range(1200):
+        triggers, hyps, variables, sigma, budget = random_match_case(rng)
+        got = match_trigger(triggers, hyps, variables, MATCH_SIGNATURE,
+                            sigma=sigma, budget=budget)
+        want = naive_match_trigger(triggers, hyps, variables,
+                                   MATCH_SIGNATURE, sigma=sigma,
+                                   budget=budget)
+        assert _in_order(got) == _in_order(want), (triggers, hyps, sigma,
+                                                   budget)
+        cases = e.dnf_all(hyps, budget)
+        seen["none"] += got is None
+        seen["hits"] += bool(got)
+        seen["split_hits"] += bool(got) and len(cases) > 1
+        seen["over_budget"] += cases is not None and any(
+            dnf(p, budget) is None for p in triggers)
+    # the generator reaches matches, case splits, budgets and blowups
+    assert seen["hits"] >= 200 and seen["split_hits"] >= 50
+    assert seen["over_budget"] >= 100 and seen["none"] >= 5
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        CORPUS.glob("*.apml")))
+def test_match_trigger_agrees_on_every_corpus_step(name, monkeypatch):
+    """Every match the checker and proof search ask on a corpus model gets
+    the reference kernel's substitutions, in the same order."""
+    calls = []
+    real = e.match_trigger
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(e, "match_trigger", recording)
+    model, _ = load(name)
+    checker.check_model(model)
+    for contract in model.contracts:
+        oracle.search_proof(model, contract)
+    assert calls
+    for args, kwargs in calls:
+        assert (_in_order(real(*args, **kwargs))
+                == _in_order(naive_match_trigger(*args, **kwargs))), args

@@ -138,3 +138,17 @@ def test_term_rendering_offsets(radder):
                               m.Var("y", "Basic.NAT")))
     assert r.term(add, 0) == "x + y"
     assert r.predicate(m.Eq(port, add), 7) == "mo (n+7) = x + y"
+
+
+def test_rejected_step_is_left_open_naming_its_conditions():
+    """The merge step of radder_merge1 fails C2: its lines close with sorry,
+    and the step's conclusion names the failed condition."""
+    model, _ = load("radder_merge1.apml")
+    lines = emit_theory(model).splitlines()
+    step = lines[lines.index("  (* step 3 *)") + 1:][:2]
+    assert step[0].endswith(" using mi1_a1o mi2_a2o sorry")
+    assert step[1] == ('  hence s3: "mo (n+7) = x + y" using merge1 '
+                       'sorry (* C2 violated *)')
+    # the accepted steps still close by blast
+    assert sum("sorry" in l for l in lines) == 2
+    assert sum(l.endswith("by blast") for l in lines) == 3

@@ -247,3 +247,41 @@ def test_substitute_and_free_variables():
     q = m.substitute(p, {"x": y})
     assert m.free_variables(q) == {"y"}
     assert m.conjuncts(m.And(p, q)) == [p, q]
+
+
+def test_operation_and_predicate_applications_share_one_sort_check():
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT Operation f: NAT => NAT Predicate Q: NAT ),
+           DT C ( Sort INT ) }
+  CTypes {
+    CType A {
+      InputPorts { InputPort i (Type: B.NAT) }
+      OutputPorts { OutputPort o (Type: B.NAT) }
+      Contracts { Contract c {
+        var x: B.NAT
+        var y: C.INT
+        triggers { t1: [i = x] }
+        guarantees { [o = B.f[x, x]] /\\ B.Q[B.f[y]] /\\ B.Q[x, x]
+                     /\\ B.Q[y] }
+        duration 1 } }
+    }
+  }
+}""")
+    assert not diags, diags
+    assert [(d.rule, d.message) for d in m.validate_structure(model)] == [
+        ("SORT_MISMATCH", "operation 'B.f' expects 1 arguments, got 2"),
+        ("SORT_MISMATCH", "argument of 'B.f' has sort C.INT, expected B.NAT"),
+        ("SORT_MISMATCH", "predicate 'B.Q' expects 1 arguments, got 2"),
+        ("SORT_MISMATCH", "argument of 'B.Q' has sort C.INT, expected B.NAT"),
+    ]
+    # the parser rejects undeclared symbols, so build them directly
+    x = m.Var("x", "B.NAT")
+    out = []
+    m.check_predicate_sorts(m.And(m.Atom("B.R", (x,)),
+                                  m.Eq(x, m.App("B.g", (x,)))),
+                            model.signature, out)
+    assert [(d.rule, d.message) for d in out] == [
+        ("UNDECLARED_SYMBOL", "unknown predicate 'B.R'"),
+        ("UNDECLARED_SYMBOL", "unknown operation 'B.g'"),
+    ]
