@@ -17,6 +17,7 @@ registration order, and the terms of earlier queries count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,35 +42,39 @@ class Result:
 
 
 def dnf(pred, budget=DEFAULT_BUDGET):
-    """List of disjuncts, each a list of Eq/Atom literals; None on blowup."""
+    """List of disjuncts, each a list of Eq/Atom literals; None on blowup.
+
+    Recurses once per nested And/Or node, never per part.  Every part has a
+    disjunct, so the running sum or product over a node's parts never
+    exceeds its final value and is checked against the budget as it grows.
+    """
     if isinstance(pred, (m.Eq, m.Atom)):
         return [[pred]]
-    if isinstance(pred, m.Or):
-        left = dnf(pred.lhs, budget)
-        if left is None:
+    if isinstance(pred, m.And):
+        return dnf_all(pred.parts, budget)
+    out = []
+    for p in pred.parts:
+        d = dnf(p, budget)
+        if d is None or len(out) + len(d) > budget:
             return None
-        right = dnf(pred.rhs, budget)
-        if right is None or len(left) + len(right) > budget:
-            return None
-        return left + right
-    left = dnf(pred.lhs, budget)
-    if left is None:
-        return None
-    right = dnf(pred.rhs, budget)
-    if right is None or len(left) * len(right) > budget:
-        return None
-    return [a + b for a in left for b in right]
+        out += d
+    return out
 
 
 def dnf_all(preds, budget=DEFAULT_BUDGET):
-    """DNF of a conjunction of predicates; None on blowup."""
-    out = [[]]
+    """DNF of a conjunction of predicates; None on blowup.  Each disjunct
+    is built once, so the work is linear in the literals of the result."""
+    factors, size = [], 1
     for p in preds:
         d = dnf(p, budget)
-        if d is None or len(out) * len(d) > budget:
+        if d is None:
             return None
-        out = [a + b for a in out for b in d]
-    return out
+        size *= len(d)
+        if size > budget:
+            return None
+        factors.append(d)
+    return [list(itertools.chain.from_iterable(pick))
+            for pick in itertools.product(*factors)]
 
 
 class Congruence:
@@ -120,10 +125,6 @@ class Congruence:
         if ri != rj:
             self.parent[ri] = rj
             self.stale = True
-
-    def assert_equal(self, a, b):
-        self.union(self.add_term(a), self.add_term(b))
-        self._close()
 
     def assert_atom(self, pred, args):
         self.atoms.append((pred, tuple(map(self.add_term, args))))
@@ -184,13 +185,13 @@ def congruence_of(literals):
 def _holds(p, cong):
     """Does a predicate hold in the least model cong, its variables read
     as constants?"""
-    if isinstance(p, m.Or):
-        return _holds(p.lhs, cong) or _holds(p.rhs, cong)
-    if isinstance(p, m.And):
-        return _holds(p.lhs, cong) and _holds(p.rhs, cong)
     if isinstance(p, m.Eq):
         return cong.equal(p.lhs, p.rhs)
-    return cong.holds_atom(p.pred, p.args)
+    if isinstance(p, m.Atom):
+        return cong.holds_atom(p.pred, p.args)
+    if isinstance(p, m.And):
+        return all(_holds(q, cong) for q in p.parts)
+    return any(_holds(q, cong) for q in p.parts)
 
 
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
@@ -207,8 +208,7 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
         cong = congruence_of(disjunct)
         if not any(all(_holds(lit, cong) for lit in g)
                    for g in goal_disjuncts):
-            return Result(FAILS, witness=m.conjoin(disjunct) if disjunct
-                          else None,
+            return Result(FAILS, witness=m.conjoin(disjunct),
                           reason="goal not derivable from this case")
     return Result(HOLDS)
 
@@ -231,7 +231,7 @@ def match_predicate(goal, cong, variables, signature, sigma):
            for lit in literals]
     leaky = (any(isinstance(t, m.Var) and t.name in variables
                  for t in cong.terms)
-             or any(m.free_variables(m.Eq(t, t)) & variables.keys()
+             or any(m.free_variables(t) & variables.keys()
                     for t in sigma.values()))
     results = []
     stack = [(0, dict(sigma))]           # (literals satisfied, bindings)

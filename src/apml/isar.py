@@ -52,8 +52,11 @@ def abbreviate(name):
     return "".join(out)
 
 
+_UNSAFE = re.compile(r"[^A-Za-z0-9_']")
+
+
 def _sanitize(name):
-    clean = re.sub(r"[^A-Za-z0-9_']", "_", name)
+    clean = _UNSAFE.sub("_", name)
     if not clean or not clean[0].isalpha():
         clean = "v" + clean
     return clean
@@ -121,18 +124,11 @@ def _symbols_used(model):
     of first occurrence, left to right and outside in."""
     preds, ops = {}, {}                  # insertion-ordered sets
     for root in _predicates(model):
-        stack = [root]
-        while stack:
-            p = stack.pop()
-            if isinstance(p, (m.And, m.Or)):
-                stack += (p.rhs, p.lhs)
-            elif isinstance(p, m.App):
-                ops.setdefault(p.op)
-                stack.extend(reversed(p.args))
-            elif isinstance(p, (m.Eq, m.Atom)):
-                if isinstance(p, m.Atom):
-                    preds.setdefault(p.pred)
-                stack.extend(reversed(m.terms_of(p)))
+        for n in m.walk(root):
+            if isinstance(n, m.App):
+                ops.setdefault(n.op)
+            elif isinstance(n, m.Atom):
+                preds.setdefault(n.pred)
     return list(preds), list(ops)
 
 
@@ -209,24 +205,16 @@ class Renderer:
         """Conclusion-style rendering: conjunction with \\<and>."""
         if isinstance(p, m.And):
             s = " \\<and> ".join(self.predicate(c, time, outer=False)
-                                 for c in m.conjuncts(p))
+                                 for c in p.parts)
             return s if outer else "(%s)" % s
         if isinstance(p, m.Or):
-            s = " \\<or> ".join(
-                self.predicate(d, time, outer=False)
-                for d in _disjuncts(p))
-            return "(%s)" % s
+            return "(%s)" % " \\<or> ".join(
+                self.predicate(d, time, outer=False) for d in p.parts)
         return self._leaf(p, time)
 
     def premises(self, p, time):
         """Premise-style rendering: top-level conjuncts become a list."""
         return [self.predicate(c, time) for c in m.conjuncts(p)]
-
-
-def _disjuncts(p):
-    if isinstance(p, m.Or):
-        return _disjuncts(p.lhs) + _disjuncts(p.rhs)
-    return [p]
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +310,12 @@ def emit_theorem(model, contract, renderer, name=None):
     return "\n".join(lines)
 
 
+def _sorry(findings):
+    """An open proof line naming each distinct failed condition."""
+    return "sorry (* %s *)" % ", ".join(dict.fromkeys(
+        "%s %s" % (f.condition, f.status) for f in findings))
+
+
 def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
     """Isar proof text replaying the architecture proof.
 
@@ -342,8 +336,7 @@ def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
         # a step the checker does not accept is left open, naming why
         gap = None
         if judged is not None and judged.status != checker.OK:
-            gap = "sorry (* %s *)" % ", ".join(dict.fromkeys(
-                "%s %s" % (f.condition, f.status) for f in judged.findings))
+            gap = _sorry(judged.findings)
         if config.comments:
             lines.append("  (* step %d *)" % i)
         state = r.predicate(step.state, step.time)
@@ -373,11 +366,14 @@ def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
                          % (prefix, " ".join(facts), goal, using,
                             "sorry" if gap else "by simp"))
         closer = "hence" if len(step.refs) == 1 else "ultimately have"
-        rname = names.get(step.rationale,
-                          _sanitize(step.rationale.replace(".", "_")))
+        rname = (names.get(step.rationale)
+                 or _sanitize(step.rationale.replace(".", "_")))
         lines.append('  %s s%d: "%s" using %s %s'
                      % (closer, i, state, rname, gap or "by blast"))
-    lines.append("  thus ?thesis by auto")
+    # and so is the conclusion when the last step misses the guarantee or
+    # the duration
+    lines.append("  thus ?thesis %s" % (_sorry(verdict.findings)
+                                        if verdict.findings else "by auto"))
     lines.append("qed")
     return "\n".join(lines)
 

@@ -2,6 +2,16 @@
 
 All types are immutable after construction and safe to share; validation is
 pure and returns diagnostics instead of raising.
+
+A predicate is a literal (``Eq`` or ``Atom``) or an n-ary ``And``/``Or`` over
+a flat tuple of parts.  ``conjoin`` and ``disjoin`` are the only
+constructors: they splice the parts of a nested node of the same kind, and
+return a lone part unchanged.  So an ``And`` never holds an ``And``, an
+``Or`` never holds an ``Or``, and ``a /\\ (b /\\ c)`` equals
+``(a /\\ b) /\\ c``.  Nesting depth then counts alternations only, which the
+parser bounds.  ``walk`` visits every node of a predicate or term without
+recursing; code that needs the ports, variables or symbols of a predicate
+reads them off that walk.
 """
 
 from __future__ import annotations
@@ -76,25 +86,16 @@ class Var:
     name: str
     sort: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class PortRef:
     port: Port
-
-    def __str__(self):
-        return self.port.qualified
 
 
 @dataclass(frozen=True)
 class App:
     op: str                              # qualified operation name
     args: tuple
-
-    def __str__(self):
-        return "%s[%s]" % (self.op, ", ".join(str(a) for a in self.args))
 
 
 Term = Union[Var, PortRef, App]
@@ -108,82 +109,78 @@ class Eq:
     lhs: Term
     rhs: Term
 
-    def __str__(self):
-        return "[%s = %s]" % (self.lhs, self.rhs)
-
 
 @dataclass(frozen=True)
 class Atom:
     pred: str                            # qualified predicate name
     args: tuple
 
-    def __str__(self):
-        return "%s[%s]" % (self.pred, ", ".join(str(a) for a in self.args))
-
 
 @dataclass(frozen=True)
 class And:
-    lhs: "Predicate"
-    rhs: "Predicate"
-
-    def __str__(self):
-        return "%s /\\ %s" % (self.lhs, self.rhs)
+    parts: tuple                         # two or more; none of them an And
 
 
 @dataclass(frozen=True)
 class Or:
-    lhs: "Predicate"
-    rhs: "Predicate"
-
-    def __str__(self):
-        return "(%s) \\/ (%s)" % (self.lhs, self.rhs)
+    parts: tuple                         # two or more; none of them an Or
 
 
 Predicate = Union[Eq, Atom, And, Or]
 
 
-def conjuncts(p):
-    if isinstance(p, And):
-        return conjuncts(p.lhs) + conjuncts(p.rhs)
-    return [p]
+def _flat(kind, preds):
+    parts = []
+    for p in preds:
+        if isinstance(p, kind):
+            parts.extend(p.parts)
+        else:
+            parts.append(p)
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return kind(tuple(parts))
 
 
 def conjoin(preds):
-    out = None
-    for p in preds:
-        out = p if out is None else And(out, p)
-    return out
+    """The conjunction of predicates: a lone one unchanged, None for none."""
+    return _flat(And, preds)
 
 
-def terms_of(p):
-    """All top-level terms occurring in a predicate."""
-    if isinstance(p, Eq):
-        return [p.lhs, p.rhs]
-    if isinstance(p, Atom):
-        return list(p.args)
-    return terms_of(p.lhs) + terms_of(p.rhs)
+def disjoin(preds):
+    """The disjunction of predicates: a lone one unchanged, None for none."""
+    return _flat(Or, preds)
 
 
-def _leaf_terms(p):
-    """The variables, ports and constants of a predicate, at any depth."""
-    out = []
-    stack = terms_of(p)
+def conjuncts(p):
+    return p.parts if isinstance(p, And) else (p,)
+
+
+def walk(node):
+    """Every node of a predicate or term, pre-order, left to right.
+
+    Iterative, so neither a long chain of parts nor a deep term can exhaust
+    the recursion limit.
+    """
+    stack = [node]
     while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.extend(t.args)
-        else:
-            out.append(t)
-    return out
+        n = stack.pop()
+        yield n
+        if isinstance(n, Eq):
+            stack += (n.rhs, n.lhs)
+        elif isinstance(n, (And, Or)):
+            stack.extend(reversed(n.parts))
+        elif isinstance(n, (App, Atom)):
+            stack.extend(reversed(n.args))
 
 
 def ports_of(p):
-    return {t.port for t in _leaf_terms(p) if isinstance(t, PortRef)}
+    """The ports occurring in a predicate or term."""
+    return {n.port for n in walk(p) if isinstance(n, PortRef)}
 
 
 def free_variables(p):
-    """Names of the contract variables occurring in a predicate."""
-    return {t.name for t in _leaf_terms(p) if isinstance(t, Var)}
+    """Names of the contract variables occurring in a predicate or term."""
+    return {n.name for n in walk(p) if isinstance(n, Var)}
 
 
 def substitute(p, subst):
@@ -198,9 +195,8 @@ def substitute(p, subst):
         return App(p.op, tuple(substitute(a, subst) for a in p.args))
     if isinstance(p, Atom):
         return Atom(p.pred, tuple(substitute(a, subst) for a in p.args))
-    if isinstance(p, And):
-        return And(substitute(p.lhs, subst), substitute(p.rhs, subst))
-    return Or(substitute(p.lhs, subst), substitute(p.rhs, subst))
+    return (conjoin if isinstance(p, And) else disjoin)(
+        [substitute(q, subst) for q in p.parts])
 
 
 def rename_variables(p, mapping):
@@ -366,19 +362,9 @@ def term_sort(term, signature):
     return op[1] if op else None
 
 
-def _check_terms(terms, signature, out, span):
-    for t in terms:
-        if isinstance(t, App):
-            _check_application(
-                "operation", t.op,
-                signature.operation_symbols.get(t.op, (None,))[0], t.args,
-                signature, out, span)
-
-
 def _check_application(kind, name, sorts, args, signature, out, span):
-    """Arity and argument sorts of an operation or predicate application,
-    then of the applications among its arguments; ``sorts`` is None for an
-    undeclared symbol."""
+    """Arity and argument sorts of an operation or predicate application;
+    ``sorts`` is None for an undeclared symbol."""
     if sorts is None:
         out.append(Diagnostic(ERROR, "UNDECLARED_SYMBOL",
                               "unknown %s '%s'" % (kind, name), span))
@@ -394,25 +380,27 @@ def _check_application(kind, name, sorts, args, signature, out, span):
                     ERROR, "SORT_MISMATCH",
                     "argument of '%s' has sort %s, expected %s"
                     % (name, got, expected), span))
-    _check_terms(args, signature, out, span)
 
 
 def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
-    if isinstance(pred, (And, Or)):
-        check_predicate_sorts(pred.lhs, signature, out, span)
-        check_predicate_sorts(pred.rhs, signature, out, span)
-    elif isinstance(pred, Eq):
-        _check_terms((pred.lhs, pred.rhs), signature, out, span)
-        ls = term_sort(pred.lhs, signature)
-        rs = term_sort(pred.rhs, signature)
-        if ls is not None and rs is not None and ls != rs:
-            out.append(Diagnostic(
-                ERROR, "SORT_MISMATCH",
-                "equality between sorts %s and %s" % (ls, rs), span))
-    else:
-        _check_application("predicate", pred.pred,
-                           signature.predicate_symbols.get(pred.pred),
-                           pred.args, signature, out, span)
+    """Sort diagnostics of every equality and application, outside in."""
+    for n in walk(pred):
+        if isinstance(n, Eq):
+            ls = term_sort(n.lhs, signature)
+            rs = term_sort(n.rhs, signature)
+            if ls is not None and rs is not None and ls != rs:
+                out.append(Diagnostic(
+                    ERROR, "SORT_MISMATCH",
+                    "equality between sorts %s and %s" % (ls, rs), span))
+        elif isinstance(n, App):
+            _check_application(
+                "operation", n.op,
+                signature.operation_symbols.get(n.op, (None,))[0], n.args,
+                signature, out, span)
+        elif isinstance(n, Atom):
+            _check_application("predicate", n.pred,
+                               signature.predicate_symbols.get(n.pred),
+                               n.args, signature, out, span)
 
 
 def _check_contract_shape(contract, out):

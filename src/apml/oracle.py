@@ -56,27 +56,13 @@ class FiniteUniverse:
     def carrier(self, sort):
         return self.carriers.get(sort, [])
 
-    def eval_term(self, term, env, state):
-        """env: variable name -> value; state: port qualified name -> value."""
-        if isinstance(term, m.Var):
-            return env[term.name]
-        if isinstance(term, m.PortRef):
-            return state[term.port.qualified]
-        args = tuple(self.eval_term(a, env, state) for a in term.args)
-        return self.operations.get(term.op, {}).get(args)
-
     def eval_predicate(self, pred, env, state):
-        if isinstance(pred, m.And):
-            return (self.eval_predicate(pred.lhs, env, state)
-                    and self.eval_predicate(pred.rhs, env, state))
-        if isinstance(pred, m.Or):
-            return (self.eval_predicate(pred.lhs, env, state)
-                    or self.eval_predicate(pred.rhs, env, state))
-        if isinstance(pred, m.Eq):
-            return (self.eval_term(pred.lhs, env, state)
-                    == self.eval_term(pred.rhs, env, state))
-        args = tuple(self.eval_term(a, env, state) for a in pred.args)
-        return args in self.predicates.get(pred.pred, set())
+        """Truth of a predicate: ``env`` maps variable names and ``state``
+        qualified port names to values.  The package never calls it;
+        ``perfbench/tracing.py`` counts its calls."""
+        names = {v: v for v in m.free_variables(pred)}
+        slots = {p.qualified: p.qualified for p in m.ports_of(pred)}
+        return _compile(self, pred, names, slots)(env, state)
 
 
 def parse_universe(text):
@@ -117,10 +103,12 @@ def parse_universe(text):
 # Satisfaction of an architecture contract by all well-behaved traces
 
 def _compile(universe, node, names, slots):
-    """A function of (env, state) agreeing with ``eval_term`` on a term and
-    ``eval_predicate`` on a predicate: ``env`` and ``state`` are tuples,
+    """A function of (env, state) giving a term's value or a predicate's
+    truth under the universe's tables: ``env`` and ``state`` are sequences,
     indexed by ``names`` (variable name -> position) and ``slots`` (qualified
-    port name -> position)."""
+    port name -> position).  An operation is None off its table and a
+    predicate atom true exactly on its table; an ``And`` holds when all its
+    parts do and an ``Or`` when one does, parts tried left to right."""
     if isinstance(node, m.Var):
         j = names[node.name]
         return lambda env, state: env[j]
@@ -135,13 +123,14 @@ def _compile(universe, node, names, slots):
                                                       for a in args))
         table = universe.predicates.get(node.pred, set())
         return lambda env, state: tuple(a(env, state) for a in args) in table
-    lhs = _compile(universe, node.lhs, names, slots)
-    rhs = _compile(universe, node.rhs, names, slots)
     if isinstance(node, m.Eq):
+        lhs = _compile(universe, node.lhs, names, slots)
+        rhs = _compile(universe, node.rhs, names, slots)
         return lambda env, state: lhs(env, state) == rhs(env, state)
+    parts = [_compile(universe, p, names, slots) for p in node.parts]
     if isinstance(node, m.And):
-        return lambda env, state: lhs(env, state) and rhs(env, state)
-    return lambda env, state: lhs(env, state) or rhs(env, state)
+        return lambda env, state: all(f(env, state) for f in parts)
+    return lambda env, state: any(f(env, state) for f in parts)
 
 
 def _functional_form(c, outputs):
@@ -168,8 +157,8 @@ def _functional_form(c, outputs):
         if not (isinstance(conj, m.Eq) and isinstance(conj.lhs, m.PortRef)
                 and conj.lhs.port in outputs):
             return None
-        rhs = m.Eq(conj.rhs, conj.rhs)
-        if m.ports_of(rhs) or not m.free_variables(rhs) <= set(binds):
+        if (m.ports_of(conj.rhs)
+                or not m.free_variables(conj.rhs) <= set(binds)):
             return None
         results.append((conj.lhs.port, conj.rhs))
     return binds, results, c.duration
@@ -341,8 +330,7 @@ def _anchors(contract, budget):
     def anchored(lit):
         if isinstance(lit, m.Atom):
             return bool(m.ports_of(lit))
-        return (bool(m.ports_of(m.Eq(lit.lhs, lit.lhs)))
-                != bool(m.ports_of(m.Eq(lit.rhs, lit.rhs))))
+        return bool(m.ports_of(lit.lhs)) != bool(m.ports_of(lit.rhs))
 
     out = []
     for t in contract.triggers:

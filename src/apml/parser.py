@@ -47,6 +47,7 @@ _WORD_RE = re.compile(r"\w*")
 # predicate.  Each level takes three Python frames here and a few in every
 # later recursive walk of the predicate, so deeper input is reported as
 # NESTING_LIMIT instead of exhausting the interpreter's recursion limit.
+# ``/\`` and ``\/`` chains add no depth: they parse to one flat node.
 MAX_NESTING = 200
 
 
@@ -548,18 +549,16 @@ class Parser:
     # -- predicates and terms ----------------------------------------------
 
     def parse_predicate(self, scope, depth=0):
-        lhs = self.parse_conjunction(scope, depth)
+        parts = [self.parse_conjunction(scope, depth)]
         while self.accept("OR"):
-            rhs = self.parse_conjunction(scope, depth)
-            lhs = m.Or(lhs, rhs)
-        return lhs
+            parts.append(self.parse_conjunction(scope, depth))
+        return m.disjoin(parts)
 
     def parse_conjunction(self, scope, depth):
-        lhs = self.parse_atom(scope, depth)
+        parts = [self.parse_atom(scope, depth)]
         while self.accept("AND"):
-            rhs = self.parse_atom(scope, depth)
-            lhs = m.And(lhs, rhs)
-        return lhs
+            parts.append(self.parse_atom(scope, depth))
+        return m.conjoin(parts)
 
     def parse_atom(self, scope, depth):
         """``depth`` counts the parentheses and operation applications

@@ -32,12 +32,12 @@ def print_predicate(pred, owner=None, shadowed=frozenset()):
 
 def _print_pred(pred, owner, shadowed=frozenset(), top=False):
     if isinstance(pred, m.Or):
-        s = "%s \\/ %s" % (_print_pred(pred.lhs, owner, shadowed, top=True),
-                           _print_pred(pred.rhs, owner, shadowed, top=True))
+        s = " \\/ ".join(_print_pred(p, owner, shadowed, top=True)
+                         for p in pred.parts)
         return s if top else "(%s)" % s
     if isinstance(pred, m.And):
-        return "%s /\\ %s" % (_print_pred(pred.lhs, owner, shadowed),
-                              _print_pred(pred.rhs, owner, shadowed))
+        return " /\\ ".join(_print_pred(p, owner, shadowed)
+                            for p in pred.parts)
     if isinstance(pred, m.Eq):
         return "[%s = %s]" % (print_term(pred.lhs, owner, shadowed),
                               print_term(pred.rhs, owner, shadowed))

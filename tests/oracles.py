@@ -128,10 +128,9 @@ def naive_tokenize(text, filename="<input>"):
 def _branches(pred):
     """All ways to pick one branch per disjunction: lists of literals."""
     if isinstance(pred, m.Or):
-        return _branches(pred.lhs) + _branches(pred.rhs)
+        return [b for p in pred.parts for b in _branches(p)]
     if isinstance(pred, m.And):
-        return [a + b for a in _branches(pred.lhs)
-                for b in _branches(pred.rhs)]
+        return _cases(pred.parts)
     return [[pred]]
 
 
@@ -171,11 +170,9 @@ def _terms_of_literals(lits):
 
 def _eval_pred(pred, val, true_atoms):
     if isinstance(pred, m.Or):
-        return (_eval_pred(pred.lhs, val, true_atoms)
-                or _eval_pred(pred.rhs, val, true_atoms))
+        return any(_eval_pred(p, val, true_atoms) for p in pred.parts)
     if isinstance(pred, m.And):
-        return (_eval_pred(pred.lhs, val, true_atoms)
-                and _eval_pred(pred.rhs, val, true_atoms))
+        return all(_eval_pred(p, val, true_atoms) for p in pred.parts)
     if isinstance(pred, m.Eq):
         return val[pred.lhs] == val[pred.rhs]
     key = (pred.pred, tuple(val[a] for a in pred.args))
@@ -338,9 +335,9 @@ def naive_congruence_of(literals):
 
 def _naive_holds(lit, cong):
     if isinstance(lit, m.Or):
-        return _naive_holds(lit.lhs, cong) or _naive_holds(lit.rhs, cong)
+        return any(_naive_holds(p, cong) for p in lit.parts)
     if isinstance(lit, m.And):
-        return _naive_holds(lit.lhs, cong) and _naive_holds(lit.rhs, cong)
+        return all(_naive_holds(p, cong) for p in lit.parts)
     if isinstance(lit, m.Eq):
         return cong.equal(lit.lhs, lit.rhs)
     return cong.holds_atom(lit.pred, lit.args)
@@ -439,7 +436,7 @@ def random_entailment_case(rng):
         lits = [literal() for _ in range(rng.randint(1, 2))]
         p = lits[0]
         for q in lits[1:]:
-            p = m.Or(p, q) if rng.random() < 0.3 else m.And(p, q)
+            p = (m.disjoin if rng.random() < 0.3 else m.conjoin)([p, q])
         return p
 
     hyps = [predicate() for _ in range(rng.randint(1, 3))]
@@ -506,7 +503,7 @@ def random_match_case(rng):
     def predicate(lit, connectives, p_or):
         p = lit()
         for _ in range(rng.randint(0, connectives)):
-            p = (m.Or if rng.random() < p_or else m.And)(p, lit())
+            p = (m.disjoin if rng.random() < p_or else m.conjoin)([p, lit()])
         return p
 
     hyp_leaves = ports + consts + bindable[:1] * (rng.random() < 0.1)
@@ -522,8 +519,8 @@ def random_match_case(rng):
     if rng.random() < 0.2:
         k = rng.randint(2, 3)
         for _ in range(k):
-            triggers[0] = m.And(triggers[0], m.Or(
-                m.Eq(consts[0], consts[0]), pattern()))
+            triggers[0] = m.conjoin([triggers[0], m.disjoin([
+                m.Eq(consts[0], consts[0]), pattern()])])
         budget = rng.randint(2 ** (k - 1), 2 ** k - 1)
     return triggers, hyps, variables, sigma, budget
 
@@ -648,14 +645,15 @@ def random_tiny_model(rng):
         out = m.PortRef(m.Port("o", name, m.OUTPUT, SORT))
         triggers = tuple(
             m.Trigger("t%d" % j, pick(m.Eq(i, x), m.Eq(i, x), m.Eq(app(i), x),
-                                      m.And(m.Atom("D.P", (i,)), m.Eq(i, x)),
-                                      m.Or(m.Eq(i, x), m.Eq(out, x))),
+                                      m.conjoin([m.Atom("D.P", (i,)),
+                                                 m.Eq(i, x)]),
+                                      m.disjoin([m.Eq(i, x), m.Eq(out, x)])),
                       rng.randint(0, 2))
             for j in range(rng.randint(1, 2)))
         guarantee = pick(m.Eq(out, x), m.Eq(out, app(x)),
-                         m.Or(m.Eq(out, x), m.Eq(out, app(x))),
-                         m.And(m.Eq(out, x), m.Atom("D.P", (out,))),
-                         m.Or(m.Atom("D.P", (out,)), m.Eq(out, x)))
+                         m.disjoin([m.Eq(out, x), m.Eq(out, app(x))]),
+                         m.conjoin([m.Eq(out, x), m.Atom("D.P", (out,))]),
+                         m.disjoin([m.Atom("D.P", (out,)), m.Eq(out, x)]))
         contract = m.Contract(name="c", owner=name, variables=(("x", SORT),),
                               triggers=triggers, guarantee=guarantee,
                               duration=rng.randint(0, 2))
@@ -671,9 +669,10 @@ def random_tiny_model(rng):
     arch = m.ArchitectureContract(
         name="goal", owner="", variables=(("w", SORT),),
         triggers=(m.Trigger("t0", pick(m.Eq(head, w),
-                                       m.And(m.Eq(head, w),
-                                             m.Atom("D.P", (w,)))), 0),),
-        guarantee=pick(m.Eq(tail, w), m.Or(m.Eq(tail, w), m.Eq(tail, app(w))),
+                                       m.conjoin([m.Eq(head, w),
+                                                  m.Atom("D.P", (w,))])), 0),),
+        guarantee=pick(m.Eq(tail, w),
+                       m.disjoin([m.Eq(tail, w), m.Eq(tail, app(w))]),
                        m.Atom("D.P", (tail,))),
         duration=rng.randint(0, 2), proof=None)
     model = m.Model(name="Tiny", short_name="tiny",
@@ -720,6 +719,30 @@ def print_universe(uni):
 # ---------------------------------------------------------------------------
 # Trace semantics
 
+def eval_term(universe, term, env, state):
+    """env: variable name -> value; state: port qualified name -> value."""
+    if isinstance(term, m.Var):
+        return env[term.name]
+    if isinstance(term, m.PortRef):
+        return state[term.port.qualified]
+    args = tuple(eval_term(universe, a, env, state) for a in term.args)
+    return universe.operations.get(term.op, {}).get(args)
+
+
+def eval_predicate(universe, pred, env, state):
+    if isinstance(pred, m.And):
+        return all(eval_predicate(universe, p, env, state)
+                   for p in pred.parts)
+    if isinstance(pred, m.Or):
+        return any(eval_predicate(universe, p, env, state)
+                   for p in pred.parts)
+    if isinstance(pred, m.Eq):
+        return (eval_term(universe, pred.lhs, env, state)
+                == eval_term(universe, pred.rhs, env, state))
+    args = tuple(eval_term(universe, a, env, state) for a in pred.args)
+    return args in universe.predicates.get(pred.pred, set())
+
+
 def _assignments(universe, variables):
     """All environments for (name, sort) pairs over the carriers."""
     names = [n for n, _ in variables]
@@ -739,10 +762,11 @@ def trace_satisfies(universe, trace, contract):
     span = max([t.time for t in contract.triggers] + [contract.duration])
     for n in range(len(trace) - span):
         for env in _assignments(universe, contract.variables):
-            if all(universe.eval_predicate(t.predicate, env, trace[n + t.time])
+            if all(eval_predicate(universe, t.predicate, env,
+                                  trace[n + t.time])
                    for t in contract.triggers):
-                if not universe.eval_predicate(contract.guarantee, env,
-                                               trace[n + contract.duration]):
+                if not eval_predicate(universe, contract.guarantee, env,
+                                      trace[n + contract.duration]):
                     return False
     return True
 
@@ -801,10 +825,11 @@ def violated_window(universe, trace, contract, horizon):
     architecture triggers hold and its guarantee fails, or None."""
     for n in range(horizon):
         for env in _assignments(universe, contract.variables):
-            if all(universe.eval_predicate(t.predicate, env, trace[n + t.time])
+            if all(eval_predicate(universe, t.predicate, env,
+                                  trace[n + t.time])
                    for t in contract.triggers if n + t.time < len(trace)) \
-                    and not universe.eval_predicate(
-                        contract.guarantee, env, trace[n + contract.duration]):
+                    and not eval_predicate(universe, contract.guarantee, env,
+                                           trace[n + contract.duration]):
                 return n, env
     return None
 
@@ -820,11 +845,11 @@ def _component_ok_prefix(universe, trace, upto, contracts):
         if n < 0:
             continue
         for env in _assignments(universe, c.variables):
-            if all(universe.eval_predicate(t.predicate, env,
-                                           trace[n + t.time])
+            if all(eval_predicate(universe, t.predicate, env,
+                                  trace[n + t.time])
                    for t in c.triggers):
-                if not universe.eval_predicate(c.guarantee, env,
-                                               trace[n + c.duration]):
+                if not eval_predicate(universe, c.guarantee, env,
+                                      trace[n + c.duration]):
                     return False
     return True
 
@@ -844,7 +869,7 @@ def _forced_values(universe, trace, upto, functional):
         if None in env.values():
             continue
         for port, rhs in results:
-            value = universe.eval_term(rhs, env, {})
+            value = eval_term(universe, rhs, env, {})
             if value is None:
                 continue
             if forced.get(port.qualified, value) != value:
@@ -878,8 +903,8 @@ def naive_verify_satisfaction(model, contract, universe, horizon=None,
     def extend(trace, upto, n, env):
         """DFS over states; returns a counterexample trace or None."""
         if upto == length:
-            if not universe.eval_predicate(contract.guarantee, env,
-                                           trace[n + contract.duration]):
+            if not eval_predicate(universe, contract.guarantee, env,
+                                  trace[n + contract.duration]):
                 return list(trace)
             return None
         forced, consistent = _forced_values(universe, trace, upto, functional)
@@ -899,13 +924,13 @@ def naive_verify_satisfaction(model, contract, universe, horizon=None,
             if ok:
                 # architecture triggers of the chosen window must hold
                 for t in contract.triggers:
-                    if n + t.time == upto and not universe.eval_predicate(
-                            t.predicate, env, state):
+                    if n + t.time == upto and not eval_predicate(
+                            universe, t.predicate, env, state):
                         ok = False
                         break
             if ok and upto == n + contract.duration:
                 # fail fast: this state must already falsify the guarantee
-                if universe.eval_predicate(contract.guarantee, env, state):
+                if eval_predicate(universe, contract.guarantee, env, state):
                     ok = False
             if ok:
                 found = extend(trace, upto + 1, n, env)

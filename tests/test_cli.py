@@ -2,8 +2,9 @@
 
 import pytest
 
+from apml import checker
 from apml.cli import main
-from apml.parser import MAX_NESTING
+from apml.parser import MAX_NESTING, parse_model
 
 from conftest import CORPUS, ROOT
 
@@ -157,17 +158,62 @@ def test_fmt_is_idempotent(tmp_path, capsys):
     assert once == twice
 
 
-def test_internal_error_is_one_line(tmp_path, capsys):
-    # deeper than the recursion limit of the predicate walks
-    wide = " /\\ ".join(["[o = x]"] * 3000)
-    text = (CORPUS / "relay.apml").read_text().replace(
-        "guarantees { [o = x] }", "guarantees { %s }" % wide, 1)
-    model = tmp_path / "wide.apml"
-    model.write_text(text)
-    code, _, err = run(capsys, "check", str(model))
+def test_internal_error_is_one_line(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug\nspanning lines")
+
+    monkeypatch.setattr(checker, "check_model", broken)
+    code, _, err = run(capsys, "check", RELAY)
     assert code == 3
-    assert err.startswith("error: internal: RecursionError: ")
+    assert err.startswith("error: internal: ")
     assert err.count("\n") == 1
+
+
+# Predicate chains: every command, at the widths and depths the parser takes
+
+EXTRA_ARGS = {"check": [], "fmt": [], "emit-isar": [], "search": [],
+              "simulate": ["--universe", TINY]}
+
+
+def relay_with_guarantee(tmp_path, guarantee):
+    """relay.apml with Stage1.fwd guaranteeing ``guarantee``."""
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "guarantees { [o = x] }", "guarantees { %s }" % guarantee, 1)
+    path = tmp_path / "relay.apml"
+    path.write_text(text)
+    return path
+
+
+def run_every_way(capsys, command, path):
+    """Run a command on a model that holds; fmt output must reparse to the
+    same model."""
+    code, out, err = run(capsys, command, *EXTRA_ARGS[command], str(path))
+    assert code == 0, err
+    assert "internal" not in err
+    if command == "fmt":
+        again, diags = parse_model(out)
+        assert not diags
+        assert again == parse_model(path.read_text())[0]
+
+
+@pytest.mark.parametrize("width", [3000, 30000])
+@pytest.mark.parametrize("command", EXTRA_ARGS)
+def test_wide_conjunction_under_every_command(tmp_path, capsys, command,
+                                              width):
+    path = relay_with_guarantee(tmp_path, " /\\ ".join(["[o = x]"] * width))
+    guarantee = parse_model(path.read_text())[0] \
+        .component_types[0].contracts[0].guarantee
+    assert len(guarantee.parts) == width
+    run_every_way(capsys, command, path)
+
+
+@pytest.mark.parametrize("command", EXTRA_ARGS)
+def test_alternation_at_the_nesting_limit_under_every_command(
+        tmp_path, capsys, command):
+    pred = "[o = x]"
+    for level in range(MAX_NESTING):
+        pred = "[o = x] %s (%s)" % ("/\\" if level % 2 else "\\/", pred)
+    run_every_way(capsys, command, relay_with_guarantee(tmp_path, pred))
 
 
 def test_non_ascii_digit_is_a_lex_error(tmp_path, capsys):

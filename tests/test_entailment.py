@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from apml import checker, oracle
 from apml import entailment as e
 from apml import model as m
-from apml.entailment import (Congruence, dnf, entails, match_trigger,
+from apml.entailment import (congruence_of, dnf, entails, match_trigger,
                              HOLDS, FAILS, INCONCLUSIVE)
 
 from conftest import CORPUS, load
@@ -51,26 +51,27 @@ def test_atom_entailment_up_to_congruence():
 
 
 def test_disjunctive_goal_and_hypotheses():
-    goal = m.Or(m.Eq(P[0], P[1]), m.Eq(P[0], P[2]))
+    goal = m.disjoin([m.Eq(P[0], P[1]), m.Eq(P[0], P[2])])
     assert entails([m.Eq(P[0], P[2])], goal).status == HOLDS
     # every hypothesis case must entail the goal
-    hyp = m.Or(m.Eq(P[0], P[1]), m.Eq(P[1], P[2]))
+    hyp = m.disjoin([m.Eq(P[0], P[1]), m.Eq(P[1], P[2])])
     assert entails([hyp], goal).status == FAILS
-    both = m.Or(m.Eq(P[0], P[1]), m.Eq(P[0], P[2]))
+    both = m.disjoin([m.Eq(P[0], P[1]), m.Eq(P[0], P[2])])
     assert entails([both], goal).status == HOLDS
 
 
 def test_fails_carries_a_witness_case():
-    hyp = m.Or(m.Eq(P[0], P[1]), m.Eq(P[1], P[2]))
+    hyp = m.disjoin([m.Eq(P[0], P[1]), m.Eq(P[1], P[2])])
     res = entails([hyp], m.Eq(P[0], P[1]))
     assert res.status == FAILS
     assert res.witness == m.Eq(P[1], P[2])
 
 
 def test_dnf_budget_yields_inconclusive_not_acceptance():
-    big = m.Or(m.Eq(P[0], P[1]), m.Eq(P[0], P[2]))
+    big = m.disjoin([m.Eq(P[0], P[1]), m.Eq(P[0], P[2])])
     for _ in range(13):
-        big = m.And(big, m.Or(m.Eq(P[0], P[1]), m.Eq(P[0], P[2])))
+        big = m.conjoin([big, m.disjoin([m.Eq(P[0], P[1]),
+                                         m.Eq(P[0], P[2])])])
     assert dnf(big, budget=4096) is None
     res = entails([big], m.Eq(P[0], P[1]), budget=4096)
     assert res.status == INCONCLUSIVE
@@ -78,11 +79,8 @@ def test_dnf_budget_yields_inconclusive_not_acceptance():
 
 
 def test_congruence_closure_signature_merging():
-    c = Congruence()
     a, b = F(P[0]), F(P[1])
-    c.add_term(a)
-    c.add_term(b)
-    c.assert_equal(P[0], P[1])
+    c = congruence_of([m.Eq(a, a), m.Eq(b, b), m.Eq(P[0], P[1])])
     assert c.equal(a, b)
     assert not c.equal(a, P[2])
 
@@ -110,7 +108,7 @@ def test_match_trigger_reports_all_candidates_deterministically():
     goal = m.Eq(P[0], m.Var("v", SORT))
     subs = match_trigger([goal], hyps, {"v": SORT}, SIG)
     assert [s["v"] for s in subs] == [X]     # x and y collapse to one class
-    hyps = [m.Or(m.Eq(P[0], X), m.Eq(P[0], Y))]
+    hyps = [m.disjoin([m.Eq(P[0], X), m.Eq(P[0], Y)])]
     subs = match_trigger([goal], hyps, {"v": SORT}, SIG)
     assert subs == []                # neither binding holds in every case
 

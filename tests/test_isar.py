@@ -152,3 +152,22 @@ def test_rejected_step_is_left_open_naming_its_conditions():
     # the accepted steps still close by blast
     assert sum("sorry" in l for l in lines) == 2
     assert sum(l.endswith("by blast") for l in lines) == 3
+
+
+def test_proof_missing_the_guarantee_ends_open_naming_its_conditions():
+    """Two tgmt proofs end away from their guarantee: the conclusion is left
+    open with the proof-level findings, and an accepted proof still closes
+    by auto."""
+    model, _ = load("tgmt.apml")
+    lines = emit_theory(model).splitlines()
+
+    def closing(theorem):
+        start = lines.index("theorem %s:" % theorem)
+        return next(l for l in lines[start:] if "?thesis" in l)
+
+    assert closing("PSDAreOpenIfNotMovingAndMatchingPosition") == \
+        "  thus ?thesis sorry (* FINAL_STATE violated *)"
+    assert closing("trainOpensTheDoorOnTheRightSide_2") == \
+        "  thus ?thesis sorry (* FINAL_STATE violated, FINAL_TIME violated *)"
+    assert closing("trainOpensTheDoorOnTheRightSide") == \
+        "  thus ?thesis by auto"

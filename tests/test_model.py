@@ -246,7 +246,7 @@ def test_substitute_and_free_variables():
     assert m.free_variables(p) == {"x", "y"}
     q = m.substitute(p, {"x": y})
     assert m.free_variables(q) == {"y"}
-    assert m.conjuncts(m.And(p, q)) == [p, q]
+    assert m.conjuncts(m.conjoin([p, q])) == (p, q)
 
 
 def test_operation_and_predicate_applications_share_one_sort_check():
@@ -278,8 +278,8 @@ Pattern P ShortName p {
     # the parser rejects undeclared symbols, so build them directly
     x = m.Var("x", "B.NAT")
     out = []
-    m.check_predicate_sorts(m.And(m.Atom("B.R", (x,)),
-                                  m.Eq(x, m.App("B.g", (x,)))),
+    m.check_predicate_sorts(m.conjoin([m.Atom("B.R", (x,)),
+                                      m.Eq(x, m.App("B.g", (x,)))]),
                             model.signature, out)
     assert [(d.rule, d.message) for d in out] == [
         ("UNDECLARED_SYMBOL", "unknown predicate 'B.R'"),

@@ -17,6 +17,7 @@ from apml.parser import parse_model
 from apml.printer import print_model
 
 from oracles import (SORT, brute_force_verify, compose_behaviors,
+                     eval_predicate, eval_term,
                      naive_search_proof, naive_verify_satisfaction,
                      print_universe, random_chain_model, random_tiny_model,
                      relay_chain_model, trace_satisfies, violated_window)
@@ -77,11 +78,11 @@ def test_eval_term_and_predicate():
     port = m.Port("o", "A", m.OUTPUT, "B.N")
     f = m.App("B.f", (m.PortRef(port),))
     env, state = {"x": "1"}, {"A.o": "0"}
-    assert uni.eval_term(f, env, state) == "1"
-    assert uni.eval_predicate(m.Eq(f, m.Var("x", "B.N")), env, state)
-    assert uni.eval_predicate(m.Atom("B.p", (f,)), env, state)
-    assert not uni.eval_predicate(m.Atom("B.p", (m.PortRef(port),)),
-                                  env, state)
+    assert eval_term(uni, f, env, state) == "1"
+    assert eval_predicate(uni, m.Eq(f, m.Var("x", "B.N")), env, state)
+    assert eval_predicate(uni, m.Atom("B.p", (f,)), env, state)
+    assert not eval_predicate(uni, m.Atom("B.p", (m.PortRef(port),)),
+                              env, state)
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,25 @@ Pattern P ShortName p {
     assert not diags
     trig = model.component_types[0].contracts[0].triggers[0].predicate
     # /\ binds tighter than \/
-    assert isinstance(trig, m.Or) and isinstance(trig.rhs, m.And)
+    assert isinstance(trig, m.Or) and isinstance(trig.parts[1], m.And)
     guar = model.component_types[0].contracts[0].guarantee
-    assert isinstance(guar, m.And) and isinstance(guar.lhs, m.Or)
+    assert isinstance(guar, m.And) and isinstance(guar.parts[0], m.Or)
+
+
+def test_conjunction_chains_parse_flat_whatever_their_grouping():
+    text = (CORPUS / "relay.apml").read_text()
+
+    def guarantee_of(pred):
+        model, diags = parse_model(text.replace(
+            "guarantees { [o = x] }", "guarantees { %s }" % pred, 1))
+        assert not diags
+        return model, model.component_types[0].contracts[0].guarantee
+
+    right, g = guarantee_of("[o = x] /\\ ([x = o] /\\ [o = o])")
+    left, _ = guarantee_of("([o = x] /\\ [x = o]) /\\ [o = o]")
+    assert right == left
+    assert isinstance(g, m.And) and len(g.parts) == 3
+    assert not any(isinstance(p, m.And) for p in g.parts)
 
 
 def test_braced_reference_sets_group_into_one_set():
@@ -362,8 +378,8 @@ def models(draw):
         if kind == 1:
             return m.Atom("D.P", (term(1),))
         if kind == 2:
-            return m.And(pred(depth - 1), pred(depth - 1))
-        return m.Or(pred(depth - 1), pred(depth - 1))
+            return m.conjoin([pred(depth - 1), pred(depth - 1)])
+        return m.disjoin([pred(depth - 1), pred(depth - 1)])
 
     triggers = tuple(m.Trigger("t%d" % i, pred(1), i)
                      for i in range(draw(st.integers(0, 2))))
