@@ -19,10 +19,11 @@ architecture duration (FINAL_TIME).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import model as m
 from . import entailment as e
+from .diagnostics import Record
+
+_set = object.__setattr__
 
 OK = "ok"
 VIOLATED = "violated"
@@ -37,36 +38,43 @@ CONDITIONS = frozenset([
 ])
 
 
-@dataclass(frozen=True)
-class Finding:
-    condition: str
-    status: str                      # VIOLATED or INCONCLUSIVE
-    message: str
-    step: int = -1                   # -1 for proof-level findings
+class Finding(Record):
+    __slots__ = ("condition", "status", "message", "step")
 
-    def __post_init__(self):
-        if self.condition not in CONDITIONS:
-            raise ValueError("unknown condition %r" % self.condition)
-
-
-@dataclass(frozen=True)
-class StepVerdict:
-    index: int
-    label: str
-    status: str
-    findings: tuple = ()
-    warnings: tuple = ()             # informational, e.g. ambiguous matches
-    # chosen instantiation of the rationale's variables (original names),
-    # None when no match was established
-    instantiation: dict = field(default=None, compare=False)
+    def __init__(self, condition, status, message, step=-1):
+        if condition not in CONDITIONS:
+            raise ValueError("unknown condition %r" % condition)
+        _set(self, "condition", condition)
+        _set(self, "status", status)     # VIOLATED or INCONCLUSIVE
+        _set(self, "message", message)
+        _set(self, "step", step)         # -1 for proof-level findings
 
 
-@dataclass(frozen=True)
-class ProofVerdict:
-    contract: str
-    status: str
-    steps: tuple = ()
-    findings: tuple = ()             # proof-level (final state/time)
+class StepVerdict(Record, uncompared=("instantiation",)):
+    __slots__ = ("index", "label", "status", "findings", "warnings",
+                 "instantiation")
+
+    def __init__(self, index, label, status, findings=(), warnings=(),
+                 instantiation=None):
+        _set(self, "index", index)
+        _set(self, "label", label)
+        _set(self, "status", status)
+        _set(self, "findings", findings)
+        # informational, e.g. ambiguous matches
+        _set(self, "warnings", warnings)
+        # chosen instantiation of the rationale's variables (original
+        # names), None when no match was established
+        _set(self, "instantiation", instantiation)
+
+
+class ProofVerdict(Record):
+    __slots__ = ("contract", "status", "steps", "findings")
+
+    def __init__(self, contract, status, steps=(), findings=()):
+        _set(self, "contract", contract)
+        _set(self, "status", status)
+        _set(self, "steps", steps)
+        _set(self, "findings", findings)  # proof-level (final state/time)
 
     @property
     def all_findings(self):

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 violations found, 2 inconclusive or budget
 exceeded, 3 unreadable or unparseable input.  An unexpected exception is
 reported as one line ``error: internal: ...`` and also exits 3, never with a
 traceback.
+
+Only the modules a command uses are imported, inside the command: ``fmt``
+never loads the checker, the Isabelle emitter or the finite-domain oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import sys
 
 from . import model as m
-from . import checker, entailment, isar, oracle
+from . import entailment
 from .diagnostics import errors
 from .parser import parse_model
 from .printer import print_model, print_step
@@ -68,6 +71,7 @@ def _pick_contract(model, name):
 
 
 def cmd_check(args):
+    from . import checker
     model, diags = _load_model(args.input)
     diags = list(diags) + m.validate_structure(model)
     verdicts = checker.check_model(model, budget=args.dnf_budget)
@@ -78,6 +82,7 @@ def cmd_check(args):
 
 
 def cmd_emit_isar(args):
+    from . import isar
     model, _ = _load_model(args.input)
     config = isar.EmitConfig(comments=not args.no_comments,
                              legacy_connection_names=args.legacy_connection_names,
@@ -93,6 +98,7 @@ def cmd_emit_isar(args):
 
 
 def cmd_search(args):
+    from . import oracle
     model, _ = _load_model(args.input)
     contract = _pick_contract(model, args.contract)
     result = oracle.search_proof(model, contract, max_steps=args.max_steps,
@@ -108,6 +114,7 @@ def cmd_search(args):
 
 
 def cmd_simulate(args):
+    from . import oracle
     model, _ = _load_model(args.input)
     try:
         universe = oracle.parse_universe(_read(args.universe))

@@ -1,26 +1,89 @@
-"""Source spans and diagnostics shared by the parser, validator and checker."""
+"""Source spans and diagnostics shared by the parser, validator and checker,
+and ``Record``, the base of the toolchain's immutable value types."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class Record:
+    """An immutable value record over ``__slots__``.
+
+    A subclass names its fields, in constructor order, in ``__slots__`` and
+    sets them in its own ``__init__`` through ``object.__setattr__``; fields
+    listed in the class keyword ``uncompared`` (spans, labels) take no part
+    in equality and hashing.  Records are equal when they are of the same
+    class with equal compared fields.  The hash is computed on first use and
+    kept, so a term hashed again and again as a dictionary key pays once.
+    ``repr`` lists every field, as a dataclass does; ``copy`` and ``pickle``
+    rebuild a record through its constructor.  Records replace
+    ``@dataclass(frozen=True)`` because generating and compiling the
+    dataclass methods took about half of ``import apml.cli``.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*[f for f in cls.__slots__
+                                if f not in uncompared])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # the key of a record with one compared field is that field, and
+            # == does not shortcut identical values as a tuple comparison does
+            mine, theirs = self._key(self), other._key(other)
+            return mine is theirs or mine == theirs
+        return NotImplemented
+
+    def __hash__(self):
+        # getattr with a default, since catching the AttributeError of the
+        # unset slot costs twice as much as computing a first hash
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._key(self))
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in type(self).__slots__))
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a hash is valid in one process only
+        return type(self), tuple(getattr(self, f)
+                                 for f in type(self).__slots__)
+
+
+class SourceSpan(Record):
     """1-based half-open-ish source region; start must not exceed end."""
 
-    file: str = "<input>"
-    start_line: int = 1
-    start_col: int = 1
-    end_line: int = 1
-    end_col: int = 1
+    __slots__ = ("file", "start_line", "start_col", "end_line", "end_col")
 
-    def __post_init__(self):
-        if (self.end_line, self.end_col) < (self.start_line, self.start_col):
+    def __init__(self, file="<input>", start_line=1, start_col=1, end_line=1,
+                 end_col=1):
+        if (end_line, end_col) < (start_line, start_col):
             raise ValueError("span end precedes start")
+        _set(self, "file", file)
+        _set(self, "start_line", start_line)
+        _set(self, "start_col", start_col)
+        _set(self, "end_line", end_line)
+        _set(self, "end_col", end_col)
 
     def __str__(self):
         return "%s:%d:%d" % (self.file, self.start_line, self.start_col)
+
+
+NO_SPAN = SourceSpan()
 
 
 ERROR = "error"
@@ -60,18 +123,18 @@ RULES = frozenset([
 ])
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    rule: str
-    message: str
-    span: SourceSpan = field(default_factory=SourceSpan)
+class Diagnostic(Record):
+    __slots__ = ("severity", "rule", "message", "span")
 
-    def __post_init__(self):
-        if self.severity not in (ERROR, WARNING):
-            raise ValueError("bad severity %r" % self.severity)
-        if self.rule not in RULES:
-            raise ValueError("unregistered diagnostic rule %r" % self.rule)
+    def __init__(self, severity, rule, message, span=NO_SPAN):
+        if severity not in (ERROR, WARNING):
+            raise ValueError("bad severity %r" % severity)
+        if rule not in RULES:
+            raise ValueError("unregistered diagnostic rule %r" % rule)
+        _set(self, "severity", severity)
+        _set(self, "rule", rule)
+        _set(self, "message", message)
+        _set(self, "span", span)
 
     def __str__(self):
         return "%s: %s: %s [%s]" % (self.span, self.severity, self.message,

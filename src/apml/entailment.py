@@ -18,10 +18,11 @@ registration order, and the terms of earlier queries count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
 from . import model as m
+from .diagnostics import Record
+
+_set = object.__setattr__
 
 DEFAULT_BUDGET = 4096
 
@@ -30,12 +31,15 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Result:
-    status: str
-    # for FAILS: a hypothesis disjunct under which the goal is underivable
-    witness: Optional[m.Predicate] = None
-    reason: str = ""
+class Result(Record):
+    __slots__ = ("status", "witness", "reason")
+
+    def __init__(self, status, witness=None, reason=""):
+        _set(self, "status", status)
+        # for FAILS: a hypothesis disjunct under which the goal is
+        # underivable
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
 
     def __bool__(self):
         return self.status == HOLDS

@@ -9,10 +9,10 @@ Isar proof replays the architecture proof step by step.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import model as m
 from . import checker
+from .diagnostics import Record
 
 SORT_MAP = {
     "NAT": "nat",
@@ -32,11 +32,16 @@ class UnmappedSymbol(Exception):
     """Raised in strict mode for symbols without a built-in Isabelle image."""
 
 
-@dataclass
 class EmitConfig:
-    comments: bool = True            # traceability comments per proof step
-    legacy_connection_names: bool = False
-    strict_symbols: bool = False
+    __slots__ = ("comments", "legacy_connection_names", "strict_symbols")
+
+    def __init__(self, comments=True, legacy_connection_names=False,
+                 strict_symbols=False):
+        self.comments = comments     # traceability comments per proof step
+        self.legacy_connection_names = legacy_connection_names
+        self.strict_symbols = strict_symbols
+
+    __repr__ = Record.__repr__
 
 
 def _camel_parts(word):

@@ -12,6 +12,13 @@ return a lone part unchanged.  So an ``And`` never holds an ``And``, an
 parser bounds.  ``walk`` visits every node of a predicate or term without
 recursing; code that needs the ports, variables or symbols of a predicate
 reads them off that walk.
+
+The signature, terms, predicates, triggers and proof references are
+``Record``s: slotted value records that compare and hash by their fields,
+leaving out spans and labels, and cache their hash.  ``Contract``,
+``ArchitectureContract``, ``ProofStep``, ``ComponentType`` and ``Model``
+stay frozen dataclasses, so that ``dataclasses.replace`` can derive model
+variants from them.
 """
 
 from __future__ import annotations
@@ -20,27 +27,30 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .diagnostics import (Diagnostic, SourceSpan, ERROR, WARNING)
+from .diagnostics import Diagnostic, NO_SPAN, Record, ERROR, WARNING
 
-NO_SPAN = SourceSpan()
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Signature
 
-@dataclass(frozen=True)
-class DataType:
+class DataType(Record, uncompared=("span",)):
     """One DT block: an optional sort plus predicate/operation symbols.
 
     Sorts and symbols are namespaced by the DT name; the qualified form
     ``DT.name`` is the canonical identifier used everywhere else.
     """
 
-    name: str
-    sort: Optional[str] = None           # unqualified sort name, if declared
-    predicates: tuple = ()               # (name, (arg_sort, ...)) pairs
-    operations: tuple = ()               # (name, (arg_sorts...), result_sort)
-    span: SourceSpan = field(default=NO_SPAN, compare=False)
+    __slots__ = ("name", "sort", "predicates", "operations", "span")
+
+    def __init__(self, name, sort=None, predicates=(), operations=(),
+                 span=NO_SPAN):
+        _set(self, "name", name)
+        _set(self, "sort", sort)         # unqualified sort name, if declared
+        _set(self, "predicates", predicates)  # (name, (arg_sort, ...)) pairs
+        _set(self, "operations", operations)  # (name, arg_sorts, result)
+        _set(self, "span", span)
 
 
 class Signature:
@@ -66,12 +76,14 @@ INPUT = "input"
 OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class Port:
-    name: str
-    owner: str
-    direction: str
-    sort: str                            # qualified sort name
+class Port(Record):
+    __slots__ = ("name", "owner", "direction", "sort")
+
+    def __init__(self, name, owner, direction, sort):
+        _set(self, "name", name)
+        _set(self, "owner", owner)
+        _set(self, "direction", direction)
+        _set(self, "sort", sort)         # qualified sort name
 
     @property
     def qualified(self):
@@ -81,21 +93,27 @@ class Port:
         return self.qualified
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: str
+class Var(Record):
+    __slots__ = ("name", "sort")
+
+    def __init__(self, name, sort):
+        _set(self, "name", name)
+        _set(self, "sort", sort)
 
 
-@dataclass(frozen=True)
-class PortRef:
-    port: Port
+class PortRef(Record):
+    __slots__ = ("port",)
+
+    def __init__(self, port):
+        _set(self, "port", port)
 
 
-@dataclass(frozen=True)
-class App:
-    op: str                              # qualified operation name
-    args: tuple
+class App(Record):
+    __slots__ = ("op", "args")
+
+    def __init__(self, op, args):
+        _set(self, "op", op)             # qualified operation name
+        _set(self, "args", args)
 
 
 Term = Union[Var, PortRef, App]
@@ -104,26 +122,34 @@ Term = Union[Var, PortRef, App]
 # ---------------------------------------------------------------------------
 # Predicates
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: Term
-    rhs: Term
+class Eq(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str                            # qualified predicate name
-    args: tuple
+class Atom(Record):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred, args):
+        _set(self, "pred", pred)         # qualified predicate name
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple                         # two or more; none of them an And
+class And(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        _set(self, "parts", parts)       # two or more; none of them an And
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple                         # two or more; none of them an Or
+class Or(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        _set(self, "parts", parts)       # two or more; none of them an Or
 
 
 Predicate = Union[Eq, Atom, And, Or]
@@ -207,12 +233,14 @@ def rename_variables(p, mapping):
 # ---------------------------------------------------------------------------
 # Contracts
 
-@dataclass(frozen=True)
-class Trigger:
-    label: str
-    predicate: Predicate
-    time: int
-    span: SourceSpan = field(default=NO_SPAN, compare=False)
+class Trigger(Record, uncompared=("span",)):
+    __slots__ = ("label", "predicate", "time", "span")
+
+    def __init__(self, label, predicate, time, span=NO_SPAN):
+        _set(self, "label", label)
+        _set(self, "predicate", predicate)
+        _set(self, "time", time)
+        _set(self, "span", span)
 
 
 @dataclass(frozen=True)
@@ -233,17 +261,21 @@ class Contract:
 # ---------------------------------------------------------------------------
 # Proofs
 
-@dataclass(frozen=True)
-class TriggerRef:
-    index: int
-    label: str = field(default="", compare=False)
+class TriggerRef(Record, uncompared=("label",)):
+    __slots__ = ("index", "label")
+
+    def __init__(self, index, label=""):
+        _set(self, "index", index)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class StepRef:
-    index: int
-    connections: tuple                   # of (input Port, output Port)
-    label: str = field(default="", compare=False)
+class StepRef(Record, uncompared=("label",)):
+    __slots__ = ("index", "connections", "label")
+
+    def __init__(self, index, connections, label=""):
+        _set(self, "index", index)
+        _set(self, "connections", connections)  # of (input, output Port)
+        _set(self, "label", label)
 
 
 Reference = Union[TriggerRef, StepRef]

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import model as m
 from . import entailment as e
+from .diagnostics import Record
+
+_set = object.__setattr__
 
 FOUND = "found"
 NO_PROOF_AT_BOUND = "no-proof-at-bound"
@@ -47,11 +48,18 @@ class ExplosionError(Exception):
 # ---------------------------------------------------------------------------
 # Universes
 
-@dataclass
 class FiniteUniverse:
-    carriers: dict = field(default_factory=dict)   # sort -> list of values
-    operations: dict = field(default_factory=dict) # op -> {args: value}
-    predicates: dict = field(default_factory=dict) # pred -> set of arg tuples
+    __slots__ = ("carriers", "operations", "predicates")
+
+    def __init__(self, carriers=None, operations=None, predicates=None):
+        # sort -> list of values
+        self.carriers = {} if carriers is None else carriers
+        # op -> {args: value}
+        self.operations = {} if operations is None else operations
+        # pred -> set of arg tuples
+        self.predicates = {} if predicates is None else predicates
+
+    __repr__ = Record.__repr__
 
     def carrier(self, sort):
         return self.carriers.get(sort, [])
@@ -108,7 +116,8 @@ def _compile(universe, node, names, slots):
     indexed by ``names`` (variable name -> position) and ``slots`` (qualified
     port name -> position).  An operation is None off its table and a
     predicate atom true exactly on its table; an ``And`` holds when all its
-    parts do and an ``Or`` when one does, parts tried left to right."""
+    parts do and an ``Or`` when one does, parts tried left to right.  A part
+    repeated in one node is compiled and evaluated once."""
     if isinstance(node, m.Var):
         j = names[node.name]
         return lambda env, state: env[j]
@@ -127,7 +136,8 @@ def _compile(universe, node, names, slots):
         lhs = _compile(universe, node.lhs, names, slots)
         rhs = _compile(universe, node.rhs, names, slots)
         return lambda env, state: lhs(env, state) == rhs(env, state)
-    parts = [_compile(universe, p, names, slots) for p in node.parts]
+    parts = [_compile(universe, p, names, slots)
+             for p in dict.fromkeys(node.parts)]
     if isinstance(node, m.And):
         return lambda env, state: all(f(env, state) for f in parts)
     return lambda env, state: any(f(env, state) for f in parts)
@@ -142,7 +152,8 @@ def _functional_form(c, outputs):
     variables and no ports.  For such a contract the triggers fire on every
     trace (an equality trigger is satisfied by the observed value), so the
     outputs at ``n + duration`` are a function of earlier inputs; the trace
-    search can compute them instead of enumerating and rejecting.
+    search can compute them instead of enumerating and rejecting.  A
+    repeated equation gives one result.
     """
     binds = {}
     for t in c.triggers:
@@ -152,7 +163,7 @@ def _functional_form(c, outputs):
                 or t.time >= c.duration:
             return None
         binds[p.rhs.name] = (p.lhs.port, t.time)
-    results = []
+    results = {}                     # (output, rhs) pairs, in order, once
     for conj in m.conjuncts(c.guarantee):
         if not (isinstance(conj, m.Eq) and isinstance(conj.lhs, m.PortRef)
                 and conj.lhs.port in outputs):
@@ -160,7 +171,7 @@ def _functional_form(c, outputs):
         if (m.ports_of(conj.rhs)
                 or not m.free_variables(conj.rhs) <= set(binds)):
             return None
-        results.append((conj.lhs.port, conj.rhs))
+        results[conj.lhs.port, conj.rhs] = None
     return binds, results, c.duration
 
 
@@ -309,20 +320,24 @@ def verify_satisfaction(model, contract, universe, horizon=None,
 # ---------------------------------------------------------------------------
 # Proof search
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: str
-    proof: Optional[tuple] = None    # of ProofStep
-    steps_explored: int = 0
+class SearchResult(Record):
+    __slots__ = ("status", "proof", "steps_explored")
+
+    def __init__(self, status, proof=None, steps_explored=0):
+        _set(self, "status", status)
+        _set(self, "proof", proof)       # of ProofStep
+        _set(self, "steps_explored", steps_explored)
 
 
-@dataclass(frozen=True)
-class _Fact:
-    time: int
-    state: m.Predicate
-    rationale: str
-    refs: tuple                      # reference sets as in ProofStep
-    index: int                       # position in the fact list
+class _Fact(Record):
+    __slots__ = ("time", "state", "rationale", "refs", "index")
+
+    def __init__(self, time, state, rationale, refs, index):
+        _set(self, "time", time)
+        _set(self, "state", state)
+        _set(self, "rationale", rationale)
+        _set(self, "refs", refs)         # reference sets as in ProofStep
+        _set(self, "index", index)       # position in the fact list
 
 
 def _anchors(contract, budget):

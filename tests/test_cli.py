@@ -1,5 +1,10 @@
 """Command line interface: subcommands, exit codes, outputs."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from apml import checker
@@ -167,6 +172,51 @@ def test_internal_error_is_one_line(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("error: internal: ")
     assert err.count("\n") == 1
+
+
+# Start-up cost: what a command imports
+
+IMPORT_PROBE = """
+import contextlib, importlib, io, json, pkgutil, sys
+import apml
+from apml import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, sorted(k for k in sys.modules if k.startswith("apml."))
+
+out = {"fmt": run("fmt", sys.argv[1]), "check": run("check", sys.argv[1])}
+for info in pkgutil.iter_modules(apml.__path__, "apml."):
+    importlib.import_module(info.name)
+out["dataclasses"] = sorted(
+    name for key, mod in sys.modules.items() if key.startswith("apml.")
+    for name, obj in vars(mod).items()
+    if isinstance(obj, type) and obj.__module__ == key
+    and hasattr(obj, "__dataclass_fields__"))
+print(json.dumps(out))
+"""
+
+
+def test_commands_import_only_what_they_use():
+    """fmt loads neither the checker, the Isabelle emitter nor the oracle,
+    and check loads the checker only; records other than the five model
+    containers that ``dataclasses.replace`` derives variants from are not
+    dataclasses."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, RELAY],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    fmt_code, after_fmt = out["fmt"]
+    check_code, after_check = out["check"]
+    assert fmt_code == check_code == 0
+    assert not {"apml.checker", "apml.isar", "apml.oracle"} & set(after_fmt)
+    assert "apml.checker" in after_check
+    assert not {"apml.isar", "apml.oracle"} & set(after_check)
+    assert out["dataclasses"] == sorted([
+        "ArchitectureContract", "ComponentType", "Contract", "Model",
+        "ProofStep"])
 
 
 # Predicate chains: every command, at the widths and depths the parser takes

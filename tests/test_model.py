@@ -1,9 +1,16 @@
-"""Structure validation and core model helpers."""
+"""Structure validation, core model helpers and value-record semantics."""
+
+import copy
+import dataclasses
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from apml import checker, entailment, isar, oracle
 from apml import model as m
-from apml.diagnostics import Diagnostic, SourceSpan, RULES, ERROR, WARNING
+from apml.diagnostics import (Diagnostic, NO_SPAN, SourceSpan, RULES, ERROR,
+                              WARNING)
 from apml.parser import parse_model
 
 from conftest import load
@@ -285,3 +292,178 @@ Pattern P ShortName p {
         ("UNDECLARED_SYMBOL", "unknown predicate 'B.R'"),
         ("UNDECLARED_SYMBOL", "unknown operation 'B.g'"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Value records
+
+SPAN = SourceSpan("f.apml", 1, 2, 3, 4)
+PORT = m.Port("o", "A", m.OUTPUT, "B.N")
+X = m.Var("x", "B.N")
+EQ = m.Eq(m.PortRef(PORT), X)
+
+# every record class: the fields of one instance, in constructor order, and
+# the fields left out of equality and hashing
+RECORDS = [
+    (SourceSpan, dict(file="f", start_line=1, start_col=2, end_line=3,
+                      end_col=4), ()),
+    (Diagnostic, dict(severity=ERROR, rule="LEX_ERROR", message="bad",
+                      span=SPAN), ()),
+    (m.DataType, dict(name="B", sort="N", predicates=(("P", ("B.N",)),),
+                      operations=(("f", ("B.N",), "B.N"),), span=SPAN),
+     ("span",)),
+    (m.Port, dict(name="o", owner="A", direction=m.OUTPUT, sort="B.N"), ()),
+    (m.Var, dict(name="x", sort="B.N"), ()),
+    (m.PortRef, dict(port=PORT), ()),
+    (m.App, dict(op="B.f", args=(X,)), ()),
+    (m.Eq, dict(lhs=m.PortRef(PORT), rhs=X), ()),
+    (m.Atom, dict(pred="B.P", args=(X,)), ()),
+    (m.And, dict(parts=(EQ, m.Atom("B.P", (X,)))), ()),
+    (m.Or, dict(parts=(EQ, m.Atom("B.P", (X,)))), ()),
+    (m.Trigger, dict(label="t1", predicate=EQ, time=0, span=SPAN), ("span",)),
+    (m.TriggerRef, dict(index=0, label="t1"), ("label",)),
+    (m.StepRef, dict(index=0, connections=((PORT, PORT),), label="s0"),
+     ("label",)),
+    (checker.Finding, dict(condition="C3", status=checker.VIOLATED,
+                           message="bad", step=0), ()),
+    (checker.StepVerdict, dict(index=0, label="s0", status=checker.OK,
+                               findings=(), warnings=("note",),
+                               instantiation={"x": X}), ("instantiation",)),
+    (checker.ProofVerdict, dict(contract="c", status=checker.OK, steps=(),
+                                findings=()), ()),
+    (entailment.Result, dict(status=entailment.FAILS, witness=EQ,
+                             reason="why"), ()),
+    (oracle.SearchResult, dict(status=oracle.FOUND, proof=(),
+                               steps_explored=1), ()),
+    (oracle._Fact, dict(time=1, state=EQ, rationale="A.c", refs=(),
+                        index=0), ()),
+]
+RECORD_IDS = [cls.__qualname__ for cls, _, _ in RECORDS]
+
+# values the constructors accept in place of the ones above
+ALTERNATIVES = {"severity": WARNING, "rule": "NESTING_LIMIT",
+                "condition": "C4"}
+
+
+def _other(field, value):
+    """A value unequal to ``value`` that the constructor still accepts."""
+    if field in ALTERNATIVES:
+        return ALTERNATIVES[field]
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "'"
+    if isinstance(value, tuple):
+        return value + (X,)
+    if isinstance(value, dict):
+        return {}
+    return m.Var("y", "B.N")
+
+
+@pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
+def test_records_compare_and_hash_by_their_compared_fields(cls, fields,
+                                                           uncompared):
+    record = cls(**fields)
+    twin = cls(**fields)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(record)
+    for name, value in fields.items():
+        changed = cls(**dict(fields, **{name: _other(name, value)}))
+        if name in uncompared:
+            assert changed == record and hash(changed) == hash(record), name
+        else:
+            assert changed != record, name
+    assert record != tuple(fields.values())
+
+
+def test_and_and_or_over_the_same_parts_differ():
+    parts = (EQ, m.Atom("B.P", (X,)))
+    assert m.And(parts) != m.Or(parts)
+    assert len({m.And(parts), m.Or(parts), m.And(parts)}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
+def test_records_are_frozen(cls, fields, uncompared):
+    record = cls(**fields)
+    hash(record)
+    for name, value in fields.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(FrozenInstanceError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
+def test_records_keep_the_dataclass_repr_and_constructors(cls, fields,
+                                                          uncompared):
+    record = cls(*fields.values())
+    assert record == cls(**fields)
+    assert repr(record) == "%s(%s)" % (cls.__qualname__, ", ".join(
+        "%s=%r" % item for item in fields.items()))
+
+
+def test_models_copy_and_pickle():
+    model, _ = load("tgmt.apml")
+    for again in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert again == model and again is not model
+        assert hash(again.contracts[0].guarantee) == hash(
+            model.contracts[0].guarantee)
+        assert again.contracts[0].triggers[0].span == \
+            model.contracts[0].triggers[0].span
+
+
+def test_record_reprs_and_defaults():
+    assert repr(m.Var("x", "Bit.BIT")) == "Var(name='x', sort='Bit.BIT')"
+    assert repr(m.TriggerRef(1)) == "TriggerRef(index=1, label='')"
+    assert repr(SourceSpan()) == ("SourceSpan(file='<input>', start_line=1, "
+                                  "start_col=1, end_line=1, end_col=1)")
+    assert Diagnostic(ERROR, "LEX_ERROR", "bad").span == SourceSpan()
+    assert m.DataType("B") == m.DataType("B", None, (), (), NO_SPAN)
+    assert m.Trigger("t", EQ, 0).span is NO_SPAN
+    assert m.StepRef(0, ()).label == ""
+    assert checker.Finding("C1", checker.VIOLATED, "bad").step == -1
+    verdict = checker.StepVerdict(0, "s0", checker.OK)
+    assert (verdict.findings, verdict.warnings, verdict.instantiation) == (
+        (), (), None)
+    assert checker.ProofVerdict("c", checker.OK).steps == ()
+    assert entailment.Result(entailment.HOLDS) == entailment.Result(
+        entailment.HOLDS, None, "")
+    assert oracle.SearchResult(oracle.FOUND) == oracle.SearchResult(
+        oracle.FOUND, None, 0)
+
+
+def test_finding_rejects_unknown_condition():
+    with pytest.raises(ValueError):
+        checker.Finding("C6", checker.VIOLATED, "bad")
+
+
+def test_configuration_objects_stay_mutable():
+    config = isar.EmitConfig()
+    assert (config.comments, config.legacy_connection_names,
+            config.strict_symbols) == (True, False, False)
+    config.comments = False
+    assert repr(config) == ("EmitConfig(comments=False, "
+                            "legacy_connection_names=False, "
+                            "strict_symbols=False)")
+    first, second = oracle.FiniteUniverse(), oracle.FiniteUniverse()
+    first.carriers["S"] = ["0"]
+    assert second.carriers == {} and second.operations == {} \
+        and second.predicates == {}
+    universe = oracle.FiniteUniverse(carriers={"S": ["0"]})
+    assert universe.carrier("S") == ["0"]
+
+
+def test_model_containers_stay_dataclasses():
+    model, diags = load("relay.apml")
+    assert not diags
+    ct = model.component_types[0]
+    contract = model.contracts[0]
+    step = contract.proof[0]
+    assert dataclasses.replace(ct.contracts[0], duration=3).duration == 3
+    assert dataclasses.replace(contract, proof=None).proof is None
+    assert dataclasses.replace(step, time=5).time == 5
+    assert dataclasses.replace(ct, contracts=()).contracts == ()
+    assert dataclasses.replace(model, contracts=()).contracts == ()

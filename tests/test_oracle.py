@@ -238,6 +238,22 @@ def test_component_duration_at_a_trigger_offset_is_checked_by_window(relay,
     assert all(s["Stage2.o"] == s["Stage1.i"] for s in counter)
 
 
+def test_a_repeated_equation_gives_one_functional_result(relay, bits):
+    """A guarantee repeating ``[o = x]`` computes ``o`` once per level, and
+    the relay still holds."""
+    stage = relay.component_types[0]
+    fwd = stage.contracts[0]
+    repeated = dataclasses.replace(
+        fwd, guarantee=m.conjoin([fwd.guarantee] * 3))
+    _, results, _ = oracle._functional_form(repeated, stage.outputs)
+    assert list(results) == [(fwd.guarantee.lhs.port, fwd.guarantee.rhs)]
+    model = dataclasses.replace(relay, component_types=(
+        dataclasses.replace(stage, contracts=(repeated,)),)
+        + relay.component_types[1:])
+    assert verify_satisfaction(model, model.contracts[0], bits) == (True,
+                                                                    None)
+
+
 # A delay-2 inverter: Inv.o at t + 2 is the negation of Inv.i at t.  The
 # contract claims Inv.o is one at 4 when Inv.i is one at 0, but Inv.o at 4
 # follows Inv.i at 2.  The search first exhausts the prefixes with Inv.i = 0
