@@ -100,25 +100,119 @@ def _ref_name(ref):
                          else "s%d" % ref.index)
 
 
-def _rename_rationale(rationale, index):
-    """Fresh names for the rationale's variables, per step."""
-    return {name: ("%s@%d" % (name, index), sort)
-            for name, sort in rationale.variables}
+def instantiate(model, contract, steps, index, rationale, refs, findings,
+                budget=e.DEFAULT_BUDGET):
+    """C1, EMPTY_REFSET, REF_ARITY, C2, UNKNOWN_CONNECTION and C3 of applying
+    ``rationale`` as step ``index`` with reference sets ``refs``, for the
+    checker and proof search alike.  Appends a finding per failure; a
+    VIOLATED one already in ``findings`` fails too.  Returns the status, the
+    matching instantiations in order, the fresh per-step renaming of the
+    variables and the base time (None when the rationale has no triggers).
+    """
+    renaming = {name: ("%s@%d" % (name, index), sort)
+                for name, sort in rationale.variables}
+    # C1: the parser only resolves architecture triggers and earlier steps,
+    # so re-check defensively on the resolved indices
+    for ref_set in refs:
+        for ref in ref_set:
+            ok = (ref.index < len(contract.triggers)
+                  if isinstance(ref, m.TriggerRef) else ref.index < index)
+            if not ok:
+                findings.append(Finding(
+                    "C1", VIOLATED,
+                    "step %d references %s, which is not an architecture "
+                    "trigger or an earlier step" % (index, _ref_name(ref)),
+                    index))
 
+    for set_no, ref_set in enumerate(refs):
+        if not ref_set:
+            findings.append(Finding("EMPTY_REFSET", VIOLATED,
+                                    "step %d reference set %d is empty"
+                                    % (index, set_no), index))
+    if any(f.status == VIOLATED for f in findings):
+        return VIOLATED, [], None, None
 
-def _reference_facts(ref_set, contract, steps, connections):
-    """Facts contributed by one reference set, plus any unknown connections."""
-    facts, unknown = [], []
-    for ref in ref_set:
-        if isinstance(ref, m.TriggerRef):
-            facts.append(contract.triggers[ref.index].predicate)
-        else:
+    n_trig = len(rationale.triggers)
+    if len(refs) != n_trig:
+        findings.append(Finding(
+            "REF_ARITY", VIOLATED,
+            "step %d has %d reference sets but rationale '%s' has %d "
+            "trigger(s)" % (index, len(refs), rationale.qualified,
+                            n_trig), index))
+        return VIOLATED, [], None, None
+    if n_trig == 0:
+        return OK, [{}], renaming, None
+
+    # C2: time agreement inside each set and against the trigger offsets
+    times = []
+    for set_no, ref_set in enumerate(refs):
+        ts = sorted({reference_time(r, contract, steps) for r in ref_set})
+        if len(ts) > 1:
+            findings.append(Finding(
+                "C2", VIOLATED,
+                "step %d reference set %d mixes times %s"
+                % (index, set_no, ", ".join(map(str, ts))), index))
+        times.append(ts[0])
+    if findings:
+        return VIOLATED, [], None, None
+    base = times[0]
+    for j, t in enumerate(times):
+        expected = base + rationale.triggers[j].time
+        if t != expected:
+            findings.append(Finding(
+                "C2", VIOLATED,
+                "step %d reference set %d is at time %d, expected "
+                "%d (base %d + trigger offset %d)"
+                % (index, j, t, expected, base,
+                   rationale.triggers[j].time), index))
+    if findings:
+        return VIOLATED, [], None, None
+
+    # C3: each reference set must entail its trigger, under one shared
+    # variable instantiation
+    variables = {new: sort for new, sort in renaming.values()}
+    sigmas = [{}]
+    for j, ref_set in enumerate(refs):
+        facts = []
+        for ref in ref_set:
+            if isinstance(ref, m.TriggerRef):
+                facts.append(contract.triggers[ref.index].predicate)
+                continue
             facts.append(steps[ref.index].state)
             for p_in, p_out in ref.connections:
-                if (p_in, p_out) not in connections:
-                    unknown.append((p_in, p_out))
-                facts.append(m.Eq(m.PortRef(p_in), m.PortRef(p_out)))
-    return facts, unknown
+                eq = model.connection_equalities.get((p_in, p_out))
+                if eq is None:
+                    findings.append(Finding(
+                        "UNKNOWN_CONNECTION", VIOLATED,
+                        "step %d uses connection (%s, %s), which the "
+                        "architecture does not declare"
+                        % (index, p_in.qualified, p_out.qualified), index))
+                else:
+                    facts.append(eq)
+        if findings:
+            return VIOLATED, [], None, None
+        goal = m.rename_variables(rationale.triggers[j].predicate, renaming)
+        extended = []
+        for sigma in sigmas:
+            found = e.match_trigger([goal], facts, variables,
+                                    model.signature, sigma=sigma,
+                                    budget=budget)
+            if found is None:
+                findings.append(Finding(
+                    "C3", INCONCLUSIVE,
+                    "step %d trigger %d: case split exceeds the budget"
+                    % (index, j), index))
+                return INCONCLUSIVE, [], None, None
+            extended.extend(s for s in found if s not in extended)
+        sigmas = extended
+        if not sigmas:
+            findings.append(Finding(
+                "C3", VIOLATED,
+                "step %d: reference set %d does not entail trigger "
+                "'%s' of '%s'" % (index, j, rationale.triggers[j].label,
+                                  rationale.qualified), index))
+            return VIOLATED, [], None, None
+    return OK, sigmas, renaming, base
 
 
 def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
@@ -142,41 +236,14 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
             % (index, ", ".join(p.qualified for p in bad), rationale.owner),
             index))
 
-    # C1: the parser only resolves architecture triggers and earlier steps,
-    # so re-check defensively on the resolved indices
-    for ref_set in step.refs:
-        for ref in ref_set:
-            ok = (ref.index < len(contract.triggers)
-                  if isinstance(ref, m.TriggerRef) else ref.index < index)
-            if not ok:
-                findings.append(Finding(
-                    "C1", VIOLATED,
-                    "step %d references %s, which is not an architecture "
-                    "trigger or an earlier step" % (index, _ref_name(ref)),
-                    index))
+    status, sigmas, renaming, base = instantiate(
+        model, contract, steps, index, rationale, step.refs, findings, budget)
+    if status != OK:
+        return StepVerdict(index, step.label, status, tuple(findings))
 
-    for set_no, ref_set in enumerate(step.refs):
-        if not ref_set:
-            findings.append(Finding("EMPTY_REFSET", VIOLATED,
-                                    "step %d reference set %d is empty"
-                                    % (index, set_no), index))
-    if any(f.status == VIOLATED for f in findings):
-        return StepVerdict(index, step.label, VIOLATED, tuple(findings))
-
-    n_trig = len(rationale.triggers)
-    if len(step.refs) != n_trig:
-        findings.append(Finding(
-            "REF_ARITY", VIOLATED,
-            "step %d has %d reference sets but rationale '%s' has %d "
-            "trigger(s)" % (index, len(step.refs), rationale.qualified,
-                            n_trig), index))
-        return StepVerdict(index, step.label, VIOLATED, tuple(findings))
-
-    renaming = _rename_rationale(rationale, index)
-    variables = {new: sort for new, sort in renaming.values()}
-
-    if n_trig == 0:
-        # trigger-less rationale: base time is implied by the step time
+    # C4: the step's time is the base plus the rationale's duration; a
+    # trigger-less rationale's base is implied by the step time
+    if base is None:
         if step.time < rationale.duration:
             findings.append(Finding(
                 "C4", VIOLATED,
@@ -184,83 +251,14 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
                 "non-negative base time" % (index, step.time,
                                             rationale.qualified,
                                             rationale.duration), index))
-            return StepVerdict(index, step.label, VIOLATED, tuple(findings))
-        sigmas = [{}]
-    else:
-        # C2: time agreement inside each set and against the trigger offsets
-        times = []
-        for set_no, ref_set in enumerate(step.refs):
-            ts = sorted({reference_time(r, contract, steps) for r in ref_set})
-            if len(ts) > 1:
-                findings.append(Finding(
-                    "C2", VIOLATED,
-                    "step %d reference set %d mixes times %s"
-                    % (index, set_no, ", ".join(map(str, ts))), index))
-            times.append(ts[0])
-        if not findings:
-            base = times[0]
-            for j, t in enumerate(times):
-                expected = base + rationale.triggers[j].time
-                if t != expected:
-                    findings.append(Finding(
-                        "C2", VIOLATED,
-                        "step %d reference set %d is at time %d, expected "
-                        "%d (base %d + trigger offset %d)"
-                        % (index, j, t, expected, base,
-                           rationale.triggers[j].time), index))
-        if findings:
-            return StepVerdict(index, step.label, VIOLATED, tuple(findings))
-
-        # C3: each reference set must entail its trigger, under one shared
-        # variable instantiation
-        sigmas = [{}]
-        for j, ref_set in enumerate(step.refs):
-            facts, unknown = _reference_facts(ref_set, contract, steps,
-                                              model.connection_set)
-            for p_in, p_out in unknown:
-                findings.append(Finding(
-                    "UNKNOWN_CONNECTION", VIOLATED,
-                    "step %d uses connection (%s, %s), which the "
-                    "architecture does not declare"
-                    % (index, p_in.qualified, p_out.qualified), index))
-            if any(f.status == VIOLATED for f in findings):
-                return StepVerdict(index, step.label, VIOLATED,
-                                   tuple(findings))
-            goal = m.rename_variables(rationale.triggers[j].predicate,
-                                      renaming)
-            extended = []
-            for sigma in sigmas:
-                found = e.match_trigger([goal], facts, variables,
-                                        model.signature, sigma=sigma,
-                                        budget=budget)
-                if found is None:
-                    findings.append(Finding(
-                        "C3", INCONCLUSIVE,
-                        "step %d trigger %d: case split exceeds the budget"
-                        % (index, j), index))
-                    return StepVerdict(index, step.label, INCONCLUSIVE,
-                                       tuple(findings))
-                extended.extend(s for s in found if s not in extended)
-            sigmas = extended
-            if not sigmas:
-                findings.append(Finding(
-                    "C3", VIOLATED,
-                    "step %d: reference set %d does not entail trigger "
-                    "'%s' of '%s'" % (index, j,
-                                      rationale.triggers[j].label,
-                                      rationale.qualified), index))
-                return StepVerdict(index, step.label, VIOLATED,
-                                   tuple(findings))
-
-        # C4: the step's time is the base plus the rationale's duration
-        base = times[0]
-        if step.time != base + rationale.duration:
-            findings.append(Finding(
-                "C4", VIOLATED,
-                "step %d is at time %d, expected %d (base %d + duration %d)"
-                % (index, step.time, base + rationale.duration, base,
-                   rationale.duration), index))
-            return StepVerdict(index, step.label, VIOLATED, tuple(findings))
+    elif step.time != base + rationale.duration:
+        findings.append(Finding(
+            "C4", VIOLATED,
+            "step %d is at time %d, expected %d (base %d + duration %d)"
+            % (index, step.time, base + rationale.duration, base,
+               rationale.duration), index))
+    if findings:
+        return StepVerdict(index, step.label, VIOLATED, tuple(findings))
 
     if len(sigmas) > 1:
         warnings.append("step %d: %d variable instantiations match; trying "
@@ -272,25 +270,21 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
 
     # C5: some matching instantiation's guarantee must entail the state
     guarantee = m.rename_variables(rationale.guarantee, renaming)
-    last = None
     for sigma in sigmas:
         res = e.entails([m.substitute(guarantee, sigma)], step.state, budget)
         if res.status == e.HOLDS:
-            return StepVerdict(index, step.label, OK, tuple(findings),
-                               tuple(warnings), compose(sigma))
-        last = res
-    if last is not None and last.status == e.INCONCLUSIVE:
-        findings.append(Finding("C5", INCONCLUSIVE,
-                                "step %d: %s" % (index, last.reason), index))
+            return StepVerdict(index, step.label, OK, (), tuple(warnings),
+                               compose(sigma))
+    if res.status == e.INCONCLUSIVE:
+        finding = Finding("C5", INCONCLUSIVE,
+                          "step %d: %s" % (index, res.reason), index)
     else:
-        findings.append(Finding(
+        finding = Finding(
             "C5", VIOLATED,
             "step %d: guarantee of '%s' does not entail the step state"
-            % (index, rationale.qualified), index))
-    status = _combine([f.status for f in findings])
-    return StepVerdict(index, step.label, status, tuple(findings),
-                       tuple(warnings),
-                       compose(sigmas[0]) if sigmas else None)
+            % (index, rationale.qualified), index)
+    return StepVerdict(index, step.label, finding.status, (finding,),
+                       tuple(warnings), compose(sigmas[0]))
 
 
 def check_proof(model, contract, budget=e.DEFAULT_BUDGET):

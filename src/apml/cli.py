@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 violations found, 2 inconclusive or budget
-exceeded, 3 unreadable or unparseable input.  An unexpected exception is
-reported as one line ``error: internal: ...`` and also exits 3, never with a
-traceback.
+exceeded, 3 unreadable, unparseable or (``--strict-symbols``) unmapped input.
+An unexpected exception is reported as one line ``error: internal: ...`` and
+also exits 3, never with a traceback.
 
 Only the modules a command uses are imported, inside the command: ``fmt``
 never loads the checker, the Isabelle emitter or the finite-domain oracle.
@@ -92,7 +92,7 @@ def cmd_emit_isar(args):
     except isar.UnmappedSymbol as exc:
         print("error: UNMAPPED_SYMBOL: no Isabelle image for '%s'" % exc,
               file=sys.stderr)
-        return EXIT_VIOLATED
+        return EXIT_BAD_INPUT
     _write(args.output, text)
     return EXIT_OK
 

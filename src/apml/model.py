@@ -329,8 +329,10 @@ class Model:
         return Signature(self.datatypes)
 
     @cached_property
-    def connection_set(self):
-        return frozenset(self.connections)
+    def connection_equalities(self):
+        """(input, output) of each connection -> the equality it asserts."""
+        return {conn: Eq(PortRef(conn[0]), PortRef(conn[1]))
+                for conn in self.connections}
 
     @cached_property
     def connections_by_owner(self):

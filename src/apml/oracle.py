@@ -29,6 +29,7 @@ import bisect
 import itertools
 
 from . import model as m
+from . import checker
 from . import entailment as e
 from .diagnostics import Record
 
@@ -355,13 +356,28 @@ def _anchors(contract, budget):
     return out
 
 
+def _derived_state(guarantee, renaming, sigma):
+    """The guarantee under ``sigma``, less the conjuncts with a variable that
+    ``sigma`` leaves unbound (a renamed one cannot be printed, and C5 holds
+    for any conjuncts of the guarantee); None if no conjunct is left."""
+    bound = {orig: sigma[new] for orig, (new, _) in renaming.items()
+             if new in sigma}
+    unbound = renaming.keys() - bound.keys()
+    if unbound:
+        guarantee = m.conjoin([p for p in m.conjuncts(guarantee)
+                               if not m.free_variables(p) & unbound])
+    return None if guarantee is None else m.substitute(guarantee, bound)
+
+
 def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     """Saturate the fact base with contract applications.
 
     Facts start from the architecture triggers; each round applies every
     component contract at every base time whose reference sets can be
-    assembled and whose triggers are entailed.  Search stops when a fact at
-    the architecture's duration entails its guarantee.
+    assembled.  The checker's ``instantiate`` decides every application, as
+    it decides a written step; the fact is the rationale's guarantee under
+    its first instantiation.  Search stops when a fact at the architecture's
+    duration entails its guarantee.
 
     Indexes kept up to date as facts are added replace the scans of all
     facts and connections on every try: the references at each time
@@ -385,8 +401,6 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     tries differ from trying every known base, so the facts, their order and
     the result are the same.
     """
-    signature = model.signature
-    by_owner = model.connections_by_owner
     feeds = {}                       # output port -> inputs it feeds
     for p_in, p_out in model.connections:
         feeds.setdefault(p_out, []).append(p_in)
@@ -403,7 +417,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                 port_times.setdefault(q, set()).add(time)
 
     for j, t in enumerate(contract.triggers):
-        add_ref(t.time, m.TriggerRef(j, "t%d" % j), t.predicate, None)
+        add_ref(t.time, m.TriggerRef(j, t.label), t.predicate, None)
 
     def known_before(time, mark):
         """Did a reference exist at this time before fact number mark?"""
@@ -422,39 +436,25 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                 return fact
         return None
 
-    def try_apply(ct, c, base):
-        renaming = {name: ("%s@s" % name, sort) for name, sort in c.variables}
-        variables = {new: sort for new, sort in renaming.values()}
-        ref_sets, sigma_list = [], [{}]
+    def derive(c, into, base):
+        """(state, reference sets) of a fact applying c at base, or None.
+        A fact's reference carries the connections of into from its ports."""
+        ref_sets = []
         for trig in c.triggers:
             avail = refs.get(base + trig.time)
             if not avail:
                 return None
-            facts_j, refs_j = [], []
-            for ref, state, fact, ports in avail:
-                facts_j.append(state)
-                if fact is not None:
-                    conns = tuple(conn for conn in by_owner.get(ct.name, ())
-                                  if conn[1] in ports)
-                    ref = m.StepRef(fact.index, conns, "s%d" % fact.index)
-                    for p_in, p_out in conns:
-                        facts_j.append(m.Eq(m.PortRef(p_in),
-                                            m.PortRef(p_out)))
-                refs_j.append(ref)
-            goal = m.rename_variables(trig.predicate, renaming)
-            extended = []
-            for sigma in sigma_list:
-                found = e.match_trigger([goal], facts_j, variables,
-                                        signature, sigma=sigma, budget=budget)
-                if found:
-                    extended.extend(s for s in found if s not in extended)
-            if not extended:
-                return None
-            sigma_list = extended
-            ref_sets.append(tuple(refs_j))
-        sigma = sigma_list[0]
-        state = m.substitute(m.rename_variables(c.guarantee, renaming), sigma)
-        return state, tuple(ref_sets)
+            ref_sets.append(tuple(
+                ref if fact is None else m.StepRef(
+                    fact.index, tuple(conn for conn in into
+                                      if conn[1] in ports))
+                for ref, _, fact, ports in avail))
+        status, sigmas, renaming, _ = checker.instantiate(
+            model, contract, facts, len(facts), c, ref_sets, [], budget)
+        if status != checker.OK:
+            return None
+        state = _derived_state(c.guarantee, renaming, sigmas[0])
+        return None if state is None else (state, tuple(ref_sets))
 
     def add_fact(time, state, rationale, ref_sets):
         if (time, state, rationale) in keys:
@@ -465,7 +465,8 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         add_ref(time, None, state, fact)
         return True
 
-    plan = [(ct, c, _anchors(c, budget))
+    plan = [(c, model.connections_by_owner.get(ct.name, ()),
+             _anchors(c, budget))
             for ct in model.component_types for c in ct.contracts]
 
     exhausted = False
@@ -475,10 +476,12 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         if len(facts) >= max_steps:
             return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
         grew = False
-        for ct, c, anchors in plan:
+        for c, into, anchors in plan:
             if not c.triggers:
+                applied = derive(c, into, 0)
                 for time in range(c.duration, contract.duration + 1):
-                    if add_fact(time, c.guarantee, c.qualified, ()):
+                    if applied and add_fact(time, applied[0], c.qualified,
+                                            ()):
                         grew = True
                 continue
             # candidate bases, tried in ascending order
@@ -495,7 +498,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                         or not known_before(base, mark)
                         or not gate_open(anchors, base)):
                     continue
-                applied = try_apply(ct, c, base)
+                applied = derive(c, into, base)
                 if applied is None:
                     continue
                 state, ref_sets = applied

@@ -957,6 +957,15 @@ def _connections_for(model, owner, fact_state):
                  if p_in.owner == owner and p_out in ports)
 
 
+def _bound_conjuncts(guarantee, renaming, sigma):
+    """The conjuncts of the renamed guarantee under sigma that mention no
+    renamed variable sigma leaves unbound, or None if there are none."""
+    unbound = {new for new, _ in renaming.values()} - set(sigma)
+    state = m.substitute(m.rename_variables(guarantee, renaming), sigma)
+    return m.conjoin([p for p in m.conjuncts(state)
+                      if not m.free_variables(p) & unbound])
+
+
 def naive_search_proof(model, contract, max_steps=32,
                        budget=e.DEFAULT_BUDGET):
     """Reference for ``apml.oracle.search_proof``: saturation without indexes.
@@ -1024,9 +1033,8 @@ def naive_search_proof(model, contract, max_steps=32,
                 return None
             sigma_list = extended
             ref_sets.append(tuple(refs_j))
-        sigma = sigma_list[0]
-        state = m.substitute(m.rename_variables(c.guarantee, renaming), sigma)
-        return state, tuple(ref_sets)
+        return _bound_conjuncts(c.guarantee, renaming, sigma_list[0]), \
+            tuple(ref_sets)
 
     def add_fact(time, state, rationale, refs):
         for f in facts:
@@ -1046,8 +1054,13 @@ def naive_search_proof(model, contract, max_steps=32,
         for ct in model.component_types:
             for c in ct.contracts:
                 if not c.triggers:
+                    # no trigger binds a variable: keep the conjuncts
+                    # without one
+                    state = m.conjoin([p for p in m.conjuncts(c.guarantee)
+                                       if not m.free_variables(p)])
                     for time in range(c.duration, contract.duration + 1):
-                        if add_fact(time, c.guarantee, c.qualified, ()):
+                        if state is not None and add_fact(
+                                time, state, c.qualified, ()):
                             grew = True
                     continue
                 bases = sorted({t.time for t in triggers}
@@ -1059,8 +1072,8 @@ def naive_search_proof(model, contract, max_steps=32,
                     if applied is None:
                         continue
                     state, ref_sets = applied
-                    if add_fact(base + c.duration, state, c.qualified,
-                                ref_sets):
+                    if state is not None and add_fact(
+                            base + c.duration, state, c.qualified, ref_sets):
                         grew = True
                     if len(facts) > max_steps:
                         return o.SearchResult(o.BUDGET_EXCEEDED,

@@ -13,8 +13,9 @@ from apml.checker import check_proof, OK
 from apml.oracle import (ExplosionError, FiniteUniverse, parse_universe,
                          search_proof, verify_satisfaction,
                          FOUND, NO_PROOF_AT_BOUND, BUDGET_EXCEEDED)
+from apml.diagnostics import errors
 from apml.parser import parse_model
-from apml.printer import print_model
+from apml.printer import print_model, print_step
 
 from oracles import (SORT, brute_force_verify, compose_behaviors,
                      eval_predicate, eval_term,
@@ -462,6 +463,86 @@ def test_search_matches_the_reference_on_random_chains():
         assert (search_proof(model, contract, max_steps=max_steps)
                 == naive_search_proof(model, contract, max_steps=max_steps)
                 ), case
+
+
+def _checks_before_and_after_printing(model, contract, proof):
+    """Is ``proof`` accepted for ``contract``, also after the model with it
+    is printed and parsed again?"""
+    found = dataclasses.replace(contract, proof=proof)
+    if check_proof(model, found).status != OK:
+        return False
+    at = next(i for i, c in enumerate(model.contracts) if c is contract)
+    contracts = model.contracts[:at] + (found,) + model.contracts[at + 1:]
+    reparsed, diags = parse_model(
+        print_model(dataclasses.replace(model, contracts=contracts)))
+    return (not errors(diags)
+            and check_proof(reparsed, reparsed.contracts[at]).status == OK)
+
+
+def test_every_proof_search_finds_checks_before_and_after_printing():
+    cases = list(_search_cases())
+    for seed in range(100):
+        model = random_chain_model(random.Random(seed))
+        cases.append(("chain-%d" % seed, model, model.contracts[0]))
+    found = 0
+    for name, model, contract in cases:
+        result = search_proof(model, contract)
+        if result.status == FOUND:
+            found += 1
+            assert _checks_before_and_after_printing(model, contract,
+                                                     result.proof), name
+    assert found >= 100
+
+
+_EDGE = """Pattern E ShortName e {
+  DTSpec { DT Bit ( Sort BIT ) }
+  CTypes {
+    CType A {
+      InputPorts { InputPort i (Type: Bit.BIT) }
+      OutputPorts { OutputPort o (Type: Bit.BIT),
+                    OutputPort q (Type: Bit.BIT) }
+      Contracts {
+        Contract g {
+          var x: Bit.BIT
+          var y: Bit.BIT
+          %s
+          guarantees { %s }
+          duration 1
+        }
+      }
+    }
+  }
+  Connections { }
+  Contracts {
+    Contract goal {
+      var x: Bit.BIT
+      triggers { t1: [A.i = x] }
+      guarantees { %s }
+      duration 1
+    }
+  }
+}"""
+
+
+# a conjunct with a variable no trigger binds is left out of the derived
+# state: it would print as a renamed variable, or (without triggers) as the
+# architecture's own x, which the guarantee's fresh x does not entail
+@pytest.mark.parametrize("triggers, guarantee, goal, step", [
+    ("triggers { t1: [i = x] }", "[o = x] /\\ [o = y]", "[A.o = x]",
+     "s0: at 1 have [A.o = x] from [ t1 ] using A.g"),
+    ("", "[o = x] /\\ [q = o]", "[A.q = A.o]",
+     "s0: at 1 have [A.q = A.o] using A.g"),
+], ids=["guarantee-only-variable", "trigger-less-with-variable"])
+def test_search_derives_no_state_with_an_unbound_variable(triggers, guarantee,
+                                                          goal, step):
+    model, diags = parse_model(_EDGE % (triggers, guarantee, goal))
+    assert not diags and not m.validate_structure(model)
+    contract = model.contracts[0]
+    result = search_proof(model, contract)
+    assert result == naive_search_proof(model, contract)
+    assert result.status == FOUND
+    assert [print_step(s) for s in result.proof] == [step]
+    assert _checks_before_and_after_printing(model, contract, result.proof)
 
 
 def test_port_free_disjunct_is_not_gated():
