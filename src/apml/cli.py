@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 violations found, 2 inconclusive or budget
-exceeded, 3 unreadable, unparseable or (``--strict-symbols``) unmapped input.
+exceeded, 3 unreadable, unparseable, structurally invalid (``check``) or
+(``--strict-symbols``) unmapped input.
 An unexpected exception is reported as one line ``error: internal: ...`` and
 also exits 3, never with a traceback.
 
@@ -76,7 +77,9 @@ def cmd_check(args):
     diags = list(diags) + m.validate_structure(model)
     verdicts = checker.check_model(model, budget=args.dnf_budget)
     _write(args.output, checker.report_text(verdicts, diags))
-    status = checker.overall_status(verdicts, diags)
+    status = checker.overall_status(verdicts)
+    if errors(diags) and status != checker.VIOLATED:
+        return EXIT_BAD_INPUT        # structural errors, no violated verdict
     return {checker.OK: EXIT_OK, checker.VIOLATED: EXIT_VIOLATED,
             checker.INCONCLUSIVE: EXIT_INCONCLUSIVE}[status]
 

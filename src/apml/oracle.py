@@ -21,6 +21,20 @@ counterexample found is unchanged.  A prefix of at most L states is its own
 key and is met only once, so only longer prefixes are recorded.  The memo
 holds at most ``MEMO_KEYS`` keys and starts afresh when full; forgetting
 keys only visits more nodes.
+
+The search runs first in a cone.  A cell is a free port at a level; a
+union-find joins the cells each component window lying in the trace reads
+(its triggers' ports at their offsets, its guarantee's at its duration).  A
+window start's cone is the parts holding a cell the architecture contract
+reads there.  Cells outside it take one placeholder value and windows
+outside it go unchecked; that only adds traces, so a cone without
+counterexample means none exists.  No window reads both a cone cell and
+another, so the composed traces are the cone's times the other parts', and
+the first counterexample, the least in the search's order, pairs the first
+of each.  So when the cone is not every cell, the search runs again over
+every cell with the cone's pinned to its counterexample.  It returns the
+first counterexample, or none when the other parts have no trace: then no
+composed trace exists and the contract holds.
 """
 
 from __future__ import annotations
@@ -182,9 +196,11 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     the architecture contract?
 
     Searches for a counterexample trace per window start and variable
-    assignment (see the module docstring); returns ``(True, None)`` when none
-    exists, ``(False, trace)`` with the first counterexample otherwise.  Each
-    enumerated state is a node; raises ExplosionError past ``budget`` nodes.
+    assignment, first in the start's cone and then over every cell (see the
+    module docstring); returns ``(True, None)`` when none exists,
+    ``(False, trace)`` with the first counterexample otherwise.  Each
+    enumerated state is a node, counted over both searches; raises
+    ExplosionError past ``budget`` nodes.
     """
     conn = model.connection_map()
     free = [p for ct in model.component_types for p in ct.ports
@@ -194,63 +210,87 @@ def verify_satisfaction(model, contract, universe, horizon=None,
         slots[p_in.qualified] = slots[p_out.qualified]
     carriers = [universe.carrier(p.sort) for p in free]
 
-    windows = []                 # (span, envs, triggers, duration, guarantee)
-    functional = []              # (reads, outputs, duration)
+    def reads(c):
+        """The (offset, slot) pairs a window of contract c reads."""
+        return [(t, slots[p.qualified])
+                for t, pred in [(t.time, t.predicate) for t in c.triggers]
+                + [(c.duration, c.guarantee)] for p in m.ports_of(pred)]
+
+    if horizon is None:
+        horizon = contract.duration + 1
+    length = horizon + contract.duration + 1
+    nodes = 0
+    # union-find over the cells, cell k * width + i being slot i at level k
+    width = len(free)
+    part = list(range(width * length))
+
+    def find(cell):
+        while part[cell] != cell:
+            part[cell] = part[part[cell]]
+            cell = part[cell]
+        return cell
+
+    # per level, the (cell read or None, window) of the windows completing
+    # there; a window is (span, envs, triggers, duration, guarantee, form)
+    completing = [[] for _ in range(length)]
+    lookback = 0
     for ct in model.component_types:
         for c in ct.contracts:
             names = {name: j for j, (name, _) in enumerate(c.variables)}
-            windows.append((
-                max([t.time for t in c.triggers] + [c.duration]),
-                list(itertools.product(*[universe.carrier(s)
-                                         for _, s in c.variables])),
-                [(t.time, _compile(universe, t.predicate, names, slots))
-                 for t in c.triggers],
-                c.duration, _compile(universe, c.guarantee, names, slots)))
             form = _functional_form(c, ct.outputs)
             if form is not None:
-                binds, results, duration = form
+                binds, results, _ = form
                 order = {name: j for j, name in enumerate(binds)}
-                functional.append((
-                    [(t, slots[port.qualified]) for port, t in binds.values()],
-                    [(slots[port.qualified],
-                      _compile(universe, rhs, order, {}))
-                     for port, rhs in results],
-                    duration))
-    lookback = max([w[0] for w in windows], default=0)
+                form = ([(t, slots[port.qualified])
+                         for port, t in binds.values()],
+                        [(slots[port.qualified],
+                          _compile(universe, rhs, order, {}))
+                         for port, rhs in results])
+            span = max([t.time for t in c.triggers] + [c.duration])
+            lookback = max(lookback, span)
+            window = (span, list(itertools.product(
+                          *[universe.carrier(s) for _, s in c.variables])),
+                      [(t.time, _compile(universe, t.predicate, names, slots))
+                       for t in c.triggers],
+                      c.duration, _compile(universe, c.guarantee, names, slots),
+                      form)
+            offsets = reads(c)
+            for s in range(length - span):
+                cells = [(s + t) * width + i for t, i in offsets]
+                for cell in cells[1:]:
+                    part[find(cell)] = find(cells[0])
+                completing[s + span].append((cells[0] if cells else None,
+                                             window))
+    every = [[w for _, w in level] for level in completing]
 
     names = {name: j for j, (name, _) in enumerate(contract.variables)}
     arch_triggers = [(t.time, _compile(universe, t.predicate, names, slots))
                      for t in contract.triggers]
     arch_guarantee = _compile(universe, contract.guarantee, names, slots)
-    if horizon is None:
-        horizon = contract.duration + 1
-    length = horizon + contract.duration + 1
-    nodes = 0
+    arch_reads = reads(contract)
 
-    def candidates(trace, upto):
+    def candidates(trace, upto, domains, live):
         """The states to try at level upto: none when the functional
         contracts completing there demand two values for one output."""
         forced = {}
-        for reads, outputs, duration in functional:
-            n = upto - duration
-            if n < 0:
+        for _, _, _, duration, _, form in live[upto]:
+            if form is None:
                 continue
-            env = tuple(trace[n + t][i] for t, i in reads)
-            for i, rhs in outputs:
+            n = upto - duration
+            env = tuple(trace[n + t][i] for t, i in form[0])
+            for i, rhs in form[1]:
                 value = rhs(env, ())
                 if value is not None and forced.setdefault(i, value) != value:
                     return ()
-        domains = list(carriers)
+        domains = list(domains[upto])
         for i, value in forced.items():
             domains[i] = (value,)
         return itertools.product(*domains)
 
-    def windows_hold(trace, upto):
-        """Do the component windows completing at trace[upto] hold?"""
-        for span, envs, triggers, duration, guarantee in windows:
+    def windows_hold(trace, upto, live):
+        """Do the live component windows completing at trace[upto] hold?"""
+        for span, envs, triggers, duration, guarantee, _ in live[upto]:
             n = upto - span
-            if n < 0:
-                continue
             checks = [(f, trace[n + t]) for t, f in triggers]
             last = trace[n + duration]
             for env in envs:
@@ -262,8 +302,10 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                         return False
         return True
 
-    def search(n, env):
-        """The first counterexample for window start n and assignment env."""
+    def search(n, env, domains, live):
+        """The first counterexample for window start n and assignment env
+        whose level k takes its states from domains[k] and satisfies the
+        windows live[k]."""
         nonlocal nodes
         # what each level's state must satisfy: the architecture triggers of
         # this window, and at its duration the negated guarantee
@@ -275,7 +317,7 @@ def verify_satisfaction(model, contract, universe, horizon=None,
             lambda env, state: not arch_guarantee(env, state))
         dead = set()                 # keys of levels that failed to extend
         trace = []
-        levels = [(None, candidates(trace, 0))]
+        levels = [(None, candidates(trace, 0, domains, live))]
         while levels:
             key, states = levels[-1]
             upto = len(levels) - 1
@@ -287,7 +329,7 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                         "node budget %d exhausted (%d nodes enumerated)"
                         % (budget, nodes))
                 trace.append(state)
-                if (windows_hold(trace, upto)
+                if (windows_hold(trace, upto, live)
                         and all(f(env, state) for f in arch_at[upto])):
                     break
                 trace.pop()
@@ -305,13 +347,28 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                 key = (upto + 1, tuple(trace[upto + 1 - lookback:]))
                 if key in dead:
                     continue
-            levels.append((key, candidates(trace, upto + 1)))
+            levels.append((key, candidates(trace, upto + 1, domains, live)))
         return None
 
     for n in range(horizon):
+        cone = {find((n + t) * width + i) for t, i in arch_reads
+                if n + t < length}
+        inside = [find(cell) in cone for cell in range(width * length)]
+        domains = [[carriers[i] if inside[k * width + i] else (None,)
+                    for i in range(width)] for k in range(length)]
+        live = [[w for cell, w in level if cell is None or inside[cell]]
+                for level in completing]
         for env in itertools.product(*[universe.carrier(s)
                                        for _, s in contract.variables]):
-            counter = search(n, env)
+            counter = search(n, env, domains, live)
+            if counter is not None and not all(inside):
+                # complete the cone's trace over the other parts
+                pinned = [[(v,) if inside[k * width + i] else carriers[i]
+                           for i, v in enumerate(state)]
+                          for k, state in enumerate(counter)]
+                counter = search(n, env, pinned, every)
+                if counter is None:
+                    return True, None    # the other parts have no trace
             if counter is not None:
                 return False, [{q: state[i] for q, i in slots.items()}
                                for state in counter]

@@ -947,6 +947,44 @@ def naive_verify_satisfaction(model, contract, universe, horizon=None,
     return True, None
 
 
+def cone_sizes(model, contract, horizon=None):
+    """``(cells, cones)`` for the trace ``verify_satisfaction`` searches:
+    the number of (free port, level) cells, and per window start the number
+    of cells linked to one the architecture contract reads there.  Two cells
+    are linked when one component window lying in the trace reads both; the
+    cone is found by a breadth-first walk over those links."""
+    conn = model.connection_map()
+    if horizon is None:
+        horizon = contract.duration + 1
+    length = horizon + contract.duration + 1
+
+    def reads(c, n):
+        return [(conn.get(p, p).qualified, n + t)
+                for t, pred in [(t.time, t.predicate) for t in c.triggers]
+                + [(c.duration, c.guarantee)]
+                for p in m.ports_of(pred) if n + t < length]
+
+    links = {(p.qualified, k): set() for ct in model.component_types
+             for p in ct.ports if p not in conn for k in range(length)}
+    for ct in model.component_types:
+        for c in ct.contracts:
+            span = max([t.time for t in c.triggers] + [c.duration])
+            for n in range(length - span):
+                cells = reads(c, n)
+                for a in cells:
+                    links[a].update(cells)
+    cones = []
+    for n in range(horizon):
+        seen = set(reads(contract, n))
+        todo = list(seen)
+        while todo:
+            for b in links[todo.pop()] - seen:
+                seen.add(b)
+                todo.append(b)
+        cones.append(len(seen))
+    return len(links), cones
+
+
 # ---------------------------------------------------------------------------
 # Reference proof search
 

@@ -41,6 +41,21 @@ def test_check_violated(capsys):
     assert "C2 violated" in out
 
 
+def test_check_structural_errors_alone_exit_3(tmp_path, capsys):
+    """A model whose proofs check but whose connections are malformed is bad
+    input, not a violation; tgmt keeps exit 1 for its violated verdicts."""
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "(Stage2.i, Stage1.o)", "(Stage2.i, Stage1.o), (Stage1.i, Stage2.i)")
+    bad = tmp_path / "relay.apml"
+    bad.write_text(text)
+    code, out, _ = run(capsys, "check", str(bad))
+    assert code == 3
+    assert "[CONNECTION_NOT_OUTPUT]" in out
+    assert "contract relayed: ok" in out.splitlines()
+    code, out, _ = run(capsys, "check", str(CORPUS / "tgmt.apml"))
+    assert code == 1 and "violated" in out
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "nonexistent.apml")
     assert code == 3
@@ -125,6 +140,19 @@ def test_simulate_counterexample(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[0] == "contract relayed: counterexample"
     assert "Stage2.o=" in out
+
+
+def test_simulate_counterexample_matches_golden(tmp_path, capsys):
+    """The first counterexample of relay with architecture duration 1, as
+    the search over every cell at once found it."""
+    text = (CORPUS / "relay.apml").read_text().replace("duration 2",
+                                                       "duration 1", 1)
+    broken = tmp_path / "relay.apml"
+    broken.write_text(text)
+    code, out, _ = run(capsys, "simulate", str(broken), "--universe", TINY)
+    assert code == 1
+    assert out == (ROOT / "tests" / "golden"
+                   / "simulate_relay_d1.txt").read_text()
 
 
 def test_simulate_zero_duration_components(tmp_path, capsys):

@@ -18,7 +18,7 @@ from apml.parser import parse_model
 from apml.printer import print_model, print_step
 
 from oracles import (SORT, brute_force_verify, compose_behaviors,
-                     eval_predicate, eval_term,
+                     cone_sizes, eval_predicate, eval_term,
                      naive_search_proof, naive_verify_satisfaction,
                      print_universe, random_chain_model, random_tiny_model,
                      relay_chain_model, trace_satisfies, violated_window)
@@ -302,24 +302,121 @@ def test_memo_key_spans_the_lookback():
                                                horizon=1)
 
 
+# Echo's triggers read its output as well as its input, at offsets 0 and 1,
+# so each window links both ports at two levels and every cell of the trace
+# lies in one part: the cone is the whole trace.  (``validate_structure``
+# rejects triggers on outputs; the trace search does not need it.)
+ECHO = """Pattern Echo ShortName echo {
+  DTSpec { DT Bit ( Sort BIT ) }
+  CTypes {
+    CType Echo {
+      InputPorts { InputPort i (Type: Bit.BIT) }
+      OutputPorts { OutputPort o (Type: Bit.BIT) }
+      Contracts {
+        Contract repeat {
+          var x: Bit.BIT
+          triggers { t0: [i = x] \\/ [o = x], t1: [i = x] \\/ [o = x] at 1 }
+          guarantees { [o = x] }
+          duration 1
+        }
+      }
+    }
+  }
+  Contracts {
+    Contract held {
+      var w: Bit.BIT
+      triggers { t0: [Echo.i = w], t1: [Echo.i = w] at 1 }
+      guarantees { [Echo.o = w] }
+      duration 1
+    }
+  }
+}"""
+
+
 def test_a_full_memo_starts_afresh(monkeypatch):
-    """Forgetting dead keys only visits more nodes: relay4 needs 320 nodes
-    with the whole memo and 1024 when it holds two keys, and verdicts and
-    counterexamples stay the reference's."""
-    universe = FiniteUniverse(carriers={SORT: ["0", "1"]})
-    model = relay_chain_model(4)
+    """Forgetting dead keys only visits more nodes: Echo at horizon 5 needs
+    440 nodes with the whole memo and more when it holds two keys, and
+    verdicts and counterexamples stay the reference's."""
+    model, diags = parse_model(ECHO)
+    assert not diags
+    universe = parse_universe("sort Bit.BIT: 0 1\n")
     contract = model.contracts[0]
-    assert verify_satisfaction(model, contract, universe, horizon=1,
-                               budget=320) == (True, None)
+    cells, cones = cone_sizes(model, contract, horizon=5)
+    assert cones == [cells] * 5
+    assert verify_satisfaction(model, contract, universe, horizon=5,
+                               budget=440) == (True, None)
     monkeypatch.setattr(oracle, "MEMO_KEYS", 2)
     with pytest.raises(ExplosionError):
-        verify_satisfaction(model, contract, universe, horizon=1, budget=320)
-    for duration in (3, 4):
+        verify_satisfaction(model, contract, universe, horizon=5, budget=440)
+    for duration in (2, 3):
         contract = dataclasses.replace(model.contracts[0], duration=duration)
-        assert (verify_satisfaction(model, contract, universe, horizon=1,
-                                    budget=1024)
+        assert (verify_satisfaction(model, contract, universe, horizon=5,
+                                    budget=440)
                 == naive_verify_satisfaction(model, contract, universe,
-                                             horizon=1)), duration
+                                             horizon=5)), duration
+
+
+def test_verify_satisfaction_matches_the_reference_on_tiny_models():
+    """Verdicts and counterexamples equal the reference search's, also when
+    the cone leaves cells out and a counterexample must be completed.  Cases
+    the unmemoized reference cannot decide in 2,000 states are skipped."""
+    rng = random.Random(20261019)
+    decided = partial = 0
+    while decided < 300:
+        model, universe = random_tiny_model(rng)
+        contract = model.contracts[0]
+        horizon = rng.randint(1, 3)
+        try:
+            expected = naive_verify_satisfaction(model, contract, universe,
+                                                 horizon=horizon,
+                                                 budget=2000)
+        except ExplosionError:
+            continue
+        assert verify_satisfaction(model, contract, universe,
+                                   horizon=horizon) == expected, \
+            print_model(model)
+        cells, cones = cone_sizes(model, contract, horizon)
+        partial += min(cones) < cells
+        decided += 1
+    assert partial >= 30
+
+
+def test_a_part_without_traces_makes_the_contract_hold(relay, bits):
+    """An unconnected component promising ``[o = x]`` for every x has no
+    trace, so no composed trace exists: the contract holds, also when the
+    relay alone has a counterexample that must be completed over it."""
+    port = m.Port("o", "Void", m.OUTPUT, BIT)
+    x = m.Var("x", BIT)
+    void = m.ComponentType(
+        name="Void", inputs=(), outputs=(port,),
+        contracts=(m.Contract(name="any", owner="Void",
+                              variables=(("x", BIT),), triggers=(),
+                              guarantee=m.Eq(m.PortRef(port), x),
+                              duration=1),))
+    model = dataclasses.replace(
+        relay, component_types=relay.component_types + (void,))
+    for duration in (2, 1):
+        contract = dataclasses.replace(model.contracts[0], duration=duration)
+        assert verify_satisfaction(model, contract, bits,
+                                   horizon=1) == (True, None)
+    assert brute_force_verify(model, contract, bits, horizon=1)
+    contract = dataclasses.replace(relay.contracts[0], duration=1)
+    assert not verify_satisfaction(relay, contract, bits, horizon=1)[0]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_a_relay_chain_costs_linear_nodes(n):
+    """The cone of an n-stage chain is one diagonal of the trace, so the
+    search enumerates 2n + 4 states where the whole trace has 2^n per
+    level."""
+    model = relay_chain_model(n)
+    universe = FiniteUniverse(carriers={SORT: ["0", "1"]})
+    contract = model.contracts[0]
+    assert verify_satisfaction(model, contract, universe, horizon=1,
+                               budget=2 * n + 4) == (True, None)
+    with pytest.raises(ExplosionError):
+        verify_satisfaction(model, contract, universe, horizon=1,
+                            budget=2 * n + 3)
 
 
 def test_counterexample_longer_than_the_recursion_limit():
