@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from apml import entailment as e
 from apml import model as m
@@ -697,6 +698,32 @@ def mutate_proof(rng, proof):
             if isinstance(s.state, m.Eq) else s.state
         steps[i] = m.ProofStep(s.label, s.time, wrong, s.rationale, s.refs)
     return tuple(steps)
+
+
+_UNIT_RE = re.compile(r"\w+|\S")
+_INSERTS = ("{", "}", "(", ")", "[", "]", ",", ":", ".", "=", "/\\", "\\/",
+            "Contract", "Contracts", "var", "triggers", "guarantees",
+            "duration", "proof", "at", "have", "from", "with", "using",
+            "InputPorts", "OutputPorts", "Connections", "DT", "CType")
+
+
+def mutate_source(rng, text):
+    """One seeded edit of model text, on word and punctuation boundaries:
+    delete a run of one to four units, insert a bracket, separator or
+    keyword, or copy a slice of one to twelve units elsewhere."""
+    units = [mo.span() for mo in _UNIT_RE.finditer(text)]
+    i = rng.randrange(len(units))
+    kind = rng.randrange(3)
+    if kind == 0:
+        j = min(len(units), i + rng.randint(1, 4)) - 1
+        return text[:units[i][0]] + text[units[j][1]:]
+    if kind == 1:
+        at = units[i][0]
+        return text[:at] + rng.choice(_INSERTS) + " " + text[at:]
+    j = min(len(units), i + rng.randint(1, 12)) - 1
+    piece = text[units[i][0]:units[j][1]]
+    at = units[rng.randrange(len(units))][0]
+    return text[:at] + piece + " " + text[at:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Lexer, parser and canonical printer."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from apml.printer import print_model
 from apml.model import validate_structure
 
 from conftest import load, CORPUS, ROOT
-from oracles import naive_tokenize, relay_chain_model
+from oracles import mutate_source, naive_tokenize, relay_chain_model
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.apml"))
 
@@ -345,6 +346,43 @@ def test_corpus_element_spans_match_the_golden():
         lines += ["== " + name] + _element_spans(model)
     golden = ROOT / "tests" / "golden" / "corpus_spans.txt"
     assert "\n".join(lines) + "\n" == golden.read_text()
+
+
+MUTATIONS_PER_FILE = 200
+
+
+def mutation_lines():
+    """One line per seeded mutation of each corpus file: its diagnostics'
+    rules and a short digest of the partial model and the diagnostics."""
+    lines = []
+    for name in ALL_CORPUS:
+        text = (CORPUS / name).read_text()
+        rng = random.Random(name)
+        for k in range(MUTATIONS_PER_FILE):
+            model, diags = parse_model(mutate_source(rng, text), name)
+            digest = hashlib.sha1(
+                (repr(model) + "\n" + repr(diags)).encode()).hexdigest()
+            lines.append("%s %d %s %s" % (
+                name, k, ",".join(d.rule for d in diags) or "-", digest[:12]))
+    return lines
+
+
+def test_mutated_corpus_parses_like_the_golden():
+    """Partial models and diagnostics of broken input are pinned too."""
+    golden = ROOT / "tests" / "golden" / "parse_mutations.txt"
+    assert "\n".join(mutation_lines()) + "\n" == golden.read_text()
+
+
+def test_missing_brace_after_connections_keeps_the_parsed_connections():
+    model, _ = load("relay.apml")
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "(Stage2.i, Stage1.o)\n  }", "(Stage2.i, Stage1.o)\n")
+    partial, diags = parse_model(text)
+    assert [str(d) for d in diags] == [
+        "<input>:50:3: error: expected '}', got 'Contracts' "
+        "[UNEXPECTED_TOKEN]"]
+    assert partial.connections == model.connections != ()
+    assert partial.contracts == ()
 
 
 # ---------------------------------------------------------------------------
