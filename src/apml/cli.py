@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 violations found, 2 inconclusive or budget
-exceeded, 3 unreadable, unparseable, structurally invalid (``check``) or
-(``--strict-symbols``) unmapped input.
+exceeded, 3 a usage error, or unreadable, unparseable, structurally invalid
+(``check``) or (``--strict-symbols``) unmapped input.
 An unexpected exception is reported as one line ``error: internal: ...`` and
 also exits 3, never with a traceback.
 
@@ -147,8 +147,25 @@ def cmd_fmt(args):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is bad input: exit 3, not argparse's 2, which is the
+    inconclusive class here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
+def positive(text):
+    """An integer option that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="apml",
         description="Check, translate and simulate timed architecture "
                     "contract models.")
@@ -161,7 +178,8 @@ def build_parser():
 
     p = sub.add_parser("check", help="validate a model and check its proofs")
     common(p)
-    p.add_argument("--dnf-budget", type=int, default=entailment.DEFAULT_BUDGET)
+    p.add_argument("--dnf-budget", type=positive,
+                   default=entailment.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("emit-isar", help="emit an Isabelle theory file")
@@ -179,7 +197,8 @@ def build_parser():
     p.add_argument("--contract", default=None,
                    help="architecture contract name (default: first)")
     p.add_argument("--max-steps", type=int, default=32)
-    p.add_argument("--dnf-budget", type=int, default=entailment.DEFAULT_BUDGET)
+    p.add_argument("--dnf-budget", type=positive,
+                   default=entailment.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("simulate",
@@ -187,7 +206,7 @@ def build_parser():
     common(p)
     p.add_argument("--universe", required=True, help="universe file")
     p.add_argument("--contract", default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=positive, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fmt", help="print the canonical form of a model")

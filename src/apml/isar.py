@@ -253,10 +253,13 @@ def contract_assumption(renderer, contract):
         binder, "; ".join(prems), concl)
 
 
-def connection_name(renderer, p_in, p_out, legacy=False):
+def connection_names(renderer, p_in, p_out, config):
+    """A connection's assumption name, input first, then the legacy
+    output-first name when the config asks for it too."""
     a = renderer.ports[p_in.qualified]
     b = renderer.ports[p_out.qualified]
-    return "%s_%s" % ((b, a) if legacy else (a, b))
+    return ["%s_%s" % (a, b)] + (["%s_%s" % (b, a)]
+                                 if config.legacy_connection_names else [])
 
 
 def emit_locale(model, renderer=None, config=None):
@@ -284,13 +287,10 @@ def emit_locale(model, renderer=None, config=None):
             assumes.append((names[c.qualified],
                             contract_assumption(r, c)))
     for p_in, p_out in model.connections:
-        a = r.ports[p_in.qualified]
-        b = r.ports[p_out.qualified]
-        assumes.append(("%s_%s" % (a, b),
-                        '"\\<And>n. %s n = %s n"' % (a, b)))
-        if config.legacy_connection_names:
-            assumes.append(("%s_%s" % (b, a),
-                            '"\\<And>n. %s n = %s n"' % (a, b)))
+        text = '"\\<And>n. %s n = %s n"' % (r.ports[p_in.qualified],
+                                          r.ports[p_out.qualified])
+        assumes.extend((name, text)
+                       for name in connection_names(r, p_in, p_out, config))
     if assumes:
         lines.append("  assumes " + "%s: %s" % assumes[0])
         for name, text in assumes[1:]:
@@ -321,16 +321,13 @@ def _sorry(findings):
         "%s %s" % (f.condition, f.status) for f in findings))
 
 
-def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
+def emit_isar_proof(model, contract, renderer, config, verdict):
     """Isar proof text replaying the architecture proof.
 
-    ``verdict`` supplies the per-step variable instantiations; it is computed
-    when not given.
+    ``verdict``, the checker's, supplies the per-step variable
+    instantiations and leaves open the steps it does not accept.
     """
-    config = config or EmitConfig()
     r = renderer
-    if verdict is None:
-        verdict = checker.check_proof(model, contract)
     steps = contract.proof or ()
     names = _assumption_names(model)
     lines = ["proof -"]
@@ -361,10 +358,7 @@ def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
             conn_names = []
             for ref in ref_set:
                 for p_in, p_out in getattr(ref, "connections", ()):
-                    conn_names.append(connection_name(r, p_in, p_out))
-                    if config.legacy_connection_names:
-                        conn_names.append(
-                            connection_name(r, p_in, p_out, legacy=True))
+                    conn_names.extend(connection_names(r, p_in, p_out, config))
             using = (" using %s" % " ".join(conn_names)) if conn_names else ""
             prefix = "  moreover " if j > 0 else "  "
             lines.append('%sfrom %s have "%s"%s %s'
@@ -383,21 +377,20 @@ def emit_isar_proof(model, contract, renderer, config=None, verdict=None):
     return "\n".join(lines)
 
 
-def emit_theory(model, config=None, verdicts=None):
+def emit_theory(model, config=None):
     """Complete theory file for a model."""
     config = config or EmitConfig()
     r = Renderer(model, config)
     theory = _sanitize(model.short_name or model.name)
     out = ["theory %s" % theory, "  imports Main", "begin", ""]
-    for s in unmapped_sorts(model):
-        out.append("typedecl %s" % s)
-    if unmapped_sorts(model):
+    sorts = unmapped_sorts(model)
+    out.extend("typedecl %s" % s for s in sorts)
+    if sorts:
         out.append("")
     out.append(emit_locale(model, r, config))
     out.append("begin")
     out.append("")
-    if verdicts is None:
-        verdicts = checker.check_model(model)
+    verdicts = checker.check_model(model)
     seen = {}
     for idx, contract in enumerate(model.contracts):
         name = _sanitize(contract.name)

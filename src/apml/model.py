@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .diagnostics import Diagnostic, NO_SPAN, Record, ERROR, WARNING
+from .diagnostics import (Diagnostic, NO_SPAN, Record, SourceSpan, ERROR,
+                          WARNING)
 
 _set = object.__setattr__
 

@@ -8,14 +8,20 @@ NAT, AND, OR, ARROW, EOF or a punctuation kind; NAT is ASCII digits only.
 A token's ``SourceSpan`` is built by ``token_span`` only where something
 keeps it, a model element or a diagnostic, so most tokens never get one.
 ``tokenize`` matches one precompiled pattern per token, and the parser finds
-component types by name through a dict, so parsing is linear in the input.
+component ports by name through a dict, so parsing is linear in the input.
+
+Every comma list between braces or brackets goes through ``bracketed``, which
+recovers item by item, and every optional ``Keyword { ... }`` block through
+``section``.  Names inside a contract resolve against parser state that
+``parse_contract`` sets: the owner ("" for the architecture), its ports and
+the contract's variables.
 """
 
 from __future__ import annotations
 
 import re
 
-from .diagnostics import Diagnostic, SourceSpan, ERROR, WARNING
+from .diagnostics import Diagnostic, SourceSpan, ERROR
 from . import model as m
 
 KEYWORDS = frozenset([
@@ -107,16 +113,29 @@ class _ParseError(Exception):
     pass
 
 
+# What ``expect`` names in its message when a token of a kind is missing.
+_EXPECTED = {"LBRACE": "'{'", "RBRACE": "'}'", "LPAREN": "'('",
+             "RPAREN": "')'", "LBRACK": "'['", "RBRACK": "']'",
+             "COMMA": "','", "COLON": "':'", "DOT": "'.'", "EQ": "'='",
+             "ARROW": "'=>'", "NAT": "number"}
+
+
+def _port_named(ports, name):
+    return next((p for p in ports if p.name == name), None)
+
+
 class Parser:
     def __init__(self, tokens, diags):
         self.tokens = tokens
         self.pos = 0
         self.diags = diags
         # resolution state
-        self.datatypes = []
         self.signature = m.Signature([])
-        self.component_types = []
-        self.component_by_name = {}      # first declaration wins
+        self.ports_of = {}               # component name -> its ports;
+                                         # the first declaration wins
+        # the contract being parsed: its owner ("" for the architecture),
+        # the owner's ports and the contract's variables (name -> sort)
+        self.owner, self.ports, self.variables = "", (), {}
 
     # -- token plumbing ----------------------------------------------------
     # t[0] is a token's kind and t[1] its text.  The list ends with EOF,
@@ -140,9 +159,6 @@ class Parser:
         t = self.tokens[self.pos]
         return t[0] == kind and (text is None or t[1] == text)
 
-    def at_kw(self, word):
-        return self.at("ID", word)
-
     def accept(self, kind, text=None):
         t = self.tokens[self.pos]
         if t[0] == kind and (text is None or t[1] == text):
@@ -150,19 +166,21 @@ class Parser:
             return t
         return None
 
-    def error(self, message, span=None):
-        self.diags.append(Diagnostic(ERROR, "UNEXPECTED_TOKEN", message,
-                                     span or token_span(self.tok)))
+    def error(self, message, tok=None, rule="UNEXPECTED_TOKEN"):
+        """Report at ``tok``, by default the current token."""
+        self.diags.append(Diagnostic(ERROR, rule, message,
+                                     token_span(tok or self.tok)))
 
-    def expect(self, kind, what, text=None):
+    def expect(self, kind, text=None):
+        """The current token if it has this kind (and, for a keyword, this
+        text); else report it and abandon the enclosing item."""
         t = self.accept(kind, text)
         if t is None:
-            self.error("expected %s, got %r" % (what, self.tok[1] or "<eof>"))
+            self.error("expected %s, got %r" % (
+                "'%s'" % text if text else _EXPECTED[kind],
+                self.tok[1] or "<eof>"))
             raise _ParseError()
         return t
-
-    def expect_kw(self, word):
-        return self.expect("ID", "'%s'" % word, word)
 
     def skip_balanced(self, until_kinds):
         """Panic-mode recovery: skip to a follow token at bracket depth 0."""
@@ -187,104 +205,100 @@ class Parser:
         self.error("expected %s, got %r" % (what, t[1] or "<eof>"))
         raise _ParseError()
 
-    def nat(self):
-        t = self.expect("NAT", "number")
-        return int(t[1])
+    def dotted(self, what, then):
+        """``ID . ID``: both tokens and the dotted name."""
+        first = self.ident(what)
+        self.expect("DOT")
+        second = self.ident(then)
+        return first, second, "%s.%s" % (first[1], second[1])
 
-    def comma_list(self, parse_item, closers):
-        """Comma-separated items with per-item recovery."""
-        items = []
-        while not self.at("EOF") and self.tok[0] not in closers:
+    def nat(self):
+        return int(self.expect("NAT")[1])
+
+    def bracketed(self, parse_item, opener="LBRACE", items=None):
+        """A comma list between braces or brackets, each item recovered on
+        its own; None items are dropped.  The items go into ``items``, so a
+        caller that passes its own list keeps them should the closer be
+        missing."""
+        closer = "RBRACE" if opener == "LBRACE" else "RBRACK"
+        items = [] if items is None else items
+        self.expect(opener)
+        while not self.at("EOF") and not self.at(closer):
             try:
                 item = parse_item()
                 if item is not None:
                     items.append(item)
             except _ParseError:
-                self.skip_balanced(("COMMA",) + closers)
+                self.skip_balanced(("COMMA", closer))
             if not self.accept("COMMA"):
                 break
+        self.expect(closer)
         return items
+
+    def section(self, word, parse_item, opener="LBRACE", items=None):
+        """An optional ``word { ... }`` block; no items if it is absent."""
+        if self.accept("ID", word):
+            return self.bracketed(parse_item, opener, items)
+        return [] if items is None else items
 
     # -- model -------------------------------------------------------------
 
     def parse_model(self):
-        if self.at("EOF"):
-            self.diags.append(Diagnostic(ERROR, "EXPECTED_PATTERN",
-                                         "empty input: expected a Pattern",
-                                         token_span(self.tok)))
-            return m.EMPTY_MODEL
         if not self.at("ID", "Pattern"):
-            self.diags.append(Diagnostic(ERROR, "EXPECTED_PATTERN",
-                                         "input does not start with a Pattern",
-                                         token_span(self.tok)))
+            self.error("empty input: expected a Pattern" if self.at("EOF")
+                       else "input does not start with a Pattern",
+                       rule="EXPECTED_PATTERN")
             return m.EMPTY_MODEL
         self.advance()
         name = short = ""
-        connections = []
-        arch_contracts = []
+        datatypes, ctypes, connections, contracts = [], [], [], []
         try:
             name = self.ident("pattern name")[1]
-            self.expect_kw("ShortName")
+            self.expect("ID", "ShortName")
             short = self.ident("short name")[1]
-            self.expect("LBRACE", "'{'")
-            if self.at_kw("DTSpec"):
-                self.parse_dtspec()
-                self.signature = m.Signature(self.datatypes)
-            if self.at_kw("CTypes"):
-                self.parse_ctypes()
-            if self.at_kw("Connections"):
-                self.advance()
-                self.expect("LBRACE", "'{'")
-                connections = self.comma_list(self.parse_connection,
-                                              ("RBRACE",))
-                self.expect("RBRACE", "'}'")
-            if self.at_kw("Contracts"):
-                self.advance()
-                self.expect("LBRACE", "'{'")
-                arch_contracts = self.comma_list(self.parse_arch_contract,
-                                                 ("RBRACE",))
-                self.expect("RBRACE", "'}'")
-            self.expect("RBRACE", "'}'")
+            self.expect("LBRACE")
+            # an unclosed DTSpec or CTypes keeps none of its items; an
+            # unclosed Connections or Contracts keeps those read so far
+            datatypes = self.section("DTSpec", self.parse_dt)
+            self.signature = m.Signature(datatypes)
+            ctypes = self.section("CTypes", self.parse_ctype)
+            for ct in ctypes:
+                self.ports_of.setdefault(ct.name, ct.ports)
+            self.section("Connections", self.parse_connection, "LBRACE",
+                         connections)
+            self.section("Contracts", self.parse_contract, "LBRACE",
+                         contracts)
+            self.expect("RBRACE")
             if not self.at("EOF"):
                 self.error("trailing input after pattern")
         except _ParseError:
             self.skip_balanced(())
         return m.Model(name=name, short_name=short,
-                       datatypes=tuple(self.datatypes),
-                       component_types=tuple(self.component_types),
+                       datatypes=tuple(datatypes),
+                       component_types=tuple(ctypes),
                        connections=tuple(connections),
-                       contracts=tuple(arch_contracts))
+                       contracts=tuple(contracts))
 
     # -- data types ----------------------------------------------------------
 
-    def parse_dtspec(self):
-        self.expect_kw("DTSpec")
-        self.expect("LBRACE", "'{'")
-        dts = self.comma_list(self.parse_dt, ("RBRACE",))
-        self.expect("RBRACE", "'}'")
-        self.datatypes.extend(dts)
-
     def parse_dt(self):
-        span = token_span(self.expect_kw("DT"))
+        span = token_span(self.expect("ID", "DT"))
         name = self.ident("data type name")[1]
-        self.expect("LPAREN", "'('")
+        self.expect("LPAREN")
         sort = None
         predicates = []
         operations = []
         while not self.at("RPAREN") and not self.at("EOF"):
-            if self.at_kw("Sort"):
-                self.advance()
+            if self.accept("ID", "Sort"):
                 sort = self.ident("sort name")[1]
-            elif self.at_kw("Predicate"):
-                self.advance()
+            elif self.accept("ID", "Predicate"):
                 predicates.extend(self.parse_symbol_decls(name, with_result=False))
-            elif self.at_kw("Operation"):
-                self.advance()
+            elif self.accept("ID", "Operation"):
                 operations.extend(self.parse_symbol_decls(name, with_result=True))
             else:
                 self.error("expected Sort, Predicate or Operation")
                 raise _ParseError()
-        self.expect("RPAREN", "')'")
+        self.expect("RPAREN")
         return m.DataType(name=name, sort=sort, predicates=tuple(predicates),
                           operations=tuple(operations), span=span)
 
@@ -295,13 +309,13 @@ class Parser:
         decls = []
         while True:
             sym = self.ident("symbol name")[1]
-            self.expect("COLON", "':'")
+            self.expect("COLON")
             args = [self.parse_sort_ref(dt_name)]
             while self.at("COMMA") and not self._next_is_decl_or_end():
                 self.advance()
                 args.append(self.parse_sort_ref(dt_name))
             if with_result:
-                self.expect("ARROW", "'=>'")
+                self.expect("ARROW")
                 result = self.parse_sort_ref(dt_name)
                 decls.append((sym, tuple(args), result))
             else:
@@ -327,240 +341,173 @@ class Parser:
 
     # -- component types -----------------------------------------------------
 
-    def parse_ctypes(self):
-        self.expect_kw("CTypes")
-        self.expect("LBRACE", "'{'")
-        cts = self.comma_list(self.parse_ctype, ("RBRACE",))
-        self.expect("RBRACE", "'}'")
-        self.component_types.extend(cts)
-        for ct in cts:
-            self.component_by_name.setdefault(ct.name, ct)
-
     def parse_ctype(self):
-        span = token_span(self.expect_kw("CType"))
+        span = token_span(self.expect("ID", "CType"))
         name = self.ident("component type name")[1]
-        self.expect("LBRACE", "'{'")
-        inputs, outputs, contracts = [], [], []
-        if self.at_kw("InputPorts"):
-            self.advance()
-            self.expect("LBRACE", "'{'")
-            inputs = self.comma_list(
-                lambda: self.parse_port(name, m.INPUT), ("RBRACE",))
-            self.expect("RBRACE", "'}'")
-        if self.at_kw("OutputPorts"):
-            self.advance()
-            self.expect("LBRACE", "'{'")
-            outputs = self.comma_list(
-                lambda: self.parse_port(name, m.OUTPUT), ("RBRACE",))
-            self.expect("RBRACE", "'}'")
-        ct = m.ComponentType(name=name, inputs=tuple(inputs),
-                             outputs=tuple(outputs), contracts=(), span=span)
-        if self.at_kw("Contracts"):
-            self.advance()
-            self.expect("LBRACE", "'{'")
-            contracts = self.comma_list(
-                lambda: self.parse_contract(ct), ("RBRACE",))
-            self.expect("RBRACE", "'}'")
-        self.expect("RBRACE", "'}'")
-        return m.ComponentType(name=name, inputs=tuple(inputs),
-                               outputs=tuple(outputs),
+        self.expect("LBRACE")
+        inputs = tuple(self.section(
+            "InputPorts", lambda: self.parse_port(name, m.INPUT)))
+        outputs = tuple(self.section(
+            "OutputPorts", lambda: self.parse_port(name, m.OUTPUT)))
+        contracts = self.section(
+            "Contracts", lambda: self.parse_contract(name, inputs + outputs))
+        self.expect("RBRACE")
+        return m.ComponentType(name=name, inputs=inputs, outputs=outputs,
                                contracts=tuple(contracts), span=span)
 
     def parse_port(self, owner, direction):
-        kw = "InputPort" if direction == m.INPUT else "OutputPort"
-        self.expect_kw(kw)
+        self.expect("ID", "InputPort" if direction == m.INPUT
+                    else "OutputPort")
         pname = self.ident("port name")[1]
-        self.expect("LPAREN", "'('")
-        self.expect_kw("Type")
-        self.expect("COLON", "':'")
+        self.expect("LPAREN")
+        self.expect("ID", "Type")
+        self.expect("COLON")
         sort = self.parse_qualified_sort()
-        self.expect("RPAREN", "')'")
+        self.expect("RPAREN")
         return m.Port(name=pname, owner=owner, direction=direction, sort=sort)
 
     def parse_qualified_sort(self):
-        first = self.ident("sort reference")[1]
-        self.expect("DOT", "'.'")
-        second = self.ident("sort name")
-        sort = "%s.%s" % (first, second[1])
+        _, second, sort = self.dotted("sort reference", "sort name")
         if sort not in self.signature.sorts:
-            self.diags.append(Diagnostic(ERROR, "UNDECLARED_SORT",
-                                         "undeclared sort '%s'" % sort,
-                                         token_span(second)))
+            self.error("undeclared sort '%s'" % sort, second,
+                       "UNDECLARED_SORT")
         return sort
 
     # -- contracts -----------------------------------------------------------
 
-    def parse_contract(self, ctype, arch=False):
-        span = token_span(self.expect_kw("Contract"))
+    def parse_contract(self, owner="", ports=()):
+        """A component's contract, or the architecture's when ``owner`` is
+        empty; only the architecture's may carry a proof."""
+        span = token_span(self.expect("ID", "Contract"))
         name = self.ident("contract name")[1]
-        self.expect("LBRACE", "'{'")
+        self.expect("LBRACE")
         variables = []
-        while self.at_kw("var"):
-            self.advance()
+        while self.accept("ID", "var"):
             vname = self.ident("variable name")[1]
-            self.expect("COLON", "':'")
-            vsort = self.parse_qualified_sort()
-            variables.append((vname, vsort))
+            self.expect("COLON")
+            variables.append((vname, self.parse_qualified_sort()))
             self.accept("COMMA")
-        scope = _Scope(self, ctype, dict(variables))
-        triggers = []
-        if self.at_kw("triggers"):
-            self.advance()
-            self.expect("LBRACE", "'{'")
-            triggers = self.comma_list(
-                lambda: self.parse_trigger(scope), ("RBRACE",))
-            self.expect("RBRACE", "'}'")
-        self.expect_kw("guarantees")
-        self.expect("LBRACE", "'{'")
-        guarantee = self.parse_predicate(scope)
-        self.expect("RBRACE", "'}'")
-        self.expect_kw("duration")
+        self.owner, self.ports, self.variables = owner, ports, dict(variables)
+        triggers = self.section("triggers", self.parse_trigger)
+        self.expect("ID", "guarantees")
+        self.expect("LBRACE")
+        guarantee = self.parse_predicate()
+        self.expect("RBRACE")
+        self.expect("ID", "duration")
         duration = self.nat()
-        proof = None
-        if arch and self.at_kw("proof"):
-            proof = self.parse_proof(scope, triggers)
-        self.expect("RBRACE", "'}'")
-        owner = ctype.name if ctype else ""
-        if arch:
-            return m.ArchitectureContract(
-                name=name, owner=owner, variables=tuple(variables),
-                triggers=tuple(triggers), guarantee=guarantee,
-                duration=duration, proof=proof, span=span)
-        return m.Contract(name=name, owner=owner, variables=tuple(variables),
-                          triggers=tuple(triggers), guarantee=guarantee,
-                          duration=duration, span=span)
+        if owner:
+            self.expect("RBRACE")
+            return m.Contract(name=name, owner=owner,
+                              variables=tuple(variables),
+                              triggers=tuple(triggers), guarantee=guarantee,
+                              duration=duration, span=span)
+        proof = self.parse_proof(triggers) if self.accept("ID", "proof") \
+            else None
+        self.expect("RBRACE")
+        return m.ArchitectureContract(
+            name=name, owner=owner, variables=tuple(variables),
+            triggers=tuple(triggers), guarantee=guarantee,
+            duration=duration, proof=proof, span=span)
 
-    def parse_arch_contract(self):
-        return self.parse_contract(None, arch=True)
-
-    def parse_trigger(self, scope):
+    def parse_trigger(self):
         label_tok = self.ident("trigger label")
-        self.expect("COLON", "':'")
-        pred = self.parse_predicate(scope)
-        time = 0
-        if self.at_kw("at"):
-            self.advance()
-            time = self.nat()
+        self.expect("COLON")
+        pred = self.parse_predicate()
+        time = self.nat() if self.accept("ID", "at") else 0
         return m.Trigger(label=label_tok[1], predicate=pred, time=time,
                          span=token_span(label_tok))
 
     # -- proofs ----------------------------------------------------------------
 
-    def parse_proof(self, scope, triggers):
-        self.expect_kw("proof")
-        self.expect("LBRACE", "'{'")
+    def parse_proof(self, triggers):
         trigger_labels = {t.label: i for i, t in enumerate(triggers)}
         steps = []
         step_labels = {}
 
+        def parse_ref():
+            label_tok = self.ident("trigger or step label")
+            label = label_tok[1]
+            has_with = self.at("ID", "with")
+            connections = self.section("with", self.parse_connection,
+                                       "LBRACK")
+            if label in step_labels:
+                return m.StepRef(index=step_labels[label],
+                                 connections=tuple(connections), label=label)
+            if label in trigger_labels:
+                if has_with:
+                    self.error("'with' is only allowed on step references",
+                               label_tok)
+                return m.TriggerRef(index=trigger_labels[label], label=label)
+            self.error("unknown trigger or step label '%s'" % label,
+                       label_tok, "UNKNOWN_LABEL")
+            return None
+
+        def ref_set():
+            if self.at("LBRACE"):
+                return self.bracketed(parse_ref)
+            ref = parse_ref()
+            return [] if ref is None else [ref]
+
         def parse_step():
             label_tok = self.ident("step label")
-            self.expect("COLON", "':'")
-            self.expect_kw("at")
+            self.expect("COLON")
+            self.expect("ID", "at")
             time = self.nat()
-            self.expect_kw("have")
-            state = self.parse_predicate(scope)
-            refs = []
-            if self.at_kw("from"):
-                self.advance()
-                self.expect("LBRACK", "'['")
-                refs = self.comma_list(
-                    lambda: self.parse_ref_set(trigger_labels, step_labels),
-                    ("RBRACK",))
-                self.expect("RBRACK", "']'")
-            self.expect_kw("using")
-            rationale = self.parse_qualified_name("contract reference")
-            step = m.ProofStep(label=label_tok[1], time=time, state=state,
+            self.expect("ID", "have")
+            state = self.parse_predicate()
+            refs = self.section("from", ref_set, "LBRACK")
+            self.expect("ID", "using")
+            rationale = self.dotted("contract reference",
+                                    "contract reference")[2]
+            step_labels[label_tok[1]] = len(steps)
+            return m.ProofStep(label=label_tok[1], time=time, state=state,
                                rationale=rationale,
                                refs=tuple(tuple(r) for r in refs),
                                span=token_span(label_tok))
-            step_labels[step.label] = len(steps)
-            steps.append(step)
-            return step
 
-        self.comma_list(parse_step, ("RBRACE",))
-        self.expect("RBRACE", "'}'")
-        return tuple(steps)
-
-    def parse_ref_set(self, trigger_labels, step_labels):
-        if self.accept("LBRACE"):
-            refs = self.comma_list(
-                lambda: self.parse_ref(trigger_labels, step_labels),
-                ("RBRACE",))
-            self.expect("RBRACE", "'}'")
-            return [r for r in refs if r is not None]
-        r = self.parse_ref(trigger_labels, step_labels)
-        return [r] if r is not None else []
-
-    def parse_ref(self, trigger_labels, step_labels):
-        label_tok = self.ident("trigger or step label")
-        label = label_tok[1]
-        connections = []
-        has_with = False
-        if self.at_kw("with"):
-            has_with = True
-            self.advance()
-            self.expect("LBRACK", "'['")
-            connections = self.comma_list(self.parse_connection, ("RBRACK",))
-            self.expect("RBRACK", "']'")
-        if label in step_labels:
-            return m.StepRef(index=step_labels[label],
-                             connections=tuple(connections), label=label)
-        if label in trigger_labels:
-            if has_with:
-                self.error("'with' is only allowed on step references",
-                           token_span(label_tok))
-            return m.TriggerRef(index=trigger_labels[label], label=label)
-        self.diags.append(Diagnostic(ERROR, "UNKNOWN_LABEL",
-                                     "unknown trigger or step label '%s'"
-                                     % label, token_span(label_tok)))
-        return None
+        return tuple(self.bracketed(parse_step, "LBRACE", steps))
 
     def parse_connection(self):
-        self.expect("LPAREN", "'('")
+        self.expect("LPAREN")
         p_in = self.parse_port_ref()
-        self.expect("COMMA", "','")
+        self.expect("COMMA")
         p_out = self.parse_port_ref()
-        self.expect("RPAREN", "')'")
+        self.expect("RPAREN")
         if p_in is None or p_out is None:
             return None
         return (p_in, p_out)
 
     def parse_port_ref(self):
-        tok = self.ident("qualified port")
-        self.expect("DOT", "'.'")
-        pname = self.ident("port name")[1]
-        ct = self.component_by_name.get(tok[1])
-        port = None
-        if ct is not None:
-            port = next((p for p in ct.ports if p.name == pname), None)
+        tok, second, _ = self.dotted("qualified port", "port name")
+        return self.port_of(tok, second[1], self.ports_of.get(tok[1], ()))
+
+    def port_of(self, tok, name, ports):
+        """The port ``name`` among ``ports`` of component ``tok``, or None
+        once reported."""
+        port = _port_named(ports, name)
         if port is None:
-            self.diags.append(Diagnostic(ERROR, "UNDECLARED_PORT",
-                                         "unknown port '%s.%s'"
-                                         % (tok[1], pname), token_span(tok)))
+            self.error("unknown port '%s.%s'" % (tok[1], name), tok,
+                       "UNDECLARED_PORT")
         return port
 
-    def parse_qualified_name(self, what):
-        first = self.ident(what)[1]
-        self.expect("DOT", "'.'")
-        second = self.ident(what)[1]
-        return "%s.%s" % (first, second)
-
     # -- predicates and terms ----------------------------------------------
+    # Names resolve in the scope of the contract being parsed: its
+    # variables, then its owner's ports; ``C.p`` names port p of C, where
+    # the owner, not yet declared, stands for itself.
 
-    def parse_predicate(self, scope, depth=0):
-        parts = [self.parse_conjunction(scope, depth)]
+    def parse_predicate(self, depth=0):
+        parts = [self.parse_conjunction(depth)]
         while self.accept("OR"):
-            parts.append(self.parse_conjunction(scope, depth))
+            parts.append(self.parse_conjunction(depth))
         return m.disjoin(parts)
 
-    def parse_conjunction(self, scope, depth):
-        parts = [self.parse_atom(scope, depth)]
+    def parse_conjunction(self, depth):
+        parts = [self.parse_atom(depth)]
         while self.accept("AND"):
-            parts.append(self.parse_atom(scope, depth))
+            parts.append(self.parse_atom(depth))
         return m.conjoin(parts)
 
-    def parse_atom(self, scope, depth):
+    def parse_atom(self, depth):
         """``depth`` counts the parentheses and operation applications
         around this atom; see MAX_NESTING."""
         if self.at("LPAREN"):
@@ -568,102 +515,59 @@ class Parser:
                 self.skip_too_deep()
                 return m.Atom("?", ())
             self.advance()
-            p = self.parse_predicate(scope, depth + 1)
-            self.expect("RPAREN", "')'")
+            p = self.parse_predicate(depth + 1)
+            self.expect("RPAREN")
             return p
         if self.accept("LBRACK"):
-            lhs = self.parse_term(scope, depth)
-            self.expect("EQ", "'='")
-            rhs = self.parse_term(scope, depth)
-            self.expect("RBRACK", "']'")
+            lhs = self.parse_term(depth)
+            self.expect("EQ")
+            rhs = self.parse_term(depth)
+            self.expect("RBRACK")
             return m.Eq(lhs, rhs)
         # predicate-symbol application: DT.pred[args]
-        tok = self.ident("predicate")
-        self.expect("DOT", "'.'")
-        sym = self.ident("predicate name")[1]
-        qualified = "%s.%s" % (tok[1], sym)
-        self.expect("LBRACK", "'['")
-        args = self.comma_list(lambda: self.parse_term(scope, depth),
-                               ("RBRACK",))
-        self.expect("RBRACK", "']'")
+        tok, _, qualified = self.dotted("predicate", "predicate name")
+        args = self.bracketed(lambda: self.parse_term(depth), "LBRACK")
         if qualified not in self.signature.predicate_symbols:
-            self.diags.append(Diagnostic(
-                ERROR, "UNDECLARED_SYMBOL",
-                "'%s' is not a declared predicate" % qualified,
-                token_span(tok)))
+            self.error("'%s' is not a declared predicate" % qualified, tok,
+                       "UNDECLARED_SYMBOL")
         return m.Atom(qualified, tuple(args))
 
-    def parse_term(self, scope, depth):
+    def parse_term(self, depth):
         tok = self.ident("term")
-        if self.at("DOT"):
-            self.advance()
-            second = self.ident("name")[1]
-            qualified = "%s.%s" % (tok[1], second)
-            if self.at("LBRACK"):
-                if depth == MAX_NESTING:
-                    self.skip_too_deep()
-                    return m.Var(qualified, "?")
-                self.advance()
-                args = self.comma_list(
-                    lambda: self.parse_term(scope, depth + 1), ("RBRACK",))
-                self.expect("RBRACK", "']'")
-                if qualified not in self.signature.operation_symbols:
-                    self.diags.append(Diagnostic(
-                        ERROR, "UNDECLARED_SYMBOL",
-                        "'%s' is not a declared operation" % qualified,
-                        token_span(tok)))
-                return m.App(qualified, tuple(args))
-            port = scope.resolve_qualified_port(tok[1], second)
+        if not self.accept("DOT"):
+            name = tok[1]
+            if name in self.variables:
+                return m.Var(name, self.variables[name])
+            port = _port_named(self.ports, name)
             if port is not None:
                 return m.PortRef(port)
-            self.diags.append(Diagnostic(ERROR, "UNDECLARED_PORT",
-                                         "unknown port '%s'" % qualified,
-                                         token_span(tok)))
-            return m.Var(qualified, "?")
-        return scope.resolve(tok, self)
+            self.error("unknown variable or port '%s'" % name, tok,
+                       "UNDECLARED_VARIABLE")
+            return m.Var(name, "?")
+        second = self.ident("name")[1]
+        qualified = "%s.%s" % (tok[1], second)
+        if self.at("LBRACK"):
+            if depth == MAX_NESTING:
+                self.skip_too_deep()
+                return m.Var(qualified, "?")
+            args = self.bracketed(lambda: self.parse_term(depth + 1),
+                                  "LBRACK")
+            if qualified not in self.signature.operation_symbols:
+                self.error("'%s' is not a declared operation" % qualified,
+                           tok, "UNDECLARED_SYMBOL")
+            return m.App(qualified, tuple(args))
+        port = self.port_of(tok, second, self.ports if tok[1] == self.owner
+                            else self.ports_of.get(tok[1], ()))
+        return m.Var(qualified, "?") if port is None else m.PortRef(port)
 
     def skip_too_deep(self):
         """Report the bracket group opening at the current token, nested
         past MAX_NESTING, and skip it whole."""
-        self.diags.append(Diagnostic(ERROR, "NESTING_LIMIT",
-                                     "nesting deeper than %d levels"
-                                     % MAX_NESTING, token_span(self.tok)))
+        self.error("nesting deeper than %d levels" % MAX_NESTING,
+                   rule="NESTING_LIMIT")
         self.advance()
         self.skip_balanced(())
         self.advance()
-
-
-class _Scope:
-    """Resolution context for terms inside one contract."""
-
-    def __init__(self, parser, ctype, variables):
-        self.parser = parser
-        self.ctype = ctype               # None for architecture contracts
-        self.variables = variables       # name -> sort
-
-    def resolve(self, tok, parser):
-        name = tok[1]
-        if name in self.variables:
-            return m.Var(name, self.variables[name])
-        if self.ctype is not None:
-            port = next((p for p in self.ctype.ports if p.name == name), None)
-            if port is not None:
-                return m.PortRef(port)
-        parser.diags.append(Diagnostic(
-            ERROR, "UNDECLARED_VARIABLE",
-            "unknown variable or port '%s'" % name, token_span(tok)))
-        return m.Var(name, "?")
-
-    def resolve_qualified_port(self, owner, pname):
-        # the enclosing component is not yet registered while its own
-        # contracts are being parsed
-        if self.ctype is not None and self.ctype.name == owner:
-            ct = self.ctype
-        else:
-            ct = self.parser.component_by_name.get(owner)
-        if ct is None:
-            return None
-        return next((p for p in ct.ports if p.name == pname), None)
 
 
 def parse_model(text, filename="<input>"):

@@ -319,4 +319,17 @@ def test_nesting_past_the_limit_is_a_diagnostic(tmp_path, capsys, command):
 def test_missing_arguments_exit_nonzero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code != 0
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", RELAY, "--universe", TINY, "--horizon", "0"],
+    ["simulate", RELAY, "--universe", TINY, "--horizon", "-3"],
+    ["search", RADDER, "--dnf-budget", "0"],
+    ["check", RADDER, "--dnf-budget", "0"],
+])
+def test_horizon_and_budget_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "invalid positive value" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import typing
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -467,3 +468,10 @@ def test_model_containers_stay_dataclasses():
     assert dataclasses.replace(step, time=5).time == 5
     assert dataclasses.replace(ct, contracts=()).contracts == ()
     assert dataclasses.replace(model, contracts=()).contracts == ()
+
+
+def test_model_container_annotations_resolve():
+    for cls in (m.Contract, m.ArchitectureContract, m.ProofStep,
+                m.ComponentType):
+        assert typing.get_type_hints(cls)["span"] is SourceSpan
+    assert typing.get_type_hints(m.Model)["contracts"] is tuple
