@@ -196,7 +196,7 @@ def build_parser():
     common(p)
     p.add_argument("--contract", default=None,
                    help="architecture contract name (default: first)")
-    p.add_argument("--max-steps", type=int, default=32)
+    p.add_argument("--max-steps", type=positive, default=32)
     p.add_argument("--dnf-budget", type=positive,
                    default=entailment.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_search)

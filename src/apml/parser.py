@@ -3,12 +3,14 @@
 ``parse_model`` never raises on bad input: it returns a best-effort partial
 model together with span-carrying diagnostics.
 
-A token is a plain tuple ``(kind, text, file, line, col)``.  ``kind`` is ID,
+``tokenize`` fills ``Tokens``, three parallel columns: each token's kind, its
+text and its start offset.  A token is an index into them.  ``kind`` is ID,
 NAT, AND, OR, ARROW, EOF or a punctuation kind; NAT is ASCII digits only.
-A token's ``SourceSpan`` is built by ``token_span`` only where something
-keeps it, a model element or a diagnostic, so most tokens never get one.
-``tokenize`` matches one precompiled pattern per token, and the parser finds
-component ports by name through a dict, so parsing is linear in the input.
+No token stores its line or column: ``Tokens.span`` finds them by bisecting
+the offsets of the line starts, only where something keeps a span, a model
+element or a diagnostic, so most tokens never get one.  ``tokenize`` matches
+one precompiled pattern per token, and the parser finds component ports by
+name through one dict per component, so parsing is linear in the input.
 
 Every comma list between braces or brackets goes through ``bracketed``, which
 recovers item by item, and every optional ``Keyword { ... }`` block through
@@ -20,6 +22,8 @@ the contract's variables.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 
 from .diagnostics import Diagnostic, SourceSpan, ERROR
 from . import model as m
@@ -31,23 +35,24 @@ KEYWORDS = frozenset([
     "guarantees", "duration", "proof", "at", "have", "from", "with", "using",
 ])
 
-# One alternative per token kind, tried in this order after skipping blanks
-# within a line; the group that matched names the token kind.  ``\w`` is
-# exactly ``str.isalnum`` or "_", but no class is exactly ``str.isalpha``, so
-# an identifier that starts with a non-ASCII letter falls to OTHER, as do the
-# start of an unterminated block comment and a stray character.
-_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
-      (?P<ID>[A-Za-z_]\w*)
-    | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LPAREN>\() | (?P<RPAREN>\))
-    | (?P<LBRACK>\[) | (?P<RBRACK>\]) | (?P<COMMA>,) | (?P<COLON>:)
-    | (?P<DOT>\.) | (?P<ARROW>=>) | (?P<EQ>=)
-    | (?P<NL>\n)
-    | (?P<NAT>[0-9]+)
-    | (?P<COMMENT>//[^\n]*|/\*.*?\*/)
-    | (?P<AND>/\\) | (?P<OR>\\/)
-    | (?P<OTHER>[^ \t\r])
+# Blanks and newlines are skipped in the prefix; then group 1 is a token (an
+# identifier, a NAT or punctuation), group 2 a comment and group 3 any other
+# character.  ``\w`` is exactly ``str.isalnum`` or "_", but no class is
+# exactly ``str.isalpha``, so an identifier that starts with a non-ASCII
+# letter falls to group 3, as do the start of an unterminated block comment
+# and a stray character.  Group 3 excludes blanks, or a trailing blank would
+# match it after backtracking.
+_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:
+      ([A-Za-z_]\w*|[0-9]+|=>|/\\|\\/|[{}()\[\],:.=])
+    | (//[^\n]*|/\*.*?\*/)
+    | ([^ \t\r\n])
     )""", re.VERBOSE | re.DOTALL)
 _WORD_RE = re.compile(r"\w*")
+_PUNCTUATION = {
+    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ":": "COLON", ".": "DOT",
+    "=": "EQ", "=>": "ARROW", "/\\": "AND", "\\/": "OR",
+}
 
 # Parentheses and operation applications nest at most this deep in one
 # predicate.  Each level takes three Python frames here and a few in every
@@ -57,55 +62,75 @@ _WORD_RE = re.compile(r"\w*")
 MAX_NESTING = 200
 
 
-def token_span(tok):
-    """The source span of a token; a token lies on one line."""
-    _, text, file, line, col = tok
-    return SourceSpan(file, line, col, line, col + len(text))
+class Tokens:
+    """The tokens of one text, ending with EOF: ``kinds[i]``, ``texts[i]``
+    and ``starts[i]`` (its offset) describe token ``i``."""
+
+    __slots__ = ("file", "kinds", "texts", "starts", "line_starts")
+
+    def __init__(self, text, file):
+        self.file = file
+        self.kinds, self.texts, self.starts = [], [], array("l")
+        self.line_starts = array("l", [0] + [
+            mo.end() for mo in re.finditer("\n", text)])
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def at_offset(self, offset, width):
+        """The span of ``width`` characters from ``offset``, on one line."""
+        line = bisect_right(self.line_starts, offset)
+        col = offset - self.line_starts[line - 1] + 1
+        return SourceSpan(self.file, line, col, line, col + width)
+
+    def span(self, i):
+        """The source span of token ``i``; a token lies on one line."""
+        return self.at_offset(self.starts[i], len(self.texts[i]))
 
 
 def tokenize(text, filename="<input>"):
-    """The tokens of text, ending with EOF, and the lexical diagnostics."""
-    tokens = []
+    """The ``Tokens`` of text and the lexical diagnostics."""
+    tokens = Tokens(text, filename)
+    texts, starts = tokens.texts, tokens.starts
     diags = []
-    line, line_start = 1, 0          # line_start: offset of the line's col 1
+    seen = {}                        # one string per distinct token text
     pos, end = 0, len(text)
     match = _TOKEN_RE.match
     while True:
         mo = match(text, pos)
         if mo is None:               # only blanks are left
             break
-        kind = mo.lastgroup
-        start = mo.start(kind)
-        pos = mo.end()
-        if kind == "NL":
-            line += 1
-            line_start = pos
-        elif kind == "COMMENT":
-            nl = text.count("\n", start, pos)
-            if nl:
-                line += nl
-                line_start = text.rfind("\n", start, pos) + 1
-        elif kind != "OTHER":
-            tokens.append((kind, text[start:pos], filename, line,
-                           start - line_start + 1))
-        elif text[start].isalpha():
+        group = mo.lastindex
+        start, pos = mo.span(group)
+        if group == 2:
+            continue
+        if group == 3:
+            if not text[start].isalpha():
+                if text.startswith("/*", start):
+                    diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
+                                            "unterminated block comment",
+                                            tokens.at_offset(start, 0)))
+                    end = start
+                    break
+                diags.append(Diagnostic(ERROR, "LEX_ERROR",
+                                        "unexpected character %r"
+                                        % text[start],
+                                        tokens.at_offset(start, 1)))
+                continue
             pos = _WORD_RE.match(text, pos).end()
-            tokens.append(("ID", text[start:pos], filename, line,
-                           start - line_start + 1))
-        else:
-            col = start - line_start + 1
-            if text.startswith("/*", start):
-                diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
-                                        "unterminated block comment",
-                                        SourceSpan(filename, line, col,
-                                                   line, col)))
-                end = start
-                break
-            diags.append(Diagnostic(ERROR, "LEX_ERROR",
-                                    "unexpected character %r" % text[start],
-                                    SourceSpan(filename, line, col,
-                                               line, col + 1)))
-    tokens.append(("EOF", "", filename, line, end - line_start + 1))
+        word = text[start:pos]
+        texts.append(seen.setdefault(word, word))
+        starts.append(start)
+    texts.append("")
+    starts.append(end)
+    # A token's text determines its kind, so the kinds column is filled in
+    # one pass here: three columns growing side by side in the loop left
+    # the allocator more holes and raised the process's peak memory.
+    kind_of = {word: _PUNCTUATION.get(word)
+               or ("NAT" if word[0] in "0123456789" else "ID")
+               for word in seen}
+    kind_of[""] = "EOF"
+    tokens.kinds.extend(map(kind_of.__getitem__, texts))
     return tokens, diags
 
 
@@ -114,79 +139,74 @@ class _ParseError(Exception):
 
 
 # What ``expect`` names in its message when a token of a kind is missing.
-_EXPECTED = {"LBRACE": "'{'", "RBRACE": "'}'", "LPAREN": "'('",
-             "RPAREN": "')'", "LBRACK": "'['", "RBRACK": "']'",
-             "COMMA": "','", "COLON": "':'", "DOT": "'.'", "EQ": "'='",
-             "ARROW": "'=>'", "NAT": "number"}
+_EXPECTED = {kind: "'%s'" % text for text, kind in _PUNCTUATION.items()}
+_EXPECTED["NAT"] = "number"
 
 
-def _port_named(ports, name):
-    return next((p for p in ports if p.name == name), None)
+def _by_name(ports):
+    """Name -> port; the first declaration of a name wins."""
+    return {p.name: p for p in reversed(ports)}
 
 
 class Parser:
     def __init__(self, tokens, diags):
         self.tokens = tokens
+        self.kinds, self.texts = tokens.kinds, tokens.texts
         self.pos = 0
         self.diags = diags
         # resolution state
         self.signature = m.Signature([])
-        self.ports_of = {}               # component name -> its ports;
-                                         # the first declaration wins
+        self.ports_of = {}               # component name -> its ports by name
         # the contract being parsed: its owner ("" for the architecture),
-        # the owner's ports and the contract's variables (name -> sort)
-        self.owner, self.ports, self.variables = "", (), {}
+        # the owner's ports by name and the contract's variables by name
+        self.owner, self.ports, self.variables = "", {}, {}
 
     # -- token plumbing ----------------------------------------------------
-    # t[0] is a token's kind and t[1] its text.  The list ends with EOF,
-    # which advance never passes; no caller accepts or expects EOF, so
-    # consuming a token that matched is a plain increment.
-
-    @property
-    def tok(self):
-        return self.tokens[self.pos]
-
-    def peek(self, k=1):
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+    # A token is an index into ``kinds`` and ``texts``; index 0 is a token,
+    # so a returned index is tested against None, never for truth.  The
+    # columns end with EOF, which advance never passes; no caller accepts or
+    # expects EOF, so consuming a token that matched is a plain increment.
 
     def advance(self):
-        t = self.tokens[self.pos]
-        if t[0] != "EOF":
+        if self.kinds[self.pos] != "EOF":
             self.pos += 1
-        return t
 
     def at(self, kind, text=None):
-        t = self.tokens[self.pos]
-        return t[0] == kind and (text is None or t[1] == text)
+        i = self.pos
+        return self.kinds[i] == kind and (text is None
+                                          or self.texts[i] == text)
 
     def accept(self, kind, text=None):
-        t = self.tokens[self.pos]
-        if t[0] == kind and (text is None or t[1] == text):
-            self.pos += 1
-            return t
+        """The current token's index if it has this kind (and text), having
+        consumed it; else None."""
+        i = self.pos
+        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
+            self.pos = i + 1
+            return i
         return None
 
     def error(self, message, tok=None, rule="UNEXPECTED_TOKEN"):
-        """Report at ``tok``, by default the current token."""
-        self.diags.append(Diagnostic(ERROR, rule, message,
-                                     token_span(tok or self.tok)))
+        """Report at token ``tok``, by default the current token."""
+        span = self.tokens.span(self.pos if tok is None else tok)
+        self.diags.append(Diagnostic(ERROR, rule, message, span))
 
     def expect(self, kind, text=None):
-        """The current token if it has this kind (and, for a keyword, this
-        text); else report it and abandon the enclosing item."""
-        t = self.accept(kind, text)
-        if t is None:
+        """The current token's index if it has this kind (and, for a
+        keyword, this text); else report it and abandon the enclosing
+        item."""
+        i = self.accept(kind, text)
+        if i is None:
             self.error("expected %s, got %r" % (
                 "'%s'" % text if text else _EXPECTED[kind],
-                self.tok[1] or "<eof>"))
+                self.texts[self.pos] or "<eof>"))
             raise _ParseError()
-        return t
+        return i
 
     def skip_balanced(self, until_kinds):
         """Panic-mode recovery: skip to a follow token at bracket depth 0."""
         depth = 0
         while not self.at("EOF"):
-            k = self.tok[0]
+            k = self.kinds[self.pos]
             if depth == 0 and k in until_kinds:
                 return
             if k in ("LBRACE", "LPAREN", "LBRACK"):
@@ -198,22 +218,23 @@ class Parser:
             self.advance()
 
     def ident(self, what="identifier"):
-        t = self.tokens[self.pos]
-        if t[0] == "ID" and t[1] not in KEYWORDS:
-            self.pos += 1
-            return t
-        self.error("expected %s, got %r" % (what, t[1] or "<eof>"))
+        i = self.pos
+        if self.kinds[i] == "ID" and self.texts[i] not in KEYWORDS:
+            self.pos = i + 1
+            return i
+        self.error("expected %s, got %r" % (what, self.texts[i] or "<eof>"))
         raise _ParseError()
 
     def dotted(self, what, then):
-        """``ID . ID``: both tokens and the dotted name."""
+        """``ID . ID``: both token indices and the dotted name."""
         first = self.ident(what)
         self.expect("DOT")
         second = self.ident(then)
-        return first, second, "%s.%s" % (first[1], second[1])
+        return first, second, "%s.%s" % (self.texts[first],
+                                         self.texts[second])
 
     def nat(self):
-        return int(self.expect("NAT")[1])
+        return int(self.texts[self.expect("NAT")])
 
     def bracketed(self, parse_item, opener="LBRACE", items=None):
         """A comma list between braces or brackets, each item recovered on
@@ -230,14 +251,14 @@ class Parser:
                     items.append(item)
             except _ParseError:
                 self.skip_balanced(("COMMA", closer))
-            if not self.accept("COMMA"):
+            if self.accept("COMMA") is None:
                 break
         self.expect(closer)
         return items
 
     def section(self, word, parse_item, opener="LBRACE", items=None):
         """An optional ``word { ... }`` block; no items if it is absent."""
-        if self.accept("ID", word):
+        if self.accept("ID", word) is not None:
             return self.bracketed(parse_item, opener, items)
         return [] if items is None else items
 
@@ -253,9 +274,9 @@ class Parser:
         name = short = ""
         datatypes, ctypes, connections, contracts = [], [], [], []
         try:
-            name = self.ident("pattern name")[1]
+            name = self.texts[self.ident("pattern name")]
             self.expect("ID", "ShortName")
-            short = self.ident("short name")[1]
+            short = self.texts[self.ident("short name")]
             self.expect("LBRACE")
             # an unclosed DTSpec or CTypes keeps none of its items; an
             # unclosed Connections or Contracts keeps those read so far
@@ -263,7 +284,7 @@ class Parser:
             self.signature = m.Signature(datatypes)
             ctypes = self.section("CTypes", self.parse_ctype)
             for ct in ctypes:
-                self.ports_of.setdefault(ct.name, ct.ports)
+                self.ports_of.setdefault(ct.name, _by_name(ct.ports))
             self.section("Connections", self.parse_connection, "LBRACE",
                          connections)
             self.section("Contracts", self.parse_contract, "LBRACE",
@@ -282,18 +303,18 @@ class Parser:
     # -- data types ----------------------------------------------------------
 
     def parse_dt(self):
-        span = token_span(self.expect("ID", "DT"))
-        name = self.ident("data type name")[1]
+        span = self.tokens.span(self.expect("ID", "DT"))
+        name = self.texts[self.ident("data type name")]
         self.expect("LPAREN")
         sort = None
         predicates = []
         operations = []
         while not self.at("RPAREN") and not self.at("EOF"):
-            if self.accept("ID", "Sort"):
-                sort = self.ident("sort name")[1]
-            elif self.accept("ID", "Predicate"):
+            if self.accept("ID", "Sort") is not None:
+                sort = self.texts[self.ident("sort name")]
+            elif self.accept("ID", "Predicate") is not None:
                 predicates.extend(self.parse_symbol_decls(name, with_result=False))
-            elif self.accept("ID", "Operation"):
+            elif self.accept("ID", "Operation") is not None:
                 operations.extend(self.parse_symbol_decls(name, with_result=True))
             else:
                 self.error("expected Sort, Predicate or Operation")
@@ -308,7 +329,7 @@ class Parser:
         declaration."""
         decls = []
         while True:
-            sym = self.ident("symbol name")[1]
+            sym = self.texts[self.ident("symbol name")]
             self.expect("COLON")
             args = [self.parse_sort_ref(dt_name)]
             while self.at("COMMA") and not self._next_is_decl_or_end():
@@ -329,28 +350,32 @@ class Parser:
 
     def _next_is_decl_or_end(self):
         # after a comma inside an argument-sort list: `ID :` means a new
-        # symbol declaration rather than a further argument sort
-        return self.peek()[0] == "ID" and self.peek(2)[0] == "COLON"
+        # symbol declaration rather than a further argument sort.  The
+        # current token is that comma, so i + 1 is at most EOF and i + 2 is
+        # read only after an ID.
+        kinds, i = self.kinds, self.pos
+        return kinds[i + 1] == "ID" and kinds[i + 2] == "COLON"
 
     def parse_sort_ref(self, dt_name):
-        first = self.ident("sort name")[1]
-        if self.accept("DOT"):
-            second = self.ident("sort name")[1]
+        first = self.texts[self.ident("sort name")]
+        if self.accept("DOT") is not None:
+            second = self.texts[self.ident("sort name")]
             return "%s.%s" % (first, second)
         return "%s.%s" % (dt_name, first)
 
     # -- component types -----------------------------------------------------
 
     def parse_ctype(self):
-        span = token_span(self.expect("ID", "CType"))
-        name = self.ident("component type name")[1]
+        span = self.tokens.span(self.expect("ID", "CType"))
+        name = self.texts[self.ident("component type name")]
         self.expect("LBRACE")
         inputs = tuple(self.section(
             "InputPorts", lambda: self.parse_port(name, m.INPUT)))
         outputs = tuple(self.section(
             "OutputPorts", lambda: self.parse_port(name, m.OUTPUT)))
+        ports = _by_name(inputs + outputs)
         contracts = self.section(
-            "Contracts", lambda: self.parse_contract(name, inputs + outputs))
+            "Contracts", lambda: self.parse_contract(name, ports))
         self.expect("RBRACE")
         return m.ComponentType(name=name, inputs=inputs, outputs=outputs,
                                contracts=tuple(contracts), span=span)
@@ -358,7 +383,7 @@ class Parser:
     def parse_port(self, owner, direction):
         self.expect("ID", "InputPort" if direction == m.INPUT
                     else "OutputPort")
-        pname = self.ident("port name")[1]
+        pname = self.texts[self.ident("port name")]
         self.expect("LPAREN")
         self.expect("ID", "Type")
         self.expect("COLON")
@@ -375,19 +400,21 @@ class Parser:
 
     # -- contracts -----------------------------------------------------------
 
-    def parse_contract(self, owner="", ports=()):
-        """A component's contract, or the architecture's when ``owner`` is
-        empty; only the architecture's may carry a proof."""
-        span = token_span(self.expect("ID", "Contract"))
-        name = self.ident("contract name")[1]
+    def parse_contract(self, owner="", ports=None):
+        """A component's contract, with its owner's ``ports`` by name, or the
+        architecture's when ``owner`` is empty; only the architecture's may
+        carry a proof."""
+        span = self.tokens.span(self.expect("ID", "Contract"))
+        name = self.texts[self.ident("contract name")]
         self.expect("LBRACE")
         variables = []
-        while self.accept("ID", "var"):
-            vname = self.ident("variable name")[1]
+        while self.accept("ID", "var") is not None:
+            vname = self.texts[self.ident("variable name")]
             self.expect("COLON")
             variables.append((vname, self.parse_qualified_sort()))
             self.accept("COMMA")
-        self.owner, self.ports, self.variables = owner, ports, dict(variables)
+        self.owner, self.ports = owner, {} if ports is None else ports
+        self.variables = dict(variables)
         triggers = self.section("triggers", self.parse_trigger)
         self.expect("ID", "guarantees")
         self.expect("LBRACE")
@@ -401,8 +428,8 @@ class Parser:
                               variables=tuple(variables),
                               triggers=tuple(triggers), guarantee=guarantee,
                               duration=duration, span=span)
-        proof = self.parse_proof(triggers) if self.accept("ID", "proof") \
-            else None
+        proof = (self.parse_proof(triggers)
+                 if self.accept("ID", "proof") is not None else None)
         self.expect("RBRACE")
         return m.ArchitectureContract(
             name=name, owner=owner, variables=tuple(variables),
@@ -413,9 +440,9 @@ class Parser:
         label_tok = self.ident("trigger label")
         self.expect("COLON")
         pred = self.parse_predicate()
-        time = self.nat() if self.accept("ID", "at") else 0
-        return m.Trigger(label=label_tok[1], predicate=pred, time=time,
-                         span=token_span(label_tok))
+        time = self.nat() if self.accept("ID", "at") is not None else 0
+        return m.Trigger(label=self.texts[label_tok], predicate=pred,
+                         time=time, span=self.tokens.span(label_tok))
 
     # -- proofs ----------------------------------------------------------------
 
@@ -426,7 +453,7 @@ class Parser:
 
         def parse_ref():
             label_tok = self.ident("trigger or step label")
-            label = label_tok[1]
+            label = self.texts[label_tok]
             has_with = self.at("ID", "with")
             connections = self.section("with", self.parse_connection,
                                        "LBRACK")
@@ -459,11 +486,12 @@ class Parser:
             self.expect("ID", "using")
             rationale = self.dotted("contract reference",
                                     "contract reference")[2]
-            step_labels[label_tok[1]] = len(steps)
-            return m.ProofStep(label=label_tok[1], time=time, state=state,
+            label = self.texts[label_tok]
+            step_labels[label] = len(steps)
+            return m.ProofStep(label=label, time=time, state=state,
                                rationale=rationale,
                                refs=tuple(tuple(r) for r in refs),
-                               span=token_span(label_tok))
+                               span=self.tokens.span(label_tok))
 
         return tuple(self.bracketed(parse_step, "LBRACE", steps))
 
@@ -479,14 +507,15 @@ class Parser:
 
     def parse_port_ref(self):
         tok, second, _ = self.dotted("qualified port", "port name")
-        return self.port_of(tok, second[1], self.ports_of.get(tok[1], ()))
+        return self.port_of(tok, self.texts[second],
+                            self.ports_of.get(self.texts[tok], {}))
 
     def port_of(self, tok, name, ports):
-        """The port ``name`` among ``ports`` of component ``tok``, or None
-        once reported."""
-        port = _port_named(ports, name)
+        """The port ``name`` in ``ports``, the ports by name of component
+        ``tok``, or None once reported."""
+        port = ports.get(name)
         if port is None:
-            self.error("unknown port '%s.%s'" % (tok[1], name), tok,
+            self.error("unknown port '%s.%s'" % (self.texts[tok], name), tok,
                        "UNDECLARED_PORT")
         return port
 
@@ -497,13 +526,13 @@ class Parser:
 
     def parse_predicate(self, depth=0):
         parts = [self.parse_conjunction(depth)]
-        while self.accept("OR"):
+        while self.accept("OR") is not None:
             parts.append(self.parse_conjunction(depth))
         return m.disjoin(parts)
 
     def parse_conjunction(self, depth):
         parts = [self.parse_atom(depth)]
-        while self.accept("AND"):
+        while self.accept("AND") is not None:
             parts.append(self.parse_atom(depth))
         return m.conjoin(parts)
 
@@ -518,7 +547,7 @@ class Parser:
             p = self.parse_predicate(depth + 1)
             self.expect("RPAREN")
             return p
-        if self.accept("LBRACK"):
+        if self.accept("LBRACK") is not None:
             lhs = self.parse_term(depth)
             self.expect("EQ")
             rhs = self.parse_term(depth)
@@ -534,18 +563,19 @@ class Parser:
 
     def parse_term(self, depth):
         tok = self.ident("term")
-        if not self.accept("DOT"):
-            name = tok[1]
+        if self.accept("DOT") is None:
+            name = self.texts[tok]
             if name in self.variables:
                 return m.Var(name, self.variables[name])
-            port = _port_named(self.ports, name)
+            port = self.ports.get(name)
             if port is not None:
                 return m.PortRef(port)
             self.error("unknown variable or port '%s'" % name, tok,
                        "UNDECLARED_VARIABLE")
             return m.Var(name, "?")
-        second = self.ident("name")[1]
-        qualified = "%s.%s" % (tok[1], second)
+        second = self.texts[self.ident("name")]
+        component = self.texts[tok]
+        qualified = "%s.%s" % (component, second)
         if self.at("LBRACK"):
             if depth == MAX_NESTING:
                 self.skip_too_deep()
@@ -556,8 +586,8 @@ class Parser:
                 self.error("'%s' is not a declared operation" % qualified,
                            tok, "UNDECLARED_SYMBOL")
             return m.App(qualified, tuple(args))
-        port = self.port_of(tok, second, self.ports if tok[1] == self.owner
-                            else self.ports_of.get(tok[1], ()))
+        port = self.port_of(tok, second, self.ports if component == self.owner
+                            else self.ports_of.get(component, {}))
         return m.Var(qualified, "?") if port is None else m.PortRef(port)
 
     def skip_too_deep(self):

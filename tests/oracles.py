@@ -33,9 +33,11 @@ def naive_tokenize(text, filename="<input>"):
     """Reference for ``apml.parser.tokenize``: a character loop.
 
     Returns ``(kind, text, span)`` triples ending with EOF, and the
-    diagnostics.  A ``//`` comment advances the column, so EOF after a
-    trailing comment sits at the end of input.  Digits are ``str.isdigit``,
-    so this reference agrees with the package only on ASCII digits.
+    diagnostics.  The package keeps its tokens in columns instead: token
+    ``i`` of its ``Tokens`` is the triple ``(kinds[i], texts[i], span(i))``.
+    A ``//`` comment advances the column, so EOF after a trailing comment
+    sits at the end of input.  Digits are ``str.isdigit``, so this reference
+    agrees with the package only on ASCII digits.
     """
     tokens = []
     diags = []

@@ -14,7 +14,7 @@ from apml.diagnostics import Diagnostic, ERROR
 from apml.oracle import FOUND, search_proof
 from apml.parser import parse_model
 
-from conftest import load
+from conftest import CORPUS, load
 from oracles import relay_chain_model
 
 NAT = "Basic.NAT"
@@ -180,6 +180,52 @@ def test_c5_when_state_overclaims(radder):
     bad = with_step(radder, 1, state=m.Eq(m.PortRef(o), zz))
     v = check_proof(bad, arch(bad))
     assert conditions(v.steps[1]) == ["C5"]
+
+
+def _relay_with(*edits):
+    """relay.apml with each (old, new) text edit made once."""
+    text = (CORPUS / "relay.apml").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    model, diags = parse_model(text)
+    assert not diags
+    return model
+
+
+@pytest.mark.parametrize("edit, condition, message", [
+    (("t1: [Stage1.i = x]", "t1: [Stage1.i = x] \\/ [Stage1.i = x]"), "C3",
+     "step 0 trigger 0: case split exceeds the budget"),
+    (("guarantees { [o = x] }", "guarantees { [o = x] \\/ [o = x] }"), "C5",
+     "step 0: hypothesis DNF exceeds budget 1"),
+], ids=["C3", "C5"])
+def test_a_step_over_the_dnf_budget_is_inconclusive(edit, condition, message):
+    model = _relay_with(edit)
+    v = check_proof(model, arch(model), budget=1)
+    assert v.status == INCONCLUSIVE
+    (finding,) = v.steps[0].findings
+    assert (finding.condition, finding.status, finding.message) == (
+        condition, INCONCLUSIVE, message)
+    assert v.steps[1].status == OK
+
+
+def test_several_matching_instantiations_are_noted():
+    # [x = x] holds for any x, so the rationale's x may bind to either
+    # of the architecture's variables
+    model = _relay_with(("t1: [i = x]", "t1: [i = x] \\/ [x = x]"),
+                        ("var x: Bit.BIT\n      triggers {\n"
+                         "        t1: [Stage1.i = x]",
+                         "var x: Bit.BIT\n      var y: Bit.BIT\n"
+                         "      triggers {\n"
+                         "        t1: [Stage1.i = x] /\\ [y = y]"))
+    v = check_proof(model, arch(model))
+    assert v.status == OK
+    assert report_lines([v]) == [
+        "contract relayed: ok",
+        "  step 0 (s0): ok",
+        "    note: step 0: 2 variable instantiations match; trying each in "
+        "order",
+        "  step 1 (s1): ok"]
 
 
 def test_state_scope_rejects_foreign_ports(radder):

@@ -326,6 +326,8 @@ def test_missing_arguments_exit_nonzero(capsys, argv):
     ["simulate", RELAY, "--universe", TINY, "--horizon", "0"],
     ["simulate", RELAY, "--universe", TINY, "--horizon", "-3"],
     ["search", RADDER, "--dnf-budget", "0"],
+    ["search", RADDER, "--max-steps", "0"],
+    ["search", RADDER, "--max-steps", "-2"],
     ["check", RADDER, "--dnf-budget", "0"],
 ])
 def test_horizon_and_budget_below_one_are_usage_errors(capsys, argv):

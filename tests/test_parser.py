@@ -2,13 +2,13 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apml import model as m
-from apml.parser import (parse_model, token_span, tokenize, KEYWORDS,
-                         MAX_NESTING)
+from apml.parser import parse_model, tokenize, KEYWORDS, MAX_NESTING
 from apml.printer import print_model
 from apml.model import validate_structure
 
@@ -42,8 +42,9 @@ def test_lex_error_character():
 def test_comments_and_whitespace_are_skipped():
     tokens, diags = tokenize("Pattern // c1\n/* c2\nc3 */ P\t{")
     assert not diags
-    assert [t[1] for t in tokens[:-1]] == ["Pattern", "P", "{"]
-    assert token_span(tokens[1]).start_line == 3
+    assert tokens.texts == ["Pattern", "P", "{", ""]
+    assert tokens.kinds == ["ID", "ID", "LBRACE", "EOF"]
+    assert tokens.span(1).start_line == 3
 
 
 def test_eof_after_a_trailing_line_comment_is_at_the_end_of_input():
@@ -56,7 +57,7 @@ def test_eof_after_a_trailing_line_comment_is_at_the_end_of_input():
 
 def test_token_spans_are_one_based():
     tokens, _ = tokenize("ab cd")
-    spans = [token_span(t) for t in tokens]
+    spans = [tokens.span(i) for i in range(len(tokens))]
     assert (spans[0].start_line, spans[0].start_col) == (1, 1)
     assert (spans[1].start_line, spans[1].start_col) == (1, 4)
 
@@ -102,6 +103,34 @@ Pattern P ShortName p {
         ("UNDECLARED_PORT", "unknown port 'A.j'")]
     assert model.connections == ((model.component_types[0].inputs[0],
                                   model.component_types[2].outputs[0]),)
+
+
+def test_every_port_of_a_wide_component_resolves_to_its_declaration():
+    # each name resolves through one dict per component, so a contract
+    # that reads P ports costs P lookups, not P scans of P ports; a
+    # redeclared port name resolves to its first declaration
+    width = 2000
+    ports = ",\n".join("OutputPort o%d (Type: B.NAT)" % k
+                        for k in range(width))
+    reads = " /\\ ".join("[o%d = x]" % k for k in range(width))
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ) }
+  CTypes {
+    CType W {
+      OutputPorts { %s, OutputPort o0 (Type: B.NAT) }
+      Contracts { Contract c {
+        var x: B.NAT
+        guarantees { %s } duration 1 } }
+    }
+  }
+}""" % (ports, reads))
+    assert not diags
+    (wide,) = model.component_types
+    assert len(wide.outputs) == width + 1
+    refs = [part.lhs.port for part in wide.contracts[0].guarantee.parts]
+    assert len(refs) == width
+    assert all(port is wide.outputs[k] for k, port in enumerate(refs))
 
 
 def test_keywords_are_reserved():
@@ -282,7 +311,8 @@ def test_corpus_roundtrip_and_determinism(name):
 def _lexes_like_the_reference(text):
     tokens, diags = tokenize(text, "f.apml")
     expected, expected_diags = naive_tokenize(text, "f.apml")
-    assert [(t[0], t[1], token_span(t)) for t in tokens] == expected
+    assert [(tokens.kinds[i], tokens.texts[i], tokens.span(i))
+            for i in range(len(tokens))] == expected
     assert diags == expected_diags
 
 
@@ -308,6 +338,20 @@ def test_tokenize_matches_the_reference_on_random_strings():
     for _ in range(20000):
         _lexes_like_the_reference("".join(
             rng.choice(_ALPHABET) for _ in range(rng.randrange(40))))
+
+
+def test_tokens_take_under_40_bytes_each():
+    # three columns of 8-byte entries, plus their growth and one string
+    # per distinct token text
+    text = print_model(relay_chain_model(400))
+    tokenize(text)                   # fills re's cache outside the trace
+    tracemalloc.start()
+    try:
+        tokens, _ = tokenize(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * len(tokens)
 
 
 def _element_spans(model):
