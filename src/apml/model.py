@@ -19,6 +19,11 @@ leaving out spans and labels, and cache their hash.  ``Contract``,
 ``ArchitectureContract``, ``ProofStep``, ``ComponentType`` and ``Model``
 stay frozen dataclasses, so that ``dataclasses.replace`` can derive model
 variants from them.
+
+The parser resolves every reference: sorts, ports, symbols, variables and
+proof labels, reporting each one that names nothing declared.
+``validate_structure`` takes the resolved model and judges the declarations:
+duplicates, port directions, connections, contract shapes, scopes and sorts.
 """
 
 from __future__ import annotations
@@ -366,9 +371,6 @@ class Model:
             out.setdefault(p_in, p_out)
         return out
 
-    def all_ports(self):
-        return [p for ct in self.component_types for p in ct.ports]
-
 
 EMPTY_MODEL = Model(name="", short_name="")
 
@@ -399,11 +401,10 @@ def term_sort(term, signature):
 
 def _check_application(kind, name, sorts, args, signature, out, span):
     """Arity and argument sorts of an operation or predicate application;
-    ``sorts`` is None for an undeclared symbol."""
+    ``sorts`` is None for an undeclared symbol, which the parser reports."""
     if sorts is None:
-        out.append(Diagnostic(ERROR, "UNDECLARED_SYMBOL",
-                              "unknown %s '%s'" % (kind, name), span))
-    elif len(sorts) != len(args):
+        return
+    if len(sorts) != len(args):
         out.append(Diagnostic(
             ERROR, "SORT_MISMATCH", "%s '%s' expects %d arguments, got %d"
             % (kind, name, len(sorts), len(args)), span))
@@ -418,7 +419,10 @@ def _check_application(kind, name, sorts, args, signature, out, span):
 
 
 def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
-    """Sort diagnostics of every equality and application, outside in."""
+    """Sort diagnostics of every equality and application, outside in.
+
+    The predicate's references must be resolved: it comes from
+    ``parse_model`` or names only declared ports, sorts and symbols."""
     for n in walk(pred):
         if isinstance(n, Eq):
             ls = term_sort(n.lhs, signature)
@@ -485,7 +489,12 @@ def _check_scopes(contract, inputs, outputs, signature, out):
 
 
 def validate_structure(model):
-    """Every type invariant as data; empty list iff the model is well formed."""
+    """Every declaration invariant as data; empty list iff the model is well
+    formed.
+
+    The model's references must be resolved: it comes from ``parse_model``,
+    which reports every undeclared name, or is built only from declared
+    ports, sorts and symbols."""
     out = []
     signature = model.signature
 
@@ -516,12 +525,6 @@ def validate_structure(model):
             out.append(Diagnostic(ERROR, "DUPLICATE_NAME",
                                   "duplicate port '%s' in '%s'" % (n, ct.name),
                                   ct.span))
-        for p in ct.ports:
-            if p.sort not in signature.sorts:
-                out.append(Diagnostic(
-                    ERROR, "UNDECLARED_SORT",
-                    "port %s has undeclared sort %s" % (p.qualified, p.sort),
-                    ct.span))
         cnames = [c.name for c in ct.contracts]
         for n in sorted({n for n in cnames if cnames.count(n) > 1}):
             out.append(Diagnostic(ERROR, "DUPLICATE_NAME",
@@ -532,7 +535,6 @@ def validate_structure(model):
             _check_contract_shape(c, out)
             _check_scopes(c, inputs, outputs, signature, out)
 
-    all_ports = set(model.all_ports())
     seen_inputs = set()
     for p_in, p_out in model.connections:
         if p_in.direction != INPUT:
@@ -543,10 +545,6 @@ def validate_structure(model):
             out.append(Diagnostic(ERROR, "CONNECTION_NOT_OUTPUT",
                                   "connection target %s is not an output port"
                                   % p_out.qualified))
-        if p_in not in all_ports or p_out not in all_ports:
-            out.append(Diagnostic(ERROR, "UNDECLARED_PORT",
-                                  "connection (%s, %s) references unknown port"
-                                  % (p_in.qualified, p_out.qualified)))
         if p_in in seen_inputs:
             out.append(Diagnostic(ERROR, "CONNECTION_DUPLICATE_INPUT",
                                   "input %s connected more than once"
@@ -568,20 +566,16 @@ def validate_structure(model):
         for t in c.triggers:
             for p in sorted(ports_of(t.predicate) - if_inputs,
                             key=lambda q: q.qualified):
-                rule = ("ARCH_PORT_CONNECTED" if p in all_ports
-                        else "UNDECLARED_PORT")
                 out.append(Diagnostic(
-                    ERROR, rule,
+                    ERROR, "ARCH_PORT_CONNECTED",
                     "trigger '%s' of '%s' references %s, which is not an "
                     "interface input" % (t.label, c.name, p.qualified),
                     t.span))
             check_predicate_sorts(t.predicate, signature, out, t.span)
         for p in sorted(ports_of(c.guarantee) - if_outputs,
                         key=lambda q: q.qualified):
-            rule = ("ARCH_PORT_CONNECTED" if p in all_ports
-                    else "UNDECLARED_PORT")
             out.append(Diagnostic(
-                ERROR, rule,
+                ERROR, "ARCH_PORT_CONNECTED",
                 "guarantee of '%s' references %s, which is not an interface "
                 "output" % (c.name, p.qualified), c.span))
         check_predicate_sorts(c.guarantee, signature, out, c.span)

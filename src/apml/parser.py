@@ -17,6 +17,11 @@ recovers item by item, and every optional ``Keyword { ... }`` block through
 ``section``.  Names inside a contract resolve against parser state that
 ``parse_contract`` sets: the owner ("" for the architecture), its ports and
 the contract's variables.
+
+The parser is the one module that resolves names.  It reports every sort,
+port, symbol, variable and proof label that names nothing declared, so
+``model.validate_structure`` judges only the declarations of the model it
+returns.
 """
 
 from __future__ import annotations

@@ -283,16 +283,6 @@ Pattern P ShortName p {
         ("SORT_MISMATCH", "predicate 'B.Q' expects 1 arguments, got 2"),
         ("SORT_MISMATCH", "argument of 'B.Q' has sort C.INT, expected B.NAT"),
     ]
-    # the parser rejects undeclared symbols, so build them directly
-    x = m.Var("x", "B.NAT")
-    out = []
-    m.check_predicate_sorts(m.conjoin([m.Atom("B.R", (x,)),
-                                      m.Eq(x, m.App("B.g", (x,)))]),
-                            model.signature, out)
-    assert [(d.rule, d.message) for d in out] == [
-        ("UNDECLARED_SYMBOL", "unknown predicate 'B.R'"),
-        ("UNDECLARED_SYMBOL", "unknown operation 'B.g'"),
-    ]
 
 
 # ---------------------------------------------------------------------------
