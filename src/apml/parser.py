@@ -526,8 +526,8 @@ class Parser:
 
     # -- predicates and terms ----------------------------------------------
     # Names resolve in the scope of the contract being parsed: its
-    # variables, then its owner's ports; ``C.p`` names port p of C, where
-    # the owner, not yet declared, stands for itself.
+    # variables, then its owner's ports; ``C.p`` names port p of C, which
+    # in a component's contract must be the owner, not yet declared.
 
     def parse_predicate(self, depth=0):
         parts = [self.parse_conjunction(depth)]
@@ -591,7 +591,11 @@ class Parser:
                 self.error("'%s' is not a declared operation" % qualified,
                            tok, "UNDECLARED_SYMBOL")
             return m.App(qualified, tuple(args))
-        port = self.port_of(tok, second, self.ports if component == self.owner
+        if self.owner and component != self.owner:
+            self.error("a contract of '%s' may name only its own ports, not "
+                       "'%s'" % (self.owner, qualified), tok, "UNDECLARED_PORT")
+            return m.Var(qualified, "?")
+        port = self.port_of(tok, second, self.ports if self.owner
                             else self.ports_of.get(component, {}))
         return m.Var(qualified, "?") if port is None else m.PortRef(port)
 

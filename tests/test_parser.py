@@ -105,6 +105,39 @@ Pattern P ShortName p {
                                   model.component_types[2].outputs[0]),)
 
 
+def test_a_component_contract_may_name_only_its_own_ports():
+    # C declares o, and A is declared before C's contract, yet neither
+    # contract may read the other component's port
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ) }
+  CTypes {
+    CType A {
+      InputPorts { InputPort i (Type: B.NAT) }
+      OutputPorts { OutputPort o (Type: B.NAT) }
+      Contracts { Contract c { var x: B.NAT
+        triggers { t1: [C.o = x] } guarantees { [A.o = x] } duration 1 } }
+    },
+    CType C {
+      InputPorts { InputPort i (Type: B.NAT) }
+      OutputPorts { OutputPort o (Type: B.NAT) }
+      Contracts { Contract c { var x: B.NAT
+        triggers { t1: [i = x] } guarantees { [o = A.o] } duration 1 } }
+    }
+  }
+}""")
+    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
+            for d in diags] == [
+        ("UNDECLARED_PORT",
+         "a contract of 'A' may name only its own ports, not 'C.o'", 9, 25),
+        ("UNDECLARED_PORT",
+         "a contract of 'C' may name only its own ports, not 'A.o'", 15, 52)]
+    a, c = (ct.contracts[0] for ct in model.component_types)
+    assert a.triggers[0].predicate.lhs == m.Var("C.o", "?")
+    assert a.guarantee.lhs == m.PortRef(model.component_types[0].outputs[0])
+    assert c.guarantee.rhs == m.Var("A.o", "?")
+
+
 def test_every_port_of_a_wide_component_resolves_to_its_declaration():
     # each name resolves through one dict per component, so a contract
     # that reads P ports costs P lookups, not P scans of P ports; a
