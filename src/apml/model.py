@@ -20,8 +20,9 @@ leaving out spans and labels, and cache their hash.  ``Contract``,
 stay frozen dataclasses, so that ``dataclasses.replace`` can derive model
 variants from them.
 
-The parser resolves every reference: sorts, ports, symbols, variables and
-proof labels, reporting each one that names nothing declared.
+The parser resolves every reference: sorts (symbol declarations' too),
+ports, symbols, variables and proof labels, reporting each one that names
+nothing declared.
 ``validate_structure`` takes the resolved model and judges the declarations:
 duplicates, port directions, connections, contract shapes, scopes and sorts.
 """

@@ -18,10 +18,11 @@ recovers item by item, and every optional ``Keyword { ... }`` block through
 ``parse_contract`` sets: the owner ("" for the architecture), its ports and
 the contract's variables.
 
-The parser is the one module that resolves names.  It reports every sort,
-port, symbol, variable and proof label that names nothing declared, so
-``model.validate_structure`` judges only the declarations of the model it
-returns.
+The parser is the one module that resolves names.  It reports every sort
+(a symbol declaration's once the whole DTSpec is read, as DTs may refer
+forward), port, symbol, variable and proof label that names nothing
+declared, so ``model.validate_structure`` judges only the declarations of
+the model it returns.
 """
 
 from __future__ import annotations
@@ -162,6 +163,7 @@ class Parser:
         # resolution state
         self.signature = m.Signature([])
         self.ports_of = {}               # component name -> its ports by name
+        self.symbol_sorts = []           # (sort token, sort) of DT symbols
         # the contract being parsed: its owner ("" for the architecture),
         # the owner's ports by name and the contract's variables by name
         self.owner, self.ports, self.variables = "", {}, {}
@@ -287,6 +289,9 @@ class Parser:
             # unclosed Connections or Contracts keeps those read so far
             datatypes = self.section("DTSpec", self.parse_dt)
             self.signature = m.Signature(datatypes)
+            # a symbol may name the sort of a DT declared after it
+            for tok, sort in self.symbol_sorts:
+                self.check_sort(tok, sort)
             ctypes = self.section("CTypes", self.parse_ctype)
             for ct in ctypes:
                 self.ports_of.setdefault(ct.name, _by_name(ct.ports))
@@ -362,11 +367,14 @@ class Parser:
         return kinds[i + 1] == "ID" and kinds[i + 2] == "COLON"
 
     def parse_sort_ref(self, dt_name):
-        first = self.texts[self.ident("sort name")]
+        """A symbol's sort, ``S`` of this DT or ``D.S``, resolved once the
+        whole DTSpec is read."""
+        tok = self.ident("sort name")
         if self.accept("DOT") is not None:
-            second = self.texts[self.ident("sort name")]
-            return "%s.%s" % (first, second)
-        return "%s.%s" % (dt_name, first)
+            dt_name, tok = self.texts[tok], self.ident("sort name")
+        sort = "%s.%s" % (dt_name, self.texts[tok])
+        self.symbol_sorts.append((tok, sort))
+        return sort
 
     # -- component types -----------------------------------------------------
 
@@ -398,10 +406,12 @@ class Parser:
 
     def parse_qualified_sort(self):
         _, second, sort = self.dotted("sort reference", "sort name")
-        if sort not in self.signature.sorts:
-            self.error("undeclared sort '%s'" % sort, second,
-                       "UNDECLARED_SORT")
+        self.check_sort(second, sort)
         return sort
+
+    def check_sort(self, tok, sort):
+        if sort not in self.signature.sorts:
+            self.error("undeclared sort '%s'" % sort, tok, "UNDECLARED_SORT")
 
     # -- contracts -----------------------------------------------------------
 

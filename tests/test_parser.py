@@ -250,6 +250,25 @@ Pattern P ShortName p {
     assert model.signature.predicate_symbols["B.q"] == ("A.S",)
 
 
+def test_symbol_sorts_resolve_once_the_dtspec_is_read():
+    # B.f names C.T before DT C declares it; NTA and C.U name nothing
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec {
+    DT Basic ( Sort NAT Operation f: NAT => NTA ),
+    DT B ( Operation f: C.T => C.T Predicate q: Basic.NAT, C.U ),
+    DT C ( Sort T )
+  }
+}""")
+    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
+            for d in diags] == [
+        ("UNDECLARED_SORT", "undeclared sort 'Basic.NTA'", 4, 45),
+        ("UNDECLARED_SORT", "undeclared sort 'C.U'", 5, 62)]
+    assert model.signature.operation_symbols["Basic.f"] == (
+        ("Basic.NAT",), "Basic.NTA")
+    assert model.signature.operation_symbols["B.f"] == (("C.T",), "C.T")
+
+
 def test_disjunction_and_precedence():
     model, diags = parse_model("""
 Pattern P ShortName p {
