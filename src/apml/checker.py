@@ -76,10 +76,6 @@ class ProofVerdict(Record):
         _set(self, "steps", steps)
         _set(self, "findings", findings)  # proof-level (final state/time)
 
-    @property
-    def all_findings(self):
-        return tuple(f for s in self.steps for f in s.findings) + self.findings
-
 
 def _combine(statuses):
     if VIOLATED in statuses:
@@ -349,9 +345,5 @@ def report_text(verdicts, diagnostics=()):
     return "\n".join(report_lines(verdicts, diagnostics)) + "\n"
 
 
-def overall_status(verdicts, diagnostics=()):
-    from .diagnostics import errors
-    statuses = [v.status for v in verdicts if v.status != NO_PROOF]
-    if errors(diagnostics):
-        statuses.append(VIOLATED)
-    return _combine(statuses)
+def overall_status(verdicts):
+    return _combine([v.status for v in verdicts if v.status != NO_PROOF])

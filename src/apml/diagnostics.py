@@ -105,7 +105,6 @@ RULES = frozenset([
     "UNDECLARED_SYMBOL",
     "UNDECLARED_PORT",
     "UNDECLARED_VARIABLE",
-    "UNKNOWN_CONTRACT",
     "UNKNOWN_LABEL",
     # structural validation
     "PORT_DIRECTION_CONFLICT",

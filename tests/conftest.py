@@ -14,6 +14,12 @@ def corpus():
     return CORPUS
 
 
+def all_findings(verdict):
+    """Every finding of a verdict: a proof's steps' in order, then its own."""
+    return tuple(f for s in getattr(verdict, "steps", ())
+                 for f in s.findings) + verdict.findings
+
+
 def load(name):
     from apml.parser import parse_model
     path = CORPUS / name

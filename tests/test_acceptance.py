@@ -18,7 +18,7 @@ from apml.oracle import (FiniteUniverse, search_proof, verify_satisfaction,
 from apml.parser import parse_model
 from apml.printer import print_model
 
-from conftest import load, CORPUS, ROOT
+from conftest import all_findings, load, CORPUS, ROOT
 from oracles import (brute_force_entails, random_entailment_case,
                      random_chain_model, mutate_proof, SORT)
 
@@ -60,7 +60,7 @@ def test_criterion_2_negative_variants():
     v = checker.check_proof(model, model.contracts[0])
     assert v.status == checker.VIOLATED
     assert [s.status for s in v.steps] == [checker.OK] * 3 + [checker.VIOLATED]
-    assert [f.condition for f in v.all_findings] == ["C2"]
+    assert [f.condition for f in all_findings(v)] == ["C2"]
 
     model, _ = load("radder_merge2.apml")
     v = checker.check_proof(model, model.contracts[0])
