@@ -134,6 +134,31 @@ Pattern P ShortName p {
     assert "D.a" in sig.predicate_symbols and "D.b" in sig.predicate_symbols
 
 
+def test_duplicate_component_type_and_contract_are_reported():
+    contract = """
+        Contract c { triggers { t1: [i = i] } guarantees { [o = o] }
+                     duration 1 }"""
+    out = validate("""
+Pattern P ShortName p {
+  DTSpec { DT Basic ( Sort NAT ) }
+  CTypes {
+    CType A {
+      InputPorts { InputPort i (Type: Basic.NAT) }
+      OutputPorts { OutputPort o (Type: Basic.NAT) }
+    },
+    CType A {
+      InputPorts { InputPort i (Type: Basic.NAT) }
+      OutputPorts { OutputPort o (Type: Basic.NAT) }
+      Contracts { %s, %s }
+    }
+  }
+}""" % (contract, contract))
+    assert [(d.rule, d.message, d.span.start_line) for d in out] == [
+        ("DUPLICATE_NAME", "duplicate component type 'A'", 9),
+        ("DUPLICATE_NAME", "duplicate contract 'c' in 'A'", 9),
+    ]
+
+
 def test_connection_direction_and_sort_checks():
     model, diags = parse_model("""
 Pattern P ShortName p {
