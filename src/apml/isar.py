@@ -158,15 +158,12 @@ def symbol_params(model, config):
             name = _sanitize(q.replace(".", "_"))
         used.add(name)
         if q in preds:
-            args = signature.predicate_symbols.get(q, ())
-            ty = " \\<Rightarrow> ".join([sort_name(s) for s in args]
-                                        + ["bool"])
+            sorts = [sort_name(s) for s in signature.predicate_symbols[q]]
+            sorts.append("bool")
         else:
-            args, result = signature.operation_symbols.get(q, ((), None))
-            sorts = [sort_name(s) for s in args]
-            sorts.append(sort_name(result) if result else "'a")
-            ty = " \\<Rightarrow> ".join(sorts)
-        params[q] = (name, ty)
+            args, result = signature.operation_symbols[q]
+            sorts = [sort_name(s) for s in args + (result,)]
+        params[q] = (name, " \\<Rightarrow> ".join(sorts))
     return params
 
 

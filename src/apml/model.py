@@ -22,9 +22,10 @@ variants from them.
 
 The parser resolves every reference: sorts (symbol declarations' too),
 ports, symbols, variables and proof labels, reporting each one that names
-nothing declared.
-``validate_structure`` takes the resolved model and judges the declarations:
-duplicates, port directions, connections, contract shapes, scopes and sorts.
+nothing declared.  So ``validate_structure`` and ``check_predicate_sorts``
+take resolved references, from ``parse_model`` or built only from declared
+ports, sorts and symbols, and judge the declarations: duplicates, port
+directions, connections, contract shapes, scopes and sorts.
 """
 
 from __future__ import annotations
@@ -420,10 +421,8 @@ def _check_application(kind, name, sorts, args, signature, out, span):
 
 
 def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
-    """Sort diagnostics of every equality and application, outside in.
-
-    The predicate's references must be resolved: it comes from
-    ``parse_model`` or names only declared ports, sorts and symbols."""
+    """Sort diagnostics of every equality and application, outside in, of
+    a predicate whose references are resolved."""
     for n in walk(pred):
         if isinstance(n, Eq):
             ls = term_sort(n.lhs, signature)
@@ -490,12 +489,8 @@ def _check_scopes(contract, inputs, outputs, signature, out):
 
 
 def validate_structure(model):
-    """Every declaration invariant as data; empty list iff the model is well
-    formed.
-
-    The model's references must be resolved: it comes from ``parse_model``,
-    which reports every undeclared name, or is built only from declared
-    ports, sorts and symbols."""
+    """Every declaration invariant of a model whose references are resolved,
+    as data; empty list iff the model is well formed."""
     out = []
     signature = model.signature
 

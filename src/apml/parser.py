@@ -367,8 +367,6 @@ class Parser:
         return kinds[i + 1] == "ID" and kinds[i + 2] == "COLON"
 
     def parse_sort_ref(self, dt_name):
-        """A symbol's sort, ``S`` of this DT or ``D.S``, resolved once the
-        whole DTSpec is read."""
         tok = self.ident("sort name")
         if self.accept("DOT") is not None:
             dt_name, tok = self.texts[tok], self.ident("sort name")
