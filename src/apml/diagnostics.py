@@ -98,15 +98,15 @@ RULES = frozenset([
     "EXPECTED_PATTERN",
     "UNEXPECTED_TOKEN",
     "NESTING_LIMIT",
-    # name resolution
-    "DUPLICATE_DT",
-    "DUPLICATE_NAME",
+    # name resolution, by the parser
     "UNDECLARED_SORT",
     "UNDECLARED_SYMBOL",
     "UNDECLARED_PORT",
     "UNDECLARED_VARIABLE",
     "UNKNOWN_LABEL",
-    # structural validation
+    # structural validation of the declarations
+    "DUPLICATE_DT",
+    "DUPLICATE_NAME",
     "PORT_DIRECTION_CONFLICT",
     "CONNECTION_NOT_INPUT",
     "CONNECTION_NOT_OUTPUT",

@@ -600,8 +600,9 @@ class Parser:
                            tok, "UNDECLARED_SYMBOL")
             return m.App(qualified, tuple(args))
         if self.owner and component != self.owner:
-            self.error("a contract of '%s' may name only its own ports, not "
-                       "'%s'" % (self.owner, qualified), tok, "UNDECLARED_PORT")
+            self.error("a contract of '%s' may name only its own ports, "
+                       "not '%s'" % (self.owner, qualified), tok,
+                       "UNDECLARED_PORT")
             return m.Var(qualified, "?")
         port = self.port_of(tok, second, self.ports if self.owner
                             else self.ports_of.get(component, {}))
