@@ -23,8 +23,6 @@ from . import model as m
 from . import entailment as e
 from .diagnostics import Record
 
-_set = object.__setattr__
-
 OK = "ok"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
@@ -32,49 +30,35 @@ NO_PROOF = "no-proof"
 
 # closed set of finding codes
 CONDITIONS = frozenset([
-    "UNKNOWN_RATIONALE", "REF_ARITY", "EMPTY_REFSET", "UNKNOWN_CONNECTION",
-    "STATE_SCOPE", "C1", "C2", "C3", "C4", "C5",
+    "REF_ARITY", "EMPTY_REFSET", "UNKNOWN_CONNECTION", "STATE_SCOPE",
+    "C1", "C2", "C3", "C4", "C5",
     "FINAL_STATE", "FINAL_TIME",
 ])
 
 
-class Finding(Record):
-    __slots__ = ("condition", "status", "message", "step")
+class Finding(Record, defaults=dict(step=-1)):
+    __slots__ = ("condition",
+                 "status",               # VIOLATED or INCONCLUSIVE
+                 "message",
+                 "step")                 # -1 for proof-level findings
 
-    def __init__(self, condition, status, message, step=-1):
-        if condition not in CONDITIONS:
-            raise ValueError("unknown condition %r" % condition)
-        _set(self, "condition", condition)
-        _set(self, "status", status)     # VIOLATED or INCONCLUSIVE
-        _set(self, "message", message)
-        _set(self, "step", step)         # -1 for proof-level findings
+    def __post_init__(self):
+        if self.condition not in CONDITIONS:
+            raise ValueError("unknown condition %r" % self.condition)
 
 
-class StepVerdict(Record, uncompared=("instantiation",)):
-    __slots__ = ("index", "label", "status", "findings", "warnings",
+class StepVerdict(Record, uncompared=("instantiation",), defaults=dict(
+        findings=(), warnings=(), instantiation=None)):
+    __slots__ = ("index", "label", "status", "findings",
+                 "warnings",             # informational: ambiguous matches
+                 # chosen instantiation of the rationale's variables
+                 # (original names), None when no match was established
                  "instantiation")
 
-    def __init__(self, index, label, status, findings=(), warnings=(),
-                 instantiation=None):
-        _set(self, "index", index)
-        _set(self, "label", label)
-        _set(self, "status", status)
-        _set(self, "findings", findings)
-        # informational, e.g. ambiguous matches
-        _set(self, "warnings", warnings)
-        # chosen instantiation of the rationale's variables (original
-        # names), None when no match was established
-        _set(self, "instantiation", instantiation)
 
-
-class ProofVerdict(Record):
-    __slots__ = ("contract", "status", "steps", "findings")
-
-    def __init__(self, contract, status, steps=(), findings=()):
-        _set(self, "contract", contract)
-        _set(self, "status", status)
-        _set(self, "steps", steps)
-        _set(self, "findings", findings)  # proof-level (final state/time)
+class ProofVerdict(Record, defaults=dict(steps=(), findings=())):
+    __slots__ = ("contract", "status", "steps",
+                 "findings")             # proof-level (final state/time)
 
 
 def _combine(statuses):
@@ -216,12 +200,6 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
     findings = []
     warnings = []
     rationale = model.find_contract(step.rationale)
-    if rationale is None:
-        findings.append(Finding("UNKNOWN_RATIONALE", VIOLATED,
-                                "step %d applies unknown contract '%s'"
-                                % (index, step.rationale), index))
-        return StepVerdict(index, step.label, VIOLATED, tuple(findings))
-
     owner = model.component(rationale.owner)
     state_ports = m.ports_of(step.state)
     bad = sorted(state_ports - set(owner.outputs), key=lambda p: p.qualified)

@@ -12,24 +12,37 @@ _set = object.__setattr__
 class Record:
     """An immutable value record over ``__slots__``.
 
-    A subclass names its fields, in constructor order, in ``__slots__`` and
-    sets them in its own ``__init__`` through ``object.__setattr__``; fields
-    listed in the class keyword ``uncompared`` (spans, labels) take no part
-    in equality and hashing.  Records are equal when they are of the same
-    class with equal compared fields.  The hash is computed on first use and
-    kept, so a term hashed again and again as a dictionary key pays once.
-    ``repr`` lists every field, as a dataclass does; ``copy`` and ``pickle``
-    rebuild a record through its constructor.  Records replace
+    A subclass declares each field once: in ``__slots__``, in constructor
+    order; its default, if any, in the class keyword ``defaults``; and, in
+    the class keyword ``uncompared``, the fields (spans, labels) left out of
+    equality and hashing.  A check of the field values goes in
+    ``__post_init__``.  The class's ``__init__`` is generated from these and
+    compiled once, as ``dataclasses`` and ``namedtuple`` do: it sets each
+    field through ``object.__setattr__``, then calls ``__post_init__`` if the
+    class has one.  Records are equal when they are of the same class with
+    equal compared fields.  The hash is computed on first use and kept, so a
+    term hashed again and again as a dictionary key pays once.  ``repr``
+    lists every field, as a dataclass does; ``copy`` and ``pickle`` rebuild
+    a record through its constructor.  Records replace
     ``@dataclass(frozen=True)`` because generating and compiling the
     dataclass methods took about half of ``import apml.cli``.
     """
 
     __slots__ = ("_hash",)
 
-    def __init_subclass__(cls, uncompared=(), **kwargs):
+    def __init_subclass__(cls, uncompared=(), defaults={}, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*[f for f in cls.__slots__
-                                if f not in uncompared])
+        fields = cls.__slots__
+        cls._key = attrgetter(*[f for f in fields if f not in uncompared])
+        lines = ["def __init__(self, %s):" % ", ".join(
+            "%s=_d_%s" % (f, f) if f in defaults else f for f in fields)]
+        lines += ["    _set(self, %r, %s)" % (f, f) for f in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        scope = dict({"_d_" + f: v for f, v in defaults.items()}, _set=_set)
+        exec("\n".join(lines), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError("cannot assign to field %r" % name)
@@ -64,20 +77,15 @@ class Record:
                                  for f in type(self).__slots__)
 
 
-class SourceSpan(Record):
+class SourceSpan(Record, defaults=dict(file="<input>", start_line=1,
+                                      start_col=1, end_line=1, end_col=1)):
     """1-based half-open-ish source region; start must not exceed end."""
 
     __slots__ = ("file", "start_line", "start_col", "end_line", "end_col")
 
-    def __init__(self, file="<input>", start_line=1, start_col=1, end_line=1,
-                 end_col=1):
-        if (end_line, end_col) < (start_line, start_col):
+    def __post_init__(self):
+        if (self.end_line, self.end_col) < (self.start_line, self.start_col):
             raise ValueError("span end precedes start")
-        _set(self, "file", file)
-        _set(self, "start_line", start_line)
-        _set(self, "start_col", start_col)
-        _set(self, "end_line", end_line)
-        _set(self, "end_col", end_col)
 
     def __str__(self):
         return "%s:%d:%d" % (self.file, self.start_line, self.start_col)
@@ -103,6 +111,7 @@ RULES = frozenset([
     "UNDECLARED_SYMBOL",
     "UNDECLARED_PORT",
     "UNDECLARED_VARIABLE",
+    "UNDECLARED_CONTRACT",
     "UNKNOWN_LABEL",
     # structural validation of the declarations
     "DUPLICATE_DT",
@@ -122,18 +131,14 @@ RULES = frozenset([
 ])
 
 
-class Diagnostic(Record):
+class Diagnostic(Record, defaults=dict(span=NO_SPAN)):
     __slots__ = ("severity", "rule", "message", "span")
 
-    def __init__(self, severity, rule, message, span=NO_SPAN):
-        if severity not in (ERROR, WARNING):
-            raise ValueError("bad severity %r" % severity)
-        if rule not in RULES:
-            raise ValueError("unregistered diagnostic rule %r" % rule)
-        _set(self, "severity", severity)
-        _set(self, "rule", rule)
-        _set(self, "message", message)
-        _set(self, "span", span)
+    def __post_init__(self):
+        if self.severity not in (ERROR, WARNING):
+            raise ValueError("bad severity %r" % self.severity)
+        if self.rule not in RULES:
+            raise ValueError("unregistered diagnostic rule %r" % self.rule)
 
     def __str__(self):
         return "%s: %s: %s [%s]" % (self.span, self.severity, self.message,

@@ -22,8 +22,6 @@ import itertools
 from . import model as m
 from .diagnostics import Record
 
-_set = object.__setattr__
-
 DEFAULT_BUDGET = 4096
 
 HOLDS = "holds"
@@ -31,15 +29,11 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-class Result(Record):
-    __slots__ = ("status", "witness", "reason")
-
-    def __init__(self, status, witness=None, reason=""):
-        _set(self, "status", status)
-        # for FAILS: a hypothesis disjunct under which the goal is
-        # underivable
-        _set(self, "witness", witness)
-        _set(self, "reason", reason)
+class Result(Record, defaults=dict(witness=None, reason="")):
+    __slots__ = ("status",
+                 # for FAILS: a hypothesis disjunct under which the goal is
+                 # underivable
+                 "witness", "reason")
 
     def __bool__(self):
         return self.status == HOLDS

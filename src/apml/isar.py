@@ -105,20 +105,32 @@ def sort_name(sort):
     return SORT_MAP.get(base, _sanitize(base))
 
 
-def unmapped_sorts(model):
-    out = []
-    for ct in model.component_types:
-        for p in ct.ports:
-            base = p.sort.rpartition(".")[2]
-            if base not in SORT_MAP and _sanitize(base) not in out:
-                out.append(_sanitize(base))
-    return out
+def unmapped_sorts(model, symbols):
+    """Isabelle types to declare: the unmapped sorts of ports, contract
+    variables and ``symbols`` (qualified), in that order of first use."""
+    signature = model.signature
+    sorts = [p.sort for ct in model.component_types for p in ct.ports]
+    sorts += [s for c in _contracts(model) for _, s in c.variables]
+    for q in symbols:
+        if q in signature.predicate_symbols:
+            sorts += signature.predicate_symbols[q]
+        else:
+            args, result = signature.operation_symbols[q]
+            sorts += args + (result,)
+    bases = (s.rpartition(".")[2] for s in sorts)
+    return list(dict.fromkeys(_sanitize(b) for b in bases
+                              if b not in SORT_MAP))
+
+
+def _contracts(model):
+    """Every component contract, then every architecture contract."""
+    return [c for ct in model.component_types for c in ct.contracts] + \
+        list(model.contracts)
 
 
 def _predicates(model):
     """Every trigger, guarantee and proof state, in declaration order."""
-    for c in [c for ct in model.component_types for c in ct.contracts] + \
-            list(model.contracts):
+    for c in _contracts(model):
         yield from (t.predicate for t in c.triggers)
         yield c.guarantee
         yield from (s.state for s in getattr(c, "proof", None) or ())
@@ -328,14 +340,11 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
     steps = contract.proof or ()
     names = _assumption_names(model)
     lines = ["proof -"]
-    for i, step in enumerate(steps):
+    for i, (step, judged) in enumerate(zip(steps, verdict.steps)):
         rationale = model.find_contract(step.rationale)
-        judged = verdict.steps[i] if i < len(verdict.steps) else None
-        inst = (judged.instantiation if judged else None) or {}
+        inst = judged.instantiation or {}
         # a step the checker does not accept is left open, naming why
-        gap = None
-        if judged is not None and judged.status != checker.OK:
-            gap = _sorry(judged.findings)
+        gap = _sorry(judged.findings) if judged.status != checker.OK else None
         if config.comments:
             lines.append("  (* step %d *)" % i)
         state = r.predicate(step.state, step.time)
@@ -348,10 +357,9 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
             for ref in ref_set:
                 facts.append(("a%d" if isinstance(ref, m.TriggerRef)
                               else "s%d") % ref.index)
-            trigger = (rationale.triggers[j].predicate
-                       if rationale and j < len(rationale.triggers) else None)
-            goal = (r.predicate(m.substitute(trigger, inst), time)
-                    if trigger is not None else state)
+            triggers = rationale.triggers
+            goal = (r.predicate(m.substitute(triggers[j].predicate, inst),
+                                time) if j < len(triggers) else state)
             conn_names = []
             for ref in ref_set:
                 for p_in, p_out in getattr(ref, "connections", ()):
@@ -362,10 +370,9 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
                          % (prefix, " ".join(facts), goal, using,
                             "sorry" if gap else "by simp"))
         closer = "hence" if len(step.refs) == 1 else "ultimately have"
-        rname = (names.get(step.rationale)
-                 or _sanitize(step.rationale.replace(".", "_")))
         lines.append('  %s s%d: "%s" using %s %s'
-                     % (closer, i, state, rname, gap or "by blast"))
+                     % (closer, i, state, names[step.rationale],
+                        gap or "by blast"))
     # and so is the conclusion when the last step misses the guarantee or
     # the duration
     lines.append("  thus ?thesis %s" % (_sorry(verdict.findings)
@@ -380,7 +387,7 @@ def emit_theory(model, config=None):
     r = Renderer(model, config)
     theory = _sanitize(model.short_name or model.name)
     out = ["theory %s" % theory, "  imports Main", "begin", ""]
-    sorts = unmapped_sorts(model)
+    sorts = unmapped_sorts(model, r.params)
     out.extend("typedecl %s" % s for s in sorts)
     if sorts:
         out.append("")

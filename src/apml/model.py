@@ -14,18 +14,20 @@ recursing; code that needs the ports, variables or symbols of a predicate
 reads them off that walk.
 
 The signature, terms, predicates, triggers and proof references are
-``Record``s: slotted value records that compare and hash by their fields,
-leaving out spans and labels, and cache their hash.  ``Contract``,
+``Record``s: slotted value records that declare each field once, with its
+default and whether it is compared (spans and labels are not) as class
+keywords, and get a generated initialiser; they compare and hash by their
+compared fields and cache their hash.  ``Contract``,
 ``ArchitectureContract``, ``ProofStep``, ``ComponentType`` and ``Model``
 stay frozen dataclasses, so that ``dataclasses.replace`` can derive model
 variants from them.
 
 The parser resolves every reference: sorts (symbol declarations' too),
-ports, symbols, variables and proof labels, reporting each one that names
-nothing declared.  So ``validate_structure`` and ``check_predicate_sorts``
-take resolved references, from ``parse_model`` or built only from declared
-ports, sorts and symbols, and judge the declarations: duplicates, port
-directions, connections, contract shapes, scopes and sorts.
+ports, symbols, variables, proof labels and proof rationales, reporting each
+one that names nothing declared.  So ``validate_structure`` and
+``check_predicate_sorts`` take resolved references, from ``parse_model`` or
+built only from declared ports, sorts and symbols, and judge declarations:
+duplicates, port directions, connections, contract shapes, scopes and sorts.
 """
 
 from __future__ import annotations
@@ -37,28 +39,23 @@ from typing import Optional, Union
 from .diagnostics import (Diagnostic, NO_SPAN, Record, SourceSpan, ERROR,
                           WARNING)
 
-_set = object.__setattr__
-
 
 # ---------------------------------------------------------------------------
 # Signature
 
-class DataType(Record, uncompared=("span",)):
+class DataType(Record, uncompared=("span",), defaults=dict(
+        sort=None, predicates=(), operations=(), span=NO_SPAN)):
     """One DT block: an optional sort plus predicate/operation symbols.
 
     Sorts and symbols are namespaced by the DT name; the qualified form
     ``DT.name`` is the canonical identifier used everywhere else.
     """
 
-    __slots__ = ("name", "sort", "predicates", "operations", "span")
-
-    def __init__(self, name, sort=None, predicates=(), operations=(),
-                 span=NO_SPAN):
-        _set(self, "name", name)
-        _set(self, "sort", sort)         # unqualified sort name, if declared
-        _set(self, "predicates", predicates)  # (name, (arg_sort, ...)) pairs
-        _set(self, "operations", operations)  # (name, arg_sorts, result)
-        _set(self, "span", span)
+    __slots__ = ("name",
+                 "sort",                 # unqualified sort name, if declared
+                 "predicates",           # (name, (arg_sort, ...)) pairs
+                 "operations",           # (name, arg_sorts, result)
+                 "span")
 
 
 class Signature:
@@ -85,13 +82,8 @@ OUTPUT = "output"
 
 
 class Port(Record):
-    __slots__ = ("name", "owner", "direction", "sort")
-
-    def __init__(self, name, owner, direction, sort):
-        _set(self, "name", name)
-        _set(self, "owner", owner)
-        _set(self, "direction", direction)
-        _set(self, "sort", sort)         # qualified sort name
+    __slots__ = ("name", "owner", "direction",
+                 "sort")                 # qualified sort name
 
     @property
     def qualified(self):
@@ -104,24 +96,14 @@ class Port(Record):
 class Var(Record):
     __slots__ = ("name", "sort")
 
-    def __init__(self, name, sort):
-        _set(self, "name", name)
-        _set(self, "sort", sort)
-
 
 class PortRef(Record):
     __slots__ = ("port",)
 
-    def __init__(self, port):
-        _set(self, "port", port)
-
 
 class App(Record):
-    __slots__ = ("op", "args")
-
-    def __init__(self, op, args):
-        _set(self, "op", op)             # qualified operation name
-        _set(self, "args", args)
+    __slots__ = ("op",                   # qualified operation name
+                 "args")
 
 
 Term = Union[Var, PortRef, App]
@@ -133,31 +115,18 @@ Term = Union[Var, PortRef, App]
 class Eq(Record):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs, rhs):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-
 
 class Atom(Record):
-    __slots__ = ("pred", "args")
-
-    def __init__(self, pred, args):
-        _set(self, "pred", pred)         # qualified predicate name
-        _set(self, "args", args)
+    __slots__ = ("pred",                 # qualified predicate name
+                 "args")
 
 
 class And(Record):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        _set(self, "parts", parts)       # two or more; none of them an And
+    __slots__ = ("parts",)               # two or more; none of them an And
 
 
 class Or(Record):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        _set(self, "parts", parts)       # two or more; none of them an Or
+    __slots__ = ("parts",)               # two or more; none of them an Or
 
 
 Predicate = Union[Eq, Atom, And, Or]
@@ -241,14 +210,8 @@ def rename_variables(p, mapping):
 # ---------------------------------------------------------------------------
 # Contracts
 
-class Trigger(Record, uncompared=("span",)):
+class Trigger(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
     __slots__ = ("label", "predicate", "time", "span")
-
-    def __init__(self, label, predicate, time, span=NO_SPAN):
-        _set(self, "label", label)
-        _set(self, "predicate", predicate)
-        _set(self, "time", time)
-        _set(self, "span", span)
 
 
 @dataclass(frozen=True)
@@ -269,21 +232,14 @@ class Contract:
 # ---------------------------------------------------------------------------
 # Proofs
 
-class TriggerRef(Record, uncompared=("label",)):
+class TriggerRef(Record, uncompared=("label",), defaults=dict(label="")):
     __slots__ = ("index", "label")
 
-    def __init__(self, index, label=""):
-        _set(self, "index", index)
-        _set(self, "label", label)
 
-
-class StepRef(Record, uncompared=("label",)):
-    __slots__ = ("index", "connections", "label")
-
-    def __init__(self, index, connections, label=""):
-        _set(self, "index", index)
-        _set(self, "connections", connections)  # of (input, output Port)
-        _set(self, "label", label)
+class StepRef(Record, uncompared=("label",), defaults=dict(label="")):
+    __slots__ = ("index",
+                 "connections",          # of (input, output Port)
+                 "label")
 
 
 Reference = Union[TriggerRef, StepRef]

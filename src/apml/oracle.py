@@ -47,8 +47,6 @@ from . import checker
 from . import entailment as e
 from .diagnostics import Record
 
-_set = object.__setattr__
-
 FOUND = "found"
 NO_PROOF_AT_BOUND = "no-proof-at-bound"
 BUDGET_EXCEEDED = "budget-exceeded"
@@ -378,24 +376,16 @@ def verify_satisfaction(model, contract, universe, horizon=None,
 # ---------------------------------------------------------------------------
 # Proof search
 
-class SearchResult(Record):
-    __slots__ = ("status", "proof", "steps_explored")
-
-    def __init__(self, status, proof=None, steps_explored=0):
-        _set(self, "status", status)
-        _set(self, "proof", proof)       # of ProofStep
-        _set(self, "steps_explored", steps_explored)
+class SearchResult(Record, defaults=dict(proof=None, steps_explored=0)):
+    __slots__ = ("status",
+                 "proof",                # of ProofStep
+                 "steps_explored")
 
 
 class _Fact(Record):
-    __slots__ = ("time", "state", "rationale", "refs", "index")
-
-    def __init__(self, time, state, rationale, refs, index):
-        _set(self, "time", time)
-        _set(self, "state", state)
-        _set(self, "rationale", rationale)
-        _set(self, "refs", refs)         # reference sets as in ProofStep
-        _set(self, "index", index)       # position in the fact list
+    __slots__ = ("time", "state", "rationale",
+                 "refs",                 # reference sets as in ProofStep
+                 "index")                # position in the fact list
 
 
 def _anchors(contract, budget):

@@ -164,6 +164,7 @@ class Parser:
         self.signature = m.Signature([])
         self.ports_of = {}               # component name -> its ports by name
         self.symbol_sorts = []           # (sort token, sort) of DT symbols
+        self.contracts = set()           # qualified component contracts
         # the contract being parsed: its owner ("" for the architecture),
         # the owner's ports by name and the contract's variables by name
         self.owner, self.ports, self.variables = "", {}, {}
@@ -295,6 +296,7 @@ class Parser:
             ctypes = self.section("CTypes", self.parse_ctype)
             for ct in ctypes:
                 self.ports_of.setdefault(ct.name, _by_name(ct.ports))
+                self.contracts.update(c.qualified for c in ct.contracts)
             self.section("Connections", self.parse_connection, "LBRACE",
                          connections)
             self.section("Contracts", self.parse_contract, "LBRACE",
@@ -497,8 +499,11 @@ class Parser:
             state = self.parse_predicate()
             refs = self.section("from", ref_set, "LBRACK")
             self.expect("ID", "using")
-            rationale = self.dotted("contract reference",
-                                    "contract reference")[2]
+            tok, _, rationale = self.dotted("contract reference",
+                                            "contract reference")
+            if rationale not in self.contracts:
+                self.error("undeclared contract '%s'" % rationale, tok,
+                           "UNDECLARED_CONTRACT")
             label = self.texts[label_tok]
             step_labels[label] = len(steps)
             return m.ProofStep(label=label, time=time, state=state,

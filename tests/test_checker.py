@@ -233,12 +233,6 @@ def test_state_scope_rejects_foreign_ports(radder):
     assert "STATE_SCOPE" in conditions(v.steps[1])
 
 
-def test_unknown_rationale(radder):
-    bad = with_step(radder, 3, rationale="Merger.nope")
-    v = check_proof(bad, arch(bad))
-    assert conditions(v.steps[3]) == ["UNKNOWN_RATIONALE"]
-
-
 # ---------------------------------------------------------------------------
 # Proof-level conditions
 

@@ -86,8 +86,34 @@ Pattern P ShortName p {
   DTSpec { DT T ( Sort State ) }
   CTypes { CType A { OutputPorts { OutputPort o (Type: T.State) } } }
 }""")
-    assert unmapped_sorts(model) == ["State"]
+    assert unmapped_sorts(model, {}) == ["State"]
     assert "typedecl State" in emit_theory(model)
+
+
+def test_typedecls_cover_variable_and_symbol_sorts():
+    # KEY is named by a variable and a symbol, WID by symbols only
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec {
+    DT Basic ( Sort NAT ),
+    DT W ( Sort WID Predicate ok: WID ),
+    DT K ( Sort KEY Operation h: KEY => Basic.NAT, g: KEY => W.WID )
+  }
+  CTypes { CType A {
+    OutputPorts { OutputPort o (Type: Basic.NAT) }
+    Contracts { Contract c {
+      var k: K.KEY
+      guarantees { [o = K.h[k]] /\\ W.ok[K.g[k]] }
+      duration 1
+    } }
+  } }
+}""")
+    assert not diags, diags
+    assert unmapped_sorts(model, Renderer(model).params) == ["KEY", "WID"]
+    theory = emit_theory(model)
+    assert "typedecl KEY\ntypedecl WID\n" in theory
+    assert 'h::"KEY \\<Rightarrow> nat"' in theory
+    assert 'ok::"WID \\<Rightarrow> bool"' in theory
 
 
 def test_no_comments_flag(radder):

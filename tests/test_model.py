@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import typing
 from dataclasses import FrozenInstanceError
@@ -356,6 +357,22 @@ RECORDS = [
 ]
 RECORD_IDS = [cls.__qualname__ for cls, _, _ in RECORDS]
 
+# the constructor defaults of every record class that has any
+DEFAULTS = {
+    SourceSpan: dict(file="<input>", start_line=1, start_col=1, end_line=1,
+                     end_col=1),
+    Diagnostic: dict(span=NO_SPAN),
+    m.DataType: dict(sort=None, predicates=(), operations=(), span=NO_SPAN),
+    m.Trigger: dict(span=NO_SPAN),
+    m.TriggerRef: dict(label=""),
+    m.StepRef: dict(label=""),
+    checker.Finding: dict(step=-1),
+    checker.StepVerdict: dict(findings=(), warnings=(), instantiation=None),
+    checker.ProofVerdict: dict(steps=(), findings=()),
+    entailment.Result: dict(witness=None, reason=""),
+    oracle.SearchResult: dict(proof=None, steps_explored=0),
+}
+
 # values the constructors accept in place of the ones above
 ALTERNATIVES = {"severity": WARNING, "rule": "NESTING_LIMIT",
                 "condition": "C4"}
@@ -419,6 +436,29 @@ def test_records_keep_the_dataclass_repr_and_constructors(cls, fields,
     assert record == cls(**fields)
     assert repr(record) == "%s(%s)" % (cls.__qualname__, ", ".join(
         "%s=%r" % item for item in fields.items()))
+
+
+@pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
+def test_record_constructors_take_their_slots(cls, fields, uncompared):
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(cls.__slots__) == list(fields)
+    assert all(p.kind == p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+    assert all(defaults[f] is NO_SPAN for f, value in defaults.items()
+               if value == NO_SPAN)
+
+
+@pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
+def test_record_constructors_reject_bad_arguments(cls, fields, uncompared):
+    required = [f for f in fields if f not in DEFAULTS.get(cls, {})]
+    if required:
+        with pytest.raises(TypeError):
+            cls(**{f: v for f, v in fields.items() if f != required[-1]})
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
 
 
 def test_models_copy_and_pickle():

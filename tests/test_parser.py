@@ -200,6 +200,37 @@ Pattern P ShortName p {
     assert model.contracts[0].proof[0].refs == ((),)
 
 
+def test_unknown_rationale():
+    # B.c names a contract of a component declared after A's
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ) }
+  CTypes {
+    CType A {
+      OutputPorts { OutputPort o (Type: B.NAT) }
+      Contracts { Contract c { guarantees { [o = o] } duration 1 } }
+    },
+    CType B {
+      OutputPorts { OutputPort o (Type: B.NAT) }
+      Contracts { Contract c { guarantees { [o = o] } duration 1 } }
+    }
+  }
+  Contracts {
+    Contract k {
+      guarantees { [A.o = A.o] }
+      duration 2
+      proof { s0: at 1 have [B.o = B.o] using B.c,
+              s1: at 2 have [A.o = A.o] using A.nosuch }
+    }
+  }
+}""")
+    assert [(d.rule, d.message, d.span.start_line, d.span.start_col)
+            for d in diags] == [
+        ("UNDECLARED_CONTRACT", "undeclared contract 'A.nosuch'", 19, 47)]
+    assert [s.rationale for s in model.contracts[0].proof] == [
+        "B.c", "A.nosuch"]
+
+
 def test_undeclared_names_are_reported():
     _, diags = parse_model("""
 Pattern P ShortName p {
