@@ -180,8 +180,8 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
             if found is None:
                 findings.append(Finding(
                     "C3", INCONCLUSIVE,
-                    "step %d trigger %d: case split exceeds the budget"
-                    % (index, j), index))
+                    "step %d trigger %d: hypothesis DNF exceeds budget %d"
+                    % (index, j, budget), index))
                 return INCONCLUSIVE, [], None, None
             extended.extend(s for s in found if s not in extended)
         sigmas = extended

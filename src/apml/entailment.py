@@ -3,9 +3,10 @@
 Predicates here contain no negation, so a conjunction of facts has a least
 model: the congruence closure of its equalities, with predicate atoms true
 exactly on derivable tuples.  Entailment is decided by checking the goal in
-that least model, disjunct by disjunct, which is sound and complete for this
-fragment.  Disjunctions are expanded to DNF under a budget; exceeding it
-yields an inconclusive verdict, never an acceptance.
+the least model of each hypothesis case, which is sound and complete for
+this fragment.  Only hypotheses are split, into a DNF under a budget;
+exceeding it yields an inconclusive verdict, never an acceptance.  Goals
+and triggers are judged as written, with no budget.
 
 The kernel's invariant: a query (``entails`` or ``match_trigger``) builds the
 least model of each hypothesis case once, as one ``Congruence``, and decides
@@ -198,14 +199,8 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
     if hyp_disjuncts is None:
         return Result(INCONCLUSIVE,
                       reason="hypothesis DNF exceeds budget %d" % budget)
-    goal_disjuncts = dnf(goal, budget)
-    if goal_disjuncts is None:
-        return Result(INCONCLUSIVE,
-                      reason="goal DNF exceeds budget %d" % budget)
     for disjunct in hyp_disjuncts:
-        cong = congruence_of(disjunct)
-        if not any(all(_holds(lit, cong) for lit in g)
-                   for g in goal_disjuncts):
+        if not _holds(goal, congruence_of(disjunct)):
             return Result(FAILS, witness=m.conjoin(disjunct),
                           reason="goal not derivable from this case")
     return Result(HOLDS)
@@ -263,15 +258,12 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
     Matching binds against the least model of the first hypothesis case, and
     each candidate is then decided in the least model of every other case,
     so disjunctive hypotheses cannot sneak in unsound matches.  None when
-    the hypotheses' DNF exceeds the budget; a trigger whose DNF exceeds it
-    matches nothing, as ``entails`` would not accept it.
+    the hypotheses' DNF exceeds the budget; triggers are judged as written.
     """
     sigma = dict(sigma or {})
     cases = dnf_all(list(hypotheses), budget)
     if cases is None:
         return None
-    if any(dnf(p, budget) is None for p in trigger_preds):
-        return []
     cong = congruence_of(cases[0])
     subs = [sigma]
     for pred in trigger_preds:

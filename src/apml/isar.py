@@ -348,7 +348,7 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
         if config.comments:
             lines.append("  (* step %d *)" % i)
         state = r.predicate(step.state, step.time)
-        if not step.refs:
+        if not (step.refs and all(step.refs)):
             lines.append('  have s%d: "%s" %s' % (i, state, gap or "by simp"))
             continue
         for j, ref_set in enumerate(step.refs):

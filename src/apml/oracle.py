@@ -388,19 +388,21 @@ class _Fact(Record):
                  "index")                # position in the fact list
 
 
-def _anchors(contract, budget):
-    """(offset, ports) of each port-anchored trigger of a contract."""
-    def anchored(lit):
-        if isinstance(lit, m.Atom):
-            return bool(m.ports_of(lit))
-        return bool(m.ports_of(lit.lhs)) != bool(m.ports_of(lit.rhs))
+def _anchored(p):
+    """Does every disjunct of p's DNF have an anchored literal?  Read off p
+    without building the DNF: an And's disjuncts all do when some part's
+    all do, an Or's when every part's do."""
+    if isinstance(p, m.Atom):
+        return bool(m.ports_of(p))
+    if isinstance(p, m.Eq):
+        return bool(m.ports_of(p.lhs)) != bool(m.ports_of(p.rhs))
+    return (any if isinstance(p, m.And) else all)(map(_anchored, p.parts))
 
-    out = []
-    for t in contract.triggers:
-        disjuncts = e.dnf(t.predicate, budget)
-        if disjuncts and all(any(map(anchored, d)) for d in disjuncts):
-            out.append((t.time, m.ports_of(t.predicate)))
-    return out
+
+def _anchors(contract):
+    """(offset, ports) of each port-anchored trigger of a contract."""
+    return [(t.time, m.ports_of(t.predicate)) for t in contract.triggers
+            if _anchored(t.predicate)]
 
 
 def _derived_state(guarantee, renaming, sigma):
@@ -424,7 +426,8 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     assembled.  The checker's ``instantiate`` decides every application, as
     it decides a written step; the fact is the rationale's guarantee under
     its first instantiation.  Search stops when a fact at the architecture's
-    duration entails its guarantee.
+    duration entails its guarantee; saturation without it is
+    ``budget-exceeded`` if some application's C3 was inconclusive.
 
     Indexes kept up to date as facts are added replace the scans of all
     facts and connections on every try: the references at each time
@@ -435,18 +438,18 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     that does, so every port in the hypotheses of a trigger at time t is
     visible at t.
 
-    A trigger is port-anchored when every disjunct of its DNF has a literal
-    that is false whenever its ports are fresh: an equality with ports on
-    exactly one side, or a predicate atom with a port argument.  A term with
-    a fresh port is congruent only to terms with that port, and matching
-    binds variables to port-free terms only, so such a literal never follows
-    from hypotheses that do not mention its ports.  A base at which some
-    port-anchored trigger has none of its ports visible would therefore fail,
-    and is skipped.  A contract's candidate bases are read from the port
-    index of its first anchor and tried in ascending order; a fact the
-    contract derives during its turn can add a later candidate.  Only skipped
-    tries differ from trying every known base, so the facts, their order and
-    the result are the same.
+    A trigger is port-anchored (``_anchored``) when every disjunct of its
+    DNF has a literal that is false whenever its ports are fresh: an
+    equality with ports on exactly one side, or a predicate atom with a port
+    argument.  A term with a fresh port is congruent only to terms with that
+    port, and matching binds variables to port-free terms only, so such a
+    literal never follows from hypotheses that do not mention its ports.  A
+    base at which some port-anchored trigger has none of its ports visible
+    would therefore fail, and is skipped.  A contract's candidate bases are
+    read from the port index of its first anchor and tried in ascending
+    order; a fact the contract derives during its turn can add a later
+    candidate.  Only skipped tries differ from trying every known base, so
+    the facts, their order and the result are the same.
     """
     feeds = {}                       # output port -> inputs it feeds
     for p_in, p_out in model.connections:
@@ -455,6 +458,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     keys = set()                     # (time, state, rationale) of facts
     refs = {}                        # time -> [(ref, state, fact, ports)]
     port_times = {}                  # port -> times it is visible at
+    undecided = False                # some application's C3 inconclusive
 
     def add_ref(time, ref, state, fact):
         ports = m.ports_of(state)
@@ -486,6 +490,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     def derive(c, into, base):
         """(state, reference sets) of a fact applying c at base, or None.
         A fact's reference carries the connections of into from its ports."""
+        nonlocal undecided
         ref_sets = []
         for trig in c.triggers:
             avail = refs.get(base + trig.time)
@@ -499,6 +504,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         status, sigmas, renaming, _ = checker.instantiate(
             model, contract, facts, len(facts), c, ref_sets, [], budget)
         if status != checker.OK:
+            undecided |= status == checker.INCONCLUSIVE
             return None
         state = _derived_state(c.guarantee, renaming, sigmas[0])
         return None if state is None else (state, tuple(ref_sets))
@@ -513,7 +519,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         return True
 
     plan = [(c, model.connections_by_owner.get(ct.name, ()),
-             _anchors(c, budget))
+             _anchors(c))
             for ct in model.component_types for c in ct.contracts]
 
     exhausted = False
@@ -566,7 +572,8 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
 
     goal = goal_reached()
     if goal is None:
-        return SearchResult(NO_PROOF_AT_BOUND, steps_explored=len(facts))
+        return SearchResult(BUDGET_EXCEEDED if undecided
+                            else NO_PROOF_AT_BOUND, steps_explored=len(facts))
 
     # collect the facts reachable from the goal, in construction order; a
     # work list, since a chain of facts can be deeper than the recursion limit

@@ -6,6 +6,10 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
+# 13 conjoined copies of a disjunction: a trigger for Stage1.fwd of
+# relay.apml whose DNF has 8,192 disjuncts, twice the default budget
+FOLD13 = " /\\ ".join(["([i = x] \\/ [i = x])"] * 13)
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 

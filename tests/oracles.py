@@ -347,10 +347,11 @@ def _naive_holds(lit, cong):
 
 
 def naive_entails(hypotheses, goal, budget=e.DEFAULT_BUDGET):
-    """Reference for ``apml.entailment.entails``, as a boolean."""
+    """Reference for ``apml.entailment.entails``, as a boolean: the goal's
+    DNF, unbounded, against each case of the hypotheses' DNF."""
     hyp_disjuncts = e.dnf_all(list(hypotheses), budget)
-    goal_disjuncts = e.dnf(goal, budget)
-    if hyp_disjuncts is None or goal_disjuncts is None:
+    goal_disjuncts = e.dnf(goal, budget=float("inf"))
+    if hyp_disjuncts is None:
         return False
     return all(any(all(_naive_holds(lit, cong) for lit in g)
                    for g in goal_disjuncts)

@@ -9,11 +9,12 @@ from apml import model as m
 from apml.checker import (check_model, check_proof, check_step,
                           overall_status, report_lines,
                           OK, VIOLATED, INCONCLUSIVE, NO_PROOF)
+from apml.entailment import DEFAULT_BUDGET
 from apml.isar import emit_theory
 from apml.oracle import FOUND, search_proof
 from apml.parser import parse_model
 
-from conftest import CORPUS, all_findings, load
+from conftest import CORPUS, FOLD13, all_findings, load
 from oracles import relay_chain_model
 
 NAT = "Basic.NAT"
@@ -193,7 +194,7 @@ def _relay_with(*edits):
 
 @pytest.mark.parametrize("edit, condition, message", [
     (("t1: [Stage1.i = x]", "t1: [Stage1.i = x] \\/ [Stage1.i = x]"), "C3",
-     "step 0 trigger 0: case split exceeds the budget"),
+     "step 0 trigger 0: hypothesis DNF exceeds budget 1"),
     (("guarantees { [o = x] }", "guarantees { [o = x] \\/ [o = x] }"), "C5",
      "step 0: hypothesis DNF exceeds budget 1"),
 ], ids=["C3", "C5"])
@@ -205,6 +206,16 @@ def test_a_step_over_the_dnf_budget_is_inconclusive(edit, condition, message):
     assert (finding.condition, finding.status, finding.message) == (
         condition, INCONCLUSIVE, message)
     assert v.steps[1].status == OK
+
+
+# only hypotheses are split under the budget; a trigger is judged as written
+@pytest.mark.parametrize("trigger, budget", [
+    (FOLD13, DEFAULT_BUDGET), ("[i = x] \\/ [i = x]", 1),
+    ("[i = x] \\/ [i = x]", 2), ("[i = x] \\/ [i = x]", 3),
+], ids=["13-fold", "or-1", "or-2", "or-3"])
+def test_a_trigger_past_the_dnf_budget_is_judged_as_written(trigger, budget):
+    model = _relay_with(("t1: [i = x]", "t1: " + trigger))
+    assert check_proof(model, arch(model), budget=budget).status == OK
 
 
 def test_several_matching_instantiations_are_noted():

@@ -26,6 +26,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def relay_with(tmp_path, old, new):
+    """relay.apml with its first ``old`` replaced by ``new``."""
+    text = (CORPUS / "relay.apml").read_text()
+    assert old in text
+    path = tmp_path / "relay.apml"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -87,6 +96,17 @@ def test_emit_isar_matches_golden(capsys):
     assert out == (ROOT / "tests" / "golden" / "rsum.thy").read_text()
 
 
+def test_emit_isar_leaves_a_step_with_an_empty_reference_set_open(
+        tmp_path, capsys):
+    path = relay_with(tmp_path, "from [ t1 ]", "from [ {} ]")
+    code, out, err = run(capsys, "emit-isar", path)
+    assert (code, err) == (0, "")
+    at = out.index("  (* step 0 *)\n")
+    assert out[at:].splitlines()[1:3] == [
+        '  have s0: "s1o (n+1) = x" sorry (* EMPTY_REFSET violated *)',
+        "  (* step 1 *)"]
+
+
 def test_emit_isar_strict_mode_fails_on_unmapped_symbols(capsys):
     code, _, err = run(capsys, "emit-isar", str(CORPUS / "tgmt.apml"),
                        "--strict-symbols")
@@ -113,6 +133,18 @@ def test_search_budget_exceeded(capsys):
     code, _, err = run(capsys, "search", RADDER, "--max-steps", "1")
     assert code == 2
     assert "budget-exceeded" in err
+
+
+def test_search_inconclusive_on_a_case_split_is_budget_exceeded(tmp_path,
+                                                                capsys):
+    path = relay_with(tmp_path, "t1: [Stage1.i = x]",
+                      "t1: [Stage1.i = x] \\/ [Stage1.i = x]")
+    code, out, _ = run(capsys, "check", path, "--dnf-budget", "1")
+    assert code == 2
+    assert ("C3 inconclusive: step 0 trigger 0: hypothesis DNF exceeds "
+            "budget 1") in out
+    code, _, err = run(capsys, "search", path, "--dnf-budget", "1")
+    assert (code, err) == (2, "budget-exceeded after exploring 0 fact(s)\n")
 
 
 def test_search_unknown_contract(capsys):

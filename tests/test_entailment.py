@@ -125,6 +125,26 @@ def test_against_brute_force_sample():
         agree += 1
 
 
+def test_a_goal_past_the_budget_agrees_with_brute_force():
+    """Only hypotheses are split under the budget: a goal whose DNF exceeds
+    it is judged as written, with the brute-force verdict."""
+    rng = random.Random(20261019)
+    seen = {HOLDS: 0, FAILS: 0}
+    while min(seen.values()) < 100:
+        hyps, goal = random_entailment_case(rng)
+        budget = len(e.dnf_all(hyps))
+        literals = [n for n in m.walk(m.conjoin(hyps + [goal]))
+                    if isinstance(n, (m.Eq, m.Atom))]
+        while dnf(goal, budget) is not None:
+            goal = m.conjoin([goal, m.disjoin([rng.choice(literals),
+                                               rng.choice(literals)])])
+        res = entails(hyps, goal, budget)
+        assert res.status in seen, (hyps, goal, budget)
+        assert (res.status == HOLDS) == brute_force_entails(hyps, goal), \
+            (hyps, goal)
+        seen[res.status] += 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_entailment_is_reflexive_and_monotone(seed):

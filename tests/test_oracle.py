@@ -20,10 +20,11 @@ from apml.printer import print_model, print_step
 from oracles import (SORT, brute_force_verify, compose_behaviors,
                      cone_sizes, eval_predicate, eval_term,
                      naive_search_proof, naive_verify_satisfaction,
-                     print_universe, random_chain_model, random_tiny_model,
-                     relay_chain_model, trace_satisfies, violated_window)
+                     print_universe, random_chain_model, random_match_case,
+                     random_tiny_model, relay_chain_model, trace_satisfies,
+                     violated_window)
 
-from conftest import load, CORPUS
+from conftest import load, CORPUS, FOLD13
 
 BIT = "Bit.BIT"
 
@@ -647,6 +648,45 @@ def test_port_free_disjunct_is_not_gated():
     result = search_proof(model, model.contracts[0], max_steps=4)
     assert result.status == FOUND
     assert [s.rationale for s in result.proof] == ["B.any"]
+
+
+def _anchored_by_dnf(pred):
+    """The port-anchoring criterion read off the predicate's DNF."""
+    def anchored(lit):
+        if isinstance(lit, m.Atom):
+            return bool(m.ports_of(lit))
+        return bool(m.ports_of(lit.lhs)) != bool(m.ports_of(lit.rhs))
+    return all(any(map(anchored, d))
+               for d in entailment.dnf(pred, budget=float("inf")))
+
+
+def test_anchoring_agrees_with_the_dnf_criterion():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(1000):
+        triggers, hyps, _, _, _ = random_match_case(rng)
+        for pred in triggers + hyps:
+            want = _anchored_by_dnf(pred)
+            assert oracle._anchored(pred) == want, pred
+            seen.add((isinstance(pred, (m.And, m.Or)), want))
+    # both answers, on literals and on nested predicates
+    assert len(seen) == 4
+
+
+def test_search_proves_a_trigger_past_the_dnf_budget():
+    model, diags = parse_model((CORPUS / "relay.apml").read_text().replace(
+        "t1: [i = x]", "t1: " + FOLD13, 1))
+    assert not diags
+    fwd = model.component_types[0].contracts[0]
+    assert entailment.dnf(fwd.triggers[0].predicate) is None
+    ((offset, ports),) = oracle._anchors(fwd)
+    assert (offset, [p.qualified for p in ports]) == (0, ["Stage1.i"])
+    result = search_proof(model, model.contracts[0])
+    assert result.status == FOUND
+    assert [print_step(s) for s in result.proof] == [
+        "s0: at 1 have [Stage1.o = x] from [ t1 ] using Stage1.fwd",
+        "s1: at 2 have [Stage2.o = x] from [ s0 with [ (Stage2.i, Stage1.o) ]"
+        " ] using Stage2.fwd"]
 
 
 @pytest.mark.parametrize("n", [50, 100])
