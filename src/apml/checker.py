@@ -87,9 +87,10 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
     checker and proof search alike.  Appends a finding per failure; a
     VIOLATED one already in ``findings`` fails too.  Returns the status, the
     matching instantiations in order, the fresh per-step renaming of the
-    variables and the base time (None when the rationale has no triggers).
+    variables (name -> ``Var``) and the base time (None when the rationale
+    has no triggers).
     """
-    renaming = {name: ("%s@%d" % (name, index), sort)
+    renaming = {name: m.Var("%s@%d" % (name, index), sort)
                 for name, sort in rationale.variables}
     # C1: the parser only resolves architecture triggers and earlier steps,
     # so re-check defensively on the resolved indices
@@ -109,7 +110,7 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
             findings.append(Finding("EMPTY_REFSET", VIOLATED,
                                     "step %d reference set %d is empty"
                                     % (index, set_no), index))
-    if any(f.status == VIOLATED for f in findings):
+    if findings and any(f.status == VIOLATED for f in findings):
         return VIOLATED, [], None, None
 
     n_trig = len(rationale.triggers)
@@ -150,7 +151,7 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
 
     # C3: each reference set must entail its trigger, under one shared
     # variable instantiation
-    variables = {new: sort for new, sort in renaming.values()}
+    variables = {v.name: v.sort for v in renaming.values()}
     sigmas = [{}]
     for j, ref_set in enumerate(refs):
         facts = []
@@ -171,7 +172,7 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
                     facts.append(eq)
         if findings:
             return VIOLATED, [], None, None
-        goal = m.rename_variables(rationale.triggers[j].predicate, renaming)
+        goal = m.substitute(rationale.triggers[j].predicate, renaming)
         extended = []
         for sigma in sigmas:
             found = e.match_trigger([goal], facts, variables,
@@ -201,9 +202,9 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
     warnings = []
     rationale = model.find_contract(step.rationale)
     owner = model.component(rationale.owner)
-    state_ports = m.ports_of(step.state)
-    bad = sorted(state_ports - set(owner.outputs), key=lambda p: p.qualified)
+    bad = m.ports_of(step.state).difference(owner.outputs)
     if bad:
+        bad = sorted(bad, key=lambda p: p.qualified)
         findings.append(Finding(
             "STATE_SCOPE", VIOLATED,
             "step %d state references %s, not an output of %s"
@@ -239,13 +240,16 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
                         "each in order" % (index, len(sigmas)))
 
     def compose(sigma):
-        return {orig: sigma.get(new, m.Var(orig, sort))
-                for orig, (new, sort) in renaming.items()}
+        return {orig: sigma.get(v.name) or m.Var(orig, v.sort)
+                for orig, v in renaming.items()}
 
-    # C5: some matching instantiation's guarantee must entail the state
-    guarantee = m.rename_variables(rationale.guarantee, renaming)
+    # C5: some matching instantiation's guarantee must entail the state.
+    # The guarantee is substituted once, under the renaming composed with
+    # sigma: a variable sigma leaves unbound keeps its fresh name.
     for sigma in sigmas:
-        res = e.entails([m.substitute(guarantee, sigma)], step.state, budget)
+        guarantee = m.substitute(rationale.guarantee, {
+            orig: sigma.get(v.name, v) for orig, v in renaming.items()})
+        res = e.entails([guarantee], step.state, budget)
         if res.status == e.HOLDS:
             return StepVerdict(index, step.label, OK, (), tuple(warnings),
                                compose(sigma))

@@ -5,8 +5,9 @@ model: the congruence closure of its equalities, with predicate atoms true
 exactly on derivable tuples.  Entailment is decided by checking the goal in
 the least model of each hypothesis case, which is sound and complete for
 this fragment.  Only hypotheses are split, into a DNF under a budget;
-exceeding it yields an inconclusive verdict, never an acceptance.  Goals
-and triggers are judged as written, with no budget.
+exceeding it yields an inconclusive verdict, never an acceptance.  A
+conjunction with no ``Or`` is its own single case, with no product built.
+Goals and triggers are judged as written, with no budget.
 
 The kernel's invariant: a query (``entails`` or ``match_trigger``) builds the
 least model of each hypothesis case once, as one ``Congruence``, and decides
@@ -61,8 +62,17 @@ def dnf(pred, budget=DEFAULT_BUDGET):
 
 
 def dnf_all(preds, budget=DEFAULT_BUDGET):
-    """DNF of a conjunction of predicates; None on blowup.  Each disjunct
-    is built once, so the work is linear in the literals of the result."""
+    """DNF of a sequence of predicates' conjunction; None on blowup.  With
+    no ``Or`` anywhere it is one case, their literals in order; otherwise
+    each disjunct is built once, linear in the literals of the result."""
+    literals = []
+    for p in preds:
+        parts = m.conjuncts(p)
+        if m.Or in map(type, parts):
+            break
+        literals += parts
+    else:
+        return [literals] if budget >= 1 or not literals else None
     factors, size = [], 1
     for p in preds:
         d = dnf(p, budget)
@@ -97,13 +107,14 @@ class Congruence:
 
     def add_term(self, t):
         """The id of a term, registering it and its subterms when new."""
-        i = self.ids.get(t)
-        if i is None:
-            i = self.ids[t] = len(self.terms)
+        n = len(self.terms)
+        i = self.ids.setdefault(t, n)    # one hash, hit or miss
+        if i == n:
             self.terms.append(t)
             self.parent.append(i)
-            self.free.append(not isinstance(t, m.PortRef))
-            if isinstance(t, m.App):
+            kind = t.__class__
+            self.free.append(kind is not m.PortRef)
+            if kind is m.App:
                 args = tuple(map(self.add_term, t.args))
                 self.free[i] = all(self.free[a] for a in args)
                 self.apps.append((i, t.op, args))
@@ -160,20 +171,18 @@ class Congruence:
         term built from values: picking a port would smuggle one time point's
         observation into another's.
         """
-        roots = list(map(self.find, range(len(self.terms))))
-        chosen = {}
-        for i, r in enumerate(roots):
-            if self.free[i]:
-                chosen.setdefault(r, i)
-        return [self.terms[chosen[r]] for r in dict.fromkeys(roots)
-                if r in chosen]
+        free, chosen = self.free, {}     # root -> first free member
+        for i, r in enumerate(map(self.find, range(len(self.terms)))):
+            if chosen.get(r) is None:    # a new class keeps its first place
+                chosen[r] = i if free[i] else None
+        return [self.terms[i] for i in chosen.values() if i is not None]
 
 
 def congruence_of(literals):
     """The least model of a conjunction of Eq/Atom literals."""
     cong = Congruence()
     for lit in literals:
-        if isinstance(lit, m.Eq):
+        if lit.__class__ is m.Eq:
             cong.union(cong.add_term(lit.lhs), cong.add_term(lit.rhs))
         else:
             cong.assert_atom(lit.pred, lit.args)
@@ -184,11 +193,12 @@ def congruence_of(literals):
 def _holds(p, cong):
     """Does a predicate hold in the least model cong, its variables read
     as constants?"""
-    if isinstance(p, m.Eq):
+    kind = p.__class__
+    if kind is m.Eq:
         return cong.equal(p.lhs, p.rhs)
-    if isinstance(p, m.Atom):
+    if kind is m.Atom:
         return cong.holds_atom(p.pred, p.args)
-    if isinstance(p, m.And):
+    if kind is m.And:
         return all(_holds(q, cong) for q in p.parts)
     return any(_holds(q, cong) for q in p.parts)
 
@@ -222,10 +232,10 @@ def match_predicate(goal, cong, variables, signature, sigma):
     literals = m.conjuncts(goal)
     own = [sorted(m.free_variables(lit) & variables.keys())
            for lit in literals]
-    leaky = (any(isinstance(t, m.Var) and t.name in variables
+    leaky = (any(t.__class__ is m.Var and t.name in variables
                  for t in cong.terms)
-             or any(m.free_variables(t) & variables.keys()
-                    for t in sigma.values()))
+             or sigma and any(m.free_variables(t) & variables.keys()
+                              for t in sigma.values()))
     results = []
     stack = [(0, dict(sigma))]           # (literals satisfied, bindings)
     while stack:

@@ -94,15 +94,13 @@ def port_names(model):
                 progressed = True
         if not progressed:
             break
-    return {p.qualified: name for name, p in
-            {_sanitize(prefix[ct.name] + p.name): p
-             for ct in model.component_types for p in ct.ports}.items()}
+    return {p.qualified: name for name, p in names.items()}
 
 
-def sort_name(sort):
+def sort_name(sort, sanitize=_sanitize):
     """Isabelle type for a qualified sort; unmapped sorts keep their name."""
     base = sort.rpartition(".")[2]
-    return SORT_MAP.get(base, _sanitize(base))
+    return SORT_MAP.get(base) or sanitize(base)
 
 
 def unmapped_sorts(model, symbols):
@@ -117,7 +115,7 @@ def unmapped_sorts(model, symbols):
         else:
             args, result = signature.operation_symbols[q]
             sorts += args + (result,)
-    bases = (s.rpartition(".")[2] for s in sorts)
+    bases = dict.fromkeys(s.rpartition(".")[2] for s in sorts)
     return list(dict.fromkeys(_sanitize(b) for b in bases
                               if b not in SORT_MAP))
 
@@ -140,12 +138,12 @@ def _symbols_used(model):
     """(predicate symbols, operation symbols) referenced anywhere, in order
     of first occurrence, left to right and outside in."""
     preds, ops = {}, {}                  # insertion-ordered sets
-    for root in _predicates(model):
-        for n in m.walk(root):
-            if isinstance(n, m.App):
-                ops.setdefault(n.op)
-            elif isinstance(n, m.Atom):
-                preds.setdefault(n.pred)
+    for n in m.walk(*_predicates(model)):
+        kind = n.__class__
+        if kind is m.App:
+            ops.setdefault(n.op)
+        elif kind is m.Atom:
+            preds.setdefault(n.pred)
     return list(preds), list(ops)
 
 
@@ -154,13 +152,9 @@ def symbol_params(model, config):
     signature = model.signature
     preds, ops = _symbols_used(model)
     params = {}                      # qualified symbol -> (name, type)
-
-    def short(qualified):
-        return qualified.rpartition(".")[2]
-
     used = set()
     for q in preds + ops:
-        base = short(q)
+        base = q.rpartition(".")[2]
         if base in INFIX_OPS and q in ops:
             continue
         if config.strict_symbols:
@@ -183,23 +177,34 @@ def symbol_params(model, config):
 # Predicate rendering
 
 class Renderer:
+    """Names and predicate text for one emit; each name is sanitized once."""
+
     def __init__(self, model, config=None):
         self.model = model
         self.config = config or EmitConfig()
+        self.names = {}                  # name -> sanitized name
         self.ports = port_names(model)
         self.params = symbol_params(model, self.config)
+        self.assumptions = _assumption_names(model)
+
+    def name(self, raw):
+        clean = self.names.get(raw)
+        if clean is None:
+            clean = self.names[raw] = _sanitize(raw)
+        return clean
 
     def term(self, t, time, atomic=False):
-        if isinstance(t, m.Var):
-            return _sanitize(t.name)
-        if isinstance(t, m.PortRef):
+        kind = t.__class__
+        if kind is m.Var:
+            return self.name(t.name)
+        if kind is m.PortRef:
             q = self.ports[t.port.qualified]
             s = "%s n" % q if time == 0 else "%s (n+%d)" % (q, time)
             return "(%s)" % s if atomic else s
         base = t.op.rpartition(".")[2]
         if base in INFIX_OPS:
             s = (" %s " % INFIX_OPS[base]).join(
-                self.term(a, time, atomic=isinstance(a, m.App))
+                self.term(a, time, atomic=a.__class__ is m.App)
                 for a in t.args)
             return "(%s)" % s if atomic else s
         name = self.params[t.op][0]
@@ -207,24 +212,21 @@ class Renderer:
                                for a in t.args])
         return "(%s)" % s if atomic else s
 
-    def _leaf(self, p, time):
-        if isinstance(p, m.Eq):
-            return "%s = %s" % (self.term(p.lhs, time),
-                                self.term(p.rhs, time))
-        name = self.params[p.pred][0]
-        return " ".join([name] + [self.term(a, time, atomic=True)
-                                  for a in p.args])
-
     def predicate(self, p, time, outer=True):
         """Conclusion-style rendering: conjunction with \\<and>."""
-        if isinstance(p, m.And):
+        kind = p.__class__
+        if kind is m.Eq:
+            return "%s = %s" % (self.term(p.lhs, time),
+                                self.term(p.rhs, time))
+        if kind is m.And:
             s = " \\<and> ".join(self.predicate(c, time, outer=False)
                                  for c in p.parts)
             return s if outer else "(%s)" % s
-        if isinstance(p, m.Or):
+        if kind is m.Or:
             return "(%s)" % " \\<or> ".join(
                 self.predicate(d, time, outer=False) for d in p.parts)
-        return self._leaf(p, time)
+        return " ".join([self.params[p.pred][0]] + [
+            self.term(a, time, atomic=True) for a in p.args])
 
     def premises(self, p, time):
         """Premise-style rendering: top-level conjuncts become a list."""
@@ -243,14 +245,13 @@ def _assumption_names(model):
     out = {}
     for ct in model.component_types:
         for c in ct.contracts:
-            name = c.name if counts[c.name] == 1 else \
-                _sanitize("%s_%s" % (ct.name, c.name))
-            out[c.qualified] = _sanitize(name)
+            out[c.qualified] = _sanitize(c.name if counts[c.name] == 1
+                                         else "%s_%s" % (ct.name, c.name))
     return out
 
 
 def contract_assumption(renderer, contract):
-    vars_ = " ".join(_sanitize(n) for n, _ in contract.variables)
+    vars_ = " ".join(renderer.name(n) for n, _ in contract.variables)
     binder = "\\<And>n%s. " % ((" " + vars_) if vars_ else "")
     concl = renderer.predicate(contract.guarantee, contract.duration)
     if not contract.triggers:
@@ -276,25 +277,17 @@ def emit_locale(model, renderer=None, config=None):
     r = renderer or Renderer(model, config)
     lines = ["locale %s =" % _sanitize(model.short_name or model.name)]
     lines.append("  fixes")
-    first = True
-    for ct in model.component_types:
+    for k, ct in enumerate(model.component_types):
         if config.comments:
             lines.append("    (* %s *)" % ct.name)
-        decls = []
-        for p in ct.ports:
-            decls.append('%s::"nat \\<Rightarrow> %s"'
-                         % (r.ports[p.qualified], sort_name(p.sort)))
-        prefix = "    " if first else "    and "
-        lines.append(prefix + " and ".join(decls))
-        first = False
+        decls = ['%s::"nat \\<Rightarrow> %s"'
+                 % (r.ports[p.qualified], sort_name(p.sort, r.name))
+                 for p in ct.ports]
+        lines.append(("    and " if k else "    ") + " and ".join(decls))
     for q, (name, ty) in r.params.items():
         lines.append('    and %s::"%s"' % (name, ty))
-    names = _assumption_names(model)
-    assumes = []
-    for ct in model.component_types:
-        for c in ct.contracts:
-            assumes.append((names[c.qualified],
-                            contract_assumption(r, c)))
+    assumes = [(r.assumptions[c.qualified], contract_assumption(r, c))
+               for ct in model.component_types for c in ct.contracts]
     for p_in, p_out in model.connections:
         text = '"\\<And>n. %s n = %s n"' % (r.ports[p_in.qualified],
                                           r.ports[p_out.qualified])
@@ -312,7 +305,7 @@ def emit_locale(model, renderer=None, config=None):
 
 def emit_theorem(model, contract, renderer, name=None):
     r = renderer
-    vars_ = " ".join(_sanitize(n) for n, _ in contract.variables)
+    vars_ = " ".join(r.name(n) for n, _ in contract.variables)
     lines = ["theorem %s:" % _sanitize(name or contract.name)]
     fixes = "n" + ((" " + vars_) if vars_ else "")
     lines.append("  fixes %s" % fixes)
@@ -338,7 +331,6 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
     """
     r = renderer
     steps = contract.proof or ()
-    names = _assumption_names(model)
     lines = ["proof -"]
     for i, (step, judged) in enumerate(zip(steps, verdict.steps)):
         rationale = model.find_contract(step.rationale)
@@ -353,10 +345,8 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
             continue
         for j, ref_set in enumerate(step.refs):
             time = checker.reference_time(ref_set[0], contract, steps)
-            facts = []
-            for ref in ref_set:
-                facts.append(("a%d" if isinstance(ref, m.TriggerRef)
-                              else "s%d") % ref.index)
+            facts = [("a%d" if ref.__class__ is m.TriggerRef else "s%d")
+                     % ref.index for ref in ref_set]
             triggers = rationale.triggers
             goal = (r.predicate(m.substitute(triggers[j].predicate, inst),
                                 time) if j < len(triggers) else state)
@@ -371,7 +361,7 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
                             "sorry" if gap else "by simp"))
         closer = "hence" if len(step.refs) == 1 else "ultimately have"
         lines.append('  %s s%d: "%s" using %s %s'
-                     % (closer, i, state, names[step.rationale],
+                     % (closer, i, state, r.assumptions[step.rationale],
                         gap or "by blast"))
     # and so is the conclusion when the last step misses the guarantee or
     # the duration

@@ -155,56 +155,56 @@ def disjoin(preds):
 
 
 def conjuncts(p):
-    return p.parts if isinstance(p, And) else (p,)
+    return p.parts if p.__class__ is And else (p,)
 
 
-def walk(node):
-    """Every node of a predicate or term, pre-order, left to right.
+def walk(*nodes):
+    """Every node of predicates or terms, pre-order, left to right.
 
     Iterative, so neither a long chain of parts nor a deep term can exhaust
     the recursion limit.
     """
-    stack = [node]
+    stack = list(nodes)
+    stack.reverse()
     while stack:
         n = stack.pop()
         yield n
-        if isinstance(n, Eq):
+        kind = n.__class__
+        if kind is Var or kind is PortRef:
+            continue
+        if kind is Eq:
             stack += (n.rhs, n.lhs)
-        elif isinstance(n, (And, Or)):
-            stack.extend(reversed(n.parts))
-        elif isinstance(n, (App, Atom)):
-            stack.extend(reversed(n.args))
+        elif kind is And or kind is Or:
+            stack += reversed(n.parts)
+        elif kind is App or kind is Atom:
+            stack += reversed(n.args)
 
 
 def ports_of(p):
     """The ports occurring in a predicate or term."""
-    return {n.port for n in walk(p) if isinstance(n, PortRef)}
+    return {n.port for n in walk(p) if n.__class__ is PortRef}
 
 
 def free_variables(p):
     """Names of the contract variables occurring in a predicate or term."""
-    return {n.name for n in walk(p) if isinstance(n, Var)}
+    return {n.name for n in walk(p) if n.__class__ is Var}
 
 
 def substitute(p, subst):
     """Replace variables by terms throughout a predicate or term."""
-    if isinstance(p, Eq):
-        return Eq(substitute(p.lhs, subst), substitute(p.rhs, subst))
-    if isinstance(p, Var):
+    kind = p.__class__
+    if kind is Var:
         return subst.get(p.name, p)
-    if isinstance(p, PortRef):
+    if kind is PortRef or not subst:
         return p
-    if isinstance(p, App):
-        return App(p.op, tuple(substitute(a, subst) for a in p.args))
-    if isinstance(p, Atom):
-        return Atom(p.pred, tuple(substitute(a, subst) for a in p.args))
-    return (conjoin if isinstance(p, And) else disjoin)(
+    if kind is Eq:
+        return Eq(substitute(p.lhs, subst), substitute(p.rhs, subst))
+    if kind is App:
+        return App(p.op, tuple([substitute(a, subst) for a in p.args]))
+    if kind is Atom:
+        return Atom(p.pred, tuple([substitute(a, subst) for a in p.args]))
+    return (conjoin if kind is And else disjoin)(
         [substitute(q, subst) for q in p.parts])
-
-
-def rename_variables(p, mapping):
-    return substitute(p, {old: Var(new, sort)
-                          for old, (new, sort) in mapping.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,7 @@ class Trigger(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
 
 @dataclass(frozen=True)
 class Contract:
+    """A component contract: triggers at offsets, guarantee at duration."""
     name: str
     owner: str                           # component type name, "" for arch
     variables: tuple                     # ordered (name, sort) pairs
@@ -247,6 +248,7 @@ Reference = Union[TriggerRef, StepRef]
 
 @dataclass(frozen=True)
 class ProofStep:
+    """One step: the state at a time, by a rationale from reference sets."""
     label: str
     time: int
     state: Predicate
@@ -257,6 +259,7 @@ class ProofStep:
 
 @dataclass(frozen=True)
 class ArchitectureContract(Contract):
+    """A contract of the whole architecture, with its proof if written."""
     proof: Optional[tuple] = None        # of ProofStep
 
 
@@ -265,6 +268,7 @@ class ArchitectureContract(Contract):
 
 @dataclass(frozen=True)
 class ComponentType:
+    """A component type: its input and output ports and its contracts."""
     name: str
     inputs: tuple                        # of Port
     outputs: tuple                       # of Port
@@ -278,6 +282,7 @@ class ComponentType:
 
 @dataclass(frozen=True)
 class Model:
+    """A pattern: datatypes, component types, connections and contracts."""
     name: str
     short_name: str
     datatypes: tuple = ()                # of DataType

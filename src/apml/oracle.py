@@ -409,8 +409,8 @@ def _derived_state(guarantee, renaming, sigma):
     """The guarantee under ``sigma``, less the conjuncts with a variable that
     ``sigma`` leaves unbound (a renamed one cannot be printed, and C5 holds
     for any conjuncts of the guarantee); None if no conjunct is left."""
-    bound = {orig: sigma[new] for orig, (new, _) in renaming.items()
-             if new in sigma}
+    bound = {orig: sigma[v.name] for orig, v in renaming.items()
+             if v.name in sigma}
     unbound = renaming.keys() - bound.keys()
     if unbound:
         guarantee = m.conjoin([p for p in m.conjuncts(guarantee)
@@ -427,7 +427,8 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     it decides a written step; the fact is the rationale's guarantee under
     its first instantiation.  Search stops when a fact at the architecture's
     duration entails its guarantee; saturation without it is
-    ``budget-exceeded`` if some application's C3 was inconclusive.
+    ``budget-exceeded`` if some application's C3 or some goal check was
+    inconclusive.
 
     Indexes kept up to date as facts are added replace the scans of all
     facts and connections on every try: the references at each time
@@ -458,7 +459,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     keys = set()                     # (time, state, rationale) of facts
     refs = {}                        # time -> [(ref, state, fact, ports)]
     port_times = {}                  # port -> times it is visible at
-    undecided = False                # some application's C3 inconclusive
+    undecided = False                # some C3 or goal check inconclusive
 
     def add_ref(time, ref, state, fact):
         ports = m.ports_of(state)
@@ -481,10 +482,13 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                    for offset, ports in anchors)
 
     def goal_reached():
+        nonlocal undecided
         for _, state, fact, _ in refs.get(contract.duration, ()):
-            if fact is not None and e.entails([state], contract.guarantee,
-                                              budget):
-                return fact
+            if fact is not None:
+                res = e.entails([state], contract.guarantee, budget)
+                if res:
+                    return fact
+                undecided |= res.status == e.INCONCLUSIVE
         return None
 
     def derive(c, into, base):

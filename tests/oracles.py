@@ -358,6 +358,38 @@ def naive_entails(hypotheses, goal, budget=e.DEFAULT_BUDGET):
                for cong in map(naive_congruence_of, hyp_disjuncts))
 
 
+def product_dnf(pred, budget=e.DEFAULT_BUDGET):
+    """``entailment.dnf`` with every conjunction split as a product, the
+    way ``dnf_all`` built every DNF before an Or-free list of hypotheses
+    became its own single case."""
+    if isinstance(pred, (m.Eq, m.Atom)):
+        return [[pred]]
+    if isinstance(pred, m.And):
+        return product_dnf_all(pred.parts, budget)
+    out = []
+    for p in pred.parts:
+        d = product_dnf(p, budget)
+        if d is None or len(out) + len(d) > budget:
+            return None
+        out += d
+    return out
+
+
+def product_dnf_all(preds, budget=e.DEFAULT_BUDGET):
+    """``entailment.dnf_all`` as the product of its parts' DNFs."""
+    factors, size = [], 1
+    for p in preds:
+        d = product_dnf(p, budget)
+        if d is None:
+            return None
+        size *= len(d)
+        if size > budget:
+            return None
+        factors.append(d)
+    return [list(itertools.chain.from_iterable(pick))
+            for pick in itertools.product(*factors)]
+
+
 def naive_match_predicate(goal, cong, variables, signature, sigma):
     """Depth-first binding of variables to class representatives, literal
     by literal, re-reading each instance's free variables on every pop."""
@@ -1025,11 +1057,17 @@ def _connections_for(model, owner, fact_state):
                  if p_in.owner == owner and p_out in ports)
 
 
+def rename_variables(p, mapping):
+    """p with each variable old of mapping renamed to mapping[old][0]."""
+    return m.substitute(p, {old: m.Var(new, sort)
+                            for old, (new, sort) in mapping.items()})
+
+
 def _bound_conjuncts(guarantee, renaming, sigma):
     """The conjuncts of the renamed guarantee under sigma that mention no
     renamed variable sigma leaves unbound, or None if there are none."""
     unbound = {new for new, _ in renaming.values()} - set(sigma)
-    state = m.substitute(m.rename_variables(guarantee, renaming), sigma)
+    state = m.substitute(rename_variables(guarantee, renaming), sigma)
     return m.conjoin([p for p in m.conjuncts(state)
                       if not m.free_variables(p) & unbound])
 
@@ -1090,7 +1128,7 @@ def naive_search_proof(model, contract, max_steps=32,
                     for p_in, p_out in conns:
                         facts_j.append(m.Eq(m.PortRef(p_in),
                                             m.PortRef(p_out)))
-            goal = m.rename_variables(trig.predicate, renaming)
+            goal = rename_variables(trig.predicate, renaming)
             extended = []
             for sigma in sigma_list:
                 found = e.match_trigger([goal], facts_j, variables,

@@ -218,6 +218,27 @@ def test_a_trigger_past_the_dnf_budget_is_judged_as_written(trigger, budget):
     assert check_proof(model, arch(model), budget=budget).status == OK
 
 
+def test_c5_keeps_a_variable_sigma_leaves_unbound_fresh():
+    """Stage1.fwd guarantees [o = y] with y in no trigger, and the
+    architecture declares a y of its own: y stays y@0 under sigma, so the
+    guarantee says nothing about the architecture's y."""
+    model = _relay_with(
+        ("guarantees { [o = x] }", "guarantees { [o = y] }"),
+        ("var x: Bit.BIT\n          triggers",
+         "var x: Bit.BIT\n          var y: Bit.BIT\n          triggers"),
+        ("var x: Bit.BIT\n      triggers",
+         "var x: Bit.BIT\n      var y: Bit.BIT\n      triggers"),
+        ("have [Stage1.o = x]", "have [Stage1.o = y]"))
+    steps = arch(model).proof
+    verdict = check_step(model, arch(model), steps, 0)
+    assert (verdict.status, [(f.condition, f.status, f.message)
+                             for f in verdict.findings]) == (
+        VIOLATED, [("C5", VIOLATED, "step 0: guarantee of 'Stage1.fwd' "
+                    "does not entail the step state")])
+    assert check_step(model, arch(model), steps, 1).findings[0].message == (
+        "step 1: guarantee of 'Stage2.fwd' does not entail the step state")
+
+
 def test_several_matching_instantiations_are_noted():
     # [x = x] holds for any x, so the rationale's x may bind to either
     # of the architecture's variables

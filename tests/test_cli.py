@@ -147,6 +147,27 @@ def test_search_inconclusive_on_a_case_split_is_budget_exceeded(tmp_path,
     assert (code, err) == (2, "budget-exceeded after exploring 0 fact(s)\n")
 
 
+def test_search_inconclusive_on_the_goal_is_budget_exceeded(tmp_path,
+                                                           capsys):
+    """Stage2.fwd guarantees a disjunction, and s1 states it: at
+    --dnf-budget 1 the goal check is as inconclusive for search as C5 and
+    FINAL_STATE are for check."""
+    text = (CORPUS / "relay.apml").read_text()
+    head, stage2, tail = text.partition("CType Stage2")
+    tail = tail.replace("guarantees { [o = x] }",
+                        "guarantees { [o = x] \\/ [o = x] }", 1).replace(
+        "have [Stage2.o = x]", "have [Stage2.o = x] \\/ [Stage2.o = x]", 1)
+    path = tmp_path / "relay.apml"
+    path.write_text(head + stage2 + tail)
+    code, out, _ = run(capsys, "check", str(path), "--dnf-budget", "1")
+    assert code == 2
+    assert "C5 inconclusive: step 1: hypothesis DNF exceeds budget 1" in out
+    code, _, err = run(capsys, "search", str(path), "--dnf-budget", "1")
+    assert (code, err) == (2, "budget-exceeded after exploring 2 fact(s)\n")
+    code, _, _ = run(capsys, "search", str(path))
+    assert code == 0
+
+
 def test_search_unknown_contract(capsys):
     code, _, err = run(capsys, "search", RADDER, "--contract", "nope")
     assert code == 3
@@ -205,6 +226,22 @@ def test_simulate_bad_universe(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", RELAY, "--universe", str(bad))
     assert code == 3
     assert "universe line" in err
+
+
+@pytest.mark.parametrize("universe, missing", [
+    ("sort Bit.BIT: 0 1\n", "sort 'Basic.NAT'"),
+    ("sort Basic.NAT:\n", "sort 'Basic.NAT'"),
+    ("sort Basic.NAT: 0 1\n", "operation 'Basic.add'"),
+])
+def test_simulate_refuses_a_universe_that_leaves_no_trace(tmp_path, capsys,
+                                                          universe, missing):
+    """A used sort without values, or an applied operation without a
+    table, would make simulate's verdict vacuous."""
+    path = tmp_path / "u.uni"
+    path.write_text(universe)
+    code, out, err = run(capsys, "simulate", DUR6, "--universe", str(path))
+    assert (code, out) == (3, "")
+    assert missing in err
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from apml.entailment import (congruence_of, dnf, entails, match_trigger,
 
 from conftest import CORPUS, load
 from oracles import (brute_force_entails, naive_match_trigger,
-                     random_entailment_case, random_match_case,
-                     MATCH_SIGNATURE, SORT)
+                     product_dnf_all, random_entailment_case,
+                     random_match_case, MATCH_SIGNATURE, SORT)
 
 P = [m.PortRef(m.Port("p%d" % i, "C", "output", SORT)) for i in range(4)]
 X = m.Var("x", SORT)
@@ -76,6 +76,44 @@ def test_dnf_budget_yields_inconclusive_not_acceptance():
     res = entails([big], m.Eq(P[0], P[1]), budget=4096)
     assert res.status == INCONCLUSIVE
     assert not res
+
+
+def _random_hypotheses(rng, or_free):
+    """0-4 hypotheses, literals and conjunctions (some conjoined from
+    conjunctions), with disjunctions at any depth unless or_free."""
+    def literal():
+        a = rng.choice(P + [X, Y, F(X)])
+        if rng.random() < 0.2:
+            return m.Atom("D.P", (a,))
+        return m.Eq(a, rng.choice(P + [X, Y]))
+
+    def pred(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return literal()
+        parts = [pred(depth - 1) for _ in range(rng.randint(2, 3))]
+        return (m.conjoin if or_free or roll < 0.6 else m.disjoin)(parts)
+
+    return [pred(rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+
+
+def test_dnf_all_single_case_agrees_with_the_product():
+    """An Or-free hypothesis list is one case without the product; on any
+    list dnf_all returns exactly the product's DNF, or None with it."""
+    rng = random.Random(20261019)
+    seen = {"single": 0, "split": 0, "none": 0}
+    for k in range(1000):
+        hyps = _random_hypotheses(rng, or_free=k % 2 == 0)
+        for budget in (0, 1, 3, 16, e.DEFAULT_BUDGET):
+            want = product_dnf_all(hyps, budget)
+            assert e.dnf_all(hyps, budget) == want, (hyps, budget)
+            assert want is None or budget > 0 or not hyps
+            seen["none"] += want is None and budget > 0
+        cases = e.dnf_all(hyps)
+        seen["single"] += k % 2 == 0 and any(
+            p.__class__ is m.And for p in hyps)
+        seen["split"] += len(cases) > 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_congruence_closure_signature_merging():
