@@ -3,36 +3,47 @@ and ``Record``, the base of the toolchain's immutable value types."""
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from collections import UserDict
+from functools import cached_property
 from operator import attrgetter
 
 _set = object.__setattr__
 
 
 class Record:
-    """An immutable value record over ``__slots__``.
+    """An immutable value record.
 
-    A subclass declares each field once: in ``__slots__``, in constructor
-    order; its default, if any, in the class keyword ``defaults``; and, in
-    the class keyword ``uncompared``, the fields (spans, labels) left out of
-    equality and hashing.  A check of the field values goes in
-    ``__post_init__``.  The class's ``__init__`` is generated from these and
-    compiled once, as ``dataclasses`` and ``namedtuple`` do: it sets each
-    field through ``object.__setattr__``, then calls ``__post_init__`` if the
-    class has one.  Records are equal when they are of the same class with
-    equal compared fields.  The hash is computed on first use and kept, so a
-    term hashed again and again as a dictionary key pays once.  ``repr``
-    lists every field, as a dataclass does; ``copy`` and ``pickle`` rebuild
-    a record through its constructor.  Records replace
-    ``@dataclass(frozen=True)`` because generating and compiling the
-    dataclass methods took about half of ``import apml.cli``.
+    A subclass declares each field once, in constructor order after its
+    base's: in ``__slots__`` or by annotations; its default, if any, in the
+    class keyword ``defaults``; and, in the class keyword ``uncompared``,
+    the fields (spans, labels) left out of equality and hashing.  A check of
+    the field values goes in ``__post_init__``.  The class's ``__init__`` is
+    generated from these and compiled once, as ``dataclasses`` and
+    ``namedtuple`` do.  Records are equal when they are of the same class
+    with equal compared fields.  The hash is computed on first use and
+    kept, so a term hashed again and again as a dictionary key pays once.
+    ``repr`` lists every field, as a dataclass does; ``copy`` and ``pickle``
+    rebuild a record through its constructor.  A record declared by
+    annotations keeps a ``__dict__`` (for ``cached_property``) and
+    ``dataclasses.replace``, ``fields`` and ``asdict`` take it.  Records
+    replace ``@dataclass(frozen=True)`` because importing ``dataclasses``
+    and generating its methods took about half of ``import apml.cli``.
     """
 
     __slots__ = ("_hash",)
+    __match_args__ = ()                  # the fields, in constructor order
+    _defaults = {}
+    _uncompared = ()
 
     def __init_subclass__(cls, uncompared=(), defaults={}, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__slots__
+        own = vars(cls).get("__slots__")
+        if own is None:
+            own = vars(cls).get("__annotations__", ())
+            cls.__dataclass_fields__ = _DataclassFields(cls)
+        fields = cls.__match_args__ = cls.__match_args__ + tuple(own)
+        uncompared = cls._uncompared = cls._uncompared + tuple(uncompared)
+        defaults = cls._defaults = dict(cls._defaults, **defaults)
         cls._key = attrgetter(*[f for f in fields if f not in uncompared])
         lines = ["def __init__(self, %s):" % ", ".join(
             "%s=_d_%s" % (f, f) if f in defaults else f for f in fields)]
@@ -45,9 +56,11 @@ class Record:
         cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError("cannot assign to field %r" % name)
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __eq__(self, other):
@@ -69,12 +82,31 @@ class Record:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in type(self).__slots__))
+            "%s=%r" % (f, getattr(self, f)) for f in self.__match_args__))
 
     def __reduce__(self):
         # rebuilt through the constructor: a hash is valid in one process only
         return type(self), tuple(getattr(self, f)
-                                 for f in type(self).__slots__)
+                                 for f in self.__match_args__)
+
+
+class _DataclassFields(UserDict):
+    """The ``__dataclass_fields__`` of a record class declared by
+    annotations: ``UserDict`` reads all through ``data``, which
+    ``dataclasses.make_dataclass`` makes on first read, not at import."""
+
+    def __init__(self, cls):
+        self._cls = cls
+
+    @cached_property
+    def data(self):
+        from dataclasses import MISSING, field, make_dataclass
+        from typing import get_type_hints
+        cls, types = self._cls, get_type_hints(self._cls)
+        return make_dataclass(cls.__name__, [
+            (f, types[f], field(default=cls._defaults.get(f, MISSING),
+                                compare=f not in cls._uncompared))
+            for f in cls.__match_args__]).__dataclass_fields__
 
 
 class SourceSpan(Record, defaults=dict(file="<input>", start_line=1,

@@ -34,6 +34,7 @@ class UnmappedSymbol(Exception):
 
 class EmitConfig:
     __slots__ = ("comments", "legacy_connection_names", "strict_symbols")
+    __match_args__ = __slots__           # the fields Record.__repr__ lists
 
     def __init__(self, comments=True, legacy_connection_names=False,
                  strict_symbols=False):

@@ -18,9 +18,9 @@ The signature, terms, predicates, triggers and proof references are
 default and whether it is compared (spans and labels are not) as class
 keywords, and get a generated initialiser; they compare and hash by their
 compared fields and cache their hash.  ``Contract``,
-``ArchitectureContract``, ``ProofStep``, ``ComponentType`` and ``Model``
-stay frozen dataclasses, so that ``dataclasses.replace`` can derive model
-variants from them.
+``ArchitectureContract``, ``ProofStep``, ``ComponentType`` and ``Model`` are
+records declared by annotations: they keep a ``__dict__`` for cached
+indexes, and ``dataclasses.replace`` derives model variants from them.
 
 The parser resolves every reference: sorts (symbol declarations' too),
 ports, symbols, variables, proof labels and proof rationales, reporting each
@@ -32,7 +32,6 @@ duplicates, port directions, connections, contract shapes, scopes and sorts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -214,8 +213,7 @@ class Trigger(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
     __slots__ = ("label", "predicate", "time", "span")
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
     """A component contract: triggers at offsets, guarantee at duration."""
     name: str
     owner: str                           # component type name, "" for arch
@@ -223,7 +221,7 @@ class Contract:
     triggers: tuple                      # of Trigger
     guarantee: Predicate
     duration: int
-    span: SourceSpan = field(default=NO_SPAN, compare=False)
+    span: SourceSpan
 
     @property
     def qualified(self):
@@ -246,49 +244,47 @@ class StepRef(Record, uncompared=("label",), defaults=dict(label="")):
 Reference = Union[TriggerRef, StepRef]
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
     """One step: the state at a time, by a rationale from reference sets."""
     label: str
     time: int
     state: Predicate
     rationale: str                       # qualified CType.contract name
     refs: tuple                          # of tuple[Reference, ...] (a set each)
-    span: SourceSpan = field(default=NO_SPAN, compare=False)
+    span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ArchitectureContract(Contract):
+class ArchitectureContract(Contract, defaults=dict(proof=None)):
     """A contract of the whole architecture, with its proof if written."""
-    proof: Optional[tuple] = None        # of ProofStep
+    proof: Optional[tuple]               # of ProofStep
 
 
 # ---------------------------------------------------------------------------
 # Components, architectures, model
 
-@dataclass(frozen=True)
-class ComponentType:
+class ComponentType(Record, uncompared=("span",),
+                    defaults=dict(span=NO_SPAN)):
     """A component type: its input and output ports and its contracts."""
     name: str
     inputs: tuple                        # of Port
     outputs: tuple                       # of Port
     contracts: tuple                     # of Contract
-    span: SourceSpan = field(default=NO_SPAN, compare=False)
+    span: SourceSpan
 
     @property
     def ports(self):
         return self.inputs + self.outputs
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record, defaults=dict(datatypes=(), component_types=(),
+                                  connections=(), contracts=())):
     """A pattern: datatypes, component types, connections and contracts."""
     name: str
     short_name: str
-    datatypes: tuple = ()                # of DataType
-    component_types: tuple = ()          # of ComponentType
-    connections: tuple = ()              # of (input Port, output Port)
-    contracts: tuple = ()                # of ArchitectureContract
+    datatypes: tuple                     # of DataType
+    component_types: tuple               # of ComponentType
+    connections: tuple                   # of (input Port, output Port)
+    contracts: tuple                     # of ArchitectureContract
 
     # Per-model indexes, built on first use; a model is immutable.  Lookups
     # by name resolve to the first declaration, hence the reversed walks.
@@ -516,8 +512,10 @@ def validate_structure(model):
     if_inputs, if_outputs = architecture_interface(model)
     anames = [c.name for c in model.contracts]
     for n in sorted({n for n in anames if anames.count(n) > 1}):
+        repeat = [c for c in model.contracts if c.name == n][1]
         out.append(Diagnostic(ERROR, "DUPLICATE_NAME",
-                              "duplicate architecture contract '%s'" % n))
+                              "duplicate architecture contract '%s'" % n,
+                              repeat.span))
     for c in model.contracts:
         _check_contract_shape(c, out)
         for t in c.triggers:

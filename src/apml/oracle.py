@@ -63,6 +63,7 @@ class ExplosionError(Exception):
 
 class FiniteUniverse:
     __slots__ = ("carriers", "operations", "predicates")
+    __match_args__ = __slots__           # the fields Record.__repr__ lists
 
     def __init__(self, carriers=None, operations=None, predicates=None):
         # sort -> list of values

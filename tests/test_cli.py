@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from apml import checker
+from apml import checker, oracle
 from apml.cli import main
 from apml.parser import MAX_NESTING, parse_model
 
@@ -174,6 +174,19 @@ def test_search_unknown_contract(capsys):
     assert "no architecture contract" in err
 
 
+@pytest.mark.parametrize("command", [["search"], ["simulate", "--universe",
+                                                 TINY]])
+def test_model_without_architecture_contracts_is_bad_input(tmp_path, capsys,
+                                                            command):
+    text = (CORPUS / "relay.apml").read_text()
+    cut = text.index("  Contracts {\n    Contract relayed")
+    path = tmp_path / "relay.apml"
+    path.write_text(text[:cut] + "}\n")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: model declares no architecture contracts\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -244,6 +257,15 @@ def test_simulate_refuses_a_universe_that_leaves_no_trace(tmp_path, capsys,
     assert missing in err
 
 
+def test_simulate_explosion_is_inconclusive(monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise oracle.ExplosionError("too many traces")
+
+    monkeypatch.setattr(oracle, "verify_satisfaction", explode)
+    code, out, err = run(capsys, "simulate", RELAY, "--universe", TINY)
+    assert (code, out, err) == (2, "", "inconclusive: too many traces\n")
+
+
 # ---------------------------------------------------------------------------
 # fmt
 
@@ -311,6 +333,27 @@ def test_commands_import_only_what_they_use():
     assert out["dataclasses"] == sorted([
         "ArchitectureContract", "ComponentType", "Contract", "Model",
         "ProofStep"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", RELAY], ["emit-isar", RELAY], ["fmt", RELAY],
+    ["search", RELAY], ["simulate", RELAY, "--universe", TINY]],
+    ids=lambda argv: argv[0])
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    """Each command, as a fresh ``python -m apml.cli`` process, starts
+    without ``dataclasses`` and ``inspect``, which would add about a fifth
+    to its start-up."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "apml.cli", *argv],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "apml.model" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 # Predicate chains: every command, at the widths and depths the parser takes

@@ -15,7 +15,7 @@ from apml.diagnostics import (Diagnostic, NO_SPAN, SourceSpan, RULES, ERROR,
                               WARNING)
 from apml.parser import parse_model
 
-from conftest import load
+from conftest import CORPUS, load
 
 
 def rules_of(diags):
@@ -158,6 +158,28 @@ Pattern P ShortName p {
         ("DUPLICATE_NAME", "duplicate component type 'A'", 9),
         ("DUPLICATE_NAME", "duplicate contract 'c' in 'A'", 9),
     ]
+
+
+def test_duplicate_architecture_contracts_are_reported_where_repeated():
+    """One diagnostic per repeated name, in name order, at the span of the
+    name's first repeated declaration."""
+    text = (CORPUS / "relay.apml").read_text()
+    start = text.index("    Contract relayed")
+    end = text.rindex("\n  }\n}")
+    block = text[start:end]
+    other = block.replace("relayed", "again")
+    model, diags = parse_model(
+        text[:start] + ",\n".join([block, other, block, other, block])
+        + text[end:], "relay.apml")
+    assert not diags
+    out = m.validate_structure(model)
+    assert [(d.rule, d.message) for d in out] == [
+        ("DUPLICATE_NAME", "duplicate architecture contract 'again'"),
+        ("DUPLICATE_NAME", "duplicate architecture contract 'relayed'"),
+    ]
+    assert [d.span for d in out] == [model.contracts[3].span,
+                                     model.contracts[2].span]
+    assert NO_SPAN != out[0].span != out[1].span != NO_SPAN
 
 
 def test_connection_direction_and_sort_checks():
@@ -318,6 +340,11 @@ SPAN = SourceSpan("f.apml", 1, 2, 3, 4)
 PORT = m.Port("o", "A", m.OUTPUT, "B.N")
 X = m.Var("x", "B.N")
 EQ = m.Eq(m.PortRef(PORT), X)
+TRIGGER = m.Trigger("t1", EQ, 0, SPAN)
+CONTRACT = dict(name="c", owner="A", variables=(("x", "B.N"),),
+                triggers=(TRIGGER,), guarantee=EQ, duration=1, span=SPAN)
+STEP = m.ProofStep("s0", 1, EQ, "A.c", ((m.TriggerRef(0, "t1"),),), SPAN)
+COMPONENT = m.ComponentType("A", (), (PORT,), (m.Contract(**CONTRACT),), SPAN)
 
 # every record class: the fields of one instance, in constructor order, and
 # the fields left out of equality and hashing
@@ -354,6 +381,18 @@ RECORDS = [
                                steps_explored=1), ()),
     (oracle._Fact, dict(time=1, state=EQ, rationale="A.c", refs=(),
                         index=0), ()),
+    (m.Contract, CONTRACT, ("span",)),
+    (m.ArchitectureContract, dict(CONTRACT, owner="", proof=(STEP,)),
+     ("span",)),
+    (m.ProofStep, dict(label="s0", time=1, state=EQ, rationale="A.c",
+                       refs=((m.TriggerRef(0, "t1"),),), span=SPAN),
+     ("span",)),
+    (m.ComponentType, dict(name="A", inputs=(), outputs=(PORT,),
+                           contracts=(m.Contract(**CONTRACT),), span=SPAN),
+     ("span",)),
+    (m.Model, dict(name="P", short_name="p", datatypes=(m.DataType("B"),),
+                   component_types=(COMPONENT,), connections=((PORT, PORT),),
+                   contracts=(m.ArchitectureContract(**CONTRACT),)), ()),
 ]
 RECORD_IDS = [cls.__qualname__ for cls, _, _ in RECORDS]
 
@@ -371,6 +410,12 @@ DEFAULTS = {
     checker.ProofVerdict: dict(steps=(), findings=()),
     entailment.Result: dict(witness=None, reason=""),
     oracle.SearchResult: dict(proof=None, steps_explored=0),
+    m.Contract: dict(span=NO_SPAN),
+    m.ArchitectureContract: dict(span=NO_SPAN, proof=None),
+    m.ProofStep: dict(span=NO_SPAN),
+    m.ComponentType: dict(span=NO_SPAN),
+    m.Model: dict(datatypes=(), component_types=(), connections=(),
+                  contracts=()),
 }
 
 # values the constructors accept in place of the ones above
@@ -441,7 +486,7 @@ def test_records_keep_the_dataclass_repr_and_constructors(cls, fields,
 @pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
 def test_record_constructors_take_their_slots(cls, fields, uncompared):
     params = inspect.signature(cls).parameters.values()
-    assert [p.name for p in params] == list(cls.__slots__) == list(fields)
+    assert [p.name for p in params] == list(cls.__match_args__) == list(fields)
     assert all(p.kind == p.POSITIONAL_OR_KEYWORD for p in params)
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
     assert defaults == DEFAULTS.get(cls, {})
@@ -459,6 +504,16 @@ def test_record_constructors_reject_bad_arguments(cls, fields, uncompared):
         cls(**fields, unknown=1)
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+
+
+@pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
+def test_records_copy_and_pickle(cls, fields, uncompared):
+    record = cls(**fields)
+    for again in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert again.__class__ is cls
+        assert again == record and hash(again) == hash(record)
+        assert repr(again) == repr(record)
 
 
 def test_models_copy_and_pickle():
