@@ -17,8 +17,6 @@ proof must reach the architecture guarantee (FINAL_STATE) exactly at the
 architecture duration (FINAL_TIME).
 """
 
-from __future__ import annotations
-
 from . import model as m
 from . import entailment as e
 from .diagnostics import Record

@@ -1,13 +1,13 @@
 """Source spans and diagnostics shared by the parser, validator and checker,
 and ``Record``, the base of the toolchain's immutable value types."""
 
-from __future__ import annotations
-
 from collections import UserDict
 from functools import cached_property
 from operator import attrgetter
+from types import FunctionType
 
 _set = object.__setattr__
+_SHAPES = {}                             # (field count, __post_init__) -> code
 
 
 class Record:
@@ -18,13 +18,13 @@ class Record:
     class keyword ``defaults``; and, in the class keyword ``uncompared``,
     the fields (spans, labels) left out of equality and hashing.  A check of
     the field values goes in ``__post_init__``.  The class's ``__init__`` is
-    generated from these and compiled once, as ``dataclasses`` and
-    ``namedtuple`` do.  Records are equal when they are of the same class
-    with equal compared fields.  The hash is computed on first use and
-    kept, so a term hashed again and again as a dictionary key pays once.
-    ``repr`` lists every field, as a dataclass does; ``copy`` and ``pickle``
-    rebuild a record through its constructor.  A record declared by
-    annotations keeps a ``__dict__`` (for ``cached_property``) and
+    generated from these, as ``dataclasses`` and ``namedtuple`` do, from
+    code compiled once per shape.  Records are equal when they are of the
+    same class with equal compared fields.  The hash is computed on first
+    use and kept, so a term hashed again and again as a dictionary key pays
+    once.  ``repr`` lists every field, as a dataclass does; ``copy`` and
+    ``pickle`` rebuild a record through its constructor.  A record declared
+    by annotations keeps a ``__dict__`` (for ``cached_property``) and
     ``dataclasses.replace``, ``fields`` and ``asdict`` take it.  Records
     replace ``@dataclass(frozen=True)`` because importing ``dataclasses``
     and generating its methods took about half of ``import apml.cli``.
@@ -45,15 +45,22 @@ class Record:
         uncompared = cls._uncompared = cls._uncompared + tuple(uncompared)
         defaults = cls._defaults = dict(cls._defaults, **defaults)
         cls._key = attrgetter(*[f for f in fields if f not in uncompared])
-        lines = ["def __init__(self, %s):" % ", ".join(
-            "%s=_d_%s" % (f, f) if f in defaults else f for f in fields)]
-        lines += ["    _set(self, %r, %s)" % (f, f) for f in fields]
-        if hasattr(cls, "__post_init__"):
-            lines.append("    self.__post_init__()")
-        scope = dict({"_d_" + f: v for f, v in defaults.items()}, _set=_set)
-        exec("\n".join(lines), scope)
-        cls.__init__ = scope["__init__"]
-        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
+        shape = len(fields), hasattr(cls, "__post_init__")
+        if shape not in _SHAPES:         # compile fields _0, _1, ... once
+            args = ["_%d" % i for i in range(shape[0])]
+            lines = ["def __init__(self, %s):" % ", ".join(args)]
+            lines += ["    _set(self, %r, %s)" % (a, a) for a in args]
+            lines += ["    self.__post_init__()"] * shape[1]
+            exec("\n".join(lines), scope := {})
+            _SHAPES[shape] = scope["__init__"].__code__
+        code = _SHAPES[shape]            # renamed to this record's fields
+        names = dict(zip(code.co_varnames[1:], fields))
+        init = cls.__init__ = FunctionType(code.replace(
+            co_varnames=("self",) + fields,
+            co_consts=tuple(names.get(c, c) for c in code.co_consts)),
+            globals(), "__init__",
+            tuple(defaults[f] for f in fields[len(fields) - len(defaults):]))
+        init.__qualname__ = cls.__qualname__ + ".__init__"
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError

@@ -17,8 +17,6 @@ asked of its case.  Which terms are match candidates does: they are read in
 registration order, and the terms of earlier queries count.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from . import model as m

@@ -6,8 +6,6 @@ contract and per connection, and one theorem per architecture contract whose
 Isar proof replays the architecture proof step by step.
 """
 
-from __future__ import annotations
-
 import re
 
 from . import model as m

@@ -30,10 +30,7 @@ built only from declared ports, sorts and symbols, and judge declarations:
 duplicates, port directions, connections, contract shapes, scopes and sorts.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
-from typing import Optional, Union
 
 from .diagnostics import (Diagnostic, NO_SPAN, Record, SourceSpan, ERROR,
                           WARNING)
@@ -105,7 +102,7 @@ class App(Record):
                  "args")
 
 
-Term = Union[Var, PortRef, App]
+Term = Var | PortRef | App
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +125,7 @@ class Or(Record):
     __slots__ = ("parts",)               # two or more; none of them an Or
 
 
-Predicate = Union[Eq, Atom, And, Or]
+Predicate = Eq | Atom | And | Or
 
 
 def _flat(kind, preds):
@@ -241,7 +238,7 @@ class StepRef(Record, uncompared=("label",), defaults=dict(label="")):
                  "label")
 
 
-Reference = Union[TriggerRef, StepRef]
+Reference = TriggerRef | StepRef
 
 
 class ProofStep(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
@@ -256,7 +253,7 @@ class ProofStep(Record, uncompared=("span",), defaults=dict(span=NO_SPAN)):
 
 class ArchitectureContract(Contract, defaults=dict(proof=None)):
     """A contract of the whole architecture, with its proof if written."""
-    proof: Optional[tuple]               # of ProofStep
+    proof: tuple | None                  # of ProofStep
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +379,7 @@ def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
     a predicate whose references are resolved."""
     for n in walk(pred):
         if isinstance(n, Eq):
-            ls = term_sort(n.lhs, signature)
-            rs = term_sort(n.rhs, signature)
+            ls, rs = term_sort(n.lhs, signature), term_sort(n.rhs, signature)
             if ls is not None and rs is not None and ls != rs:
                 out.append(Diagnostic(
                     ERROR, "SORT_MISMATCH",

@@ -37,8 +37,6 @@ first counterexample, or none when the other parts have no trace: then no
 composed trace exists and the contract holds.
 """
 
-from __future__ import annotations
-
 import bisect
 import itertools
 

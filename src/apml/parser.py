@@ -25,8 +25,6 @@ declared, so ``model.validate_structure`` judges only the declarations of
 the model it returns.
 """
 
-from __future__ import annotations
-
 import re
 from array import array
 from bisect import bisect_right

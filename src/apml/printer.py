@@ -4,8 +4,6 @@
 deterministic and reparsing the output reconstructs an equal model.
 """
 
-from __future__ import annotations
-
 from . import model as m
 
 INDENT = "  "
@@ -63,13 +61,11 @@ def _datatype(dt, out, ind):
 
 
 def _ref(ref):
-    if isinstance(ref, m.TriggerRef):
+    if isinstance(ref, m.TriggerRef) or not ref.connections:
         return ref.label
-    if ref.connections:
-        pairs = ", ".join("(%s, %s)" % (a.qualified, b.qualified)
-                          for a, b in ref.connections)
-        return "%s with [ %s ]" % (ref.label, pairs)
-    return ref.label
+    pairs = ", ".join("(%s, %s)" % (a.qualified, b.qualified)
+                      for a, b in ref.connections)
+    return "%s with [ %s ]" % (ref.label, pairs)
 
 
 def _ref_set(refs):
@@ -80,9 +76,8 @@ def _ref_set(refs):
 
 def print_step(step, owner=None, shadowed=frozenset()):
     """One proof step in surface syntax, as inside a ``proof { ... }``."""
-    frm = ""
-    if step.refs:
-        frm = " from [ %s ]" % ", ".join(_ref_set(r) for r in step.refs)
+    frm = (" from [ %s ]" % ", ".join(_ref_set(r) for r in step.refs)
+           if step.refs else "")
     return "%s: at %d have %s%s using %s" % (
         step.label, step.time, print_predicate(step.state, owner, shadowed),
         frm, step.rationale)
@@ -142,8 +137,7 @@ def _ctype(ct, out, ind):
 
 
 def print_model(model):
-    out = []
-    out.append("Pattern %s ShortName %s {" % (model.name, model.short_name))
+    out = ["Pattern %s ShortName %s {" % (model.name, model.short_name)]
     ind = INDENT
     if model.datatypes:
         out.append("%sDTSpec {" % ind)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from apml import checker, oracle
-from apml.cli import main
+from apml.cli import COMMANDS, main, parse_args
 from apml.parser import MAX_NESTING, parse_model
 
 from conftest import CORPUS, ROOT
@@ -297,12 +297,10 @@ import contextlib, importlib, io, json, pkgutil, sys
 import apml
 from apml import cli
 
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(list(argv))
-    return code, sorted(k for k in sys.modules if k.startswith("apml."))
-
-out = {"fmt": run("fmt", sys.argv[1]), "check": run("check", sys.argv[1])}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+out = {"code": code,
+       "loaded": sorted(k for k in sys.modules if k.startswith("apml."))}
 for info in pkgutil.iter_modules(apml.__path__, "apml."):
     importlib.import_module(info.name)
 out["dataclasses"] = sorted(
@@ -313,24 +311,31 @@ out["dataclasses"] = sorted(
 print(json.dumps(out))
 """
 
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
 
 def test_commands_import_only_what_they_use():
-    """fmt loads neither the checker, the Isabelle emitter nor the oracle,
-    and check loads the checker only; records other than the five model
-    containers that ``dataclasses.replace`` derives variants from are not
-    dataclasses."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, RELAY],
-                          env=env, capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout)
-    fmt_code, after_fmt = out["fmt"]
-    check_code, after_check = out["check"]
-    assert fmt_code == check_code == 0
-    assert not {"apml.checker", "apml.isar", "apml.oracle"} & set(after_fmt)
+    """fmt loads neither the checker, the Isabelle emitter, the oracle nor
+    the entailment kernel; check loads the checker only; only fmt and search
+    load the printer.  Records other than the five model containers that
+    ``dataclasses.replace`` derives variants from are not dataclasses."""
+    out = {}
+    for argv in (["fmt", RELAY], ["check", RELAY], ["emit-isar", RELAY],
+                 ["simulate", RELAY, "--universe", TINY]):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                              env=SRC_ENV, capture_output=True, text=True,
+                              check=True)
+        out[argv[0]] = json.loads(proc.stdout)
+        assert out[argv[0]]["code"] == 0
+    after_fmt, after_check = out["fmt"]["loaded"], out["check"]["loaded"]
+    assert not {"apml.checker", "apml.isar", "apml.oracle",
+                "apml.entailment"} & set(after_fmt)
     assert "apml.checker" in after_check
     assert not {"apml.isar", "apml.oracle"} & set(after_check)
-    assert out["dataclasses"] == sorted([
+    for command in ("check", "emit-isar", "simulate"):
+        assert "apml.printer" not in out[command]["loaded"], command
+    assert out["fmt"]["dataclasses"] == sorted([
         "ArchitectureContract", "ComponentType", "Contract", "Model",
         "ProofStep"])
 
@@ -340,20 +345,21 @@ def test_commands_import_only_what_they_use():
     ["search", RELAY], ["simulate", RELAY, "--universe", TINY]],
     ids=lambda argv: argv[0])
 def test_commands_load_neither_dataclasses_nor_inspect(argv):
-    """Each command, as a fresh ``python -m apml.cli`` process, starts
+    """Each command, as a fresh ``python -S -m apml.cli`` process, starts
     without ``dataclasses`` and ``inspect``, which would add about a fifth
-    to its start-up."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    to its start-up, without ``argparse`` and the ``gettext`` and ``locale``
+    its messages load, and without ``typing``.  ``-S`` keeps ``site`` from
+    loading any of them first."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "apml.cli", *argv],
-        env=env, capture_output=True, text=True)
+        [sys.executable, "-S", "-X", "importtime", "-m", "apml.cli", *argv],
+        env=SRC_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = {line.rsplit("|", 1)[1].strip()
               for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
     assert "apml.model" in loaded
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "argparse", "gettext", "locale",
+                "typing"} & loaded
 
 
 # Predicate chains: every command, at the widths and depths the parser takes
@@ -427,11 +433,15 @@ def test_nesting_past_the_limit_is_a_diagnostic(tmp_path, capsys, command):
                    "[NESTING_LIMIT]\n" % (model, line, col, MAX_NESTING))
 
 
-@pytest.mark.parametrize("argv", [["check"], ["simulate", RELAY], []])
+@pytest.mark.parametrize("argv", [["check"], ["simulate", RELAY], [],
+                                  ["search", RADDER, "--max-steps"]])
 def test_missing_arguments_exit_nonzero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: apml ")
+    assert err[-1].startswith("apml: error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -441,9 +451,67 @@ def test_missing_arguments_exit_nonzero(capsys, argv):
     ["search", RADDER, "--max-steps", "0"],
     ["search", RADDER, "--max-steps", "-2"],
     ["check", RADDER, "--dnf-budget", "0"],
+    ["simulate", RELAY, "--universe", TINY, "--horizon", "abc"],
+    ["search", RADDER, "--max-steps=1.5"],
 ])
 def test_horizon_and_budget_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
     assert "invalid positive value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", RELAY], ["check", RELAY, "--nope"], ["check", RELAY, "extra"],
+    ["check", RELAY, "--dnf", "3"], ["emit-isar", RELAY, "--no-comments=1"]],
+    ids=["command", "option", "second-input", "abbreviation", "flag-value"])
+def test_unknown_arguments_are_usage_errors(capsys, argv):
+    """Only whole option names are taken: an abbreviation is unknown too."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: apml ")
+    assert err.splitlines()[-1].startswith("apml: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"],
+                                  ["simulate", RELAY, "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert all(line.startswith("usage: apml ") for line in lines)
+    assert len(lines) == (1 if len(argv) > 1 else len(COMMANDS))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["search", RADDER, "--max-steps=5"], {"max_steps": 5}),
+    (["search", "--max-steps", "5", RADDER], {"max_steps": 5}),
+    (["search", RADDER, "--max-steps", "1", "--max-steps=5"],
+     {"max_steps": 5}),
+    (["search", RADDER], {"max_steps": 32, "dnf_budget": None,
+                          "contract": None, "output": None}),
+    (["emit-isar", "--strict-symbols", RADDER, "-o", "t.thy"],
+     {"strict_symbols": True, "no_comments": False, "output": "t.thy"}),
+    (["simulate", "--universe=u", RELAY, "--horizon", "3", "--output=-"],
+     {"universe": "u", "horizon": 3, "output": "-"}),
+])
+def test_options_take_either_spelling_in_any_order(argv, expected):
+    """``--name value`` and ``--name=value`` alike, before or after the
+    model file; of a repeated option the last one counts."""
+    func, args = parse_args(argv)
+    assert func is COMMANDS[argv[0]][0]
+    assert args.input in (RADDER, RELAY)
+    assert {name: getattr(args, name) for name in expected} == expected
+
+
+def test_output_option_before_the_input_writes_the_file(tmp_path, capsys):
+    out_file = tmp_path / "rsum.thy"
+    code, out, _ = run(capsys, "emit-isar", "--output=%s" % out_file, RADDER)
+    assert (code, out) == (0, "")
+    assert out_file.read_text() == (
+        ROOT / "tests" / "golden" / "rsum.thy").read_text()
