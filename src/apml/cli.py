@@ -121,26 +121,11 @@ def cmd_simulate(args):
     model, _ = _load_model(args.input)
     try:
         universe = oracle.parse_universe(_read(args.universe))
-    except ValueError as exc:
-        _fail(exc)
-    contract = _pick_contract(model, args.contract)
-    # a sort without values or an operation without a table leaves no trace
-    # to search, which would make any verdict vacuous
-    conn = model.connection_map()
-    contracts = [c for ct in model.component_types for c in ct.contracts]
-    contracts.append(contract)
-    sorts = [p.sort for ct in model.component_types for p in ct.ports
-             if p not in conn]
-    for sort in sorts + [s for c in contracts for _, s in c.variables]:
-        if not universe.carrier(sort):
-            _fail("universe has no values for sort '%s'" % sort)
-    preds = [t.predicate for c in contracts for t in c.triggers]
-    for n in m.walk(*preds, *[c.guarantee for c in contracts]):
-        if n.__class__ is m.App and n.op not in universe.operations:
-            _fail("universe has no table for operation '%s'" % n.op)
-    try:
+        contract = _pick_contract(model, args.contract)
         holds, counter = oracle.verify_satisfaction(model, contract, universe,
                                                     horizon=args.horizon)
+    except ValueError as exc:    # a bad universe, or one leaving no trace
+        _fail(exc)
     except oracle.ExplosionError as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -223,17 +223,11 @@ def match_predicate(goal, cong, variables, signature, sigma):
     ``variables`` maps variable name to sort.  The search binds variables to
     class representatives, literal by literal, depth first with backtracking.
     Only declared variables are bindable; anything else is a frozen constant
-    of the surrounding contract.  A literal's unbound variables are those it
-    declares, unless a bindable variable occurs in the model or in sigma, and
-    so can come in with a binding: then they are read off the instance.
+    of the surrounding contract.  A literal's unbound variables are read off
+    its instance under the bindings so far, so a bindable variable that
+    comes in with a binding, from the model or from sigma, is bound too.
     """
     literals = m.conjuncts(goal)
-    own = [sorted(m.free_variables(lit) & variables.keys())
-           for lit in literals]
-    leaky = (any(t.__class__ is m.Var and t.name in variables
-                 for t in cong.terms)
-             or sigma and any(m.free_variables(t) & variables.keys()
-                              for t in sigma.values()))
     results = []
     stack = [(0, dict(sigma))]           # (literals satisfied, bindings)
     while stack:
@@ -242,12 +236,11 @@ def match_predicate(goal, cong, variables, signature, sigma):
             if sub not in results:
                 results.append(sub)
             continue
-        unbound = [v for v in own[i] if v not in sub]
-        if leaky:
-            unbound = sorted(m.free_variables(m.substitute(literals[i], sub))
-                             & variables.keys() - sub.keys())
+        instance = m.substitute(literals[i], sub)
+        unbound = sorted(m.free_variables(instance) & variables.keys()
+                         - sub.keys())
         if not unbound:
-            if _holds(m.substitute(literals[i], sub), cong):
+            if _holds(instance, cong):
                 stack.append((i + 1, sub))
             continue
         # bind the first unbound variable to each candidate class of its

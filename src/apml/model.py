@@ -28,6 +28,9 @@ one that names nothing declared.  So ``validate_structure`` and
 ``check_predicate_sorts`` take resolved references, from ``parse_model`` or
 built only from declared ports, sorts and symbols, and judge declarations:
 duplicates, port directions, connections, contract shapes, scopes and sorts.
+One function, ``_check_contract``, judges both kinds of contract; they
+differ only in the ports they may read: a component contract its owner's,
+an architecture contract the interface's.
 """
 
 from functools import cached_property
@@ -395,50 +398,61 @@ def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
                                n.args, signature, out, span)
 
 
-def _check_contract_shape(contract, out):
-    span = contract.span
-    trig = contract.triggers
+def _repeated(names):
+    """The names that occur more than once, sorted."""
+    seen, repeated = set(), set()
+    for n in names:
+        if n in seen:
+            repeated.add(n)
+        seen.add(n)
+    return sorted(repeated)
+
+
+def _check_contract(contract, inputs, outputs, signature, out):
+    """Shape, scopes and sorts of a contract of either kind.  Its triggers
+    may read only the ports ``inputs`` and its guarantee only ``outputs``:
+    its owner's for a component contract, the interface's for an
+    architecture contract, which so reads no port a connection joins."""
+    name, span, trig = contract.qualified, contract.span, contract.triggers
     if trig:
         if trig[0].time != 0:
             out.append(Diagnostic(
                 ERROR, "CONTRACT_FIRST_TRIGGER_TIME",
                 "first trigger of '%s' must be at time 0, got %d"
-                % (contract.qualified, trig[0].time), span))
+                % (name, trig[0].time), span))
         for a, b in zip(trig, trig[1:]):
             if b.time < a.time:
                 out.append(Diagnostic(
                     ERROR, "CONTRACT_TRIGGER_ORDER",
                     "triggers of '%s' not ordered by time (%d after %d)"
-                    % (contract.qualified, b.time, a.time), span))
+                    % (name, b.time, a.time), span))
         if contract.duration <= max(t.time for t in trig):
             out.append(Diagnostic(
                 ERROR, "CONTRACT_DURATION_POSITIVE",
                 "duration %d of '%s' must exceed last trigger time %d"
-                % (contract.duration, contract.qualified,
-                   max(t.time for t in trig)), span))
+                % (contract.duration, name, max(t.time for t in trig)), span))
     elif contract.duration <= 0:
         out.append(Diagnostic(
             ERROR, "CONTRACT_DURATION_POSITIVE",
-            "trigger-less contract '%s' needs duration > 0"
-            % contract.qualified, span))
-
-
-def _check_scopes(contract, inputs, outputs, signature, out):
-    for t in contract.triggers:
-        bad = ports_of(t.predicate) - inputs
-        for p in sorted(bad, key=lambda q: q.qualified):
+            "trigger-less contract '%s' needs duration > 0" % name, span))
+    if contract.owner:
+        rules = "TRIGGER_SCOPE", "GUARANTEE_SCOPE"
+        reads = "non-input port %s", "non-output port %s"
+    else:
+        rules = "ARCH_PORT_CONNECTED", "ARCH_PORT_CONNECTED"
+        reads = ("%s, which is not an interface input",
+                 "%s, which is not an interface output")
+    for t in trig:
+        for p in sorted(ports_of(t.predicate) - inputs, key=str):
             out.append(Diagnostic(
-                ERROR, "TRIGGER_SCOPE",
-                "trigger '%s' of '%s' references non-input port %s"
-                % (t.label, contract.qualified, p.qualified), t.span))
+                ERROR, rules[0], "trigger '%s' of '%s' references %s"
+                % (t.label, name, reads[0] % p.qualified), t.span))
         check_predicate_sorts(t.predicate, signature, out, t.span)
-    bad = ports_of(contract.guarantee) - outputs
-    for p in sorted(bad, key=lambda q: q.qualified):
+    for p in sorted(ports_of(contract.guarantee) - outputs, key=str):
         out.append(Diagnostic(
-            ERROR, "GUARANTEE_SCOPE",
-            "guarantee of '%s' references non-output port %s"
-            % (contract.qualified, p.qualified), contract.span))
-    check_predicate_sorts(contract.guarantee, signature, out, contract.span)
+            ERROR, rules[1], "guarantee of '%s' references %s"
+            % (name, reads[1] % p.qualified), span))
+    check_predicate_sorts(contract.guarantee, signature, out, span)
 
 
 def validate_structure(model):
@@ -469,20 +483,17 @@ def validate_structure(model):
                     ERROR, "PORT_DIRECTION_CONFLICT",
                     "port '%s' of '%s' declared both input and output"
                     % (p.name, ct.name), ct.span))
-        names = [p.name for p in ct.ports]
-        for n in sorted({n for n in names if names.count(n) > 1}):
+        for n in _repeated([p.name for p in ct.ports]):
             out.append(Diagnostic(ERROR, "DUPLICATE_NAME",
                                   "duplicate port '%s' in '%s'" % (n, ct.name),
                                   ct.span))
-        cnames = [c.name for c in ct.contracts]
-        for n in sorted({n for n in cnames if cnames.count(n) > 1}):
+        for n in _repeated([c.name for c in ct.contracts]):
             out.append(Diagnostic(ERROR, "DUPLICATE_NAME",
                                   "duplicate contract '%s' in '%s'"
                                   % (n, ct.name), ct.span))
         inputs, outputs = set(ct.inputs), set(ct.outputs)
         for c in ct.contracts:
-            _check_contract_shape(c, out)
-            _check_scopes(c, inputs, outputs, signature, out)
+            _check_contract(c, inputs, outputs, signature, out)
 
     seen_inputs = set()
     for p_in, p_out in model.connections:
@@ -506,29 +517,12 @@ def validate_structure(model):
                 % (p_in.qualified, p_in.sort, p_out.qualified, p_out.sort)))
 
     if_inputs, if_outputs = architecture_interface(model)
-    anames = [c.name for c in model.contracts]
-    for n in sorted({n for n in anames if anames.count(n) > 1}):
+    for n in _repeated([c.name for c in model.contracts]):
         repeat = [c for c in model.contracts if c.name == n][1]
         out.append(Diagnostic(ERROR, "DUPLICATE_NAME",
                               "duplicate architecture contract '%s'" % n,
                               repeat.span))
     for c in model.contracts:
-        _check_contract_shape(c, out)
-        for t in c.triggers:
-            for p in sorted(ports_of(t.predicate) - if_inputs,
-                            key=lambda q: q.qualified):
-                out.append(Diagnostic(
-                    ERROR, "ARCH_PORT_CONNECTED",
-                    "trigger '%s' of '%s' references %s, which is not an "
-                    "interface input" % (t.label, c.name, p.qualified),
-                    t.span))
-            check_predicate_sorts(t.predicate, signature, out, t.span)
-        for p in sorted(ports_of(c.guarantee) - if_outputs,
-                        key=lambda q: q.qualified):
-            out.append(Diagnostic(
-                ERROR, "ARCH_PORT_CONNECTED",
-                "guarantee of '%s' references %s, which is not an interface "
-                "output" % (c.name, p.qualified), c.span))
-        check_predicate_sorts(c.guarantee, signature, out, c.span)
+        _check_contract(c, if_inputs, if_outputs, signature, out)
 
     return out

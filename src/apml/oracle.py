@@ -129,7 +129,8 @@ def _compile(universe, node, names, slots):
     port name -> position).  An operation is None off its table and a
     predicate atom true exactly on its table; an ``And`` holds when all its
     parts do and an ``Or`` when one does, parts tried left to right.  A part
-    repeated in one node is compiled and evaluated once."""
+    repeated in one node is compiled and evaluated once.  An operation the
+    universe has no table for is a ValueError."""
     if isinstance(node, m.Var):
         j = names[node.name]
         return lambda env, state: env[j]
@@ -139,7 +140,10 @@ def _compile(universe, node, names, slots):
     if isinstance(node, (m.App, m.Atom)):
         args = [_compile(universe, a, names, slots) for a in node.args]
         if isinstance(node, m.App):
-            table = universe.operations.get(node.op, {})
+            table = universe.operations.get(node.op)
+            if table is None:
+                raise ValueError("universe has no table for operation '%s'"
+                                 % node.op)
             return lambda env, state: table.get(tuple(a(env, state)
                                                       for a in args))
         table = universe.predicates.get(node.pred, set())
@@ -187,6 +191,15 @@ def _functional_form(c, outputs):
     return binds, results, c.duration
 
 
+def _carriers(universe, sorts):
+    """The carrier of each sort; a ValueError names the first one empty."""
+    carriers = [universe.carrier(sort) for sort in sorts]
+    if not all(carriers):
+        sort = next(s for s, values in zip(sorts, carriers) if not values)
+        raise ValueError("universe has no values for sort '%s'" % sort)
+    return carriers
+
+
 def verify_satisfaction(model, contract, universe, horizon=None,
                         budget=NODE_BUDGET):
     """Must every composed trace satisfying the component contracts satisfy
@@ -197,7 +210,9 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     module docstring); returns ``(True, None)`` when none exists,
     ``(False, trace)`` with the first counterexample otherwise.  Each
     enumerated state is a node, counted over both searches; raises
-    ExplosionError past ``budget`` nodes.
+    ExplosionError past ``budget`` nodes.  A sort without values or an
+    operation without a table would make any verdict vacuous: each is a
+    ValueError, sorts of free ports, then of variables, before operations.
     """
     conn = model.connection_map()
     free = [p for ct in model.component_types for p in ct.ports
@@ -205,7 +220,13 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     slots = {p.qualified: i for i, p in enumerate(free)}
     for p_in, p_out in conn.items():
         slots[p_in.qualified] = slots[p_out.qualified]
-    carriers = [universe.carrier(p.sort) for p in free]
+    carriers = _carriers(universe, [p.sort for p in free])
+    owned = [(ct, c) for ct in model.component_types for c in ct.contracts]
+    # each contract's assignments of its variables, the architecture's last,
+    # looked up before any operation table, as the docstring orders them
+    envs = [list(itertools.product(*_carriers(
+                universe, [sort for _, sort in c.variables])))
+            for _, c in owned + [(None, contract)]]
 
     def reads(c):
         """The (offset, slot) pairs a window of contract c reads."""
@@ -231,33 +252,31 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     # there; a window is (span, envs, triggers, duration, guarantee, form)
     completing = [[] for _ in range(length)]
     lookback = 0
-    for ct in model.component_types:
-        for c in ct.contracts:
-            names = {name: j for j, (name, _) in enumerate(c.variables)}
-            form = _functional_form(c, ct.outputs)
-            if form is not None:
-                binds, results, _ = form
-                order = {name: j for j, name in enumerate(binds)}
-                form = ([(t, slots[port.qualified])
-                         for port, t in binds.values()],
-                        [(slots[port.qualified],
-                          _compile(universe, rhs, order, {}))
-                         for port, rhs in results])
-            span = max([t.time for t in c.triggers] + [c.duration])
-            lookback = max(lookback, span)
-            window = (span, list(itertools.product(
-                          *[universe.carrier(s) for _, s in c.variables])),
-                      [(t.time, _compile(universe, t.predicate, names, slots))
-                       for t in c.triggers],
-                      c.duration, _compile(universe, c.guarantee, names, slots),
-                      form)
-            offsets = reads(c)
-            for s in range(length - span):
-                cells = [(s + t) * width + i for t, i in offsets]
-                for cell in cells[1:]:
-                    part[find(cell)] = find(cells[0])
-                completing[s + span].append((cells[0] if cells else None,
-                                             window))
+    for (ct, c), c_envs in zip(owned, envs):
+        names = {name: j for j, (name, _) in enumerate(c.variables)}
+        form = _functional_form(c, ct.outputs)
+        if form is not None:
+            binds, results, _ = form
+            order = {name: j for j, name in enumerate(binds)}
+            form = ([(t, slots[port.qualified])
+                     for port, t in binds.values()],
+                    [(slots[port.qualified],
+                      _compile(universe, rhs, order, {}))
+                     for port, rhs in results])
+        span = max([t.time for t in c.triggers] + [c.duration])
+        lookback = max(lookback, span)
+        window = (span, c_envs,
+                  [(t.time, _compile(universe, t.predicate, names, slots))
+                   for t in c.triggers],
+                  c.duration, _compile(universe, c.guarantee, names, slots),
+                  form)
+        offsets = reads(c)
+        for s in range(length - span):
+            cells = [(s + t) * width + i for t, i in offsets]
+            for cell in cells[1:]:
+                part[find(cell)] = find(cells[0])
+            completing[s + span].append((cells[0] if cells else None,
+                                         window))
     every = [[w for _, w in level] for level in completing]
 
     names = {name: j for j, (name, _) in enumerate(contract.variables)}
@@ -355,8 +374,7 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                     for i in range(width)] for k in range(length)]
         live = [[w for cell, w in level if cell is None or inside[cell]]
                 for level in completing]
-        for env in itertools.product(*[universe.carrier(s)
-                                       for _, s in contract.variables]):
+        for env in envs[-1]:
             counter = search(n, env, domains, live)
             if counter is not None and not all(inside):
                 # complete the cone's trace over the other parts

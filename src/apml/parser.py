@@ -435,19 +435,14 @@ class Parser:
         self.expect("RBRACE")
         self.expect("ID", "duration")
         duration = self.nat()
-        if owner:
-            self.expect("RBRACE")
-            return m.Contract(name=name, owner=owner,
-                              variables=tuple(variables),
-                              triggers=tuple(triggers), guarantee=guarantee,
-                              duration=duration, span=span)
-        proof = (self.parse_proof(triggers)
-                 if self.accept("ID", "proof") is not None else None)
+        kind, proof = m.Contract, ()
+        if not owner:
+            kind, proof = m.ArchitectureContract, (
+                self.parse_proof(triggers)
+                if self.accept("ID", "proof") is not None else None,)
         self.expect("RBRACE")
-        return m.ArchitectureContract(
-            name=name, owner=owner, variables=tuple(variables),
-            triggers=tuple(triggers), guarantee=guarantee,
-            duration=duration, proof=proof, span=span)
+        return kind(name, owner, tuple(variables), tuple(triggers), guarantee,
+                    duration, span, *proof)
 
     def parse_trigger(self):
         label_tok = self.ident("trigger label")

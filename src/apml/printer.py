@@ -2,6 +2,12 @@
 
 ``print_model(parse_model(text)[0])`` is a fixed point: formatting is
 deterministic and reparsing the output reconstructs an equal model.
+
+Every brace block with a comma list, from ``DTSpec`` down to ``proof``, has
+one layout, written by ``_block``: ``head {`` on its own line, each item one
+indent level deeper with a comma after all but the last, and ``}`` back at
+the head's indent; an empty block is ``head {`` then ``}``.  Each writer
+returns its text, indented by the level it is given.
 """
 
 from . import model as m
@@ -24,17 +30,15 @@ def print_term(term, owner=None, shadowed=frozenset()):
                                  for a in term.args))
 
 
-def print_predicate(pred, owner=None, shadowed=frozenset()):
-    return _print_pred(pred, owner, shadowed, top=True)
-
-
-def _print_pred(pred, owner, shadowed=frozenset(), top=False):
+def print_predicate(pred, owner=None, shadowed=frozenset(), top=True):
+    """``top`` is False for a part of a conjunction, where a disjunction
+    takes parentheses."""
     if isinstance(pred, m.Or):
-        s = " \\/ ".join(_print_pred(p, owner, shadowed, top=True)
+        s = " \\/ ".join(print_predicate(p, owner, shadowed)
                          for p in pred.parts)
         return s if top else "(%s)" % s
     if isinstance(pred, m.And):
-        return " /\\ ".join(_print_pred(p, owner, shadowed)
+        return " /\\ ".join(print_predicate(p, owner, shadowed, False)
                             for p in pred.parts)
     if isinstance(pred, m.Eq):
         return "[%s = %s]" % (print_term(pred.lhs, owner, shadowed),
@@ -44,20 +48,30 @@ def _print_pred(pred, owner, shadowed=frozenset(), top=False):
                                  for a in pred.args))
 
 
-def _datatype(dt, out, ind):
-    out.append("%sDT %s (" % (ind, dt.name))
+def _block(ind, head, items):
+    """The layout of every brace block: ``head {`` at indent ``ind``, the
+    items, which carry the indent one level in, with a comma after all but
+    the last, and ``}`` back at ``ind``."""
+    if not items:
+        return "%s%s {\n%s}" % (ind, head, ind)
+    return "%s%s {\n%s\n%s}" % (ind, head, ",\n".join(items), ind)
+
+
+def _datatype(dt, ind):
+    lines = ["%sDT %s (" % (ind, dt.name)]
     inner = ind + INDENT
     if dt.sort is not None:
-        out.append("%sSort %s" % (inner, dt.sort))
+        lines.append("%sSort %s" % (inner, dt.sort))
     if dt.predicates:
         decls = ", ".join("%s: %s" % (name, ", ".join(args))
                           for name, args in dt.predicates)
-        out.append("%sPredicate %s" % (inner, decls))
+        lines.append("%sPredicate %s" % (inner, decls))
     if dt.operations:
         decls = ", ".join("%s: %s => %s" % (name, ", ".join(args), result)
                           for name, args, result in dt.operations)
-        out.append("%sOperation %s" % (inner, decls))
-    out.append("%s)" % ind)
+        lines.append("%sOperation %s" % (inner, decls))
+    lines.append("%s)" % ind)
+    return "\n".join(lines)
 
 
 def _ref(ref):
@@ -83,90 +97,55 @@ def print_step(step, owner=None, shadowed=frozenset()):
         frm, step.rationale)
 
 
-def _contract(c, out, ind, owner):
-    out.append("%sContract %s {" % (ind, c.name))
-    inner = ind + INDENT
+def _contract(c, ind, owner):
+    lines = ["%sContract %s {" % (ind, c.name)]
+    inner, deeper = ind + INDENT, ind + 2 * INDENT
     shadowed = frozenset(n for n, _ in c.variables)
-    for i, (name, sort) in enumerate(c.variables):
-        comma = "," if i + 1 < len(c.variables) else ""
-        out.append("%svar %s: %s%s" % (inner, name, sort, comma))
+    if c.variables:
+        lines.append(",\n".join(["%svar %s: %s" % (inner, name, sort)
+                                 for name, sort in c.variables]))
     if c.triggers:
-        out.append("%striggers {" % inner)
-        for i, t in enumerate(c.triggers):
-            at = " at %d" % t.time if t.time else ""
-            comma = "," if i + 1 < len(c.triggers) else ""
-            out.append("%s%s: %s%s%s"
-                       % (inner + INDENT, t.label,
-                          print_predicate(t.predicate, owner, shadowed), at,
-                          comma))
-        out.append("%s}" % inner)
-    out.append("%sguarantees { %s }"
-               % (inner, print_predicate(c.guarantee, owner, shadowed)))
-    out.append("%sduration %d" % (inner, c.duration))
+        lines.append(_block(inner, "triggers", [
+            "%s%s: %s%s" % (deeper, t.label,
+                            print_predicate(t.predicate, owner, shadowed),
+                            " at %d" % t.time if t.time else "")
+            for t in c.triggers]))
+    lines.append("%sguarantees { %s }"
+                 % (inner, print_predicate(c.guarantee, owner, shadowed)))
+    lines.append("%sduration %d" % (inner, c.duration))
     proof = getattr(c, "proof", None)
     if proof is not None:
-        out.append("%sproof {" % inner)
-        for i, s in enumerate(proof):
-            comma = "," if i + 1 < len(proof) else ""
-            out.append("%s%s%s" % (inner + INDENT,
-                                   print_step(s, owner, shadowed), comma))
-        out.append("%s}" % inner)
-    out.append("%s}" % ind)
+        lines.append(_block(inner, "proof", [
+            deeper + print_step(s, owner, shadowed) for s in proof]))
+    lines.append("%s}" % ind)
+    return "\n".join(lines)
 
 
-def _ctype(ct, out, ind):
-    out.append("%sCType %s {" % (ind, ct.name))
-    inner = ind + INDENT
-    for kw, block, ports in (("InputPort", "InputPorts", ct.inputs),
-                             ("OutputPort", "OutputPorts", ct.outputs)):
+def _ctype(ct, ind):
+    lines = ["%sCType %s {" % (ind, ct.name)]
+    inner, deeper = ind + INDENT, ind + 2 * INDENT
+    for kw, ports in (("InputPort", ct.inputs), ("OutputPort", ct.outputs)):
         if ports:
-            out.append("%s%s {" % (inner, block))
-            for i, p in enumerate(ports):
-                comma = "," if i + 1 < len(ports) else ""
-                out.append("%s%s %s (Type: %s)%s"
-                           % (inner + INDENT, kw, p.name, p.sort, comma))
-            out.append("%s}" % inner)
+            lines.append(_block(inner, kw + "s", [
+                "%s%s %s (Type: %s)" % (deeper, kw, p.name, p.sort)
+                for p in ports]))
     if ct.contracts:
-        out.append("%sContracts {" % inner)
-        for i, c in enumerate(ct.contracts):
-            _contract(c, out, inner + INDENT, ct.name)
-            if i + 1 < len(ct.contracts):
-                out[-1] += ","
-        out.append("%s}" % inner)
-    out.append("%s}" % ind)
+        lines.append(_block(inner, "Contracts", [
+            _contract(c, deeper, ct.name) for c in ct.contracts]))
+    lines.append("%s}" % ind)
+    return "\n".join(lines)
 
 
 def print_model(model):
-    out = ["Pattern %s ShortName %s {" % (model.name, model.short_name)]
-    ind = INDENT
-    if model.datatypes:
-        out.append("%sDTSpec {" % ind)
-        for i, dt in enumerate(model.datatypes):
-            _datatype(dt, out, ind + INDENT)
-            if i + 1 < len(model.datatypes):
-                out[-1] += ","
-        out.append("%s}" % ind)
-    if model.component_types:
-        out.append("%sCTypes {" % ind)
-        for i, ct in enumerate(model.component_types):
-            _ctype(ct, out, ind + INDENT)
-            if i + 1 < len(model.component_types):
-                out[-1] += ","
-        out.append("%s}" % ind)
-    if model.connections:
-        out.append("%sConnections {" % ind)
-        for i, (p_in, p_out) in enumerate(model.connections):
-            comma = "," if i + 1 < len(model.connections) else ""
-            out.append("%s(%s, %s)%s"
-                       % (ind + INDENT, p_in.qualified, p_out.qualified,
-                          comma))
-        out.append("%s}" % ind)
-    if model.contracts:
-        out.append("%sContracts {" % ind)
-        for i, c in enumerate(model.contracts):
-            _contract(c, out, ind + INDENT, None)
-            if i + 1 < len(model.contracts):
-                out[-1] += ","
-        out.append("%s}" % ind)
-    out.append("}")
-    return "\n".join(out) + "\n"
+    inner = 2 * INDENT
+    blocks = (
+        ("DTSpec", [_datatype(dt, inner) for dt in model.datatypes]),
+        ("CTypes", [_ctype(ct, inner) for ct in model.component_types]),
+        ("Connections", ["%s(%s, %s)" % (inner, p_in.qualified,
+                                         p_out.qualified)
+                         for p_in, p_out in model.connections]),
+        ("Contracts", [_contract(c, inner, None) for c in model.contracts]))
+    return "\n".join(
+        ["Pattern %s ShortName %s {" % (model.name, model.short_name)]
+        + [_block(INDENT, head, items) for head, items in blocks if items]
+        + ["}\n"])

@@ -279,6 +279,18 @@ def test_fmt_is_idempotent(tmp_path, capsys):
     assert once == twice
 
 
+@pytest.mark.parametrize("source", sorted(CORPUS.glob("*.apml"))
+                         + [ROOT / "tests" / "fmt_edge_cases.apml"],
+                         ids=lambda path: path.name)
+def test_fmt_matches_golden(source, capsys):
+    """fmt of every corpus model and of one model of layouts the corpus
+    lacks (an empty proof, a contract without variables or triggers, a
+    component without ports or contracts, DTs without a sort)."""
+    code, out, err = run(capsys, "fmt", str(source))
+    assert (code, err) == (0, "")
+    assert out == (ROOT / "tests" / "golden" / "fmt" / source.name).read_text()
+
+
 def test_internal_error_is_one_line(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("a bug\nspanning lines")

@@ -239,6 +239,76 @@ Pattern P ShortName p {
     assert rules == ["ARCH_PORT_CONNECTED"]
 
 
+def test_both_kinds_of_contract_report_shape_scope_and_sorts_in_order():
+    """A component contract and an architecture contract, each wrong in
+    shape, scope and sorts at once, are judged alike: shape, then each
+    trigger's scope and sorts, then the guarantee's; only the scope rule
+    differs."""
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ), DT C ( Sort INT ) }
+  CTypes {
+    CType A {
+      InputPorts { InputPort i (Type: B.NAT) }
+      OutputPorts { OutputPort o (Type: B.NAT), OutputPort n (Type: C.INT) }
+      Contracts {
+        Contract c {
+          var x: C.INT
+          triggers {
+            t1: [o = x] at 1,
+            t2: [i = i]
+          }
+          guarantees { [i = n] }
+          duration 1
+        }
+      }
+    },
+    CType Z {
+      InputPorts { InputPort i (Type: B.NAT) }
+    }
+  }
+  Connections { (Z.i, A.o) }
+  Contracts {
+    Contract k {
+      var y: C.INT
+      triggers {
+        t1: [Z.i = y] at 1
+      }
+      guarantees { [A.o = y] }
+      duration 1
+    }
+  }
+}""")
+    assert not diags
+    assert [(d.rule, d.message, d.span.start_line)
+            for d in m.validate_structure(model)] == [
+        ("CONTRACT_FIRST_TRIGGER_TIME",
+         "first trigger of 'A.c' must be at time 0, got 1", 9),
+        ("CONTRACT_TRIGGER_ORDER",
+         "triggers of 'A.c' not ordered by time (0 after 1)", 9),
+        ("CONTRACT_DURATION_POSITIVE",
+         "duration 1 of 'A.c' must exceed last trigger time 1", 9),
+        ("TRIGGER_SCOPE",
+         "trigger 't1' of 'A.c' references non-input port A.o", 12),
+        ("SORT_MISMATCH", "equality between sorts B.NAT and C.INT", 12),
+        ("GUARANTEE_SCOPE",
+         "guarantee of 'A.c' references non-output port A.i", 9),
+        ("SORT_MISMATCH", "equality between sorts B.NAT and C.INT", 9),
+        ("CONTRACT_FIRST_TRIGGER_TIME",
+         "first trigger of 'k' must be at time 0, got 1", 26),
+        ("CONTRACT_DURATION_POSITIVE",
+         "duration 1 of 'k' must exceed last trigger time 1", 26),
+        ("ARCH_PORT_CONNECTED",
+         "trigger 't1' of 'k' references Z.i, which is not an interface "
+         "input", 29),
+        ("SORT_MISMATCH", "equality between sorts B.NAT and C.INT", 29),
+        ("ARCH_PORT_CONNECTED",
+         "guarantee of 'k' references A.o, which is not an interface "
+         "output", 26),
+        ("SORT_MISMATCH", "equality between sorts B.NAT and C.INT", 26),
+    ]
+
+
 def test_operation_arity_and_sorts_are_checked():
     model, diags = parse_model("""
 Pattern P ShortName p {

@@ -148,6 +148,40 @@ def test_verify_satisfaction_budget(relay, bits):
         verify_satisfaction(relay, relay.contracts[0], bits, budget=3)
 
 
+def test_verify_satisfaction_refuses_a_universe_that_leaves_no_trace(relay,
+                                                                     bits):
+    """A sort without values or an operation without a table would make
+    any verdict vacuous.  Free ports' sorts are judged first, then the
+    variables' (the components' before the architecture's), then the
+    operations."""
+    inv = m.App("Bit.inv", (m.Var("x", BIT),))
+    stage = relay.component_types[0]
+    fwd = stage.contracts[0]
+    odd_fwd = dataclasses.replace(fwd, variables=(("x", "Bit.ODD"),),
+                                  guarantee=m.Eq(fwd.guarantee.lhs, inv))
+    odd_relay = dataclasses.replace(relay, component_types=(
+        dataclasses.replace(stage, contracts=(odd_fwd,)),)
+        + relay.component_types[1:])
+    arch = relay.contracts[0]
+    odd_arch = dataclasses.replace(arch, variables=(("x", "Bit.EVEN"),))
+    inv_arch = dataclasses.replace(
+        arch, guarantee=m.Eq(arch.guarantee.lhs, inv))
+    for model, contract, universe, missing in [
+            (relay, arch, FiniteUniverse(), "no values for sort 'Bit.BIT'"),
+            (odd_relay, odd_arch, bits, "no values for sort 'Bit.ODD'"),
+            (relay, odd_arch, bits, "no values for sort 'Bit.EVEN'"),
+            (odd_relay, arch, FiniteUniverse(carriers={
+                "Bit.BIT": ["0"], "Bit.ODD": ["1"]}),
+             "no table for operation 'Bit.inv'"),
+            (relay, inv_arch, bits, "no table for operation 'Bit.inv'")]:
+        with pytest.raises(ValueError, match="^universe has %s$" % missing):
+            verify_satisfaction(model, contract, universe, horizon=1)
+    # a table, even an empty one, is judged: inv is nowhere defined
+    empty_inv = FiniteUniverse(bits.carriers, {"Bit.inv": {}})
+    holds, _ = verify_satisfaction(relay, inv_arch, empty_inv, horizon=1)
+    assert holds is False
+
+
 # ---------------------------------------------------------------------------
 # Trace search against the reference search and brute force
 
