@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 violations found, 2 inconclusive or budget
 exceeded, 3 a usage error, or unreadable, unparseable, structurally invalid
-(``check``) or (``--strict-symbols``) unmapped input.
+(``check``, ``simulate``) or (``--strict-symbols``) unmapped input.
 An unexpected exception is reported as one line ``error: internal: ...`` and
 also exits 3, never with a traceback.
 
@@ -51,12 +51,16 @@ def _write(path, text):
         _fail(exc)
 
 
-def _load_model(path):
+def _load_model(path, validate=False):
+    """The model; on a parse error, or with ``validate`` a structural one,
+    the diagnostics go to stderr and the command exits 3."""
     model, diags = parse_model(_read(path), path)
+    if validate and not diags:
+        diags = m.validate_structure(model)
     if errors(diags):
         print(*diags, sep="\n", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
-    return model, diags
+    return model
 
 
 def _pick_contract(model, name):
@@ -72,8 +76,8 @@ def _pick_contract(model, name):
 
 def cmd_check(args):
     from . import checker, entailment as e
-    model, diags = _load_model(args.input)
-    diags = list(diags) + m.validate_structure(model)
+    model = _load_model(args.input)
+    diags = m.validate_structure(model)
     verdicts = checker.check_model(model, args.dnf_budget or e.DEFAULT_BUDGET)
     _write(args.output, checker.report_text(verdicts, diags))
     status = checker.overall_status(verdicts)
@@ -85,12 +89,11 @@ def cmd_check(args):
 
 def cmd_emit_isar(args):
     from . import isar
-    model, _ = _load_model(args.input)
-    config = isar.EmitConfig(comments=not args.no_comments,
-                             legacy_connection_names=args.legacy_connection_names,
-                             strict_symbols=args.strict_symbols)
+    model = _load_model(args.input)
     try:
-        text = isar.emit_theory(model, config)
+        text = isar.emit_theory(model, isar.EmitConfig(
+            not args.no_comments, args.legacy_connection_names,
+            args.strict_symbols))
     except isar.UnmappedSymbol as exc:
         print("error: UNMAPPED_SYMBOL: no Isabelle image for '%s'" % exc,
               file=sys.stderr)
@@ -102,7 +105,7 @@ def cmd_emit_isar(args):
 def cmd_search(args):
     from . import entailment as e, oracle
     from .printer import print_step
-    model, _ = _load_model(args.input)
+    model = _load_model(args.input)
     contract = _pick_contract(model, args.contract)
     result = oracle.search_proof(model, contract, args.max_steps,
                                  args.dnf_budget or e.DEFAULT_BUDGET)
@@ -118,7 +121,7 @@ def cmd_search(args):
 
 def cmd_simulate(args):
     from . import oracle
-    model, _ = _load_model(args.input)
+    model = _load_model(args.input, validate=True)
     try:
         universe = oracle.parse_universe(_read(args.universe))
         contract = _pick_contract(model, args.contract)
@@ -142,7 +145,7 @@ def cmd_simulate(args):
 
 def cmd_fmt(args):
     from .printer import print_model
-    model, _ = _load_model(args.input)
+    model = _load_model(args.input)
     _write(args.output, print_model(model))
     return EXIT_OK
 

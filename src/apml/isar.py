@@ -176,7 +176,8 @@ def symbol_params(model, config):
 # Predicate rendering
 
 class Renderer:
-    """Names and predicate text for one emit; each name is sanitized once."""
+    """Names and predicate text for one emit under its config; each name is
+    sanitized once."""
 
     def __init__(self, model, config=None):
         self.model = model
@@ -191,6 +192,15 @@ class Renderer:
         if clean is None:
             clean = self.names[raw] = _sanitize(raw)
         return clean
+
+    def connection_names(self, p_in, p_out):
+        """A connection's assumption name, input first, then the legacy
+        output-first name when the config asks for it too.  A proof may
+        cite a connection the architecture does not declare."""
+        a = self.ports[p_in.qualified]
+        b = self.ports[p_out.qualified]
+        return ["%s_%s" % (a, b)] + (
+            ["%s_%s" % (b, a)] if self.config.legacy_connection_names else [])
 
     def term(self, t, time, atomic=False):
         kind = t.__class__
@@ -262,22 +272,12 @@ def contract_assumption(renderer, contract):
         binder, "; ".join(prems), concl)
 
 
-def connection_names(renderer, p_in, p_out, config):
-    """A connection's assumption name, input first, then the legacy
-    output-first name when the config asks for it too."""
-    a = renderer.ports[p_in.qualified]
-    b = renderer.ports[p_out.qualified]
-    return ["%s_%s" % (a, b)] + (["%s_%s" % (b, a)]
-                                 if config.legacy_connection_names else [])
-
-
-def emit_locale(model, renderer=None, config=None):
-    config = config or EmitConfig()
-    r = renderer or Renderer(model, config)
+def emit_locale(r):
+    model = r.model
     lines = ["locale %s =" % _sanitize(model.short_name or model.name)]
     lines.append("  fixes")
     for k, ct in enumerate(model.component_types):
-        if config.comments:
+        if r.config.comments:
             lines.append("    (* %s *)" % ct.name)
         decls = ['%s::"nat \\<Rightarrow> %s"'
                  % (r.ports[p.qualified], sort_name(p.sort, r.name))
@@ -291,7 +291,7 @@ def emit_locale(model, renderer=None, config=None):
         text = '"\\<And>n. %s n = %s n"' % (r.ports[p_in.qualified],
                                           r.ports[p_out.qualified])
         assumes.extend((name, text)
-                       for name in connection_names(r, p_in, p_out, config))
+                       for name in r.connection_names(p_in, p_out))
     if assumes:
         lines.append("  assumes " + "%s: %s" % assumes[0])
         for name, text in assumes[1:]:
@@ -302,10 +302,9 @@ def emit_locale(model, renderer=None, config=None):
 # ---------------------------------------------------------------------------
 # Theorems and proofs
 
-def emit_theorem(model, contract, renderer, name=None):
-    r = renderer
+def emit_theorem(r, contract, name):
     vars_ = " ".join(r.name(n) for n, _ in contract.variables)
-    lines = ["theorem %s:" % _sanitize(name or contract.name)]
+    lines = ["theorem %s:" % name]
     fixes = "n" + ((" " + vars_) if vars_ else "")
     lines.append("  fixes %s" % fixes)
     for j, t in enumerate(contract.triggers):
@@ -322,21 +321,20 @@ def _sorry(findings):
         "%s %s" % (f.condition, f.status) for f in findings))
 
 
-def emit_isar_proof(model, contract, renderer, config, verdict):
+def emit_isar_proof(r, contract, verdict):
     """Isar proof text replaying the architecture proof.
 
     ``verdict``, the checker's, supplies the per-step variable
     instantiations and leaves open the steps it does not accept.
     """
-    r = renderer
     steps = contract.proof or ()
     lines = ["proof -"]
     for i, (step, judged) in enumerate(zip(steps, verdict.steps)):
-        rationale = model.find_contract(step.rationale)
+        rationale = r.model.find_contract(step.rationale)
         inst = judged.instantiation or {}
         # a step the checker does not accept is left open, naming why
         gap = _sorry(judged.findings) if judged.status != checker.OK else None
-        if config.comments:
+        if r.config.comments:
             lines.append("  (* step %d *)" % i)
         state = r.predicate(step.state, step.time)
         if not (step.refs and all(step.refs)):
@@ -352,7 +350,7 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
             conn_names = []
             for ref in ref_set:
                 for p_in, p_out in getattr(ref, "connections", ()):
-                    conn_names.extend(connection_names(r, p_in, p_out, config))
+                    conn_names.extend(r.connection_names(p_in, p_out))
             using = (" using %s" % " ".join(conn_names)) if conn_names else ""
             prefix = "  moreover " if j > 0 else "  "
             lines.append('%sfrom %s have "%s"%s %s'
@@ -372,7 +370,6 @@ def emit_isar_proof(model, contract, renderer, config, verdict):
 
 def emit_theory(model, config=None):
     """Complete theory file for a model."""
-    config = config or EmitConfig()
     r = Renderer(model, config)
     theory = _sanitize(model.short_name or model.name)
     out = ["theory %s" % theory, "  imports Main", "begin", ""]
@@ -380,7 +377,7 @@ def emit_theory(model, config=None):
     out.extend("typedecl %s" % s for s in sorts)
     if sorts:
         out.append("")
-    out.append(emit_locale(model, r, config))
+    out.append(emit_locale(r))
     out.append("begin")
     out.append("")
     verdicts = checker.check_model(model)
@@ -390,12 +387,11 @@ def emit_theory(model, config=None):
         seen[name] = seen.get(name, 0) + 1
         if seen[name] > 1:
             name = "%s_%d" % (name, seen[name])
-        out.append(emit_theorem(model, contract, r, name))
+        out.append(emit_theorem(r, contract, name))
         if contract.proof is None:
             out.append("  oops")
         else:
-            out.append(emit_isar_proof(model, contract, r, config,
-                                       verdicts[idx]))
+            out.append(emit_isar_proof(r, contract, verdicts[idx]))
         out.append("")
     out.append("end")
     out.append("")

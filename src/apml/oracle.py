@@ -399,12 +399,6 @@ class SearchResult(Record, defaults=dict(proof=None, steps_explored=0)):
                  "steps_explored")
 
 
-class _Fact(Record):
-    __slots__ = ("time", "state", "rationale",
-                 "refs",                 # reference sets as in ProofStep
-                 "index")                # position in the fact list
-
-
 def _anchored(p):
     """Does every disjunct of p's DNF have an anchored literal?  Read off p
     without building the DNF: an And's disjuncts all do when some part's
@@ -442,9 +436,10 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     component contract at every base time whose reference sets can be
     assembled.  The checker's ``instantiate`` decides every application, as
     it decides a written step; the fact is the rationale's guarantee under
-    its first instantiation.  Search stops when a fact at the architecture's
-    duration entails its guarantee; saturation without it is
-    ``budget-exceeded`` if some application's C3 or some goal check was
+    its first instantiation.  Each fact at the architecture's duration is
+    judged against its guarantee when it is added, and search stops after
+    the round that derived the first one entailing it; saturation without it
+    is ``budget-exceeded`` if some application's C3 or some goal check was
     inconclusive.
 
     Indexes kept up to date as facts are added replace the scans of all
@@ -472,15 +467,16 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     feeds = {}                       # output port -> inputs it feeds
     for p_in, p_out in model.connections:
         feeds.setdefault(p_out, []).append(p_in)
-    facts = []                       # derived steps, in discovery order
+    facts = []                       # derived ProofSteps, in discovery order
     keys = set()                     # (time, state, rationale) of facts
-    refs = {}                        # time -> [(ref, state, fact, ports)]
+    refs = {}                        # time -> [(ref, state, position, ports)]
     port_times = {}                  # port -> times it is visible at
+    goal = None                      # position of the first goal fact
     undecided = False                # some C3 or goal check inconclusive
 
-    def add_ref(time, ref, state, fact):
+    def add_ref(time, ref, state, position):
         ports = m.ports_of(state)
-        refs.setdefault(time, []).append((ref, state, fact, ports))
+        refs.setdefault(time, []).append((ref, state, position, ports))
         for p in ports:
             for q in [p] + feeds.get(p, []):
                 port_times.setdefault(q, set()).add(time)
@@ -491,22 +487,11 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     def known_before(time, mark):
         """Did a reference exist at this time before fact number mark?"""
         avail = refs.get(time)
-        return bool(avail) and (avail[0][2] is None
-                                or avail[0][2].index < mark)
+        return bool(avail) and (avail[0][2] is None or avail[0][2] < mark)
 
     def gate_open(anchors, base):
         return all(any(base + offset in port_times.get(p, ()) for p in ports)
                    for offset, ports in anchors)
-
-    def goal_reached():
-        nonlocal undecided
-        for _, state, fact, _ in refs.get(contract.duration, ()):
-            if fact is not None:
-                res = e.entails([state], contract.guarantee, budget)
-                if res:
-                    return fact
-                undecided |= res.status == e.INCONCLUSIVE
-        return None
 
     def derive(c, into, base):
         """(state, reference sets) of a fact applying c at base, or None.
@@ -518,10 +503,9 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
             if not avail:
                 return None
             ref_sets.append(tuple(
-                ref if fact is None else m.StepRef(
-                    fact.index, tuple(conn for conn in into
-                                      if conn[1] in ports))
-                for ref, _, fact, ports in avail))
+                ref if i is None else m.StepRef(
+                    i, tuple(conn for conn in into if conn[1] in ports))
+                for ref, _, i, ports in avail))
         status, sigmas, renaming, _ = checker.instantiate(
             model, contract, facts, len(facts), c, ref_sets, [], budget)
         if status != checker.OK:
@@ -531,22 +515,25 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         return None if state is None else (state, tuple(ref_sets))
 
     def add_fact(time, state, rationale, ref_sets):
+        nonlocal goal, undecided
         if (time, state, rationale) in keys:
             return False
         keys.add((time, state, rationale))
-        fact = _Fact(time, state, rationale, ref_sets, len(facts))
-        facts.append(fact)
-        add_ref(time, None, state, fact)
+        add_ref(time, None, state, len(facts))
+        facts.append(m.ProofStep("", time, state, rationale, ref_sets))
+        if time == contract.duration and goal is None:
+            res = e.entails([state], contract.guarantee, budget)
+            if res:
+                goal = len(facts) - 1
+            undecided |= res.status == e.INCONCLUSIVE
         return True
 
     plan = [(c, model.connections_by_owner.get(ct.name, ()),
              _anchors(c))
             for ct in model.component_types for c in ct.contracts]
 
-    exhausted = False
-    while not exhausted:
-        if goal_reached():
-            break
+    grew = True
+    while grew and goal is None:
         if len(facts) >= max_steps:
             return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
         grew = False
@@ -589,9 +576,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                 if len(facts) > max_steps:
                     return SearchResult(BUDGET_EXCEEDED,
                                         steps_explored=len(facts))
-        exhausted = not grew
 
-    goal = goal_reached()
     if goal is None:
         return SearchResult(BUDGET_EXCEEDED if undecided
                             else NO_PROOF_AT_BOUND, steps_explored=len(facts))
@@ -601,20 +586,20 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     needed = set()
     pending = [goal]
     while pending:
-        fact = pending.pop()
-        if fact.index not in needed:
-            needed.add(fact.index)
-            pending.extend(facts[r.index] for ref_set in fact.refs
+        i = pending.pop()
+        if i not in needed:
+            needed.add(i)
+            pending.extend(r.index for ref_set in facts[i].refs
                            for r in ref_set if isinstance(r, m.StepRef))
-    ordered = [f for f in facts if f.index in needed]
-    new_index = {f.index: i for i, f in enumerate(ordered)}
+    new_index = {i: k for k, i in enumerate(sorted(needed))}
     steps = []
-    for i, f in enumerate(ordered):
+    for i, k in new_index.items():
+        f = facts[i]
         refs = tuple(tuple(m.StepRef(new_index[r.index], r.connections,
                                      "s%d" % new_index[r.index])
                            if isinstance(r, m.StepRef) else r
                            for r in ref_set)
                      for ref_set in f.refs)
-        steps.append(m.ProofStep(label="s%d" % i, time=f.time, state=f.state,
-                                 rationale=f.rationale, refs=refs))
+        steps.append(m.ProofStep("s%d" % k, f.time, f.state, f.rationale,
+                                 refs))
     return SearchResult(FOUND, proof=tuple(steps), steps_explored=len(facts))

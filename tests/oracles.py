@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 from apml import entailment as e
 from apml import model as m
@@ -1146,7 +1147,9 @@ def naive_search_proof(model, contract, max_steps=32,
         for f in facts:
             if (f.time, f.state, f.rationale) == (time, state, rationale):
                 return False
-        facts.append(o._Fact(time, state, rationale, refs, len(facts)))
+        facts.append(SimpleNamespace(time=time, state=state,
+                                     rationale=rationale, refs=refs,
+                                     index=len(facts)))
         return True
 
     exhausted = False

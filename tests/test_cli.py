@@ -96,6 +96,22 @@ def test_emit_isar_matches_golden(capsys):
     assert out == (ROOT / "tests" / "golden" / "rsum.thy").read_text()
 
 
+@pytest.mark.parametrize("source, flags", [
+    pytest.param(path, (), id=path.stem)
+    for path in sorted(CORPUS.glob("*.apml")) if path.stem != "radder"] + [
+    pytest.param(CORPUS / "radder.apml",
+                 ("--no-comments", "--legacy-connection-names"),
+                 id="radder_no_comments_legacy_names")])
+def test_emit_isar_matches_its_golden(source, flags, capsys):
+    """emit-isar of every corpus model but radder, which rsum.thy pins, and
+    of radder without comments and with legacy connection names."""
+    golden = "%s%s.thy" % (source.stem,
+                           "_no_comments_legacy_names" if flags else "")
+    code, out, err = run(capsys, "emit-isar", str(source), *flags)
+    assert (code, err) == (0, "")
+    assert out == (ROOT / "tests" / "golden" / "isar" / golden).read_text()
+
+
 def test_emit_isar_leaves_a_step_with_an_empty_reference_set_open(
         tmp_path, capsys):
     path = relay_with(tmp_path, "from [ t1 ]", "from [ {} ]")
@@ -127,6 +143,33 @@ def test_search_reports_no_proof(capsys):
     code, _, err = run(capsys, "search", DUR6)
     assert code == 1
     assert "no-proof-at-bound" in err
+
+
+TGMT = str(CORPUS / "tgmt.apml")
+
+
+@pytest.mark.parametrize("argv, code, err, golden", [
+    ([RADDER], 0, "", "search_radder.txt"),
+    ([DUR6], 1, "no-proof-at-bound after exploring 3 fact(s)\n", None),
+    ([RELAY], 0, "", "search/relay.txt"),
+    ([TGMT, "--contract", "PSDAreClosedWhenTrainIsMoving"], 2,
+     "budget-exceeded after exploring 92 fact(s)\n", None),
+    ([TGMT, "--contract", "PSDAreOpenIfNotMovingAndMatchingPosition"], 2,
+     "budget-exceeded after exploring 92 fact(s)\n", None),
+    ([TGMT, "--contract", "trainOpensTheDoorOnTheRightSide"], 0, "",
+     "search/tgmt_trainOpensTheDoorOnTheRightSide.txt"),
+    ([TGMT, "--contract", "PSDAreClosedWhenTrainGivesClosedIndication"], 2,
+     "budget-exceeded after exploring 140 fact(s)\n", None),
+], ids=["radder", "radder_duration6", "relay",
+        "tgmt-PSDAreClosedWhenTrainIsMoving",
+        "tgmt-PSDAreOpenIfNotMovingAndMatchingPosition",
+        "tgmt-trainOpensTheDoorOnTheRightSide",
+        "tgmt-PSDAreClosedWhenTrainGivesClosedIndication"])
+def test_search_matches_its_pin(argv, code, err, golden, capsys):
+    """Exit code, proof and stderr of each search the corpus-cli benchmark
+    runs, and of relay's: stderr names the facts explored."""
+    out = (ROOT / "tests" / "golden" / golden).read_text() if golden else ""
+    assert run(capsys, "search", *argv) == (code, out, err)
 
 
 def test_search_budget_exceeded(capsys):
@@ -222,15 +265,16 @@ def test_simulate_counterexample_matches_golden(tmp_path, capsys):
 
 
 def test_simulate_zero_duration_components(tmp_path, capsys):
-    # each stage now forwards within one state; the result at 2 is free
+    """A component contract of duration 0 is structurally invalid, so
+    simulate refuses the model as check does, naming each error."""
     text = (CORPUS / "relay.apml").read_text().replace("duration 1",
                                                        "duration 0")
     broken = tmp_path / "relay.apml"
     broken.write_text(text)
     code, out, err = run(capsys, "simulate", str(broken), "--universe", TINY)
-    assert code == 1
-    assert out.splitlines()[0] == "contract relayed: counterexample"
-    assert err == ""
+    assert (code, out) == (3, "")
+    assert [line.rpartition(" [")[2] for line in err.splitlines()] == [
+        "CONTRACT_DURATION_POSITIVE]"] * 2
 
 
 def test_simulate_bad_universe(tmp_path, capsys):

@@ -30,7 +30,7 @@ def test_emission_is_deterministic(radder):
 
 
 def test_locale_assumption_counts(radder):
-    locale = emit_locale(radder)
+    locale = emit_locale(Renderer(radder))
     assume_lines = [l for l in locale.splitlines() if ': "' in l]
     # six contract assumptions then six connection assumptions
     assert len(assume_lines) == 6 + 6

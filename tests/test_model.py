@@ -449,8 +449,6 @@ RECORDS = [
                              reason="why"), ()),
     (oracle.SearchResult, dict(status=oracle.FOUND, proof=(),
                                steps_explored=1), ()),
-    (oracle._Fact, dict(time=1, state=EQ, rationale="A.c", refs=(),
-                        index=0), ()),
     (m.Contract, CONTRACT, ("span",)),
     (m.ArchitectureContract, dict(CONTRACT, owner="", proof=(STEP,)),
      ("span",)),

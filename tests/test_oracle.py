@@ -723,6 +723,25 @@ def test_search_proves_a_trigger_past_the_dnf_budget():
         " ] using Stage2.fwd"]
 
 
+@pytest.mark.parametrize("name", ["relay.apml", "radder.apml"])
+def test_search_judges_each_fact_at_the_duration_once(name, monkeypatch):
+    """The one fact each model derives at its architecture's duration is
+    its goal, and search judges it against the guarantee once."""
+    calls = []
+    entails = entailment.entails
+
+    def counting(hypotheses, goal, *args):
+        calls.append((hypotheses, goal))
+        return entails(hypotheses, goal, *args)
+
+    monkeypatch.setattr(entailment, "entails", counting)
+    model, _ = load(name)
+    contract = model.contracts[0]
+    result = search_proof(model, contract)
+    assert result.status == FOUND
+    assert calls == [([result.proof[-1].state], contract.guarantee)]
+
+
 @pytest.mark.parametrize("n", [50, 100])
 def test_search_matches_each_stage_a_bounded_number_of_times(n,
                                                              monkeypatch):
