@@ -26,6 +26,8 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 NO_PROOF = "no-proof"
 
+OVER_BUDGET = "hypothesis DNF exceeds budget %d"
+
 # closed set of finding codes
 CONDITIONS = frozenset([
     "REF_ARITY", "EMPTY_REFSET", "UNKNOWN_CONNECTION", "STATE_SCOPE",
@@ -171,19 +173,13 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
         if findings:
             return VIOLATED, [], None, None
         goal = m.substitute(rationale.triggers[j].predicate, renaming)
-        extended = []
-        for sigma in sigmas:
-            found = e.match_trigger([goal], facts, variables,
-                                    model.signature, sigma=sigma,
-                                    budget=budget)
-            if found is None:
-                findings.append(Finding(
-                    "C3", INCONCLUSIVE,
-                    "step %d trigger %d: hypothesis DNF exceeds budget %d"
-                    % (index, j, budget), index))
-                return INCONCLUSIVE, [], None, None
-            extended.extend(s for s in found if s not in extended)
-        sigmas = extended
+        sigmas = e.match_trigger([goal], facts, variables, model.signature,
+                                 sigmas, budget)
+        if sigmas is None:
+            findings.append(Finding(
+                "C3", INCONCLUSIVE, "step %d trigger %d: " % (index, j)
+                + OVER_BUDGET % budget, index))
+            return INCONCLUSIVE, [], None, None
         if not sigmas:
             findings.append(Finding(
                 "C3", VIOLATED,
@@ -247,13 +243,13 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
     for sigma in sigmas:
         guarantee = m.substitute(rationale.guarantee, {
             orig: sigma.get(v.name, v) for orig, v in renaming.items()})
-        res = e.entails([guarantee], step.state, budget)
-        if res.status == e.HOLDS:
+        status = e.entails([guarantee], step.state, budget)
+        if status == e.HOLDS:
             return StepVerdict(index, step.label, OK, (), tuple(warnings),
                                compose(sigma))
-    if res.status == e.INCONCLUSIVE:
+    if status == e.INCONCLUSIVE:
         finding = Finding("C5", INCONCLUSIVE,
-                          "step %d: %s" % (index, res.reason), index)
+                          "step %d: " % index + OVER_BUDGET % budget, index)
     else:
         finding = Finding(
             "C5", VIOLATED,
@@ -261,6 +257,13 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
             % (index, rationale.qualified), index)
     return StepVerdict(index, step.label, finding.status, (finding,),
                        tuple(warnings), compose(sigmas[0]))
+
+
+def reaches_guarantee(contract, state, budget=e.DEFAULT_BUDGET):
+    """HOLDS, FAILS or INCONCLUSIVE: does a proof's last state entail the
+    architecture guarantee?  ``check_proof``'s FINAL_STATE and proof
+    search's goal test both ask it."""
+    return e.entails([state], contract.guarantee, budget)
 
 
 def check_proof(model, contract, budget=e.DEFAULT_BUDGET):
@@ -276,14 +279,15 @@ def check_proof(model, contract, budget=e.DEFAULT_BUDGET):
                                 "proof of '%s' has no steps" % contract.name))
     else:
         last = steps[-1]
-        res = e.entails([last.state], contract.guarantee, budget)
-        if res.status == e.FAILS:
+        status = reaches_guarantee(contract, last.state, budget)
+        if status == e.FAILS:
             findings.append(Finding(
                 "FINAL_STATE", VIOLATED,
                 "last state of '%s' does not entail the guarantee"
                 % contract.name))
-        elif res.status == e.INCONCLUSIVE:
-            findings.append(Finding("FINAL_STATE", INCONCLUSIVE, res.reason))
+        elif status == e.INCONCLUSIVE:
+            findings.append(Finding("FINAL_STATE", INCONCLUSIVE,
+                                    OVER_BUDGET % budget))
         if last.time != contract.duration:
             findings.append(Finding(
                 "FINAL_TIME", VIOLATED,

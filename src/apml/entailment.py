@@ -9,34 +9,25 @@ exceeding it yields an inconclusive verdict, never an acceptance.  A
 conjunction with no ``Or`` is its own single case, with no product built.
 Goals and triggers are judged as written, with no budget.
 
-The kernel's invariant: a query (``entails`` or ``match_trigger``) builds the
-least model of each hypothesis case once, as one ``Congruence``, and decides
-every candidate in it.  Truth in a least model does not depend on which
+The kernel's invariant: a query (``entails`` or ``match_trigger``) splits
+the hypotheses once (``dnf_all``) and builds the least model of a case, as
+one ``Congruence(case)``, when its walk reaches the case; it decides every
+candidate in that model.  Truth in a least model does not depend on which
 further terms are registered in it, so one model answers every question
 asked of its case.  Which terms are match candidates does: they are read in
-registration order, and the terms of earlier queries count.
+registration order, the terms of earlier questions included, so each
+substitution is extended from a case-0 model of its own.
 """
 
 import itertools
 
 from . import model as m
-from .diagnostics import Record
 
 DEFAULT_BUDGET = 4096
 
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
-
-
-class Result(Record, defaults=dict(witness=None, reason="")):
-    __slots__ = ("status",
-                 # for FAILS: a hypothesis disjunct under which the goal is
-                 # underivable
-                 "witness", "reason")
-
-    def __bool__(self):
-        return self.status == HOLDS
 
 
 def dnf(pred, budget=DEFAULT_BUDGET):
@@ -94,7 +85,8 @@ class Congruence:
     lookup rather than at every step of a find.
     """
 
-    def __init__(self):
+    def __init__(self, literals=()):
+        """The least model of a conjunction of Eq/Atom literals."""
         self.ids = {}                    # term -> id
         self.terms = []                  # id -> term, registration order
         self.parent = []                 # id -> parent id
@@ -102,6 +94,13 @@ class Congruence:
         self.apps = []                   # (id, op, argument ids) of Apps
         self.atoms = []                  # true (pred, argument ids) facts
         self.stale = False               # union or App since last closure
+        for lit in literals:
+            if lit.__class__ is m.Eq:
+                self.union(self.add_term(lit.lhs), self.add_term(lit.rhs))
+            else:
+                self.atoms.append((lit.pred,
+                                   tuple(map(self.add_term, lit.args))))
+        self._close()
 
     def add_term(self, t):
         """The id of a term, registering it and its subterms when new."""
@@ -134,9 +133,6 @@ class Congruence:
             self.parent[ri] = rj
             self.stale = True
 
-    def assert_atom(self, pred, args):
-        self.atoms.append((pred, tuple(map(self.add_term, args))))
-
     def _close(self):
         """Merge congruent Apps; a no-op unless a union or an App came in
         since the last closure."""
@@ -148,17 +144,23 @@ class Congruence:
                 self.union(by_sig.setdefault((op, tuple(map(find, args))), i),
                            i)
 
-    def equal(self, a, b):
-        i, j = self.add_term(a), self.add_term(b)
-        self._close()
-        return self.find(i) == self.find(j)
-
-    def holds_atom(self, pred, args):
-        ids = tuple(map(self.add_term, args))
-        self._close()
-        keys = tuple(map(self.find, ids))
-        return any(p == pred and tuple(map(self.find, ts)) == keys
-                   for p, ts in self.atoms)
+    def holds(self, p):
+        """Does a predicate hold in this least model, its variables read as
+        constants?"""
+        kind = p.__class__
+        if kind is m.Eq:
+            i, j = self.add_term(p.lhs), self.add_term(p.rhs)
+            self._close()
+            return self.find(i) == self.find(j)
+        if kind is m.Atom:
+            ids = tuple(map(self.add_term, p.args))
+            self._close()
+            keys = tuple(map(self.find, ids))
+            return any(q == p.pred and tuple(map(self.find, ts)) == keys
+                       for q, ts in self.atoms)
+        if kind is m.And:
+            return all(map(self.holds, p.parts))
+        return any(map(self.holds, p.parts))
 
     def value_representatives(self):
         """One port-free term per class that has one: the first registered,
@@ -176,42 +178,15 @@ class Congruence:
         return [self.terms[i] for i in chosen.values() if i is not None]
 
 
-def congruence_of(literals):
-    """The least model of a conjunction of Eq/Atom literals."""
-    cong = Congruence()
-    for lit in literals:
-        if lit.__class__ is m.Eq:
-            cong.union(cong.add_term(lit.lhs), cong.add_term(lit.rhs))
-        else:
-            cong.assert_atom(lit.pred, lit.args)
-    cong._close()
-    return cong
-
-
-def _holds(p, cong):
-    """Does a predicate hold in the least model cong, its variables read
-    as constants?"""
-    kind = p.__class__
-    if kind is m.Eq:
-        return cong.equal(p.lhs, p.rhs)
-    if kind is m.Atom:
-        return cong.holds_atom(p.pred, p.args)
-    if kind is m.And:
-        return all(_holds(q, cong) for q in p.parts)
-    return any(_holds(q, cong) for q in p.parts)
-
 
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
-    """Does the conjunction of hypotheses entail the goal?"""
-    hyp_disjuncts = dnf_all(list(hypotheses), budget)
-    if hyp_disjuncts is None:
-        return Result(INCONCLUSIVE,
-                      reason="hypothesis DNF exceeds budget %d" % budget)
-    for disjunct in hyp_disjuncts:
-        if not _holds(goal, congruence_of(disjunct)):
-            return Result(FAILS, witness=m.conjoin(disjunct),
-                          reason="goal not derivable from this case")
-    return Result(HOLDS)
+    """HOLDS when the conjunction of hypotheses entails the goal, FAILS when
+    it does not, INCONCLUSIVE when its DNF exceeds the budget."""
+    cases = dnf_all(list(hypotheses), budget)
+    if cases is None:
+        return INCONCLUSIVE
+    holds = all(Congruence(case).holds(goal) for case in cases)
+    return HOLDS if holds else FAILS
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +215,7 @@ def match_predicate(goal, cong, variables, signature, sigma):
         unbound = sorted(m.free_variables(instance) & variables.keys()
                          - sub.keys())
         if not unbound:
-            if _holds(instance, cong):
+            if cong.holds(instance):
                 stack.append((i + 1, sub))
             continue
         # bind the first unbound variable to each candidate class of its
@@ -253,29 +228,31 @@ def match_predicate(goal, cong, variables, signature, sigma):
 
 
 def match_trigger(trigger_preds, hypotheses, variables, signature,
-                  sigma=None, budget=DEFAULT_BUDGET):
-    """Substitutions making every trigger predicate follow from hypotheses.
+                  sigmas=({},), budget=DEFAULT_BUDGET):
+    """The extensions of the substitutions in sigmas, in order and each
+    once, that make every trigger predicate follow from the hypotheses.
 
-    Matching binds against the least model of the first hypothesis case, and
-    each candidate is then decided in the least model of every other case,
-    so disjunctive hypotheses cannot sneak in unsound matches.  None when
-    the hypotheses' DNF exceeds the budget; triggers are judged as written.
+    Each substitution is extended in a fresh least model of the first
+    hypothesis case, and the other cases then filter the candidates, so
+    disjunctive hypotheses cannot sneak in unsound matches.  None when the
+    hypotheses' DNF exceeds the budget; triggers are judged as written.
     """
-    sigma = dict(sigma or {})
     cases = dnf_all(list(hypotheses), budget)
     if cases is None:
         return None
-    cong = congruence_of(cases[0])
-    subs = [sigma]
-    for pred in trigger_preds:
-        subs = [s2 for s in subs
-                for s2 in match_predicate(pred, cong, variables, signature, s)]
+    subs = []
+    for sigma in sigmas:
+        first = Congruence(cases[0])
+        found = [dict(sigma)]
+        for pred in trigger_preds:
+            found = [s2 for s in found for s2 in
+                     match_predicate(pred, first, variables, signature, s)]
+        for s in found:
+            if s not in subs:
+                subs.append(s)
+    for cong in map(Congruence, cases[1:]):
         if not subs:
-            return []
-    others = [congruence_of(case) for case in cases[1:]]
-    verified = []
-    for s in subs:
-        if s not in verified and all(_holds(m.substitute(p, s), c)
-                                     for c in others for p in trigger_preds):
-            verified.append(s)
-    return verified
+            break
+        subs = [s for s in subs if all(cong.holds(m.substitute(p, s))
+                                       for p in trigger_preds)]
+    return subs

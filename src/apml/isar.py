@@ -30,17 +30,10 @@ class UnmappedSymbol(Exception):
     """Raised in strict mode for symbols without a built-in Isabelle image."""
 
 
-class EmitConfig:
-    __slots__ = ("comments", "legacy_connection_names", "strict_symbols")
-    __match_args__ = __slots__           # the fields Record.__repr__ lists
-
-    def __init__(self, comments=True, legacy_connection_names=False,
-                 strict_symbols=False):
-        self.comments = comments     # traceability comments per proof step
-        self.legacy_connection_names = legacy_connection_names
-        self.strict_symbols = strict_symbols
-
-    __repr__ = Record.__repr__
+class EmitConfig(Record, defaults=dict(
+        comments=True, legacy_connection_names=False, strict_symbols=False)):
+    __slots__ = ("comments",             # traceability comments per step
+                 "legacy_connection_names", "strict_symbols")
 
 
 def _camel_parts(word):

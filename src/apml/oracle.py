@@ -437,10 +437,11 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     assembled.  The checker's ``instantiate`` decides every application, as
     it decides a written step; the fact is the rationale's guarantee under
     its first instantiation.  Each fact at the architecture's duration is
-    judged against its guarantee when it is added, and search stops after
-    the round that derived the first one entailing it; saturation without it
-    is ``budget-exceeded`` if some application's C3 or some goal check was
-    inconclusive.
+    judged when it is added, by the checker's ``reaches_guarantee``, and
+    search stops at the first one that entails the guarantee.  A new fact past
+    ``max_steps`` facts is refused, and search ends ``budget-exceeded``;
+    saturation without a goal is ``budget-exceeded`` too if some
+    application's C3 or some goal check was inconclusive.
 
     Indexes kept up to date as facts are added replace the scans of all
     facts and connections on every try: the references at each time
@@ -471,7 +472,6 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     keys = set()                     # (time, state, rationale) of facts
     refs = {}                        # time -> [(ref, state, position, ports)]
     port_times = {}                  # port -> times it is visible at
-    goal = None                      # position of the first goal fact
     undecided = False                # some C3 or goal check inconclusive
 
     def add_ref(time, ref, state, position):
@@ -514,83 +514,78 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         state = _derived_state(c.guarantee, renaming, sigmas[0])
         return None if state is None else (state, tuple(ref_sets))
 
-    def add_fact(time, state, rationale, ref_sets):
-        nonlocal goal, undecided
-        if (time, state, rationale) in keys:
-            return False
-        keys.add((time, state, rationale))
-        add_ref(time, None, state, len(facts))
-        facts.append(m.ProofStep("", time, state, rationale, ref_sets))
-        if time == contract.duration and goal is None:
-            res = e.entails([state], contract.guarantee, budget)
-            if res:
-                goal = len(facts) - 1
-            undecided |= res.status == e.INCONCLUSIVE
-        return True
-
     plan = [(c, model.connections_by_owner.get(ct.name, ()),
              _anchors(c))
             for ct in model.component_types for c in ct.contracts]
 
-    grew = True
-    while grew and goal is None:
-        if len(facts) >= max_steps:
-            return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
-        grew = False
-        for c, into, anchors in plan:
-            if not c.triggers:
-                applied = derive(c, into, 0)
-                for time in range(c.duration, contract.duration + 1):
-                    if applied and add_fact(time, applied[0], c.qualified,
-                                            ()):
-                        grew = True
-                continue
-            # candidate bases, tried in ascending order
-            mark = len(facts)
-            if anchors:
-                offset, ports = anchors[0]
-                bases = sorted({t - offset for p in ports
-                                for t in port_times.get(p, ())})
-            else:
-                bases = sorted(refs)
-            queued = set(bases)
-            for base in bases:
-                if (base + c.duration > contract.duration
-                        or not known_before(base, mark)
-                        or not gate_open(anchors, base)):
+    def applications():
+        """(time, state, rationale, reference sets) of each application,
+        round after round until a round adds no fact."""
+        grew = True
+        while grew:
+            start = len(facts)
+            for c, into, anchors in plan:
+                if not c.triggers:
+                    applied = derive(c, into, 0)
+                    for time in range(c.duration, contract.duration + 1):
+                        if applied:
+                            yield time, applied[0], c.qualified, ()
                     continue
-                applied = derive(c, into, base)
-                if applied is None:
-                    continue
-                state, ref_sets = applied
-                time = base + c.duration
-                if add_fact(time, state, c.qualified, ref_sets):
-                    grew = True
-                    # the new fact may make the first anchor visible at a
+                # candidate bases, tried in ascending order
+                mark = len(facts)
+                if anchors:
+                    offset, ports = anchors[0]
+                    bases = sorted({t - offset for p in ports
+                                    for t in port_times.get(p, ())})
+                else:
+                    bases = sorted(refs)
+                queued = set(bases)
+                for base in bases:
+                    if (base + c.duration > contract.duration
+                            or not known_before(base, mark)
+                            or not gate_open(anchors, base)):
+                        continue
+                    applied = derive(c, into, base)
+                    if applied is None:
+                        continue
+                    state, ref_sets = applied
+                    time = base + c.duration
+                    added = len(facts)
+                    yield time, state, c.qualified, ref_sets
+                    # a new fact may make the first anchor visible at a
                     # later base known when this turn began; insort puts it
                     # past the current base, so this loop still reaches it
                     later = time - offset if anchors else base
-                    if later > base and later not in queued:
+                    if (len(facts) > added and later > base
+                            and later not in queued):
                         queued.add(later)
                         bisect.insort(bases, later)
-                if len(facts) > max_steps:
-                    return SearchResult(BUDGET_EXCEEDED,
-                                        steps_explored=len(facts))
+            grew = len(facts) > start
 
-    if goal is None:
+    for time, state, rationale, ref_sets in applications():
+        if (time, state, rationale) in keys:
+            continue
+        if len(facts) >= max_steps:
+            return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
+        keys.add((time, state, rationale))
+        add_ref(time, None, state, len(facts))
+        facts.append(m.ProofStep("", time, state, rationale, ref_sets))
+        if time == contract.duration:
+            status = checker.reaches_guarantee(contract, state, budget)
+            if status == e.HOLDS:
+                break
+            undecided |= status == e.INCONCLUSIVE
+    else:
         return SearchResult(BUDGET_EXCEEDED if undecided
                             else NO_PROOF_AT_BOUND, steps_explored=len(facts))
 
-    # collect the facts reachable from the goal, in construction order; a
-    # work list, since a chain of facts can be deeper than the recursion limit
-    needed = set()
-    pending = [goal]
-    while pending:
-        i = pending.pop()
-        if i not in needed:
-            needed.add(i)
-            pending.extend(r.index for ref_set in facts[i].refs
-                           for r in ref_set if isinstance(r, m.StepRef))
+    # the facts the goal, the last fact, reaches: a fact cites earlier ones
+    # only, so one backward pass finds them
+    needed = {len(facts) - 1}
+    for i in reversed(range(len(facts))):
+        if i in needed:
+            needed.update(r.index for ref_set in facts[i].refs
+                          for r in ref_set if isinstance(r, m.StepRef))
     new_index = {i: k for k, i in enumerate(sorted(needed))}
     steps = []
     for i, k in new_index.items():

@@ -421,28 +421,27 @@ def naive_match_predicate(goal, cong, variables, signature, sigma):
 
 
 def naive_match_trigger(trigger_preds, hypotheses, variables, signature,
-                        sigma=None, budget=e.DEFAULT_BUDGET):
-    """Reference for ``apml.entailment.match_trigger``: bind against the
-    least model of the first hypothesis case, then re-verify every candidate
-    with a full entailment check over all cases."""
-    sigma = dict(sigma or {})
+                        sigmas=({},), budget=e.DEFAULT_BUDGET):
+    """Reference for ``apml.entailment.match_trigger``: for each sigma, bind
+    against a fresh least model of the first hypothesis case, then re-verify
+    every candidate with a full entailment check over all cases; the
+    results of all sigmas are concatenated without repeats."""
     disjuncts = e.dnf_all(list(hypotheses), budget)
     if disjuncts is None:
         return None
-    cong = naive_congruence_of(disjuncts[0])
-    subs = [sigma]
-    for pred in trigger_preds:
-        subs = [s2 for s in subs
-                for s2 in naive_match_predicate(pred, cong, variables,
-                                                signature, s)]
-        if not subs:
-            return []
     verified = []
-    for s in subs:
-        if all(naive_entails(hypotheses, m.substitute(p, s), budget)
-               for p in trigger_preds):
-            if s not in verified:
-                verified.append(s)
+    for sigma in sigmas:
+        cong = naive_congruence_of(disjuncts[0])
+        subs = [dict(sigma)]
+        for pred in trigger_preds:
+            subs = [s2 for s in subs
+                    for s2 in naive_match_predicate(pred, cong, variables,
+                                                    signature, s)]
+        for s in subs:
+            if all(naive_entails(hypotheses, m.substitute(p, s), budget)
+                   for p in trigger_preds):
+                if s not in verified:
+                    verified.append(s)
     return verified
 
 
@@ -488,7 +487,7 @@ MATCH_SIGNATURE = m.Signature([m.DataType(
 
 
 def random_match_case(rng):
-    """(trigger predicates, hypotheses, variables, sigma, budget) for
+    """(trigger predicates, hypotheses, variables, sigmas, budget) for
     ``match_trigger`` over ``MATCH_SIGNATURE``.
 
     Terms nest up to two operations deep, so a closure can need more than
@@ -496,9 +495,10 @@ def random_match_case(rng):
     and then a bindable variable.  Most trigger literals are literals of the
     first hypothesis case with some port-free subterms abstracted into
     bindable variables, so they match there and the other cases decide.
-    ``h`` makes a second sort, so candidates are filtered by sort.  One case
-    in five conjoins true disjunctions to a trigger until its DNF exceeds a
-    small budget.
+    ``h`` makes a second sort, so candidates are filtered by sort.  Three
+    cases in ten extend two or three substitutions, most of them binding
+    ``v``.  One case in five conjoins true disjunctions to a trigger until
+    its DNF exceeds a small budget.
     """
     ports = [m.PortRef(m.Port("p%d" % i, "C", m.INPUT, SORT))
              for i in range(3)]
@@ -549,9 +549,16 @@ def random_match_case(rng):
     first_case = e.dnf_all(hyps)[0]
     triggers = [predicate(pattern, 1, 0.2)
                 for _ in range(rng.randint(1, 2))]
-    sigma = {}
-    if rng.random() < 0.2:
-        sigma["v"] = term(consts + bindable[1:2] * (rng.random() < 0.2), 1)
+
+    def substitution(p_bound):
+        if rng.random() >= p_bound:
+            return {}
+        return {"v": term(consts + bindable[1:2] * (rng.random() < 0.2), 1)}
+
+    if rng.random() < 0.3:
+        sigmas = [substitution(0.7) for _ in range(rng.randint(2, 3))]
+    else:
+        sigmas = [substitution(0.2)]
     budget = e.DEFAULT_BUDGET
     if rng.random() < 0.2:
         k = rng.randint(2, 3)
@@ -559,7 +566,7 @@ def random_match_case(rng):
             triggers[0] = m.conjoin([triggers[0], m.disjoin([
                 m.Eq(consts[0], consts[0]), pattern()])])
         budget = rng.randint(2 ** (k - 1), 2 ** k - 1)
-    return triggers, hyps, variables, sigma, budget
+    return triggers, hyps, variables, sigmas, budget
 
 
 # ---------------------------------------------------------------------------
@@ -1073,6 +1080,10 @@ def _bound_conjuncts(guarantee, renaming, sigma):
                       if not m.free_variables(p) & unbound])
 
 
+class _SearchEnds(Exception):
+    """Ends ``naive_search_proof``: args[0] is the result's status."""
+
+
 def naive_search_proof(model, contract, max_steps=32,
                        budget=e.DEFAULT_BUDGET):
     """Reference for ``apml.oracle.search_proof``: saturation without indexes.
@@ -1083,7 +1094,8 @@ def naive_search_proof(model, contract, max_steps=32,
     Facts start from the architecture triggers; each round applies every
     component contract at every base time whose reference sets can be
     assembled and whose triggers are entailed.  Search stops when a fact at
-    the architecture's duration entails its guarantee.
+    the architecture's duration that entails its guarantee is added, and a
+    new fact past ``max_steps`` facts ends it ``budget-exceeded``.
     """
     signature = model.signature
     triggers = list(contract.triggers)
@@ -1099,13 +1111,6 @@ def naive_search_proof(model, contract, max_steps=32,
             if f.time == time:
                 out.append((None, f.state, f))
         return out
-
-    def goal_reached():
-        for f in facts:
-            if f.time == contract.duration:
-                if e.entails([f.state], contract.guarantee, budget):
-                    return f
-        return None
 
     def try_apply(ct, c, base):
         renaming = {name: ("%s@s" % name, sort) for name, sort in c.variables}
@@ -1133,7 +1138,7 @@ def naive_search_proof(model, contract, max_steps=32,
             extended = []
             for sigma in sigma_list:
                 found = e.match_trigger([goal], facts_j, variables,
-                                        signature, sigma=sigma, budget=budget)
+                                        signature, [sigma], budget)
                 if found:
                     extended.extend(s for s in found if s not in extended)
             if not extended:
@@ -1144,55 +1149,61 @@ def naive_search_proof(model, contract, max_steps=32,
             tuple(ref_sets)
 
     def add_fact(time, state, rationale, refs):
+        """Add a new fact; raise _SearchEnds at the budget or the goal."""
         for f in facts:
             if (f.time, f.state, f.rationale) == (time, state, rationale):
                 return False
+        if len(facts) >= max_steps:
+            raise _SearchEnds(o.BUDGET_EXCEEDED)
         facts.append(SimpleNamespace(time=time, state=state,
                                      rationale=rationale, refs=refs,
                                      index=len(facts)))
+        if time == contract.duration and e.entails(
+                [state], contract.guarantee, budget) == e.HOLDS:
+            raise _SearchEnds(o.FOUND)
         return True
 
-    exhausted = False
-    while not exhausted:
-        if goal_reached():
-            break
-        if len(facts) >= max_steps:
+    def saturate():
+        """Apply contracts round after round until a round adds no fact."""
+        grew = True
+        while grew:
+            grew = False
+            for ct in model.component_types:
+                for c in ct.contracts:
+                    if not c.triggers:
+                        # no trigger binds a variable: keep the conjuncts
+                        # without one
+                        state = m.conjoin([p for p in m.conjuncts(c.guarantee)
+                                           if not m.free_variables(p)])
+                        for time in range(c.duration, contract.duration + 1):
+                            if state is not None and add_fact(
+                                    time, state, c.qualified, ()):
+                                grew = True
+                        continue
+                    bases = sorted({t.time for t in triggers}
+                                   | {f.time for f in facts})
+                    for base in bases:
+                        if base + c.duration > contract.duration:
+                            continue
+                        applied = try_apply(ct, c, base)
+                        if applied is None:
+                            continue
+                        state, ref_sets = applied
+                        if state is not None and add_fact(
+                                base + c.duration, state, c.qualified,
+                                ref_sets):
+                            grew = True
+
+    try:
+        saturate()
+    except _SearchEnds as end:
+        if end.args[0] == o.BUDGET_EXCEEDED:
             return o.SearchResult(o.BUDGET_EXCEEDED,
                                   steps_explored=len(facts))
-        grew = False
-        for ct in model.component_types:
-            for c in ct.contracts:
-                if not c.triggers:
-                    # no trigger binds a variable: keep the conjuncts
-                    # without one
-                    state = m.conjoin([p for p in m.conjuncts(c.guarantee)
-                                       if not m.free_variables(p)])
-                    for time in range(c.duration, contract.duration + 1):
-                        if state is not None and add_fact(
-                                time, state, c.qualified, ()):
-                            grew = True
-                    continue
-                bases = sorted({t.time for t in triggers}
-                               | {f.time for f in facts})
-                for base in bases:
-                    if base + c.duration > contract.duration:
-                        continue
-                    applied = try_apply(ct, c, base)
-                    if applied is None:
-                        continue
-                    state, ref_sets = applied
-                    if state is not None and add_fact(
-                            base + c.duration, state, c.qualified, ref_sets):
-                        grew = True
-                    if len(facts) > max_steps:
-                        return o.SearchResult(o.BUDGET_EXCEEDED,
-                                            steps_explored=len(facts))
-        exhausted = not grew
-
-    goal = goal_reached()
-    if goal is None:
+    else:
         return o.SearchResult(o.NO_PROOF_AT_BOUND,
                               steps_explored=len(facts))
+    goal = facts[-1]
 
     # collect the facts reachable from the goal, in construction order
     needed = set()

@@ -153,21 +153,25 @@ TGMT = str(CORPUS / "tgmt.apml")
     ([DUR6], 1, "no-proof-at-bound after exploring 3 fact(s)\n", None),
     ([RELAY], 0, "", "search/relay.txt"),
     ([TGMT, "--contract", "PSDAreClosedWhenTrainIsMoving"], 2,
-     "budget-exceeded after exploring 92 fact(s)\n", None),
+     "budget-exceeded after exploring 32 fact(s)\n", None),
     ([TGMT, "--contract", "PSDAreOpenIfNotMovingAndMatchingPosition"], 2,
-     "budget-exceeded after exploring 92 fact(s)\n", None),
+     "budget-exceeded after exploring 32 fact(s)\n", None),
     ([TGMT, "--contract", "trainOpensTheDoorOnTheRightSide"], 0, "",
      "search/tgmt_trainOpensTheDoorOnTheRightSide.txt"),
     ([TGMT, "--contract", "PSDAreClosedWhenTrainGivesClosedIndication"], 2,
-     "budget-exceeded after exploring 140 fact(s)\n", None),
+     "budget-exceeded after exploring 32 fact(s)\n", None),
+    ([TGMT, "--contract", "trainOpensTheDoorOnTheRightSide", "--max-steps",
+      "1"], 2, "budget-exceeded after exploring 1 fact(s)\n", None),
 ], ids=["radder", "radder_duration6", "relay",
         "tgmt-PSDAreClosedWhenTrainIsMoving",
         "tgmt-PSDAreOpenIfNotMovingAndMatchingPosition",
         "tgmt-trainOpensTheDoorOnTheRightSide",
-        "tgmt-PSDAreClosedWhenTrainGivesClosedIndication"])
+        "tgmt-PSDAreClosedWhenTrainGivesClosedIndication",
+        "tgmt-trainOpensTheDoorOnTheRightSide-max-steps-1"])
 def test_search_matches_its_pin(argv, code, err, golden, capsys):
     """Exit code, proof and stderr of each search the corpus-cli benchmark
-    runs, and of relay's: stderr names the facts explored."""
+    runs, of relay's, and of one cut short by --max-steps: stderr names the
+    facts explored, never more than the budget."""
     out = (ROOT / "tests" / "golden" / golden).read_text() if golden else ""
     assert run(capsys, "search", *argv) == (code, out, err)
 

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from apml import checker, entailment, isar, oracle
+from apml import checker, isar, oracle
 from apml import model as m
 from apml.diagnostics import (Diagnostic, NO_SPAN, SourceSpan, RULES, ERROR,
                               WARNING)
@@ -445,8 +445,6 @@ RECORDS = [
                                instantiation={"x": X}), ("instantiation",)),
     (checker.ProofVerdict, dict(contract="c", status=checker.OK, steps=(),
                                 findings=()), ()),
-    (entailment.Result, dict(status=entailment.FAILS, witness=EQ,
-                             reason="why"), ()),
     (oracle.SearchResult, dict(status=oracle.FOUND, proof=(),
                                steps_explored=1), ()),
     (m.Contract, CONTRACT, ("span",)),
@@ -461,6 +459,8 @@ RECORDS = [
     (m.Model, dict(name="P", short_name="p", datatypes=(m.DataType("B"),),
                    component_types=(COMPONENT,), connections=((PORT, PORT),),
                    contracts=(m.ArchitectureContract(**CONTRACT),)), ()),
+    (isar.EmitConfig, dict(comments=False, legacy_connection_names=True,
+                           strict_symbols=True), ()),
 ]
 RECORD_IDS = [cls.__qualname__ for cls, _, _ in RECORDS]
 
@@ -476,7 +476,6 @@ DEFAULTS = {
     checker.Finding: dict(step=-1),
     checker.StepVerdict: dict(findings=(), warnings=(), instantiation=None),
     checker.ProofVerdict: dict(steps=(), findings=()),
-    entailment.Result: dict(witness=None, reason=""),
     oracle.SearchResult: dict(proof=None, steps_explored=0),
     m.Contract: dict(span=NO_SPAN),
     m.ArchitectureContract: dict(span=NO_SPAN, proof=None),
@@ -484,6 +483,8 @@ DEFAULTS = {
     m.ComponentType: dict(span=NO_SPAN),
     m.Model: dict(datatypes=(), component_types=(), connections=(),
                   contracts=()),
+    isar.EmitConfig: dict(comments=True, legacy_connection_names=False,
+                          strict_symbols=False),
 }
 
 # values the constructors accept in place of the ones above
@@ -608,8 +609,6 @@ def test_record_reprs_and_defaults():
     assert (verdict.findings, verdict.warnings, verdict.instantiation) == (
         (), (), None)
     assert checker.ProofVerdict("c", checker.OK).steps == ()
-    assert entailment.Result(entailment.HOLDS) == entailment.Result(
-        entailment.HOLDS, None, "")
     assert oracle.SearchResult(oracle.FOUND) == oracle.SearchResult(
         oracle.FOUND, None, 0)
 
@@ -620,13 +619,8 @@ def test_finding_rejects_unknown_condition():
 
 
 def test_configuration_objects_stay_mutable():
-    config = isar.EmitConfig()
-    assert (config.comments, config.legacy_connection_names,
-            config.strict_symbols) == (True, False, False)
-    config.comments = False
-    assert repr(config) == ("EmitConfig(comments=False, "
-                            "legacy_connection_names=False, "
-                            "strict_symbols=False)")
+    """A universe is filled in place as it is parsed, so its tables are
+    its own; ``isar.EmitConfig`` is a record and is tested with them."""
     first, second = oracle.FiniteUniverse(), oracle.FiniteUniverse()
     first.carriers["S"] = ["0"]
     assert second.carriers == {} and second.operations == {} \

@@ -597,6 +597,33 @@ def test_search_matches_the_reference_on_random_chains():
                 ), case
 
 
+def test_search_keeps_its_budget():
+    """No search explores more than max_steps facts, and a proof found
+    after exploring k facts is found again, the same, with max_steps=k."""
+    cases = list(_search_cases())
+    for seed in range(40):
+        model = random_chain_model(random.Random(seed))
+        cases.append(("chain-%d" % seed, model, model.contracts[0]))
+    found = set()
+    for name, model, contract in cases:
+        for max_steps in (1, 2, 3, 5, 8, 16, 32):
+            result = search_proof(model, contract, max_steps=max_steps)
+            assert result.steps_explored <= max_steps, (name, max_steps)
+            if result.status == FOUND:
+                again = search_proof(model, contract,
+                                     max_steps=result.steps_explored)
+                assert again == result, (name, max_steps)
+                found.add(name)
+    assert len(found) >= 40
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_search_without_a_budget_explores_nothing(max_steps):
+    model, _ = load("radder.apml")
+    result = search_proof(model, model.contracts[0], max_steps=max_steps)
+    assert (result.status, result.steps_explored) == (BUDGET_EXCEEDED, 0)
+
+
 def _checks_before_and_after_printing(model, contract, proof):
     """Is ``proof`` accepted for ``contract``, also after the model with it
     is printed and parsed again?"""
