@@ -4,22 +4,20 @@ Predicates here contain no negation, so a conjunction of facts has a least
 model: the congruence closure of its equalities, with predicate atoms true
 exactly on derivable tuples.  Entailment is decided by checking the goal in
 the least model of each hypothesis case, which is sound and complete for
-this fragment.  Only hypotheses are split, into a DNF under a budget;
-exceeding it yields an inconclusive verdict, never an acceptance.  A
-conjunction with no ``Or`` is its own single case, with no product built.
-Goals and triggers are judged as written, with no budget.
+this fragment.  Only hypotheses are split, on demand: the goal is first
+decided in the least model of the ``Or``-free conjuncts, a disjunction with
+a disjunct true there is implied and never split, and only then is the first
+one left split.  The budget caps the disjuncts so opened; exceeding it
+yields an inconclusive verdict, never an acceptance.
 
-The kernel's invariant: a query (``entails`` or ``match_trigger``) splits
-the hypotheses once (``dnf_all``) and builds the least model of a case, as
-one ``Congruence(case)``, when its walk reaches the case; it decides every
-candidate in that model.  Truth in a least model does not depend on which
-further terms are registered in it, so one model answers every question
-asked of its case.  Which terms are match candidates does: they are read in
-registration order, the terms of earlier questions included, so each
-substitution is extended from a case-0 model of its own.
+The kernel's invariant: match candidates come from the first hypothesis
+case, the first disjunct of every ``Or`` in order, one ``Congruence`` per
+substitution; with an ``Or`` in the hypotheses, ``entails`` keeps those
+that hold in every case.  Truth in a least model does not depend on which
+further terms are registered in it, but which terms are match candidates
+does: they are read in registration order, the terms of earlier questions
+included, so each substitution is extended in a first-case model of its own.
 """
-
-import itertools
 
 from . import model as m
 
@@ -30,49 +28,24 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-def dnf(pred, budget=DEFAULT_BUDGET):
-    """List of disjuncts, each a list of Eq/Atom literals; None on blowup.
-
-    Recurses once per nested And/Or node, never per part.  Every part has a
-    disjunct, so the running sum or product over a node's parts never
-    exceeds its final value and is checked against the budget as it grows.
-    """
-    if isinstance(pred, (m.Eq, m.Atom)):
-        return [[pred]]
-    if isinstance(pred, m.And):
-        return dnf_all(pred.parts, budget)
-    out = []
-    for p in pred.parts:
-        d = dnf(p, budget)
-        if d is None or len(out) + len(d) > budget:
-            return None
-        out += d
-    return out
-
-
-def dnf_all(preds, budget=DEFAULT_BUDGET):
-    """DNF of a sequence of predicates' conjunction; None on blowup.  With
-    no ``Or`` anywhere it is one case, their literals in order; otherwise
-    each disjunct is built once, linear in the literals of the result."""
-    literals = []
-    for p in preds:
-        parts = m.conjuncts(p)
-        if m.Or in map(type, parts):
-            break
-        literals += parts
-    else:
-        return [literals] if budget >= 1 or not literals else None
-    factors, size = [], 1
-    for p in preds:
-        d = dnf(p, budget)
-        if d is None:
-            return None
-        size *= len(d)
-        if size > budget:
-            return None
-        factors.append(d)
-    return [list(itertools.chain.from_iterable(pick))
-            for pick in itertools.product(*factors)]
+def _split(preds, first=False):
+    """The Eq/Atom literals and the disjunctions of a conjunction, in order.
+    With ``first``, each disjunction's first disjunct is walked in its place
+    too, so the literals are the conjunction's first case."""
+    literals, ors = [], []
+    stack = list(preds)[::-1]
+    while stack:
+        p = stack.pop()
+        kind = p.__class__
+        if kind is m.And:
+            stack += reversed(p.parts)
+        elif kind is m.Or:
+            ors.append(p)
+            if first:
+                stack.append(p.parts[0])
+        else:
+            literals.append(p)
+    return literals, ors
 
 
 class Congruence:
@@ -178,15 +151,26 @@ class Congruence:
         return [self.terms[i] for i in chosen.values() if i is not None]
 
 
-
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
     """HOLDS when the conjunction of hypotheses entails the goal, FAILS when
-    it does not, INCONCLUSIVE when its DNF exceeds the budget."""
-    cases = dnf_all(list(hypotheses), budget)
-    if cases is None:
-        return INCONCLUSIVE
-    holds = all(Congruence(case).holds(goal) for case in cases)
-    return HOLDS if holds else FAILS
+    it does not, INCONCLUSIVE when deciding it opens more than ``budget``
+    disjuncts.  Walks the case splits depth first, first disjunct first."""
+    stack = [_split(hypotheses)]
+    while stack:
+        literals, pending = stack.pop()
+        cong = Congruence(literals)
+        if cong.holds(goal):
+            continue
+        pending = [d for d in pending if not cong.holds(d)]
+        if not pending:
+            return FAILS                 # the least model is a countermodel
+        budget -= len(pending[0].parts)
+        if budget < 0:
+            return INCONCLUSIVE
+        for part in reversed(pending[0].parts):
+            more, ors = _split((part,))
+            stack.append((literals + more, ors + pending[1:]))
+    return HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +217,14 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
     once, that make every trigger predicate follow from the hypotheses.
 
     Each substitution is extended in a fresh least model of the first
-    hypothesis case, and the other cases then filter the candidates, so
-    disjunctive hypotheses cannot sneak in unsound matches.  None when the
-    hypotheses' DNF exceeds the budget; triggers are judged as written.
+    hypothesis case.  With an ``Or`` in the hypotheses, only the candidates
+    that ``entails`` accepts are kept, so disjunctive hypotheses cannot
+    sneak in unsound matches; None when it is inconclusive on one.
     """
-    cases = dnf_all(list(hypotheses), budget)
-    if cases is None:
-        return None
+    first_case, ors = _split(hypotheses, first=True)
     subs = []
     for sigma in sigmas:
-        first = Congruence(cases[0])
+        first = Congruence(first_case)
         found = [dict(sigma)]
         for pred in trigger_preds:
             found = [s2 for s in found for s2 in
@@ -250,9 +232,10 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
         for s in found:
             if s not in subs:
                 subs.append(s)
-    for cong in map(Congruence, cases[1:]):
-        if not subs:
-            break
-        subs = [s for s in subs if all(cong.holds(m.substitute(p, s))
-                                       for p in trigger_preds)]
-    return subs
+    if not ors:
+        return subs
+    verdicts = [entails(hypotheses, m.substitute(m.conjoin(trigger_preds), s),
+                        budget) for s in subs]
+    if INCONCLUSIVE in verdicts:
+        return None
+    return [s for s, v in zip(subs, verdicts) if v == HOLDS]

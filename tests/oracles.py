@@ -347,22 +347,19 @@ def _naive_holds(lit, cong):
     return cong.holds_atom(lit.pred, lit.args)
 
 
-def naive_entails(hypotheses, goal, budget=e.DEFAULT_BUDGET):
+def naive_entails(hypotheses, goal):
     """Reference for ``apml.entailment.entails``, as a boolean: the goal's
-    DNF, unbounded, against each case of the hypotheses' DNF."""
-    hyp_disjuncts = e.dnf_all(list(hypotheses), budget)
-    goal_disjuncts = e.dnf(goal, budget=float("inf"))
-    if hyp_disjuncts is None:
-        return False
+    DNF against each case of the hypotheses' DNF, both unbounded."""
+    hyp_disjuncts = product_dnf_all(list(hypotheses), float("inf"))
+    goal_disjuncts = product_dnf(goal, float("inf"))
     return all(any(all(_naive_holds(lit, cong) for lit in g)
                    for g in goal_disjuncts)
                for cong in map(naive_congruence_of, hyp_disjuncts))
 
 
 def product_dnf(pred, budget=e.DEFAULT_BUDGET):
-    """``entailment.dnf`` with every conjunction split as a product, the
-    way ``dnf_all`` built every DNF before an Or-free list of hypotheses
-    became its own single case."""
+    """List of disjuncts, each a list of Eq/Atom literals, every conjunction
+    split as a product; None when it has more than ``budget`` disjuncts."""
     if isinstance(pred, (m.Eq, m.Atom)):
         return [[pred]]
     if isinstance(pred, m.And):
@@ -377,7 +374,8 @@ def product_dnf(pred, budget=e.DEFAULT_BUDGET):
 
 
 def product_dnf_all(preds, budget=e.DEFAULT_BUDGET):
-    """``entailment.dnf_all`` as the product of its parts' DNFs."""
+    """The DNF of a sequence of predicates' conjunction, as the product of
+    its parts' DNFs; None when it has more than ``budget`` disjuncts."""
     factors, size = [], 1
     for p in preds:
         d = product_dnf(p, budget)
@@ -422,13 +420,12 @@ def naive_match_predicate(goal, cong, variables, signature, sigma):
 
 def naive_match_trigger(trigger_preds, hypotheses, variables, signature,
                         sigmas=({},), budget=e.DEFAULT_BUDGET):
-    """Reference for ``apml.entailment.match_trigger``: for each sigma, bind
-    against a fresh least model of the first hypothesis case, then re-verify
-    every candidate with a full entailment check over all cases; the
-    results of all sigmas are concatenated without repeats."""
-    disjuncts = e.dnf_all(list(hypotheses), budget)
-    if disjuncts is None:
-        return None
+    """Reference for ``apml.entailment.match_trigger``, unbounded: for each
+    sigma, bind against a fresh least model of the first hypothesis case,
+    then re-verify every candidate with a full entailment check over all
+    cases; the results of all sigmas are concatenated without repeats.
+    ``budget`` is accepted for the kernel's signature and ignored."""
+    disjuncts = product_dnf_all(list(hypotheses), float("inf"))
     verified = []
     for sigma in sigmas:
         cong = naive_congruence_of(disjuncts[0])
@@ -438,7 +435,7 @@ def naive_match_trigger(trigger_preds, hypotheses, variables, signature,
                     for s2 in naive_match_predicate(pred, cong, variables,
                                                     signature, s)]
         for s in subs:
-            if all(naive_entails(hypotheses, m.substitute(p, s), budget)
+            if all(naive_entails(hypotheses, m.substitute(p, s))
                    for p in trigger_preds):
                 if s not in verified:
                     verified.append(s)
@@ -546,7 +543,7 @@ def random_match_case(rng):
     hyp_leaves = ports + consts + bindable[:1] * (rng.random() < 0.1)
     hyps = [predicate(lambda: literal(hyp_leaves), 2, 0.3)
             for _ in range(rng.randint(1, 3))]
-    first_case = e.dnf_all(hyps)[0]
+    first_case = product_dnf_all(hyps, float("inf"))[0]
     triggers = [predicate(pattern, 1, 0.2)
                 for _ in range(rng.randint(1, 2))]
 

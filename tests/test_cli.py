@@ -215,6 +215,23 @@ def test_search_inconclusive_on_the_goal_is_budget_exceeded(tmp_path,
     assert code == 0
 
 
+def test_a_guarantee_implied_by_its_first_conjunct_is_never_split(
+        tmp_path, capsys):
+    """Stage1.fwd guarantees [o = x] and 13 copies of [o = x] \\/ [o = x]:
+    8,192 cases as a DNF, past the default budget, but the first conjunct
+    implies every disjunction, so check and search split nothing."""
+    fold = " /\\ ".join(["[o = x]"] + ["([o = x] \\/ [o = x])"] * 13)
+    path = relay_with(tmp_path, "guarantees { [o = x] }",
+                      "guarantees { %s }" % fold)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0, out
+    # relay's two-step proof, s0 stating Stage1.fwd's whole guarantee
+    golden = (ROOT / "tests" / "golden" / "search" / "relay.txt").read_text()
+    golden = golden.replace("have [Stage1.o = x]", "have " + fold.replace(
+        "o = x", "Stage1.o = x"))
+    assert run(capsys, "search", path) == (0, golden, "")
+
+
 def test_search_unknown_contract(capsys):
     code, _, err = run(capsys, "search", RADDER, "--contract", "nope")
     assert code == 3

@@ -1,5 +1,6 @@
 """Congruence-based entailment against the brute-force finite oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from apml import checker, oracle
 from apml import entailment as e
 from apml import model as m
-from apml.entailment import (Congruence, dnf, entails, match_trigger,
+from apml.entailment import (Congruence, entails, match_trigger,
                              HOLDS, FAILS, INCONCLUSIVE)
 
 from conftest import CORPUS, load
-from oracles import (brute_force_entails, naive_match_trigger,
+from oracles import (brute_force_entails, naive_match_trigger, product_dnf,
                      product_dnf_all, random_entailment_case,
                      random_match_case, MATCH_SIGNATURE, SORT)
 
@@ -61,50 +62,51 @@ def test_disjunctive_goal_and_hypotheses():
 
 
 def test_dnf_budget_yields_inconclusive_not_acceptance():
+    """14 conjoined disjunctions: one split decides the goal, since the
+    branch that refutes it implies every other disjunction; a budget too
+    small for that split gives INCONCLUSIVE, never HOLDS."""
     big = m.disjoin([m.Eq(P[0], P[1]), m.Eq(P[0], P[2])])
     for _ in range(13):
         big = m.conjoin([big, m.disjoin([m.Eq(P[0], P[1]),
                                          m.Eq(P[0], P[2])])])
-    assert dnf(big, budget=4096) is None
-    assert entails([big], m.Eq(P[0], P[1]), budget=4096) == INCONCLUSIVE
+    assert product_dnf(big, budget=4096) is None
+    goal = m.Eq(P[0], P[1])
+    assert not brute_force_entails([big], goal)
+    assert entails([big], goal, budget=4096) == FAILS
+    assert entails([big], goal, budget=1) == INCONCLUSIVE
 
 
-def _random_hypotheses(rng, or_free):
-    """0-4 hypotheses, literals and conjunctions (some conjoined from
-    conjunctions), with disjunctions at any depth unless or_free."""
-    def literal():
-        a = rng.choice(P + [X, Y, F(X)])
-        if rng.random() < 0.2:
-            return m.Atom("D.P", (a,))
-        return m.Eq(a, rng.choice(P + [X, Y]))
+def _implied_and_repeated_family():
+    """Hypotheses whose Or-free part makes one disjunct of a disjunction
+    true, next to a disjunction whose disjuncts repeat, in every order: the
+    implied disjunction must be dropped and the repeated one still split.
+    Its first member is a = b, (a = b) \\/ (c = d), (u = w) \\/ (u = w)."""
+    a, b, c, d, u, w = P + [X, Y]
+    implied = [m.disjoin([m.Eq(a, b), m.Eq(c, d)]),
+               m.disjoin([m.Eq(c, d), m.Eq(b, a)])]
+    repeated = [m.disjoin([m.Eq(u, w), m.Eq(u, w)]),
+                m.disjoin([m.Eq(u, w), m.Eq(w, u)]),
+                m.disjoin([m.Atom("D.P", (u,)),
+                           m.conjoin([m.Atom("D.P", (w,)), m.Eq(w, u)])])]
+    goals = [m.Eq(u, w), m.Atom("D.P", (u,)), m.Eq(c, d),
+             m.disjoin([m.Eq(c, d), m.Eq(w, u)])]
+    for imp in implied:
+        for rep in repeated:
+            for hyps in itertools.permutations([m.Eq(a, b), imp, rep]):
+                for goal in goals:
+                    yield list(hyps), goal
 
-    def pred(depth):
-        roll = rng.random()
-        if depth == 0 or roll < 0.3:
-            return literal()
-        parts = [pred(depth - 1) for _ in range(rng.randint(2, 3))]
-        return (m.conjoin if or_free or roll < 0.6 else m.disjoin)(parts)
 
-    return [pred(rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
-
-
-def test_dnf_all_single_case_agrees_with_the_product():
-    """An Or-free hypothesis list is one case without the product; on any
-    list dnf_all returns exactly the product's DNF, or None with it."""
-    rng = random.Random(20261019)
-    seen = {"single": 0, "split": 0, "none": 0}
-    for k in range(1000):
-        hyps = _random_hypotheses(rng, or_free=k % 2 == 0)
-        for budget in (0, 1, 3, 16, e.DEFAULT_BUDGET):
-            want = product_dnf_all(hyps, budget)
-            assert e.dnf_all(hyps, budget) == want, (hyps, budget)
-            assert want is None or budget > 0 or not hyps
-            seen["none"] += want is None and budget > 0
-        cases = e.dnf_all(hyps)
-        seen["single"] += k % 2 == 0 and any(
-            p.__class__ is m.And for p in hyps)
-        seen["split"] += len(cases) > 1
-    assert min(seen.values()) >= 100, seen
+def test_implied_and_repeated_family_agrees_with_brute_force():
+    seen = {HOLDS: 0, FAILS: 0}
+    for hyps, goal in _implied_and_repeated_family():
+        status = entails(hyps, goal)
+        assert status in seen, (hyps, goal)
+        assert (status == HOLDS) == brute_force_entails(hyps, goal), \
+            (hyps, goal)
+        seen[status] += 1
+    assert entails(*next(_implied_and_repeated_family())) == HOLDS
+    assert min(seen.values()) >= 40, seen
 
 
 def test_congruence_closure_signature_merging():
@@ -169,15 +171,17 @@ def test_against_brute_force_sample():
 
 def test_a_goal_past_the_budget_agrees_with_brute_force():
     """Only hypotheses are split under the budget: a goal whose DNF exceeds
-    it is judged as written, with the brute-force verdict."""
+    it is judged as written, with the brute-force verdict.  Splitting the
+    hypotheses opens fewer than twice their DNF's cases, so the budget
+    below leaves them decidable."""
     rng = random.Random(20261019)
     seen = {HOLDS: 0, FAILS: 0}
     while min(seen.values()) < 100:
         hyps, goal = random_entailment_case(rng)
-        budget = len(e.dnf_all(hyps))
+        budget = 2 * len(product_dnf_all(hyps, float("inf")))
         literals = [n for n in m.walk(m.conjoin(hyps + [goal]))
                     if isinstance(n, (m.Eq, m.Atom))]
-        while dnf(goal, budget) is not None:
+        while product_dnf(goal, budget) is not None:
             goal = m.conjoin([goal, m.disjoin([rng.choice(literals),
                                                rng.choice(literals)])])
         status = entails(hyps, goal, budget)
@@ -205,29 +209,34 @@ def _in_order(subs):
 
 
 def test_match_trigger_agrees_with_the_reference_kernel():
-    """One call extends every substitution against one model of the first
-    case; the reference builds a fresh model for each."""
+    """Whenever the kernel answers, under the drawn budget or a tight one,
+    it gives the unbounded reference's substitutions in the same order."""
     rng = random.Random(20261018)
     seen = {"hits": 0, "split_hits": 0, "over_budget": 0, "none": 0,
             "several_hits": 0}
     for _ in range(1200):
         triggers, hyps, variables, sigmas, budget = random_match_case(rng)
-        got = match_trigger(triggers, hyps, variables, MATCH_SIGNATURE,
-                            sigmas, budget)
+        # the drawn budget, and a tight one that allows one two-way split
+        got, tight = (match_trigger(triggers, hyps, variables,
+                                    MATCH_SIGNATURE, sigmas, b)
+                      for b in (budget, 2))
         want = naive_match_trigger(triggers, hyps, variables,
                                    MATCH_SIGNATURE, sigmas, budget)
-        assert _in_order(got) == _in_order(want), (triggers, hyps, sigmas,
-                                                   budget)
-        cases = e.dnf_all(hyps, budget)
-        seen["none"] += got is None
+        for answer in (got, tight):
+            assert answer is None or _in_order(answer) == _in_order(want), (
+                triggers, hyps, sigmas, budget)
+        seen["none"] += (got is None) + (tight is None)
+        if got is None:
+            continue
+        cases = product_dnf_all(hyps, float("inf"))
         seen["hits"] += bool(got)
         seen["split_hits"] += bool(got) and len(cases) > 1
-        seen["over_budget"] += cases is not None and any(
-            dnf(p, budget) is None for p in triggers)
+        seen["over_budget"] += any(
+            product_dnf(p, budget) is None for p in triggers)
         # results that extend two different bindings in sigmas
         seen["several_hits"] += len({
             tuple(sigma.items()) for sigma in sigmas
-            if sigma and any(sigma.items() <= s.items() for s in got or ())
+            if sigma and any(sigma.items() <= s.items() for s in got)
         }) > 1
     # the generator reaches matches, case splits, budgets, blowups and
     # matches from several substitutions

@@ -20,7 +20,7 @@ from apml.printer import print_model, print_step
 from oracles import (SORT, brute_force_verify, compose_behaviors,
                      cone_sizes, eval_predicate, eval_term,
                      naive_search_proof, naive_verify_satisfaction,
-                     print_universe, random_chain_model, random_match_case,
+                     print_universe, product_dnf, random_chain_model, random_match_case,
                      random_tiny_model, relay_chain_model, trace_satisfies,
                      violated_window)
 
@@ -718,7 +718,7 @@ def _anchored_by_dnf(pred):
             return bool(m.ports_of(lit))
         return bool(m.ports_of(lit.lhs)) != bool(m.ports_of(lit.rhs))
     return all(any(map(anchored, d))
-               for d in entailment.dnf(pred, budget=float("inf")))
+               for d in product_dnf(pred, budget=float("inf")))
 
 
 def test_anchoring_agrees_with_the_dnf_criterion():
@@ -739,7 +739,7 @@ def test_search_proves_a_trigger_past_the_dnf_budget():
         "t1: [i = x]", "t1: " + FOLD13, 1))
     assert not diags
     fwd = model.component_types[0].contracts[0]
-    assert entailment.dnf(fwd.triggers[0].predicate) is None
+    assert product_dnf(fwd.triggers[0].predicate) is None
     ((offset, ports),) = oracle._anchors(fwd)
     assert (offset, [p.qualified for p in ports]) == (0, ["Stage1.i"])
     result = search_proof(model, model.contracts[0])
