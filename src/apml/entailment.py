@@ -7,16 +7,17 @@ the least model of each hypothesis case, which is sound and complete for
 this fragment.  Only hypotheses are split, on demand: the goal is first
 decided in the least model of the ``Or``-free conjuncts, a disjunction with
 a disjunct true there is implied and never split, and only then is the first
-one left split.  The budget caps the disjuncts so opened; exceeding it
-yields an inconclusive verdict, never an acceptance.
+one left split.  The budget caps the cases one question opens, never more
+than the hypotheses' DNF has; past it comes inconclusive, never acceptance.
 
 The kernel's invariant: match candidates come from the first hypothesis
 case, the first disjunct of every ``Or`` in order, one ``Congruence`` per
 substitution; with an ``Or`` in the hypotheses, ``entails`` keeps those
-that hold in every case.  Truth in a least model does not depend on which
-further terms are registered in it, but which terms are match candidates
-does: they are read in registration order, the terms of earlier questions
-included, so each substitution is extended in a first-case model of its own.
+that hold in every case, each candidate a question with its own budget.
+Truth in a least model does not depend on which further terms are
+registered in it, but which terms are match candidates does: they are read
+in registration order, the terms of earlier questions included, so each
+substitution is extended in a first-case model of its own.
 """
 
 from . import model as m
@@ -154,7 +155,8 @@ class Congruence:
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
     """HOLDS when the conjunction of hypotheses entails the goal, FAILS when
     it does not, INCONCLUSIVE when deciding it opens more than ``budget``
-    disjuncts.  Walks the case splits depth first, first disjunct first."""
+    cases, a k-way split making k of one.  Walks the splits depth first,
+    first disjunct first."""
     stack = [_split(hypotheses)]
     while stack:
         literals, pending = stack.pop()
@@ -164,8 +166,8 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
         pending = [d for d in pending if not cong.holds(d)]
         if not pending:
             return FAILS                 # the least model is a countermodel
-        budget -= len(pending[0].parts)
-        if budget < 0:
+        budget -= len(pending[0].parts) - 1
+        if budget < 1:
             return INCONCLUSIVE
         for part in reversed(pending[0].parts):
             more, ors = _split((part,))
@@ -218,8 +220,8 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
 
     Each substitution is extended in a fresh least model of the first
     hypothesis case.  With an ``Or`` in the hypotheses, only the candidates
-    that ``entails`` accepts are kept, so disjunctive hypotheses cannot
-    sneak in unsound matches; None when it is inconclusive on one.
+    that ``entails`` accepts, each with a budget of its own, are kept: no
+    unsound match sneaks in.  None when it is inconclusive on one.
     """
     first_case, ors = _split(hypotheses, first=True)
     subs = []

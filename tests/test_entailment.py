@@ -76,6 +76,18 @@ def test_dnf_budget_yields_inconclusive_not_acceptance():
     assert entails([big], goal, budget=1) == INCONCLUSIVE
 
 
+def test_the_split_opens_no_more_cases_than_the_dnf():
+    """12 independent two-way disjunctions that entail themselves are split
+    into all 4096 cases of their DNF: a budget covering the DNF decides
+    them, and one case less is inconclusive."""
+    v = [m.Var("v%d" % i, SORT) for i in range(48)]
+    hyp = m.conjoin([m.disjoin([m.Eq(a, b), m.Eq(c, d)])
+                     for a, b, c, d in zip(*[iter(v)] * 4)])
+    assert len(product_dnf(hyp)) == 4096
+    assert entails([hyp], hyp, budget=4096) == HOLDS
+    assert entails([hyp], hyp, budget=4095) == INCONCLUSIVE
+
+
 def _implied_and_repeated_family():
     """Hypotheses whose Or-free part makes one disjunct of a disjunction
     true, next to a disjunction whose disjuncts repeat, in every order: the
@@ -171,14 +183,12 @@ def test_against_brute_force_sample():
 
 def test_a_goal_past_the_budget_agrees_with_brute_force():
     """Only hypotheses are split under the budget: a goal whose DNF exceeds
-    it is judged as written, with the brute-force verdict.  Splitting the
-    hypotheses opens fewer than twice their DNF's cases, so the budget
-    below leaves them decidable."""
+    it is judged as written, with the brute-force verdict."""
     rng = random.Random(20261019)
     seen = {HOLDS: 0, FAILS: 0}
     while min(seen.values()) < 100:
         hyps, goal = random_entailment_case(rng)
-        budget = 2 * len(product_dnf_all(hyps, float("inf")))
+        budget = len(product_dnf_all(hyps, float("inf")))
         literals = [n for n in m.walk(m.conjoin(hyps + [goal]))
                     if isinstance(n, (m.Eq, m.Atom))]
         while product_dnf(goal, budget) is not None:

@@ -20,9 +20,9 @@ from apml.printer import print_model, print_step
 from oracles import (SORT, brute_force_verify, compose_behaviors,
                      cone_sizes, eval_predicate, eval_term,
                      naive_search_proof, naive_verify_satisfaction,
-                     print_universe, product_dnf, random_chain_model, random_match_case,
-                     random_tiny_model, relay_chain_model, trace_satisfies,
-                     violated_window)
+                     print_universe, product_dnf, random_chain_model,
+                     random_match_case, random_tiny_model, relay_chain_model,
+                     trace_satisfies, violated_window)
 
 from conftest import load, CORPUS, FOLD13
 
