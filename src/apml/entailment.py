@@ -156,8 +156,11 @@ def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
     """HOLDS when the conjunction of hypotheses entails the goal, FAILS when
     it does not, INCONCLUSIVE when deciding it opens more than ``budget``
     cases, a k-way split making k of one.  Walks the splits depth first,
-    first disjunct first."""
+    first disjunct first.  A goal whose every conjunct is an ``Or``-free
+    hypothesis literal holds in every case, so no model is built for it."""
     stack = [_split(hypotheses)]
+    if set(m.conjuncts(goal)).issubset(stack[0][0]):
+        return HOLDS
     while stack:
         literals, pending = stack.pop()
         cong = Congruence(literals)

@@ -4,13 +4,22 @@
 model together with span-carrying diagnostics.
 
 ``tokenize`` fills ``Tokens``, three parallel columns: each token's kind, its
-text and its start offset.  A token is an index into them.  ``kind`` is ID,
+text and its end offset.  A token is an index into them.  ``kind`` is ID,
 NAT, AND, OR, ARROW, EOF or a punctuation kind; NAT is ASCII digits only.
 No token stores its line or column: ``Tokens.span`` finds them by bisecting
 the offsets of the line starts, only where something keeps a span, a model
-element or a diagnostic, so most tokens never get one.  ``tokenize`` matches
-one precompiled pattern per token, and the parser finds component ports by
-name through one dict per component, so parsing is linear in the input.
+element or a diagnostic, so most tokens never get one.
+
+``tokenize`` has no Python loop per token.  It scans the text in chunks of
+about ``CHUNK`` characters, each cut at a newline outside block comments, so
+a chunk bounds the memory its matches take, with one ``findall`` each: texts
+come from a table of distinct matches, end offsets from summing the match
+lengths.  A block comment left open is a chunk's last match, so the chunk is
+scanned again up to the line that closes it; at the end of the text it ends
+the input.  One pass over the single characters that start no token then
+joins up identifiers that start with a non-ASCII letter and reports any
+other character.  The parser finds component ports by name through one dict
+per component, so parsing is linear in the input.
 
 Every comma list between braces or brackets goes through ``bracketed``, which
 recovers item by item, and every optional ``Keyword { ... }`` block through
@@ -28,6 +37,7 @@ the model it returns.
 import re
 from array import array
 from bisect import bisect_right
+from itertools import accumulate, compress
 
 from .diagnostics import Diagnostic, SourceSpan, ERROR
 from . import model as m
@@ -39,19 +49,21 @@ KEYWORDS = frozenset([
     "guarantees", "duration", "proof", "at", "have", "from", "with", "using",
 ])
 
-# Blanks and newlines are skipped in the prefix; then group 1 is a token (an
-# identifier, a NAT or punctuation), group 2 a comment and group 3 any other
-# character.  ``\w`` is exactly ``str.isalnum`` or "_", but no class is
-# exactly ``str.isalpha``, so an identifier that starts with a non-ASCII
-# letter falls to group 3, as do the start of an unterminated block comment
-# and a stray character.  Group 3 excludes blanks, or a trailing blank would
-# match it after backtracking.
-_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:
-      ([A-Za-z_]\w*|[0-9]+|=>|/\\|\\/|[{}()\[\],:.=])
-    | (//[^\n]*|/\*.*?\*/)
-    | ([^ \t\r\n])
-    )""", re.VERBOSE | re.DOTALL)
+# ``\w`` is exactly ``str.isalnum`` or "_", but no class is exactly
+# ``str.isalpha``, so an identifier that starts with a non-ASCII letter
+# matches as that letter alone.  A block comment left open runs to the end
+# of the scan.  The last alternative excludes blanks, or a trailing blank
+# would match it after backtracking.
+_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:=>|[{}()\[\],:.=]|[A-Za-z_]\w*|[0-9]+
+    |/\\|\\/|//[^\n]*|/\*.*?\*/|/\*.*|[^ \t\r\n])""",
+                       re.VERBOSE | re.DOTALL)
+_OPEN = re.compile(r"/\*(?:(?!\*/).)*", re.DOTALL).fullmatch
 _WORD_RE = re.compile(r"\w*")
+# A single character that starts no token.
+_STRAY = re.compile(r"[^\w{}()\[\],:.=]", re.ASCII).fullmatch
+# ``tokenize`` scans this many characters per ``findall``, and on to the
+# next newline outside block comments.
+CHUNK = 4096
 _PUNCTUATION = {
     "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
     "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ":": "COLON", ".": "DOT",
@@ -68,13 +80,13 @@ MAX_NESTING = 200
 
 class Tokens:
     """The tokens of one text, ending with EOF: ``kinds[i]``, ``texts[i]``
-    and ``starts[i]`` (its offset) describe token ``i``."""
+    and ``ends[i]`` (the offset just past it) describe token ``i``."""
 
-    __slots__ = ("file", "kinds", "texts", "starts", "line_starts")
+    __slots__ = ("file", "kinds", "texts", "ends", "line_starts")
 
     def __init__(self, text, file):
         self.file = file
-        self.kinds, self.texts, self.starts = [], [], array("l")
+        self.kinds, self.texts, self.ends = [], [], array("l")
         self.line_starts = array("l", [0] + [
             mo.end() for mo in re.finditer("\n", text)])
 
@@ -89,50 +101,82 @@ class Tokens:
 
     def span(self, i):
         """The source span of token ``i``; a token lies on one line."""
-        return self.at_offset(self.starts[i], len(self.texts[i]))
+        width = len(self.texts[i])
+        return self.at_offset(self.ends[i] - width, width)
+
+
+class _Words(dict):
+    """Match -> its token text, one string per distinct text: the blank
+    prefix is stripped once per distinct match."""
+
+    def __missing__(self, match):
+        word = match.lstrip(" \t\r\n")
+        word = self[match] = self.setdefault(word, word)
+        return word
 
 
 def tokenize(text, filename="<input>"):
     """The ``Tokens`` of text and the lexical diagnostics."""
     tokens = Tokens(text, filename)
-    texts, starts = tokens.texts, tokens.starts
-    diags = []
-    seen = {}                        # one string per distinct token text
-    pos, end = 0, len(text)
-    match = _TOKEN_RE.match
-    while True:
-        mo = match(text, pos)
-        if mo is None:               # only blanks are left
-            break
-        group = mo.lastindex
-        start, pos = mo.span(group)
-        if group == 2:
+    texts, ends, words = tokens.texts, tokens.ends, _Words()
+    find, pos, end, opened = text.find, 0, len(text), None
+    while pos < end:
+        cut = find("\n", pos + CHUNK) + 1 or end
+        matches = _TOKEN_RE.findall(text, pos, cut)
+        # a block comment open at the cut is the last match: cut after the
+        # line that closes it
+        while cut < end and matches and _OPEN(words[matches[-1]]):
+            k = find("*/", cut - len(words[matches[-1]]) + 2)
+            cut = find("\n", k + 2) + 1 or end if k >= 0 else end
+            matches = _TOKEN_RE.findall(text, pos, cut)
+        offsets = accumulate(map(len, matches), initial=pos)
+        next(offsets)
+        found = map(words.__getitem__, matches)
+        if find("//", pos, cut) >= 0 or find("/*", pos, cut) >= 0:
+            found = list(found)
+            if _OPEN(found[-1]):     # the text ends in this comment
+                opened = end - len(found[-1])
+            keep = [w[:2] not in ("//", "/*") for w in found]
+            offsets, found = compress(offsets, keep), compress(found, keep)
+        ends.extend(offsets)
+        texts.extend(found)
+        pos = cut
+    # repair the single characters that start no token, in order
+    stray = set(filter(_STRAY, words))
+    hits = [e - 1 for e, w in zip(ends, texts) if w in stray] if stray else ()
+    diags, joined, kept = [], 0, None
+    for start in hits:
+        if start < joined:
             continue
-        if group == 3:
-            if not text[start].isalpha():
-                if text.startswith("/*", start):
-                    diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
-                                            "unterminated block comment",
-                                            tokens.at_offset(start, 0)))
-                    end = start
-                    break
-                diags.append(Diagnostic(ERROR, "LEX_ERROR",
-                                        "unexpected character %r"
-                                        % text[start],
-                                        tokens.at_offset(start, 1)))
-                continue
-            pos = _WORD_RE.match(text, pos).end()
-        word = text[start:pos]
-        texts.append(seen.setdefault(word, word))
-        starts.append(start)
+        i = bisect_right(ends, start)
+        if text[start].isalpha():
+            joined = _WORD_RE.match(text, start).end()
+            word, j = text[start:joined], bisect_right(ends, joined)
+            texts[i], ends[i] = words.setdefault(word, word), joined
+            i += 1
+        else:
+            diags.append(Diagnostic(ERROR, "LEX_ERROR", "unexpected "
+                                    "character %r" % text[start],
+                                    tokens.at_offset(start, 1)))
+            j = i + 1
+        kept = kept or bytearray(b"\1") * len(texts)
+        kept[i:j] = bytes(j - i)
+    if kept:                         # drop them all in one pass
+        texts[:] = compress(texts, kept)
+        ends[:] = array("l", compress(ends, kept))
+    if opened is not None:
+        diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
+                                "unterminated block comment",
+                                tokens.at_offset(opened, 0)))
+        end = opened
     texts.append("")
-    starts.append(end)
+    ends.append(end)
     # A token's text determines its kind, so the kinds column is filled in
     # one pass here: three columns growing side by side in the loop left
     # the allocator more holes and raised the process's peak memory.
     kind_of = {word: _PUNCTUATION.get(word)
                or ("NAT" if word[0] in "0123456789" else "ID")
-               for word in seen}
+               for word in words}
     kind_of[""] = "EOF"
     tokens.kinds.extend(map(kind_of.__getitem__, texts))
     return tokens, diags
@@ -200,13 +244,14 @@ class Parser:
         """The current token's index if it has this kind (and, for a
         keyword, this text); else report it and abandon the enclosing
         item."""
-        i = self.accept(kind, text)
-        if i is None:
-            self.error("expected %s, got %r" % (
-                "'%s'" % text if text else _EXPECTED[kind],
-                self.texts[self.pos] or "<eof>"))
-            raise _ParseError()
-        return i
+        i = self.pos
+        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
+            self.pos = i + 1
+            return i
+        self.error("expected %s, got %r" % (
+            "'%s'" % text if text else _EXPECTED[kind],
+            self.texts[i] or "<eof>"))
+        raise _ParseError()
 
     def skip_balanced(self, until_kinds):
         """Panic-mode recovery: skip to a follow token at bracket depth 0."""
@@ -250,15 +295,17 @@ class Parser:
         closer = "RBRACE" if opener == "LBRACE" else "RBRACK"
         items = [] if items is None else items
         self.expect(opener)
-        while not self.at("EOF") and not self.at(closer):
+        kinds = self.kinds
+        while kinds[self.pos] != "EOF" and kinds[self.pos] != closer:
             try:
                 item = parse_item()
                 if item is not None:
                     items.append(item)
             except _ParseError:
                 self.skip_balanced(("COMMA", closer))
-            if self.accept("COMMA") is None:
+            if kinds[self.pos] != "COMMA":
                 break
+            self.pos += 1
         self.expect(closer)
         return items
 

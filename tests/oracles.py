@@ -30,6 +30,9 @@ _PUNCT = {
 }
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def naive_tokenize(text, filename="<input>"):
     """Reference for ``apml.parser.tokenize``: a character loop.
 
@@ -37,8 +40,8 @@ def naive_tokenize(text, filename="<input>"):
     diagnostics.  The package keeps its tokens in columns instead: token
     ``i`` of its ``Tokens`` is the triple ``(kinds[i], texts[i], span(i))``.
     A ``//`` comment advances the column, so EOF after a trailing comment
-    sits at the end of input.  Digits are ``str.isdigit``, so this reference
-    agrees with the package only on ASCII digits.
+    sits at the end of input.  Only ASCII digits make a NAT: any other
+    digit is a lexical error, or part of an identifier it follows.
     """
     tokens = []
     diags = []
@@ -96,9 +99,9 @@ def naive_tokenize(text, filename="<input>"):
             i += 2
             col += 2
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("NAT", text[i:j], span(l0, c0, l0, c0 + j - i)))
             col += j - i

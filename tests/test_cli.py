@@ -495,6 +495,17 @@ def test_non_ascii_digit_is_a_lex_error(tmp_path, capsys):
     assert "[LEX_ERROR]" in err and "internal" not in err
 
 
+def test_lexical_errors_match_their_golden(capsys, monkeypatch):
+    """A stray character, identifiers with non-ASCII letters, a non-ASCII
+    digit and a trailing unterminated block comment, as ``check`` reports
+    them; CI runs the same command."""
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, "check", "tests/golden/lex_errors.apml")
+    assert code == 3 and out == ""
+    assert err == (ROOT / "tests/golden/lex_errors.txt").read_text(
+        encoding="utf-8")
+
+
 @pytest.mark.parametrize("command", ["check", "fmt"])
 def test_nesting_past_the_limit_is_a_diagnostic(tmp_path, capsys, command):
     deep = "(" * 3000 + "[o = x]" + ")" * 3000

@@ -33,6 +33,29 @@ def test_reflexivity_and_symmetry():
     assert entails([m.Eq(P[0], P[1])], m.Eq(P[1], P[0])) == HOLDS
 
 
+def test_a_goal_among_the_hypothesis_literals_builds_no_model(monkeypatch):
+    """A goal whose every conjunct is an Or-free hypothesis literal holds
+    in every case, so ``entails`` answers it without building a least
+    model; a goal that must be derived still builds one."""
+    builds = []
+
+    class Counted(Congruence):
+        def __init__(self, literals=()):
+            builds.append(literals)
+            super().__init__(literals)
+
+    monkeypatch.setattr(e, "Congruence", Counted)
+    p, q = m.Eq(P[0], P[1]), m.Atom("D.P", (P[2],))
+    assert entails([p], p) == HOLDS
+    assert entails([m.conjoin([q, m.disjoin([p, q])]), p],
+                   m.conjoin([p, q])) == HOLDS
+    assert builds == []
+    assert entails([p], m.Eq(P[1], P[0])) == HOLDS
+    assert builds == [[p]]
+    # p holds in only one case of p \/ q
+    assert entails([m.disjoin([p, q])], p) == FAILS
+
+
 def test_transitivity_through_congruence():
     hyps = [m.Eq(P[0], P[1]), m.Eq(P[1], P[2])]
     assert entails(hyps, m.Eq(P[0], P[2])) == HOLDS

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apml import model as m
+from apml import parser
 from apml.parser import parse_model, tokenize, KEYWORDS, MAX_NESTING
 from apml.printer import print_model
 from apml.model import validate_structure
@@ -409,10 +410,11 @@ def test_tokenize_matches_the_reference_on_a_printed_chain():
 
 
 # Every character class the lexer tells apart, and the two-character
-# lexemes whole so that they are frequent; no non-ASCII digits, which the
-# reference lexes as NAT (the CLI tests cover them).
+# lexemes whole so that they are frequent; a superscript and an Arabic-Indic
+# digit are digits but start no token.
 _ALPHABET = (list("/\\*=>{}()[],:.") + [" ", "\t", "\n", "\r", "_", "$"]
              + list("axZ09") + ["\u00e9", "\u03a9", "\u00df"]
+             + ["\u00b2", "\u0663"]
              + ["//", "/*", "*/", "=>", "/\\", "\\/", "Pattern"])
 
 
@@ -421,6 +423,27 @@ def test_tokenize_matches_the_reference_on_random_strings():
     for _ in range(20000):
         _lexes_like_the_reference("".join(
             rng.choice(_ALPHABET) for _ in range(rng.randrange(40))))
+
+
+# Cuts between chunks fall between tokens, in blank runs, in the middle of
+# line and block comments, next to stray characters and non-ASCII
+# identifiers, and inside an unterminated comment.
+_CUT_CASES = [
+    "a\nb\n\nc", "x // c /* d\ny", "/* a\n\nb */ c\nd", "/*/\n*/ x\n/*/",
+    "/**/\n/* x */\n// /*\ny\n*/ z", "a\n$\n\u00e9\n\u00e9a\u00b2\n\u00b2b",
+    "a\n/* b\n\nc", "p\n/*\n", "\u03a9\n/* a */ \u03a9x\n#\n/* b",
+]
+
+
+@pytest.mark.parametrize("chunk", [0, 2])
+def test_tokenize_matches_the_reference_across_chunk_cuts(chunk, monkeypatch):
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    for text in _CUT_CASES:
+        _lexes_like_the_reference(text)
+    for name in ALL_CORPUS:
+        test_tokenize_matches_the_reference_on_the_corpus(name)
+    test_tokenize_matches_the_reference_on_a_printed_chain()
+    test_tokenize_matches_the_reference_on_random_strings()
 
 
 def test_tokens_take_under_40_bytes_each():
