@@ -38,6 +38,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         _fail(exc)
+    except UnicodeDecodeError as exc:
+        _fail("%s: not UTF-8 text: %s" % (path, exc))
 
 
 def _write(path, text):

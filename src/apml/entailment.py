@@ -17,7 +17,9 @@ that hold in every case, each candidate a question with its own budget.
 Truth in a least model does not depend on which further terms are
 registered in it, but which terms are match candidates does: they are read
 in registration order, the terms of earlier questions included, so each
-substitution is extended in a first-case model of its own.
+substitution is extended in a first-case model of its own.  A variable
+equated with a registered term is bound within its class (E-matching): no
+other candidate passes, and testing one would register nothing.
 """
 
 from . import model as m
@@ -151,6 +153,12 @@ class Congruence:
                 chosen[r] = i if free[i] else None
         return [self.terms[i] for i in chosen.values() if i is not None]
 
+    def representative_of(self, i):
+        """The representative of id i's class, in a list of at most one."""
+        root, free, find = self.find(i), self.free, self.find
+        return [t for j, t in enumerate(self.terms)
+                if free[j] and find(j) == root][:1]
+
 
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
     """HOLDS when the conjunction of hypotheses entails the goal, FAILS when
@@ -190,6 +198,9 @@ def match_predicate(goal, cong, variables, signature, sigma):
     of the surrounding contract.  A literal's unbound variables are read off
     its instance under the bindings so far, so a bindable variable that
     comes in with a binding, from the model or from sigma, is bound too.
+    A variable that is, as written, a side of an equality whose other side
+    is registered and holds no unbound variable is bound by class: no other
+    representative passes, and testing one would register nothing.
     """
     literals = m.conjuncts(goal)
     results = []
@@ -201,18 +212,25 @@ def match_predicate(goal, cong, variables, signature, sigma):
                 results.append(sub)
             continue
         instance = m.substitute(literals[i], sub)
-        unbound = sorted(m.free_variables(instance) & variables.keys()
-                         - sub.keys())
+        names = [n.name for n in m.nodes((m.Var,), instance)]
+        unbound = sorted(set(names) & variables.keys() - sub.keys())
         if not unbound:
             if cong.holds(instance):
                 stack.append((i + 1, sub))
             continue
-        # bind the first unbound variable to each candidate class of its
-        # sort, the first candidate on top
         v, sort = unbound[0], variables.get(unbound[0])
-        stack.extend((i, {**sub, v: t}) for t in reversed([
-            t for t in cong.value_representatives() if sort is None
-            or m.term_sort(t, signature) in (None, sort)]))
+        lit, side = literals[i], None
+        if lit.__class__ is m.Eq and len(unbound) == 1:
+            for var, other in (lit.lhs, instance.rhs), (lit.rhs, instance.lhs):
+                if var.__class__ is m.Var and var.name == v:
+                    side = other
+        by_class = side in cong.ids and names.count(v) == 1  # v not in side
+        # each candidate class of v's sort, the first on top
+        for t in reversed(cong.representative_of(cong.ids[side]) if by_class
+                          else cong.value_representatives()):
+            if sort is None or m.term_sort(t, signature) in (None, sort):
+                held = by_class and not m.free_variables(t) & variables.keys()
+                stack.append((i + 1 if held else i, {**sub, v: t}))
     return results
 
 

@@ -129,14 +129,9 @@ def _predicates(model):
 def _symbols_used(model):
     """(predicate symbols, operation symbols) referenced anywhere, in order
     of first occurrence, left to right and outside in."""
-    preds, ops = {}, {}                  # insertion-ordered sets
-    for n in m.walk(*_predicates(model)):
-        kind = n.__class__
-        if kind is m.App:
-            ops.setdefault(n.op)
-        elif kind is m.Atom:
-            preds.setdefault(n.pred)
-    return list(preds), list(ops)
+    found = m.nodes((m.App, m.Atom), *_predicates(model))
+    return ([*dict.fromkeys(n.pred for n in found if n.__class__ is m.Atom)],
+            [*dict.fromkeys(n.op for n in found if n.__class__ is m.App)])
 
 
 def symbol_params(model, config):

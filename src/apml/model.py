@@ -9,9 +9,9 @@ constructors: they splice the parts of a nested node of the same kind, and
 return a lone part unchanged.  So an ``And`` never holds an ``And``, an
 ``Or`` never holds an ``Or``, and ``a /\\ (b /\\ c)`` equals
 ``(a /\\ b) /\\ c``.  Nesting depth then counts alternations only, which the
-parser bounds.  ``walk`` visits every node of a predicate or term without
-recursing; code that needs the ports, variables or symbols of a predicate
-reads them off that walk.
+parser bounds.  ``nodes`` lists the nodes of given classes in a predicate or
+term without recursing; code that needs the ports, variables, symbols or
+equalities of a predicate reads them off that list.
 
 The signature, terms, predicates, triggers and proof references are
 ``Record``s: slotted value records that declare each field once, with its
@@ -157,18 +157,18 @@ def conjuncts(p):
     return p.parts if p.__class__ is And else (p,)
 
 
-def walk(*nodes):
-    """Every node of predicates or terms, pre-order, left to right.
+def nodes(kinds, *roots):
+    """The ``kinds`` nodes of predicates or terms, pre-order, left to right.
 
     Iterative, so neither a long chain of parts nor a deep term can exhaust
     the recursion limit.
     """
-    stack = list(nodes)
-    stack.reverse()
+    out, stack = [], list(reversed(roots))
     while stack:
         n = stack.pop()
-        yield n
         kind = n.__class__
+        if kind in kinds:
+            out.append(n)
         if kind is Var or kind is PortRef:
             continue
         if kind is Eq:
@@ -177,16 +177,17 @@ def walk(*nodes):
             stack += reversed(n.parts)
         elif kind is App or kind is Atom:
             stack += reversed(n.args)
+    return out
 
 
 def ports_of(p):
     """The ports occurring in a predicate or term."""
-    return {n.port for n in walk(p) if n.__class__ is PortRef}
+    return {n.port for n in nodes((PortRef,), p)}
 
 
 def free_variables(p):
     """Names of the contract variables occurring in a predicate or term."""
-    return {n.name for n in walk(p) if n.__class__ is Var}
+    return {n.name for n in nodes((Var,), p)}
 
 
 def substitute(p, subst):
@@ -380,7 +381,7 @@ def _check_application(kind, name, sorts, args, signature, out, span):
 def check_predicate_sorts(pred, signature, out, span=NO_SPAN):
     """Sort diagnostics of every equality and application, outside in, of
     a predicate whose references are resolved."""
-    for n in walk(pred):
+    for n in nodes((Eq, App, Atom), pred):
         if isinstance(n, Eq):
             ls, rs = term_sort(n.lhs, signature), term_sort(n.rhs, signature)
             if ls is not None and rs is not None and ls != rs:

@@ -39,6 +39,7 @@ composed trace exists and the contract holds.
 
 import bisect
 import itertools
+import sys
 
 from . import model as m
 from . import checker
@@ -213,6 +214,7 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     ExplosionError past ``budget`` nodes.  A sort without values or an
     operation without a table would make any verdict vacuous: each is a
     ValueError, sorts of free ports, then of variables, before operations.
+    So, next, is a horizon whose trace has more cells than a list holds.
     """
     conn = model.connection_map()
     free = [p for ct in model.component_types for p in ct.ports
@@ -240,6 +242,8 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     nodes = 0
     # union-find over the cells, cell k * width + i being slot i at level k
     width = len(free)
+    if width * length > sys.maxsize:
+        raise ValueError("horizon %d is too long to lay out" % horizon)
     part = list(range(width * length))
 
     def find(cell):

@@ -18,6 +18,22 @@ def corpus():
     return CORPUS
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """One entry per ``Congruence.value_representatives`` call, the
+    matcher's walk over every class, made while the test runs."""
+    from apml.entailment import Congruence
+    calls = []
+    real = Congruence.value_representatives
+
+    def counting(self):
+        calls.append(None)
+        return real(self)
+
+    monkeypatch.setattr(Congruence, "value_representatives", counting)
+    return calls
+
+
 def all_findings(verdict):
     """Every finding of a verdict: a proof's steps' in order, then its own."""
     return tuple(f for s in getattr(verdict, "steps", ())

@@ -79,6 +79,16 @@ def test_check_garbage_input(tmp_path, capsys):
     assert "EXPECTED_PATTERN" in err
 
 
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_a_model_that_is_not_utf8_is_bad_input(tmp_path, capsys, command):
+    bad = tmp_path / "bad.apml"
+    bad.write_bytes(b"\xff" + (CORPUS / "relay.apml").read_bytes())
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert "internal" not in err
+
+
 def test_check_writes_output_file(tmp_path, capsys):
     out_file = tmp_path / "report.txt"
     code, out, _ = run(capsys, "check", RADDER, "-o", str(out_file))
@@ -320,6 +330,15 @@ def test_simulate_refuses_a_universe_that_leaves_no_trace(tmp_path, capsys,
     code, out, err = run(capsys, "simulate", DUR6, "--universe", str(path))
     assert (code, out) == (3, "")
     assert missing in err
+
+
+def test_a_horizon_past_any_list_is_a_usage_error(capsys):
+    """Only a horizon whose trace overflows a list's index is run here: a
+    smaller large one would lay out every cell of its trace first."""
+    code, out, err = run(capsys, "simulate", RELAY, "--universe", TINY,
+                         "--horizon", "100000000000000000000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: horizon ") and "internal" not in err
 
 
 def test_simulate_explosion_is_inconclusive(monkeypatch, capsys):

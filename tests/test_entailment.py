@@ -212,8 +212,7 @@ def test_a_goal_past_the_budget_agrees_with_brute_force():
     while min(seen.values()) < 100:
         hyps, goal = random_entailment_case(rng)
         budget = len(product_dnf_all(hyps, float("inf")))
-        literals = [n for n in m.walk(m.conjoin(hyps + [goal]))
-                    if isinstance(n, (m.Eq, m.Atom))]
+        literals = m.nodes((m.Eq, m.Atom), *hyps, goal)
         while product_dnf(goal, budget) is not None:
             goal = m.conjoin([goal, m.disjoin([rng.choice(literals),
                                                rng.choice(literals)])])
@@ -276,6 +275,70 @@ def test_match_trigger_agrees_with_the_reference_kernel():
     assert seen["hits"] >= 200 and seen["split_hits"] >= 50
     assert seen["over_budget"] >= 100 and seen["none"] >= 5
     assert seen["several_hits"] >= 30, seen
+
+
+def _class_binding_family():
+    """(name, triggers, hypotheses, variables, answer, by class): handmade
+    matches around the class rule, each with its answer, and whether every
+    binding is found by class, without enumerating the representatives.
+
+    A variable bound to a bindable variable v leaves v where it stood in
+    the instance, and binding v then leaves the instance as it is, so v is
+    not equated with anything and every representative of its sort fits."""
+    W, V, U = (m.Var(n, SORT) for n in "wvu")
+    H = m.App("D.h", (X,))               # of sort D.W
+    w, vw = {"w": SORT}, {"v": SORT, "w": SORT}
+    return [
+        ("member-of-the-sort", [m.Eq(P[1], W)],
+         [m.Eq(P[1], P[2]), m.Eq(P[2], F(X)), m.Eq(P[1], X)], w,
+         [{"w": F(X)}], True),
+        ("member-of-another-sort", [m.Eq(W, P[1])],
+         [m.Eq(P[1], H), m.Eq(P[2], X)], w, [], True),
+        ("first-member-of-another-sort", [m.Eq(P[1], W)],
+         [m.Eq(P[1], H), m.Eq(P[1], Y)], w, [], True),
+        ("no-port-free-member", [m.Eq(P[1], W)],
+         [m.Eq(P[1], P[2]), m.Eq(P[0], X)], w, [], True),
+        ("side-not-registered", [m.Eq(F(X), W)],
+         [m.Eq(F(Y), m.Var("z", SORT)), m.Eq(X, Y)], w,
+         [{"w": F(Y)}], False),
+        ("bound-term-bindable", [m.Eq(P[1], W)],
+         [m.Eq(P[1], V), m.Eq(P[2], P[1])], vw, [{"w": V, "v": V}], False),
+        ("bound-term-bindable-two-classes", [m.Eq(P[1], W)],
+         [m.Eq(P[1], V), m.Eq(P[0], X)], vw,
+         [{"w": V, "v": V}, {"w": V, "v": X}], False),
+        ("shared-variable", [m.conjoin([m.Eq(P[0], W), m.Eq(W, P[1])])],
+         [m.Eq(P[0], X), m.Eq(P[1], X)], w, [{"w": X}], True),
+        ("shared-variable-two-classes",
+         [m.Eq(P[0], W), m.Eq(P[1], F(W))],
+         [m.Eq(P[0], X), m.Eq(P[1], F(Y))], w, [], True),
+        ("variable-on-both-sides", [m.Eq(W, F(W))],
+         [m.Eq(X, F(X)), m.Eq(P[0], F(W))], w, [{"w": X}], False),
+        ("side-with-a-bound-variable", [m.Eq(P[0], U), m.Eq(W, F(U))],
+         [m.Eq(P[0], X), m.Eq(P[1], F(X))], {"u": SORT, "w": SORT},
+         [{"u": X, "w": F(X)}], True),
+        ("implied-disjunction", [m.Eq(P[0], W)],
+         [m.Eq(P[0], X), m.disjoin([m.Eq(P[1], X), m.Eq(P[1], Y)])], w,
+         [{"w": X}], True),
+        ("case-split", [m.conjoin([m.Eq(P[0], W), m.Eq(P[1], W)])],
+         [m.Eq(P[0], X), m.disjoin([m.Eq(P[1], X), m.Eq(P[1], Y)])], w,
+         [], True),
+    ]
+
+
+@pytest.mark.parametrize("name, triggers, hyps, variables, answer, by_class",
+                         _class_binding_family(),
+                         ids=[c[0] for c in _class_binding_family()])
+def test_class_binding_agrees_with_the_reference_in_order(
+        name, triggers, hyps, variables, answer, by_class, enumerations):
+    """A variable equated with a registered term is bound to the one
+    representative of that term's class, exactly the binding, order and
+    answer the reference finds by trying every representative; a side not
+    yet registered is still matched by trying them all."""
+    args = triggers, hyps, variables, MATCH_SIGNATURE
+    got = match_trigger(*args)
+    assert _in_order(got) == _in_order(naive_match_trigger(*args))
+    assert _in_order(got) == _in_order(answer)
+    assert (not enumerations) == by_class
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in

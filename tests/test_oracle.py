@@ -786,6 +786,20 @@ def test_search_matches_each_stage_a_bounded_number_of_times(n,
     assert len(calls) <= 2 * n + 4
 
 
+def test_a_relay_chain_is_searched_and_checked_by_class(enumerations):
+    """Every trigger literal of a relay chain equates a variable with a
+    port the facts mention, so search and the check of what it finds bind
+    each variable by class and never list every class's representative."""
+    model = relay_chain_model(50)
+    contract = model.contracts[0]
+    result = search_proof(model, contract, max_steps=50)
+    assert result.status == FOUND
+    found = dataclasses.replace(contract, proof=result.proof)
+    variant = dataclasses.replace(model, contracts=(found,))
+    assert check_proof(variant, found).status == OK
+    assert enumerations == []
+
+
 def test_search_finds_a_proof_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 100
     model = relay_chain_model(n)
