@@ -34,7 +34,7 @@ def _fail(message):
 
 def _read(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         _fail(exc)

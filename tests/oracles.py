@@ -743,6 +743,102 @@ def mutate_proof(rng, proof):
     return tuple(steps)
 
 
+def _with(proof, i, time=None, state=None, refs=None):
+    """The proof with step i's time, state or reference sets replaced."""
+    s = proof[i]
+    step = m.ProofStep(s.label, s.time if time is None else time,
+                       s.state if state is None else state, s.rationale,
+                       s.refs if refs is None else refs, s.span)
+    return proof[:i] + (step,) + proof[i + 1:]
+
+
+def _with_ref(proof, i, k, ref_set):
+    """The proof with reference set k of step i replaced by ref_set."""
+    refs = proof[i].refs
+    return _with(proof, i, refs=refs[:k] + (tuple(ref_set),) + refs[k + 1:])
+
+
+def _fresh_like(term):
+    sort = (term.port.sort if isinstance(term, m.PortRef)
+            else getattr(term, "sort", ""))
+    return m.Var("zz", sort)
+
+
+def _swap_right(pred):
+    """pred with its rightmost equality side or atom argument replaced by a
+    fresh variable."""
+    if isinstance(pred, m.Eq):
+        return m.Eq(pred.lhs, _fresh_like(pred.rhs))
+    if isinstance(pred, m.Atom):
+        return m.Atom(pred.pred, pred.args[:-1] + (_fresh_like(pred.args[-1]),))
+    return type(pred)(pred.parts[:-1] + (_swap_right(pred.parts[-1]),))
+
+
+def proof_edits(model, contract):
+    """Every reference-level edit of a contract's proof, grouped by kind.
+
+    Each edit is the whole edited proof.  The kinds: retarget a reference to
+    the step itself or a later one (C1, which the parser never builds);
+    empty a reference set or drop one; add a reference from another time;
+    swap a connection for an undeclared one (its reverse) or drop it; nudge
+    a step's time by one; swap a state's right side, or conjoin to it an
+    equality that reads an input port of the rationale's owner; drop the
+    last step.
+    """
+    proof = tuple(contract.proof)
+    n = len(proof)
+    retarget, refsets, other_time, connections, nudge, states = (
+        [], [], [], [], [], [])
+    for i, s in enumerate(proof):
+        for delta in (-1, 1):
+            if s.time + delta >= 0:
+                nudge.append(_with(proof, i, time=s.time + delta))
+        states.append(_with(proof, i, state=_swap_right(s.state)))
+        owner = model.component(s.rationale.split(".")[0])
+        for port in owner.inputs if owner else ():
+            states.append(_with(proof, i, state=m.conjoin(
+                [s.state, m.Eq(m.PortRef(port), m.PortRef(port))])))
+        for k, ref_set in enumerate(s.refs):
+            refsets.append(_with_ref(proof, i, k, ()))
+            refsets.append(_with(proof, i, refs=s.refs[:k] + s.refs[k + 1:]))
+            for p, ref in enumerate(ref_set):
+                for j in range(i, n):
+                    retarget.append(_with_ref(
+                        proof, i, k, ref_set[:p] + (m.StepRef(j, ()),)
+                        + ref_set[p + 1:]))
+                if isinstance(ref, m.TriggerRef):
+                    continue
+                for c, (p_in, p_out) in enumerate(ref.connections):
+                    for conns in ((p_out, p_in),), ():
+                        ref2 = m.StepRef(ref.index, ref.connections[:c]
+                                         + conns + ref.connections[c + 1:],
+                                         ref.label)
+                        connections.append(_with_ref(
+                            proof, i, k, ref_set[:p] + (ref2,)
+                            + ref_set[p + 1:]))
+            if not ref_set:
+                continue
+            first = ref_set[0]
+            t = (contract.triggers[first.index].time
+                 if isinstance(first, m.TriggerRef)
+                 else proof[first.index].time)
+            others = [m.TriggerRef(j, trig.label)
+                      for j, trig in enumerate(contract.triggers)
+                      if trig.time != t]
+            others += [m.StepRef(j, ()) for j in range(i)
+                       if proof[j].time != t]
+            for ref in others:
+                other_time.append(_with_ref(proof, i, k, ref_set + (ref,)))
+    kinds = [retarget, refsets, other_time, connections, nudge, states,
+             [proof[:-1]] if proof else []]
+    return [kind for kind in kinds if kind]
+
+
+def mutate_proof_refs(rng, edits):
+    """One seeded edit from ``proof_edits``: a kind, then an edit of it."""
+    return rng.choice(rng.choice(edits))
+
+
 _UNIT_RE = re.compile(r"\w+|\S")
 _INSERTS = ("{", "}", "(", ")", "[", "]", ",", ":", ".", "=", "/\\", "\\/",
             "Contract", "Contracts", "var", "triggers", "guarantees",

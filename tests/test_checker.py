@@ -2,12 +2,15 @@
 
 import dataclasses
 import gc
+import hashlib
+import random
+import re
 
 import pytest
 
 from apml import model as m
-from apml.checker import (check_model, check_proof, check_step,
-                          overall_status, report_lines,
+from apml.checker import (CONDITIONS, check_model, check_proof, check_step,
+                          overall_status, report_lines, report_text,
                           OK, VIOLATED, INCONCLUSIVE, NO_PROOF)
 from apml.entailment import DEFAULT_BUDGET
 from apml.isar import emit_theory
@@ -15,7 +18,7 @@ from apml.oracle import FOUND, search_proof
 from apml.parser import parse_model
 
 from conftest import CORPUS, FOLD13, all_findings, load
-from oracles import relay_chain_model
+from oracles import mutate_proof_refs, proof_edits, relay_chain_model
 
 NAT = "Basic.NAT"
 
@@ -390,3 +393,56 @@ def test_emit_leaves_no_cyclic_garbage():
     theory, garbage = _cyclic_garbage(emit_theory, _proved_chain(50))
     assert theory.endswith("end\n") and "sorry" not in theory
     assert garbage == 0
+
+
+# ---------------------------------------------------------------------------
+# Seeded proof mutations of the corpus
+
+EDITS_PER_PROOF = 40
+
+
+def proof_mutation_runs():
+    """(line, verdicts) per seeded edit of each corpus proof.  A line is the
+    file and contract index, the edit number, the codes of every finding,
+    and a short digest of the report."""
+    runs = []
+    for name in sorted(p.name for p in CORPUS.glob("*.apml")):
+        model, _ = load(name)
+        for ci, contract in enumerate(model.contracts):
+            if contract.proof is None:
+                continue
+            edits = proof_edits(model, contract)
+            rng = random.Random("%s:%d" % (name, ci))
+            for k in range(EDITS_PER_PROOF):
+                edited = dataclasses.replace(
+                    contract, proof=mutate_proof_refs(rng, edits))
+                contracts = list(model.contracts)
+                contracts[ci] = edited
+                verdicts = check_model(dataclasses.replace(
+                    model, contracts=tuple(contracts)))
+                digest = hashlib.sha1(
+                    report_text(verdicts).encode()).hexdigest()
+                codes = [f.condition for v in verdicts
+                         for f in all_findings(v)]
+                runs.append(("%s:%d %d %s %s" % (
+                    name, ci, k, ",".join(codes) or "-", digest[:12]),
+                    verdicts))
+    return runs
+
+
+def test_mutated_corpus_proofs_check_like_the_golden():
+    """Every step condition is reached; every step finding names its step."""
+    runs = proof_mutation_runs()
+    golden = CORPUS.parent / "tests" / "golden" / "proof_mutations.txt"
+    assert "\n".join(line for line, _ in runs) + "\n" == golden.read_text()
+    seen = set()
+    for _, verdicts in runs:
+        for v in verdicts:
+            seen.update(f.condition for f in v.findings)
+            for s in v.steps:
+                for f in s.findings:
+                    seen.add(f.condition)
+                    assert f.step == s.index
+                    assert re.match(r"step (\d+)\b", f.message).group(1) \
+                        == str(s.index)
+    assert seen == CONDITIONS

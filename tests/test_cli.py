@@ -50,6 +50,21 @@ def test_check_violated(capsys):
     assert "C2 violated" in out
 
 
+@pytest.mark.parametrize("name, code", [
+    ("radder", 0), ("radder_duration6", 0), ("radder_merge1", 1),
+    ("radder_merge2", 1), ("relay", 0)])
+def test_check_matches_its_golden(name, code, capsys):
+    """tgmt's report is pinned by corpus/tgmt_verdicts.txt."""
+    assert run(capsys, "check", str(CORPUS / (name + ".apml")))[:2] == (
+        code, (ROOT / "tests" / "golden" / "check" / (name + ".txt"))
+        .read_text())
+
+
+def test_check_golden_covers_the_corpus():
+    pinned = {p.stem for p in (ROOT / "tests" / "golden" / "check").iterdir()}
+    assert pinned | {"tgmt"} == {p.stem for p in CORPUS.glob("*.apml")}
+
+
 def test_check_structural_errors_alone_exit_3(tmp_path, capsys):
     """A model whose proofs check but whose connections are malformed is bad
     input, not a violation; tgmt keeps exit 1 for its violated verdicts."""
@@ -87,6 +102,24 @@ def test_a_model_that_is_not_utf8_is_bad_input(tmp_path, capsys, command):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "not UTF-8" in err
     assert "internal" not in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_byte_order_mark_before_a_model_is_ignored(tmp_path, capsys):
+    bom = tmp_path / "relay.apml"
+    bom.write_bytes(BOM + (CORPUS / "relay.apml").read_bytes())
+    assert run(capsys, "check", str(bom)) == (
+        0, (ROOT / "tests" / "golden" / "check" / "relay.txt").read_text(), "")
+
+
+def test_a_byte_order_mark_before_a_universe_is_ignored(tmp_path, capsys):
+    bom = tmp_path / "tiny.uni"
+    bom.write_bytes(BOM + (CORPUS / "tiny.uni").read_bytes())
+    code, out, _ = run(capsys, "simulate", RELAY, "--universe", str(bom))
+    assert code == 0
+    assert "contract relayed: holds" in out
 
 
 def test_check_writes_output_file(tmp_path, capsys):
