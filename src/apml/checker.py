@@ -80,15 +80,22 @@ def _ref_name(ref):
                          else "s%d" % ref.index)
 
 
+def _fail(findings, index, condition, message, *args, status=VIOLATED):
+    """Append step ``index``'s finding: ``step N`` then ``message % args``."""
+    findings.append(Finding(condition, status,
+                            "step %d" % index + message % args, index))
+
+
 def instantiate(model, contract, steps, index, rationale, refs, findings,
                 budget=e.DEFAULT_BUDGET):
     """C1, EMPTY_REFSET, REF_ARITY, C2, UNKNOWN_CONNECTION and C3 of applying
     ``rationale`` as step ``index`` with reference sets ``refs``, for the
-    checker and proof search alike.  Appends a finding per failure; a
-    VIOLATED one already in ``findings`` fails too.  Returns the status, the
-    matching instantiations in order, the fresh per-step renaming of the
-    variables (name -> ``Var``) and the base time (None when the rationale
-    has no triggers).
+    checker and proof search alike.  Appends a finding per failure; the
+    application has failed exactly when ``findings`` is not empty on return,
+    so a finding already in it fails it too.  Returns the matching
+    instantiations in order, the fresh per-step renaming of the variables
+    (name -> ``Var``) and the base time (None when the rationale has no
+    triggers); a failed application returns ``([], None, None)``.
     """
     renaming = {name: m.Var("%s@%d" % (name, index), sort)
                 for name, sort in rationale.variables}
@@ -99,61 +106,41 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
             ok = (ref.index < len(contract.triggers)
                   if isinstance(ref, m.TriggerRef) else ref.index < index)
             if not ok:
-                findings.append(Finding(
-                    "C1", VIOLATED,
-                    "step %d references %s, which is not an architecture "
-                    "trigger or an earlier step" % (index, _ref_name(ref)),
-                    index))
+                _fail(findings, index, "C1", " references %s, which is not "
+                      "an architecture trigger or an earlier step",
+                      _ref_name(ref))
 
     for set_no, ref_set in enumerate(refs):
         if not ref_set:
-            findings.append(Finding("EMPTY_REFSET", VIOLATED,
-                                    "step %d reference set %d is empty"
-                                    % (index, set_no), index))
-    if findings and any(f.status == VIOLATED for f in findings):
-        return VIOLATED, [], None, None
+            _fail(findings, index, "EMPTY_REFSET",
+                  " reference set %d is empty", set_no)
+    if not findings and len(refs) != len(rationale.triggers):
+        _fail(findings, index, "REF_ARITY", " has %d reference sets but "
+              "rationale '%s' has %d trigger(s)", len(refs),
+              rationale.qualified, len(rationale.triggers))
 
-    n_trig = len(rationale.triggers)
-    if len(refs) != n_trig:
-        findings.append(Finding(
-            "REF_ARITY", VIOLATED,
-            "step %d has %d reference sets but rationale '%s' has %d "
-            "trigger(s)" % (index, len(refs), rationale.qualified,
-                            n_trig), index))
-        return VIOLATED, [], None, None
-    if n_trig == 0:
-        return OK, [{}], renaming, None
-
+    # each check from here on runs only while no finding is recorded
     # C2: time agreement inside each set and against the trigger offsets
     times = []
-    for set_no, ref_set in enumerate(refs):
+    for set_no, ref_set in enumerate(() if findings else refs):
         ts = sorted({reference_time(r, contract, steps) for r in ref_set})
         if len(ts) > 1:
-            findings.append(Finding(
-                "C2", VIOLATED,
-                "step %d reference set %d mixes times %s"
-                % (index, set_no, ", ".join(map(str, ts))), index))
+            _fail(findings, index, "C2", " reference set %d mixes times %s",
+                  set_no, ", ".join(map(str, ts)))
         times.append(ts[0])
-    if findings:
-        return VIOLATED, [], None, None
-    base = times[0]
-    for j, t in enumerate(times):
+    base = times[0] if times else None
+    for j, t in enumerate(() if findings else times):
         expected = base + rationale.triggers[j].time
         if t != expected:
-            findings.append(Finding(
-                "C2", VIOLATED,
-                "step %d reference set %d is at time %d, expected "
-                "%d (base %d + trigger offset %d)"
-                % (index, j, t, expected, base,
-                   rationale.triggers[j].time), index))
-    if findings:
-        return VIOLATED, [], None, None
+            _fail(findings, index, "C2", " reference set %d is at time %d, "
+                  "expected %d (base %d + trigger offset %d)", j, t,
+                  expected, base, rationale.triggers[j].time)
 
     # C3: each reference set must entail its trigger, under one shared
     # variable instantiation
     variables = {v.name: v.sort for v in renaming.values()}
     sigmas = [{}]
-    for j, ref_set in enumerate(refs):
+    for j, ref_set in enumerate(() if findings else refs):
         facts = []
         for ref in ref_set:
             if isinstance(ref, m.TriggerRef):
@@ -163,31 +150,29 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
             for p_in, p_out in ref.connections:
                 eq = model.connection_equalities.get((p_in, p_out))
                 if eq is None:
-                    findings.append(Finding(
-                        "UNKNOWN_CONNECTION", VIOLATED,
-                        "step %d uses connection (%s, %s), which the "
-                        "architecture does not declare"
-                        % (index, p_in.qualified, p_out.qualified), index))
+                    _fail(findings, index, "UNKNOWN_CONNECTION",
+                          " uses connection (%s, %s), which the "
+                          "architecture does not declare",
+                          p_in.qualified, p_out.qualified)
                 else:
                     facts.append(eq)
         if findings:
-            return VIOLATED, [], None, None
+            break
         goal = m.substitute(rationale.triggers[j].predicate, renaming)
         sigmas = e.match_trigger([goal], facts, variables, model.signature,
                                  sigmas, budget)
         if sigmas is None:
-            findings.append(Finding(
-                "C3", INCONCLUSIVE, "step %d trigger %d: " % (index, j)
-                + OVER_BUDGET % budget, index))
-            return INCONCLUSIVE, [], None, None
+            _fail(findings, index, "C3", " trigger %d: " + OVER_BUDGET, j,
+                  budget, status=INCONCLUSIVE)
+            break
         if not sigmas:
-            findings.append(Finding(
-                "C3", VIOLATED,
-                "step %d: reference set %d does not entail trigger "
-                "'%s' of '%s'" % (index, j, rationale.triggers[j].label,
-                                  rationale.qualified), index))
-            return VIOLATED, [], None, None
-    return OK, sigmas, renaming, base
+            _fail(findings, index, "C3", ": reference set %d does not "
+                  "entail trigger '%s' of '%s'", j,
+                  rationale.triggers[j].label, rationale.qualified)
+            break
+    if findings:
+        return [], None, None
+    return sigmas, renaming, base
 
 
 def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
@@ -199,35 +184,27 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
     bad = m.ports_of(step.state).difference(owner.outputs)
     if bad:
         bad = sorted(bad, key=lambda p: p.qualified)
-        findings.append(Finding(
-            "STATE_SCOPE", VIOLATED,
-            "step %d state references %s, not an output of %s"
-            % (index, ", ".join(p.qualified for p in bad), rationale.owner),
-            index))
+        _fail(findings, index, "STATE_SCOPE",
+              " state references %s, not an output of %s",
+              ", ".join(p.qualified for p in bad), rationale.owner)
 
-    status, sigmas, renaming, base = instantiate(
+    sigmas, renaming, base = instantiate(
         model, contract, steps, index, rationale, step.refs, findings, budget)
-    if status != OK:
-        return StepVerdict(index, step.label, status, tuple(findings))
-
     # C4: the step's time is the base plus the rationale's duration; a
     # trigger-less rationale's base is implied by the step time
-    if base is None:
-        if step.time < rationale.duration:
-            findings.append(Finding(
-                "C4", VIOLATED,
-                "step %d at time %d cannot apply '%s' (duration %d) with a "
-                "non-negative base time" % (index, step.time,
-                                            rationale.qualified,
-                                            rationale.duration), index))
-    elif step.time != base + rationale.duration:
-        findings.append(Finding(
-            "C4", VIOLATED,
-            "step %d is at time %d, expected %d (base %d + duration %d)"
-            % (index, step.time, base + rationale.duration, base,
-               rationale.duration), index))
+    if not findings:
+        if base is None:
+            if step.time < rationale.duration:
+                _fail(findings, index, "C4", " at time %d cannot apply "
+                      "'%s' (duration %d) with a non-negative base time",
+                      step.time, rationale.qualified, rationale.duration)
+        elif step.time != base + rationale.duration:
+            _fail(findings, index, "C4", " is at time %d, expected %d "
+                  "(base %d + duration %d)", step.time,
+                  base + rationale.duration, base, rationale.duration)
     if findings:
-        return StepVerdict(index, step.label, VIOLATED, tuple(findings))
+        return StepVerdict(index, step.label, _combine(
+            [f.status for f in findings]), tuple(findings))
 
     if len(sigmas) > 1:
         warnings.append("step %d: %d variable instantiations match; trying "
@@ -248,15 +225,13 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
             return StepVerdict(index, step.label, OK, (), tuple(warnings),
                                compose(sigma))
     if status == e.INCONCLUSIVE:
-        finding = Finding("C5", INCONCLUSIVE,
-                          "step %d: " % index + OVER_BUDGET % budget, index)
+        _fail(findings, index, "C5", ": " + OVER_BUDGET, budget,
+              status=INCONCLUSIVE)
     else:
-        finding = Finding(
-            "C5", VIOLATED,
-            "step %d: guarantee of '%s' does not entail the step state"
-            % (index, rationale.qualified), index)
-    return StepVerdict(index, step.label, finding.status, (finding,),
-                       tuple(warnings), compose(sigmas[0]))
+        _fail(findings, index, "C5", ": guarantee of '%s' does not entail "
+              "the step state", rationale.qualified)
+    return StepVerdict(index, step.label, findings[0].status,
+                       tuple(findings), tuple(warnings), compose(sigmas[0]))
 
 
 def reaches_guarantee(contract, state, budget=e.DEFAULT_BUDGET):

@@ -510,10 +510,11 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                 ref if i is None else m.StepRef(
                     i, tuple(conn for conn in into if conn[1] in ports))
                 for ref, _, i, ports in avail))
-        status, sigmas, renaming, _ = checker.instantiate(
-            model, contract, facts, len(facts), c, ref_sets, [], budget)
-        if status != checker.OK:
-            undecided |= status == checker.INCONCLUSIVE
+        found = []
+        sigmas, renaming, _ = checker.instantiate(
+            model, contract, facts, len(facts), c, ref_sets, found, budget)
+        if found:
+            undecided |= found[0].status == checker.INCONCLUSIVE
             return None
         state = _derived_state(c.guarantee, renaming, sigmas[0])
         return None if state is None else (state, tuple(ref_sets))
