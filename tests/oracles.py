@@ -12,6 +12,7 @@ import random
 import re
 from types import SimpleNamespace
 
+from apml import checker
 from apml import entailment as e
 from apml import model as m
 from apml import oracle as o
@@ -770,7 +771,8 @@ def _swap_right(pred):
     if isinstance(pred, m.Eq):
         return m.Eq(pred.lhs, _fresh_like(pred.rhs))
     if isinstance(pred, m.Atom):
-        return m.Atom(pred.pred, pred.args[:-1] + (_fresh_like(pred.args[-1]),))
+        return m.Atom(pred.pred,
+                      pred.args[:-1] + (_fresh_like(pred.args[-1]),))
     return type(pred)(pred.parts[:-1] + (_swap_right(pred.parts[-1]),))
 
 
@@ -818,10 +820,7 @@ def proof_edits(model, contract):
                             + ref_set[p + 1:]))
             if not ref_set:
                 continue
-            first = ref_set[0]
-            t = (contract.triggers[first.index].time
-                 if isinstance(first, m.TriggerRef)
-                 else proof[first.index].time)
+            t = checker.reference_time(ref_set[0], contract, proof)
             others = [m.TriggerRef(j, trig.label)
                       for j, trig in enumerate(contract.triggers)
                       if trig.time != t]

@@ -60,11 +60,6 @@ def test_check_matches_its_golden(name, code, capsys):
         .read_text())
 
 
-def test_check_golden_covers_the_corpus():
-    pinned = {p.stem for p in (ROOT / "tests" / "golden" / "check").iterdir()}
-    assert pinned | {"tgmt"} == {p.stem for p in CORPUS.glob("*.apml")}
-
-
 def test_check_structural_errors_alone_exit_3(tmp_path, capsys):
     """A model whose proofs check but whose connections are malformed is bad
     input, not a violation; tgmt keeps exit 1 for its violated verdicts."""
