@@ -26,8 +26,6 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 NO_PROOF = "no-proof"
 
-OVER_BUDGET = "hypothesis DNF exceeds budget %d"
-
 # closed set of finding codes
 CONDITIONS = frozenset([
     "REF_ARITY", "EMPTY_REFSET", "UNKNOWN_CONNECTION", "STATE_SCOPE",
@@ -159,11 +157,12 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
         if findings:
             break
         goal = m.substitute(rationale.triggers[j].predicate, renaming)
-        sigmas = e.match_trigger([goal], facts, variables, model.signature,
-                                 sigmas, budget)
-        if sigmas is None:
-            _fail(findings, index, "C3", " trigger %d: " + OVER_BUDGET, j,
-                  budget, status=INCONCLUSIVE)
+        try:
+            sigmas = e.match_trigger([goal], facts, variables,
+                                     model.signature, sigmas, budget)
+        except e.Inconclusive as why:
+            _fail(findings, index, "C3", " trigger %d: %s", j, why,
+                  status=INCONCLUSIVE)
             break
         if not sigmas:
             _fail(findings, index, "C3", ": reference set %d does not "
@@ -225,7 +224,7 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
             return StepVerdict(index, step.label, OK, (), tuple(warnings),
                                compose(sigma))
     if status == e.INCONCLUSIVE:
-        _fail(findings, index, "C5", ": " + OVER_BUDGET, budget,
+        _fail(findings, index, "C5", ": " + e.OVER_BUDGET, budget,
               status=INCONCLUSIVE)
     else:
         _fail(findings, index, "C5", ": guarantee of '%s' does not entail "
@@ -262,7 +261,7 @@ def check_proof(model, contract, budget=e.DEFAULT_BUDGET):
                 % contract.name))
         elif status == e.INCONCLUSIVE:
             findings.append(Finding("FINAL_STATE", INCONCLUSIVE,
-                                    OVER_BUDGET % budget))
+                                    e.OVER_BUDGET % budget))
         if last.time != contract.duration:
             findings.append(Finding(
                 "FINAL_TIME", VIOLATED,

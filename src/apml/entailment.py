@@ -10,16 +10,20 @@ a disjunct true there is implied and never split, and only then is the first
 one left split.  The budget caps the cases one question opens, never more
 than the hypotheses' DNF has; past it comes inconclusive, never acceptance.
 
-The kernel's invariant: match candidates come from the first hypothesis
-case, the first disjunct of every ``Or`` in order, one ``Congruence`` per
-substitution; with an ``Or`` in the hypotheses, ``entails`` keeps those
-that hold in every case, each candidate a question with its own budget.
-Truth in a least model does not depend on which further terms are
-registered in it, but which terms are match candidates does: they are read
-in registration order, the terms of earlier questions included, so each
-substitution is extended in a first-case model of its own.  A variable
-equated with a registered term is bound within its class (E-matching): no
-other candidate passes, and testing one would register nothing.
+Trigger matching binds variables to port-free class representatives in
+the least model of the first hypothesis case, the first disjunct of every
+``Or``, one model per substitution.  A variable equated with a term is bound
+to that term's class (E-matching), any other against every class the model
+has when its literal is reached.  Without an ``Or`` this is complete modulo
+congruence for every variable some literal constrains: truth in a least
+model does not depend on which terms are registered, a value of such a
+variable is congruent to a term of the model, and a class holding a
+port-free term has a representative.  The known gap: a variable that no
+literal constrains, of a sort with no port-free term in the first case,
+gets no candidate.  With an ``Or``, ``entails`` keeps the candidates that
+hold in every case.  A substitution that does holds in the first, so no
+candidate at all is a definite no; candidates of which none holds are
+inconclusive, since a witness may lie outside the first case's terms.
 """
 
 from . import model as m
@@ -29,6 +33,12 @@ DEFAULT_BUDGET = 4096
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
+
+OVER_BUDGET = "hypothesis DNF exceeds budget %d"
+
+
+class Inconclusive(Exception):
+    """Trigger matching decided nothing; the message says why."""
 
 
 def _split(preds, first=False):
@@ -138,26 +148,30 @@ class Congruence:
             return all(map(self.holds, p.parts))
         return any(map(self.holds, p.parts))
 
-    def value_representatives(self):
-        """One port-free term per class that has one: the first registered,
-        classes ordered by their first registered member.
-
-        Ports denote time-indexed observations while contract variables are
-        time-invariant values, so a variable may only be instantiated with a
-        term built from values: picking a port would smuggle one time point's
-        observation into another's.
+    def representatives(self, term=None):
+        """Each class's port-free representative, classes in the order of
+        their first registered member; with a term, registered first, only
+        its class's.  That is the first port-free member, else an application
+        in the class rebuilt over its arguments' representatives: a class has
+        one exactly when it holds a port-free term.  A port is a time-indexed
+        observation; a variable bound to one would carry it to other times.
         """
-        free, chosen = self.free, {}     # root -> first free member
-        for i, r in enumerate(map(self.find, range(len(self.terms)))):
-            if chosen.get(r) is None:    # a new class keeps its first place
-                chosen[r] = i if free[i] else None
-        return [self.terms[i] for i in chosen.values() if i is not None]
-
-    def representative_of(self, i):
-        """The representative of id i's class, in a list of at most one."""
-        root, free, find = self.find(i), self.free, self.find
-        return [t for j, t in enumerate(self.terms)
-                if free[j] and find(j) == root][:1]
+        if term is not None:
+            at = self.add_term(term)
+            self._close()
+        find, reps = self.find, {}       # root -> representative or None
+        for i, r in enumerate(map(find, range(len(self.terms)))):
+            if reps.get(r) is None:      # a new class keeps its first place
+                reps[r] = self.terms[i] if self.free[i] else None
+        grown = None in reps.values()
+        while grown:
+            grown = False
+            for i, op, args in self.apps:
+                built = [reps[find(a)] for a in args]
+                if reps[find(i)] is None and None not in built:
+                    reps[find(i)], grown = m.App(op, tuple(built)), True
+        chosen = reps.values() if term is None else [reps[find(at)]]
+        return [t for t in chosen if t is not None]
 
 
 def entails(hypotheses, goal, budget=DEFAULT_BUDGET):
@@ -199,14 +213,14 @@ def match_predicate(goal, cong, variables, signature, sigma):
     its instance under the bindings so far, so a bindable variable that
     comes in with a binding, from the model or from sigma, is bound too.
     A variable that is, as written, a side of an equality whose other side
-    is registered and holds no unbound variable is bound by class: no other
-    representative passes, and testing one would register nothing.
+    holds no unbound variable is bound to that side's class; any other is
+    listed against the classes the model has when its literal is reached.
     """
     literals = m.conjuncts(goal)
     results = []
-    stack = [(0, dict(sigma))]           # (literals satisfied, bindings)
-    while stack:
-        i, sub = stack.pop()
+    stack = [(0, dict(sigma), None)]     # (literals satisfied, bindings,
+    while stack:                         # the literal's listed classes)
+        i, sub, listed = stack.pop()
         if i == len(literals):
             if sub not in results:
                 results.append(sub)
@@ -216,21 +230,24 @@ def match_predicate(goal, cong, variables, signature, sigma):
         unbound = sorted(set(names) & variables.keys() - sub.keys())
         if not unbound:
             if cong.holds(instance):
-                stack.append((i + 1, sub))
+                stack.append((i + 1, sub, None))
             continue
         v, sort = unbound[0], variables.get(unbound[0])
         lit, side = literals[i], None
-        if lit.__class__ is m.Eq and len(unbound) == 1:
+        if lit.__class__ is m.Eq and len(unbound) == names.count(v) == 1:
             for var, other in (lit.lhs, instance.rhs), (lit.rhs, instance.lhs):
                 if var.__class__ is m.Var and var.name == v:
                     side = other
-        by_class = side in cong.ids and names.count(v) == 1  # v not in side
+        if side is None and listed is None:
+            listed = cong.representatives()
         # each candidate class of v's sort, the first on top
-        for t in reversed(cong.representative_of(cong.ids[side]) if by_class
-                          else cong.value_representatives()):
+        for t in reversed(listed if side is None
+                          else cong.representatives(side)):
             if sort is None or m.term_sort(t, signature) in (None, sort):
-                held = by_class and not m.free_variables(t) & variables.keys()
-                stack.append((i + 1 if held else i, {**sub, v: t}))
+                held = side is not None and not (m.free_variables(t)
+                                                 & variables.keys())
+                stack.append((i + 1, {**sub, v: t}, None) if held
+                             else (i, {**sub, v: t}, listed))
     return results
 
 
@@ -241,8 +258,9 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
 
     Each substitution is extended in a fresh least model of the first
     hypothesis case.  With an ``Or`` in the hypotheses, only the candidates
-    that ``entails`` accepts, each with a budget of its own, are kept: no
-    unsound match sneaks in.  None when it is inconclusive on one.
+    that ``entails`` accepts, each with a budget of its own, are kept.
+    Raises ``Inconclusive`` when ``entails`` is inconclusive on one, or when
+    there are candidates and none holds in every case.
     """
     first_case, ors = _split(hypotheses, first=True)
     subs = []
@@ -260,5 +278,8 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
     verdicts = [entails(hypotheses, m.substitute(m.conjoin(trigger_preds), s),
                         budget) for s in subs]
     if INCONCLUSIVE in verdicts:
-        return None
+        raise Inconclusive(OVER_BUDGET % budget)
+    if subs and HOLDS not in verdicts:
+        raise Inconclusive("no instantiation from the first hypothesis "
+                           "case holds in every case")
     return [s for s, v in zip(subs, verdicts) if v == HOLDS]

@@ -20,17 +20,18 @@ def corpus():
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """One entry per ``Congruence.value_representatives`` call, the
-    matcher's walk over every class, made while the test runs."""
+    """One entry per ``Congruence.representatives`` call without a term,
+    the matcher's walk over every class, made while the test runs."""
     from apml.entailment import Congruence
     calls = []
-    real = Congruence.value_representatives
+    real = Congruence.representatives
 
-    def counting(self):
-        calls.append(None)
-        return real(self)
+    def counting(self, term=None):
+        if term is None:
+            calls.append(None)
+        return real(self, term)
 
-    monkeypatch.setattr(Congruence, "value_representatives", counting)
+    monkeypatch.setattr(Congruence, "representatives", counting)
     return calls
 
 

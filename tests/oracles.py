@@ -245,120 +245,37 @@ def brute_force_entails(hyps, goal):
 # ---------------------------------------------------------------------------
 # Reference trigger matching
 
-class NaiveCongruence:
-    """Reference for ``apml.entailment.Congruence``: union-find keyed by the
-    terms themselves, re-closed over every App on every query."""
+def brute_force_match(trigger_preds, hypotheses, variables, signature,
+                      sigma=None):
+    """Every extension of sigma that binds the trigger's unbound variables
+    to port-free terms of depth <= 1 and whose instance ``entails`` accepts
+    with no budget, in a fixed order.
 
-    def __init__(self):
-        self.parent = {}
-        self.order = []                  # registration order, for determinism
-        self.apps = []                   # registered App terms
-        self.atoms = []                  # true (pred, args) facts
-
-    def add_term(self, t):
-        if t in self.parent:
-            return
-        self.parent[t] = t
-        self.order.append(t)
-        if isinstance(t, m.App):
-            self.apps.append(t)
-            for a in t.args:
-                self.add_term(a)
-
-    def find(self, t):
-        self.add_term(t)
-        root = t
-        while self.parent[root] is not root:
-            root = self.parent[root]
-        while self.parent[t] is not root:
-            self.parent[t], t = root, self.parent[t]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self.parent[ra] = rb
-
-    def assert_atom(self, pred, args):
-        for a in args:
-            self.add_term(a)
-        self.atoms.append((pred, tuple(args)))
-
-    def close(self):
-        changed = True
-        while changed:
-            changed = False
-            by_sig = {}
-            for t in self.apps:
-                sig = (t.op, tuple(self.find(a) for a in t.args))
-                other = by_sig.get(sig)
-                if other is None:
-                    by_sig[sig] = t
-                elif self.find(other) is not self.find(t):
-                    self.union(other, t)
-                    changed = True
-
-    def equal(self, a, b):
-        self.add_term(a)
-        self.add_term(b)
-        self.close()
-        return self.find(a) is self.find(b)
-
-    def holds_atom(self, pred, args):
-        for a in args:
-            self.add_term(a)
-        self.close()
-        keys = tuple(self.find(a) for a in args)
-        return any(p == pred and len(ts) == len(args)
-                   and tuple(self.find(t) for t in ts) == keys
-                   for p, ts in self.atoms)
-
-    def value_representatives(self):
-        """One port-free term per class that has one, registration order."""
-        chosen = {}
-        for t in self.order:
-            r = self.find(t)
-            if r not in chosen and not m.ports_of(m.Eq(t, t)):
-                chosen[r] = t
-        roots_in_order = []
-        for t in self.order:
-            r = self.find(t)
-            if r in chosen and r not in roots_in_order:
-                roots_in_order.append(r)
-        return [chosen[r] for r in roots_in_order]
-
-
-def naive_congruence_of(literals):
-    cong = NaiveCongruence()
-    for lit in literals:
-        if isinstance(lit, m.Eq):
-            cong.add_term(lit.lhs)
-            cong.add_term(lit.rhs)
-            cong.union(lit.lhs, lit.rhs)
-        else:
-            cong.assert_atom(lit.pred, lit.args)
-    cong.close()
-    return cong
-
-
-def _naive_holds(lit, cong):
-    if isinstance(lit, m.Or):
-        return any(_naive_holds(p, cong) for p in lit.parts)
-    if isinstance(lit, m.And):
-        return all(_naive_holds(p, cong) for p in lit.parts)
-    if isinstance(lit, m.Eq):
-        return cong.equal(lit.lhs, lit.rhs)
-    return cong.holds_atom(lit.pred, lit.args)
-
-
-def naive_entails(hypotheses, goal):
-    """Reference for ``apml.entailment.entails``, as a boolean: the goal's
-    DNF against each case of the hypotheses' DNF, both unbounded."""
-    hyp_disjuncts = product_dnf_all(list(hypotheses), float("inf"))
-    goal_disjuncts = product_dnf(goal, float("inf"))
-    return all(any(all(_naive_holds(lit, cong) for lit in g)
-                   for g in goal_disjuncts)
-               for cong in map(naive_congruence_of, hyp_disjuncts))
+    The terms are the non-bindable variables of the hypotheses and triggers
+    and each operation of the signature applied to them, sort by sort.
+    ``entails`` is judged against ``brute_force_entails`` by its own tests.
+    """
+    sigma = sigma or {}
+    trigger = m.conjoin(trigger_preds)
+    unbound = sorted(m.free_variables(m.substitute(trigger, sigma))
+                     & variables.keys() - sigma.keys())
+    leaves = sorted({n for n in m.nodes((m.Var,), *hypotheses, trigger)
+                     if n.name not in variables}, key=lambda v: v.name)
+    terms = {}                           # sort -> terms of that sort
+    for leaf in leaves:
+        terms.setdefault(leaf.sort, []).append(leaf)
+    for op, (args, result) in sorted(signature.operation_symbols.items()):
+        picks = itertools.product(*([t for t in leaves if t.sort == a]
+                                    for a in args))
+        terms.setdefault(result, []).extend(m.App(op, p) for p in picks)
+    found = []
+    for values in itertools.product(*(terms.get(variables[v], ())
+                                      for v in unbound)):
+        sub = {**sigma, **dict(zip(unbound, values))}
+        if e.entails(hypotheses, m.substitute(trigger, sub),
+                     float("inf")) == e.HOLDS:
+            found.append(sub)
+    return found
 
 
 def product_dnf(pred, budget=e.DEFAULT_BUDGET):
@@ -391,59 +308,6 @@ def product_dnf_all(preds, budget=e.DEFAULT_BUDGET):
         factors.append(d)
     return [list(itertools.chain.from_iterable(pick))
             for pick in itertools.product(*factors)]
-
-
-def naive_match_predicate(goal, cong, variables, signature, sigma):
-    """Depth-first binding of variables to class representatives, literal
-    by literal, re-reading each instance's free variables on every pop."""
-    literals = []
-    for p in m.conjuncts(goal):
-        literals.extend(m.conjuncts(p))
-    results = []
-    stack = [(0, dict(sigma))]
-    while stack:
-        i, sub = stack.pop()
-        if i == len(literals):
-            if sub not in results:
-                results.append(sub)
-            continue
-        lit = m.substitute(literals[i], sub)
-        unbound = sorted((m.free_variables(lit) & set(variables)) - set(sub))
-        if not unbound:
-            if _naive_holds(lit, cong):
-                stack.append((i + 1, sub))
-            continue
-        v = unbound[0]
-        sort = variables.get(v)
-        candidates = [t for t in cong.value_representatives()
-                      if m.term_sort(t, signature) in (None, sort)
-                      or sort is None]
-        stack.extend((i, {**sub, v: t}) for t in reversed(candidates))
-    return results
-
-
-def naive_match_trigger(trigger_preds, hypotheses, variables, signature,
-                        sigmas=({},), budget=e.DEFAULT_BUDGET):
-    """Reference for ``apml.entailment.match_trigger``, unbounded: for each
-    sigma, bind against a fresh least model of the first hypothesis case,
-    then re-verify every candidate with a full entailment check over all
-    cases; the results of all sigmas are concatenated without repeats.
-    ``budget`` is accepted for the kernel's signature and ignored."""
-    disjuncts = product_dnf_all(list(hypotheses), float("inf"))
-    verified = []
-    for sigma in sigmas:
-        cong = naive_congruence_of(disjuncts[0])
-        subs = [dict(sigma)]
-        for pred in trigger_preds:
-            subs = [s2 for s in subs
-                    for s2 in naive_match_predicate(pred, cong, variables,
-                                                    signature, s)]
-        for s in subs:
-            if all(naive_entails(hypotheses, m.substitute(p, s))
-                   for p in trigger_preds):
-                if s not in verified:
-                    verified.append(s)
-    return verified
 
 
 # ---------------------------------------------------------------------------
@@ -1232,8 +1096,11 @@ def naive_search_proof(model, contract, max_steps=32,
             goal = rename_variables(trig.predicate, renaming)
             extended = []
             for sigma in sigma_list:
-                found = e.match_trigger([goal], facts_j, variables,
-                                        signature, [sigma], budget)
+                try:
+                    found = e.match_trigger([goal], facts_j, variables,
+                                            signature, [sigma], budget)
+                except e.Inconclusive:
+                    found = None
                 if found:
                     extended.extend(s for s in found if s not in extended)
             if not extended:

@@ -44,6 +44,33 @@ def test_check_ok(capsys):
     assert out.splitlines()[0] == "contract sum: ok"
 
 
+C3 = ROOT / "tests" / "golden" / "c3"
+
+
+@pytest.mark.parametrize("name, code", [
+    ("r1", 2), ("r2", 2), ("r3", 0), ("r4", 0)])
+def test_a_c3_witness_outside_the_facts_is_never_violated(name, code,
+                                                          tmp_path, capsys):
+    """C3 reproducers that every trace over {0, 1} satisfies, with f as
+    negation.  r1 and r2 have an ``Or`` in the hypotheses and a witness
+    the first case cannot offer: check and search are inconclusive.  In r3
+    and r4 the witness is built or registered by class: both prove it, and
+    check accepts search's proof."""
+    model = C3 / (name + ".apml")
+    assert run(capsys, "check", str(model))[:2] == (
+        code, (C3 / (name + ".txt")).read_text())
+    found, out, _ = run(capsys, "search", str(model))
+    assert found == code
+    assert run(capsys, "simulate", str(model), "--universe",
+               str(C3 / "not.uni"))[0] == 0
+    if code == 0:
+        head, rest = model.read_text().split("proof {\n")
+        proved = tmp_path / (name + ".apml")
+        proved.write_text(head + "proof {\n" + out + rest.split("\n", 1)[1])
+        assert run(capsys, "check", str(proved))[:2] == (0, (
+            C3 / (name + ".txt")).read_text())
+
+
 def test_check_violated(capsys):
     code, out, _ = run(capsys, "check", MERGE1)
     assert code == 1
