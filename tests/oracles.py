@@ -526,6 +526,60 @@ def relay_chain_model(n):
                    contracts=(arch,))
 
 
+def widened_adder_model(k):
+    """The running example widened to k adders (k a power of two, at least
+    2), with no proof written.  A dispatcher ``D`` copies inputs ``i1``,
+    ``i2`` to its outputs ``o2j``, ``o2j+1`` for each adder j (duration 1);
+    adder ``Aj`` outputs their sum (duration 3); a binary tree of
+    ``merge1`` voters (duration 2) joins the sums into one output."""
+    x, y = m.Var("x", SORT), m.Var("y", SORT)
+
+    def component(name, n_inputs, n_outputs, trigger, guarantee, duration):
+        ins = tuple(m.Port("i%d" % (j + 1), name, m.INPUT, SORT)
+                    for j in range(n_inputs))
+        outs = tuple(m.Port("o%d" % j if n_outputs > 1 else "o", name,
+                            m.OUTPUT, SORT) for j in range(n_outputs))
+        pred = m.conjoin([m.Eq(m.PortRef(p), v)
+                          for p, v in zip(ins, trigger)])
+        contract = m.Contract(
+            name="c", owner=name,
+            variables=tuple((v.name, SORT) for v in dict.fromkeys(trigger)),
+            triggers=(m.Trigger("t1", pred, 0),),
+            guarantee=guarantee(outs), duration=duration)
+        return m.ComponentType(name=name, inputs=ins, outputs=outs,
+                               contracts=(contract,))
+
+    def sums(outs):
+        return m.Eq(m.PortRef(outs[0]), m.App("D.add", (x, y)))
+
+    dispatcher = component(
+        "D", 2, 2 * k, (x, y), lambda outs: m.conjoin([
+            m.Eq(m.PortRef(p), v) for p, v in zip(outs, (x, y) * k)]), 1)
+    adders = [component("A%d" % j, 2, 1, (x, y), sums, 3) for j in range(k)]
+    connections = [(a.inputs[n], dispatcher.outputs[2 * j + n])
+                   for j, a in enumerate(adders) for n in (0, 1)]
+    components, level = [dispatcher] + adders, adders
+    while len(level) > 1:
+        voters = [component("M%d" % (len(components) + j), 2, 1, (x, x),
+                            lambda outs: m.Eq(m.PortRef(outs[0]), x), 2)
+                  for j in range(len(level) // 2)]
+        connections += [(v.inputs[n], level[2 * j + n].outputs[0])
+                        for j, v in enumerate(voters) for n in (0, 1)]
+        components += voters
+        level = voters
+    arch = m.ArchitectureContract(
+        name="sum", owner="", variables=(("x", SORT), ("y", SORT)),
+        triggers=(m.Trigger("t1", m.conjoin([
+            m.Eq(m.PortRef(p), v)
+            for p, v in zip(dispatcher.inputs, (x, y))]), 0),),
+        guarantee=sums(level[0].outputs),
+        duration=4 + 2 * (k.bit_length() - 1), proof=None)
+    return m.Model(name="Wide", short_name="wide", datatypes=(m.DataType(
+        name="D", sort="V", operations=(("add", (SORT, SORT), SORT),)),),
+        component_types=tuple(components), connections=tuple(connections),
+        contracts=(arch,))
+
+
 def random_tiny_model(rng):
     """(model, universe): one to three one-input, one-output components over
     a two-valued carrier with a random unary operation and predicate.

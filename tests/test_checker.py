@@ -16,11 +16,14 @@ from apml.entailment import DEFAULT_BUDGET
 from apml.isar import emit_theory
 from apml.oracle import FOUND, search_proof
 from apml.parser import parse_model
+from apml.printer import print_term
 
 from conftest import CORPUS, FOLD13, ROOT, all_findings, load
-from oracles import mutate_proof_refs, proof_edits, relay_chain_model
+from oracles import (mutate_proof_refs, proof_edits, random_chain_model,
+                     relay_chain_model, widened_adder_model)
 
 NAT = "Basic.NAT"
+C3 = ROOT / "tests" / "golden" / "c3"       # the C3 reproducers
 
 
 def arch(model):
@@ -393,6 +396,50 @@ def test_emit_leaves_no_cyclic_garbage():
     theory, garbage = _cyclic_garbage(emit_theory, _proved_chain(50))
     assert theory.endswith("end\n") and "sorry" not in theory
     assert garbage == 0
+
+
+# ---------------------------------------------------------------------------
+# The instantiation each accepted step reports
+
+def instantiation_lines():
+    """One line per step of each written proof and of each proof search
+    finds, for the corpus, the C3 reproducers, 40 seeded random chains and
+    the widened running example at k = 4 and 8: where the proof comes from,
+    the step, its rationale and the instantiation its check reports.
+    Matching reads candidates in registration order, so this pins which one
+    it binds."""
+    sources = []
+    for path in sorted(CORPUS.glob("*.apml")) + sorted(C3.glob("*.apml")):
+        model, _ = parse_model(path.read_text())
+        for contract in model.contracts:
+            sources.append(("%s:%s" % (path.name, contract.name), model,
+                            contract))
+    sources += [("chain-%d" % seed, random_chain_model(random.Random(seed)))
+                for seed in range(40)]
+    sources += [("widened-%d" % k, widened_adder_model(k)) for k in (4, 8)]
+    lines = []
+    for source in sources:
+        origin, model, contracts = source[0], source[1], source[2:]
+        for contract in contracts or model.contracts:
+            written = contract.proof is not None
+            found = search_proof(model, contract, max_steps=64)
+            proofs = [("written", contract)] * written + [
+                ("found", dataclasses.replace(contract, proof=found.proof))
+            ] * (found.status == FOUND)
+            for how, proved in proofs:
+                for s in check_proof(model, proved).steps:
+                    inst = s.instantiation
+                    lines.append("%s %s %s %s %s" % (
+                        origin, how, s.label, proved.proof[s.index].rationale,
+                        "-" if inst is None else ", ".join(
+                            "%s=%s" % (v, print_term(t))
+                            for v, t in inst.items()) or "{}"))
+    return lines
+
+
+def test_step_instantiations_match_their_golden():
+    golden = ROOT / "tests" / "golden" / "instantiations.txt"
+    assert "\n".join(instantiation_lines()) + "\n" == golden.read_text()
 
 
 # ---------------------------------------------------------------------------
