@@ -121,11 +121,11 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
     # C2: time agreement inside each set and against the trigger offsets
     times = []
     for set_no, ref_set in enumerate(() if findings else refs):
-        ts = sorted({reference_time(r, contract, steps) for r in ref_set})
+        ts = {reference_time(r, contract, steps) for r in ref_set}
         if len(ts) > 1:
             _fail(findings, index, "C2", " reference set %d mixes times %s",
-                  set_no, ", ".join(map(str, ts)))
-        times.append(ts[0])
+                  set_no, ", ".join(map(str, sorted(ts))))
+        times.append(min(ts))
     base = times[0] if times else None
     for j, t in enumerate(() if findings else times):
         expected = base + rationale.triggers[j].time
@@ -145,13 +145,13 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
                 facts.append(contract.triggers[ref.index].predicate)
                 continue
             facts.append(steps[ref.index].state)
-            for p_in, p_out in ref.connections:
-                eq = model.connection_equalities.get((p_in, p_out))
+            for conn in ref.connections:
+                eq = model.connection_equalities.get(conn)
                 if eq is None:
                     _fail(findings, index, "UNKNOWN_CONNECTION",
                           " uses connection (%s, %s), which the "
                           "architecture does not declare",
-                          p_in.qualified, p_out.qualified)
+                          conn[0].qualified, conn[1].qualified)
                 else:
                     facts.append(eq)
         if findings:
@@ -177,7 +177,6 @@ def instantiate(model, contract, steps, index, rationale, refs, findings,
 def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
     step = steps[index]
     findings = []
-    warnings = []
     rationale = model.find_contract(step.rationale)
     owner = model.component(rationale.owner)
     bad = m.ports_of(step.state).difference(owner.outputs)
@@ -205,9 +204,9 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
         return StepVerdict(index, step.label, _combine(
             [f.status for f in findings]), tuple(findings))
 
-    if len(sigmas) > 1:
-        warnings.append("step %d: %d variable instantiations match; trying "
-                        "each in order" % (index, len(sigmas)))
+    warnings = () if len(sigmas) < 2 else (
+        "step %d: %d variable instantiations match; trying each in order"
+        % (index, len(sigmas)),)
 
     def compose(sigma):
         return {orig: sigma.get(v.name) or m.Var(orig, v.sort)
@@ -221,7 +220,7 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
             orig: sigma.get(v.name, v) for orig, v in renaming.items()})
         status = e.entails([guarantee], step.state, budget)
         if status == e.HOLDS:
-            return StepVerdict(index, step.label, OK, (), tuple(warnings),
+            return StepVerdict(index, step.label, OK, (), warnings,
                                compose(sigma))
     if status == e.INCONCLUSIVE:
         _fail(findings, index, "C5", ": " + e.OVER_BUDGET, budget,
@@ -230,7 +229,7 @@ def check_step(model, contract, steps, index, budget=e.DEFAULT_BUDGET):
         _fail(findings, index, "C5", ": guarantee of '%s' does not entail "
               "the step state", rationale.qualified)
     return StepVerdict(index, step.label, findings[0].status,
-                       tuple(findings), tuple(warnings), compose(sigmas[0]))
+                       tuple(findings), warnings, compose(sigmas[0]))
 
 
 def reaches_guarantee(contract, state, budget=e.DEFAULT_BUDGET):

@@ -115,10 +115,11 @@ def cmd_search(args):
         _write(args.output, "".join(print_step(s) + "\n"
                                     for s in result.proof))
         return EXIT_OK
-    print("%s after exploring %d fact(s)"
-          % (result.status, result.steps_explored), file=sys.stderr)
-    return (EXIT_INCONCLUSIVE if result.status == oracle.BUDGET_EXCEEDED
-            else EXIT_VIOLATED)
+    print("%s after exploring %d fact(s)" % (result.status,
+                                             result.steps_explored)
+          + (": " + result.reason if result.reason else ""), file=sys.stderr)
+    return (EXIT_VIOLATED if result.status == oracle.NO_PROOF_AT_BOUND
+            else EXIT_INCONCLUSIVE)
 
 
 def cmd_simulate(args):

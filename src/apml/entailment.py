@@ -151,15 +151,19 @@ class Congruence:
     def representatives(self, term=None):
         """Each class's port-free representative, classes in the order of
         their first registered member; with a term, registered first, only
-        its class's.  That is the first port-free member, else an application
-        in the class rebuilt over its arguments' representatives: a class has
+        its class's, read off that class alone.  That is the first port-free
+        member, else (and only then is every class read) an application in
+        the class rebuilt over its arguments' representatives: a class has
         one exactly when it holds a port-free term.  A port is a time-indexed
         observation; a variable bound to one would carry it to other times.
         """
+        find, reps = self.find, {}       # root -> representative or None
         if term is not None:
             at = self.add_term(term)
             self._close()
-        find, reps = self.find, {}       # root -> representative or None
+            for i, free in enumerate(self.free):
+                if free and find(i) == find(at):
+                    return [self.terms[i]]
         for i, r in enumerate(map(find, range(len(self.terms)))):
             if reps.get(r) is None:      # a new class keeps its first place
                 reps[r] = self.terms[i] if self.free[i] else None
@@ -226,15 +230,15 @@ def match_predicate(goal, cong, variables, signature, sigma):
                 results.append(sub)
             continue
         instance = m.substitute(literals[i], sub)
-        names = [n.name for n in m.nodes((m.Var,), instance)]
-        unbound = sorted(set(names) & variables.keys() - sub.keys())
+        unbound = [n.name for n in m.nodes((m.Var,), instance)
+                   if n.name in variables and n.name not in sub]
         if not unbound:
             if cong.holds(instance):
                 stack.append((i + 1, sub, None))
             continue
-        v, sort = unbound[0], variables.get(unbound[0])
-        lit, side = literals[i], None
-        if lit.__class__ is m.Eq and len(unbound) == names.count(v) == 1:
+        v = min(unbound)
+        sort, lit, side = variables[v], literals[i], None
+        if lit.__class__ is m.Eq and len(unbound) == 1:
             for var, other in (lit.lhs, instance.rhs), (lit.rhs, instance.lhs):
                 if var.__class__ is m.Var and var.name == v:
                     side = other
@@ -244,8 +248,9 @@ def match_predicate(goal, cong, variables, signature, sigma):
         for t in reversed(listed if side is None
                           else cong.representatives(side)):
             if sort is None or m.term_sort(t, signature) in (None, sort):
-                held = side is not None and not (m.free_variables(t)
-                                                 & variables.keys())
+                held = side is not None and (
+                    t.name not in variables if t.__class__ is m.Var
+                    else not m.free_variables(t) & variables.keys())
                 stack.append((i + 1, {**sub, v: t}, None) if held
                              else (i, {**sub, v: t}, listed))
     return results
@@ -266,7 +271,7 @@ def match_trigger(trigger_preds, hypotheses, variables, signature,
     subs = []
     for sigma in sigmas:
         first = Congruence(first_case)
-        found = [dict(sigma)]
+        found = [sigma]                  # match_predicate copies it
         for pred in trigger_preds:
             found = [s2 for s in found for s2 in
                      match_predicate(pred, first, variables, signature, s)]

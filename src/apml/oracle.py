@@ -397,21 +397,27 @@ def verify_satisfaction(model, contract, universe, horizon=None,
 # ---------------------------------------------------------------------------
 # Proof search
 
-class SearchResult(Record, defaults=dict(proof=None, steps_explored=0)):
+class SearchResult(Record, defaults=dict(proof=None, steps_explored=0,
+                                         reason="")):
     __slots__ = ("status",
                  "proof",                # of ProofStep
-                 "steps_explored")
+                 "steps_explored",
+                 "reason")               # why it is inconclusive, if it is
 
 
 def _anchored(p):
     """Does every disjunct of p's DNF have an anchored literal?  Read off p
     without building the DNF: an And's disjuncts all do when some part's
-    all do, an Or's when every part's do."""
-    if isinstance(p, m.Atom):
-        return bool(m.ports_of(p))
-    if isinstance(p, m.Eq):
-        return bool(m.ports_of(p.lhs)) != bool(m.ports_of(p.rhs))
-    return (any if isinstance(p, m.And) else all)(map(_anchored, p.parts))
+    all do, an Or's when every part's do.  A term or an atom mentioning a
+    port is anchored; the walk stops at the first port."""
+    kind = p.__class__
+    if kind is m.App or kind is m.Atom:
+        return any(map(_anchored, p.args))
+    if kind is m.Eq:
+        return _anchored(p.lhs) != _anchored(p.rhs)
+    if kind is m.And or kind is m.Or:
+        return (any if kind is m.And else all)(map(_anchored, p.parts))
+    return kind is m.PortRef
 
 
 def _anchors(contract):
@@ -426,8 +432,8 @@ def _derived_state(guarantee, renaming, sigma):
     for any conjuncts of the guarantee); None if no conjunct is left."""
     bound = {orig: sigma[v.name] for orig, v in renaming.items()
              if v.name in sigma}
-    unbound = renaming.keys() - bound.keys()
-    if unbound:
+    if len(bound) < len(renaming):
+        unbound = renaming.keys() - bound.keys()
         guarantee = m.conjoin([p for p in m.conjuncts(guarantee)
                                if not m.free_variables(p) & unbound])
     return None if guarantee is None else m.substitute(guarantee, bound)
@@ -443,9 +449,9 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     its first instantiation.  Each fact at the architecture's duration is
     judged when it is added, by the checker's ``reaches_guarantee``, and
     search stops at the first one that entails the guarantee.  A new fact past
-    ``max_steps`` facts is refused, and search ends ``budget-exceeded``;
-    saturation without a goal is ``budget-exceeded`` too if some
-    application's C3 or some goal check was inconclusive.
+    ``max_steps`` facts is refused, and search ends ``budget-exceeded``; so
+    does saturation without a goal after a C3 or goal check past the DNF
+    budget, else ``inconclusive`` after another undecided C3 (its reason).
 
     Indexes kept up to date as facts are added replace the scans of all
     facts and connections on every try: the references at each time
@@ -469,20 +475,21 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     candidate.  Only skipped tries differ from trying every known base, so
     the facts, their order and the result are the same.
     """
-    feeds = {}                       # output port -> inputs it feeds
+    feeds = {}                       # output port -> it and inputs it feeds
     for p_in, p_out in model.connections:
-        feeds.setdefault(p_out, []).append(p_in)
+        feeds.setdefault(p_out, [p_out]).append(p_in)
     facts = []                       # derived ProofSteps, in discovery order
     keys = set()                     # (time, state, rationale) of facts
     refs = {}                        # time -> [(ref, state, position, ports)]
     port_times = {}                  # port -> times it is visible at
-    undecided = False                # some C3 or goal check inconclusive
+    over_budget = False              # some C3 or goal check past budget
+    undecided = ""                   # the first other inconclusive C3
 
     def add_ref(time, ref, state, position):
         ports = m.ports_of(state)
         refs.setdefault(time, []).append((ref, state, position, ports))
         for p in ports:
-            for q in [p] + feeds.get(p, []):
+            for q in feeds.get(p, (p,)):
                 port_times.setdefault(q, set()).add(time)
 
     for j, t in enumerate(contract.triggers):
@@ -500,21 +507,24 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     def derive(c, into, base):
         """(state, reference sets) of a fact applying c at base, or None.
         A fact's reference carries the connections of into from its ports."""
-        nonlocal undecided
+        nonlocal over_budget, undecided
         ref_sets = []
         for trig in c.triggers:
             avail = refs.get(base + trig.time)
             if not avail:
                 return None
-            ref_sets.append(tuple(
+            ref_sets.append(tuple([
                 ref if i is None else m.StepRef(
-                    i, tuple(conn for conn in into if conn[1] in ports))
-                for ref, _, i, ports in avail))
+                    i, tuple([conn for conn in into if conn[1] in ports]))
+                for ref, _, i, ports in avail]))
         found = []
         sigmas, renaming, _ = checker.instantiate(
             model, contract, facts, len(facts), c, ref_sets, found, budget)
         if found:
-            undecided |= found[0].status == checker.INCONCLUSIVE
+            if found[0].status == checker.INCONCLUSIVE:
+                cause = found[0].message.split(" ", 2)[2]  # step N trigger J
+                over_budget |= cause.endswith(e.OVER_BUDGET % budget)
+                undecided = undecided or "%s: %s" % (c.qualified, cause)
             return None
         state = _derived_state(c.guarantee, renaming, sigmas[0])
         return None if state is None else (state, tuple(ref_sets))
@@ -579,10 +589,13 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
             status = checker.reaches_guarantee(contract, state, budget)
             if status == e.HOLDS:
                 break
-            undecided |= status == e.INCONCLUSIVE
+            over_budget |= status == e.INCONCLUSIVE
     else:
-        return SearchResult(BUDGET_EXCEEDED if undecided
-                            else NO_PROOF_AT_BOUND, steps_explored=len(facts))
+        if over_budget:
+            return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
+        return SearchResult(checker.INCONCLUSIVE if undecided
+                            else NO_PROOF_AT_BOUND,
+                            steps_explored=len(facts), reason=undecided)
 
     # the facts the goal, the last fact, reaches: a fact cites earlier ones
     # only, so one backward pass finds them

@@ -351,6 +351,28 @@ MATCH_SIGNATURE = m.Signature([m.DataType(
                 ("h", ("D.V",), "D.W")))])
 
 
+def random_congruence(rng):
+    """A least model of up to four random equalities over variables a, b,
+    ports p, q and operations f, g, with up to four more terms registered
+    after its unions, so that some applications come in after the classes
+    they join.  Ports make classes with no port-free member."""
+    leaves = [m.Var("a", SORT), m.Var("b", SORT)] + [
+        m.PortRef(m.Port(name, "C", m.OUTPUT, SORT)) for name in "pq"]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(leaves)
+        if rng.random() < 0.5:
+            return m.App("D.f", (term(depth - 1),))
+        return m.App("D.g", (term(depth - 1), term(depth - 1)))
+
+    cong = e.Congruence([m.Eq(term(2), term(2))
+                         for _ in range(rng.randint(0, 4))])
+    for _ in range(rng.randint(0, 4)):
+        cong.add_term(term(3))
+    return cong
+
+
 def random_match_case(rng):
     """(trigger predicates, hypotheses, variables, sigmas, budget) for
     ``match_trigger`` over ``MATCH_SIGNATURE``.

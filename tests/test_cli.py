@@ -71,6 +71,19 @@ def test_a_c3_witness_outside_the_facts_is_never_violated(name, code,
             C3 / (name + ".txt")).read_text())
 
 
+@pytest.mark.parametrize("name", ["r1", "r2"])
+def test_search_names_an_undecided_trigger_check(name, capsys):
+    """No budget runs out on R1 or R2: search is inconclusive for the
+    reason check gives, and names the rationale whose C3 it is.  Under a
+    DNF budget the C3 runs past, the budget is named instead."""
+    model = str(C3 / (name + ".apml"))
+    assert run(capsys, "search", model) == (
+        2, "", "inconclusive after exploring 0 fact(s): B.g: trigger 0: no "
+        "instantiation from the first hypothesis case holds in every case\n")
+    assert run(capsys, "search", model, "--dnf-budget", "1") == (
+        2, "", "budget-exceeded after exploring 0 fact(s)\n")
+
+
 def test_check_violated(capsys):
     code, out, _ = run(capsys, "check", MERGE1)
     assert code == 1

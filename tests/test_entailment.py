@@ -1,5 +1,6 @@
 """Congruence-based entailment against the brute-force finite oracle."""
 
+import copy
 import itertools
 import random
 
@@ -15,8 +16,9 @@ from apml.entailment import (Congruence, entails, match_trigger,
 
 from conftest import CORPUS, load
 from oracles import (brute_force_entails, brute_force_match, product_dnf,
-                     product_dnf_all, random_entailment_case,
-                     random_match_case, MATCH_SIGNATURE, SORT)
+                     product_dnf_all, random_congruence,
+                     random_entailment_case, random_match_case,
+                     MATCH_SIGNATURE, SORT)
 
 P = [m.PortRef(m.Port("p%d" % i, "C", "output", SORT)) for i in range(4)]
 X = m.Var("x", SORT)
@@ -26,6 +28,28 @@ SIG = m.Signature([m.DataType(name="D", sort="V",
                               predicates=(("P", ("D.V",)),),
                               operations=(("f", ("D.V",), "D.V"),
                                           ("g", ("D.V", "D.V"), "D.V")))])
+
+
+def test_a_terms_representative_is_its_classs_entry_in_the_table(
+        enumerations):
+    """On 500 seeded random congruences, ``representatives(t)`` for each
+    registered t is the entry of t's class in the table of every class, and
+    building that table is the only enumeration.  A registered port-free
+    member, an application rebuilt over its arguments' entries and no entry
+    at all each come up."""
+    seen = set()
+    for seed in range(500):
+        cong = random_congruence(random.Random(seed))
+        registered = list(cong.terms)
+        answers = [cong.representatives(t) for t in registered]
+        assert enumerations == [None] * seed
+        table = cong.representatives()
+        probe = copy.deepcopy(cong)      # a table entry joins its class there
+        for t, answer in zip(registered, answers):
+            assert answer == [r for r in table if probe.holds(m.Eq(r, t))]
+            seen.add("none" if not answer else "registered"
+                     if answer[0] in registered else "rebuilt")
+    assert seen == {"none", "registered", "rebuilt"}
 
 
 def test_reflexivity_and_symmetry():

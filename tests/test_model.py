@@ -446,7 +446,7 @@ RECORDS = [
     (checker.ProofVerdict, dict(contract="c", status=checker.OK, steps=(),
                                 findings=()), ()),
     (oracle.SearchResult, dict(status=oracle.FOUND, proof=(),
-                               steps_explored=1), ()),
+                               steps_explored=1, reason="why"), ()),
     (m.Contract, CONTRACT, ("span",)),
     (m.ArchitectureContract, dict(CONTRACT, owner="", proof=(STEP,)),
      ("span",)),
@@ -476,7 +476,7 @@ DEFAULTS = {
     checker.Finding: dict(step=-1),
     checker.StepVerdict: dict(findings=(), warnings=(), instantiation=None),
     checker.ProofVerdict: dict(steps=(), findings=()),
-    oracle.SearchResult: dict(proof=None, steps_explored=0),
+    oracle.SearchResult: dict(proof=None, steps_explored=0, reason=""),
     m.Contract: dict(span=NO_SPAN),
     m.ArchitectureContract: dict(span=NO_SPAN, proof=None),
     m.ProofStep: dict(span=NO_SPAN),
