@@ -478,7 +478,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
     feeds = {}                       # output port -> it and inputs it feeds
     for p_in, p_out in model.connections:
         feeds.setdefault(p_out, [p_out]).append(p_in)
-    facts = []                       # derived ProofSteps, in discovery order
+    facts = []                       # derived ProofSteps s<i>, discovery order
     keys = set()                     # (time, state, rationale) of facts
     refs = {}                        # time -> [(ref, state, position, ports)]
     port_times = {}                  # port -> times it is visible at
@@ -515,7 +515,8 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
                 return None
             ref_sets.append(tuple([
                 ref if i is None else m.StepRef(
-                    i, tuple([conn for conn in into if conn[1] in ports]))
+                    i, tuple([conn for conn in into if conn[1] in ports]),
+                    "s%d" % i)
                 for ref, _, i, ports in avail]))
         found = []
         sigmas, renaming, _ = checker.instantiate(
@@ -584,7 +585,8 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
             return SearchResult(BUDGET_EXCEEDED, steps_explored=len(facts))
         keys.add((time, state, rationale))
         add_ref(time, None, state, len(facts))
-        facts.append(m.ProofStep("", time, state, rationale, ref_sets))
+        facts.append(m.ProofStep("s%d" % len(facts), time, state, rationale,
+                                 ref_sets))
         if time == contract.duration:
             status = checker.reaches_guarantee(contract, state, budget)
             if status == e.HOLDS:
@@ -604,6 +606,9 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
         if i in needed:
             needed.update(r.index for ref_set in facts[i].refs
                           for r in ref_set if isinstance(r, m.StepRef))
+    if len(needed) == len(facts):    # every fact is cited, as numbered
+        return SearchResult(FOUND, proof=tuple(facts),
+                            steps_explored=len(facts))
     new_index = {i: k for k, i in enumerate(sorted(needed))}
     steps = []
     for i, k in new_index.items():
