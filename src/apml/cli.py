@@ -115,9 +115,9 @@ def cmd_search(args):
         _write(args.output, "".join(print_step(s) + "\n"
                                     for s in result.proof))
         return EXIT_OK
-    print("%s after exploring %d fact(s)" % (result.status,
-                                             result.steps_explored)
-          + (": " + result.reason if result.reason else ""), file=sys.stderr)
+    reason = ": " + result.reason if result.reason else ""
+    print("%s after exploring %d fact(s)%s" % (
+        result.status, result.steps_explored, reason), file=sys.stderr)
     return (EXIT_VIOLATED if result.status == oracle.NO_PROOF_AT_BOUND
             else EXIT_INCONCLUSIVE)
 

@@ -523,7 +523,7 @@ def search_proof(model, contract, max_steps=32, budget=e.DEFAULT_BUDGET):
             model, contract, facts, len(facts), c, ref_sets, found, budget)
         if found:
             if found[0].status == checker.INCONCLUSIVE:
-                cause = found[0].message.split(" ", 2)[2]  # step N trigger J
+                cause = found[0].message.split(" ", 2)[2]  # less "step N"
                 over_budget |= cause.endswith(e.OVER_BUDGET % budget)
                 undecided = undecided or "%s: %s" % (c.qualified, cause)
             return None

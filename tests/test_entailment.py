@@ -30,7 +30,7 @@ SIG = m.Signature([m.DataType(name="D", sort="V",
                                           ("g", ("D.V", "D.V"), "D.V")))])
 
 
-def test_a_terms_representative_is_its_classs_entry_in_the_table(
+def test_a_terms_representative_is_its_class_entry_in_the_table(
         enumerations):
     """On 500 seeded random congruences, ``representatives(t)`` for each
     registered t is the entry of t's class in the table of every class, and
