@@ -205,7 +205,9 @@ def test_emit_isar_strict_mode_fails_on_unmapped_symbols(capsys):
     code, _, err = run(capsys, "emit-isar", str(CORPUS / "tgmt.apml"),
                        "--strict-symbols")
     assert code == 3
-    assert "UNMAPPED_SYMBOL" in err
+    # the first symbol the theory uses: doorsOpened's first trigger
+    assert err == ("error: UNMAPPED_SYMBOL: no Isabelle image for "
+                   "'DoorReleaseStatus.DT_DoorReleaseStatus_Released'\n")
 
 
 # ---------------------------------------------------------------------------

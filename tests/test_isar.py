@@ -197,3 +197,80 @@ def test_proof_missing_the_guarantee_ends_open_naming_its_conditions():
         "  thus ?thesis sorry (* FINAL_STATE violated, FINAL_TIME violated *)"
     assert closing("trainOpensTheDoorOnTheRightSide") == \
         "  thus ?thesis by auto"
+
+
+# a model whose symbols share base names: A.f and B.f, A.ok and B.ok
+_SYMBOLS = """
+Pattern P ShortName p {
+  DTSpec {
+    DT A ( Sort S Operation f: A.S => A.S Predicate ok: A.S ),
+    DT B ( Operation f: A.S => A.S Predicate ok: A.S )
+  }
+  CTypes { CType C {
+    InputPorts { InputPort i (Type: A.S) }
+    OutputPorts { OutputPort o (Type: A.S) }
+    Contracts { Contract c {
+      var _x: A.S
+      %s
+      guarantees { %s }
+      duration 1
+    } }
+  } }
+  Contracts { Contract arch {
+    var y: A.S
+    triggers { t1: %s }
+    guarantees { [C.o = y] }
+    duration 1
+    proof { s0: at 1 have %s from [ t1 ] using C.c }
+  } }
+}"""
+
+
+def _symbol_theory(triggers="triggers { t1: [i = _x] }",
+                   guarantee="[o = _x]", arch_trigger="[C.i = y]",
+                   state="[C.o = y]"):
+    model, diags = parse_model(
+        _SYMBOLS % (triggers, guarantee, arch_trigger, state))
+    assert not diags, diags
+    return emit_theory(model, EmitConfig(comments=False))
+
+
+def _symbol_fixes(theory):
+    """The locale's symbol parameters, in the order it fixes them."""
+    lines = theory.splitlines()
+    start = lines.index("  fixes") + 2          # past the ports
+    end = next(k for k, l in enumerate(lines) if l.startswith("  assumes"))
+    return lines[start:end]
+
+
+def test_a_name_not_starting_with_a_letter_gets_a_v_prefix():
+    theory = _symbol_theory()
+    assert ('assumes c: "\\<And>n v_x. \\<lbrakk>ci n = v_x\\<rbrakk> '
+            '\\<Longrightarrow> co (n+1) = v_x"') in theory
+
+
+def test_a_symbol_whose_base_name_is_taken_gets_its_qualified_name():
+    theory = _symbol_theory(guarantee="[o = B.f[A.f[_x]]]")
+    # outside in: the outer B.f claims the base name
+    assert _symbol_fixes(theory) == ['    and f::"S \\<Rightarrow> S"',
+                                     '    and A_f::"S \\<Rightarrow> S"']
+    assert 'co (n+1) = f (A_f v_x)"' in theory
+
+
+def test_a_contract_names_its_trigger_symbols_before_its_guarantee():
+    theory = _symbol_theory(triggers="triggers { t1: [i = B.f[_x]] }",
+                            guarantee="[o = A.f[_x]]")
+    assert _symbol_fixes(theory) == ['    and f::"S \\<Rightarrow> S"',
+                                     '    and A_f::"S \\<Rightarrow> S"']
+    assert ('"\\<And>n v_x. \\<lbrakk>ci n = f v_x\\<rbrakk> '
+            '\\<Longrightarrow> co (n+1) = A_f v_x"') in theory
+
+
+def test_a_symbol_first_used_by_the_architecture_is_fixed_in_the_locale():
+    theory = _symbol_theory(arch_trigger="[C.i = y] /\\ B.ok[y]",
+                            state="[C.o = y] /\\ A.ok[y]")
+    assert _symbol_fixes(theory) == [
+        '    and ok::"S \\<Rightarrow> bool"',
+        '    and A_ok::"S \\<Rightarrow> bool"']
+    assert 'assumes a0: "ci n = y \\<and> ok y"' in theory
+    assert 's0: "co (n+1) = y \\<and> A_ok y" using c' in theory
