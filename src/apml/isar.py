@@ -118,61 +118,22 @@ def _contracts(model):
         list(model.contracts)
 
 
-def _predicates(model):
-    """Every trigger, guarantee and proof state, in declaration order."""
-    for c in _contracts(model):
-        yield from (t.predicate for t in c.triggers)
-        yield c.guarantee
-        yield from (s.state for s in getattr(c, "proof", None) or ())
-
-
-def _symbols_used(model):
-    """(predicate symbols, operation symbols) referenced anywhere, in order
-    of first occurrence, left to right and outside in."""
-    found = m.nodes((m.App, m.Atom), *_predicates(model))
-    return ([*dict.fromkeys(n.pred for n in found if n.__class__ is m.Atom)],
-            [*dict.fromkeys(n.op for n in found if n.__class__ is m.App)])
-
-
-def symbol_params(model, config):
-    """Locale parameter name and type for every non-built-in symbol."""
-    signature = model.signature
-    preds, ops = _symbols_used(model)
-    params = {}                      # qualified symbol -> (name, type)
-    used = set()
-    for q in preds + ops:
-        base = q.rpartition(".")[2]
-        if base in INFIX_OPS and q in ops:
-            continue
-        if config.strict_symbols:
-            raise UnmappedSymbol(q)
-        name = _sanitize(base)
-        if name in used:
-            name = _sanitize(q.replace(".", "_"))
-        used.add(name)
-        if q in preds:
-            sorts = [sort_name(s) for s in signature.predicate_symbols[q]]
-            sorts.append("bool")
-        else:
-            args, result = signature.operation_symbols[q]
-            sorts = [sort_name(s) for s in args + (result,)]
-        params[q] = (name, " \\<Rightarrow> ".join(sorts))
-    return params
-
-
 # ---------------------------------------------------------------------------
 # Predicate rendering
 
 class Renderer:
     """Names and predicate text for one emit under its config; each name is
-    sanitized once."""
+    sanitized once.  A symbol without a built-in image becomes a locale
+    parameter when it is first rendered, so ``params`` lists those rendered
+    so far, in order of first use."""
 
     def __init__(self, model, config=None):
         self.model = model
         self.config = config or EmitConfig()
         self.names = {}                  # name -> sanitized name
         self.ports = port_names(model)
-        self.params = symbol_params(model, self.config)
+        self.params = {}                 # qualified symbol -> (name, type)
+        self.taken = set()               # parameter names given out
         self.assumptions = _assumption_names(model)
 
     def name(self, raw):
@@ -180,6 +141,25 @@ class Renderer:
         if clean is None:
             clean = self.names[raw] = _sanitize(raw)
         return clean
+
+    def param(self, q):
+        """The locale parameter of symbol q, named and typed on first use:
+        its base name, or its qualified name when the base name is taken."""
+        found = self.params.get(q)
+        if found is None:
+            name = _sanitize(q.rpartition(".")[2])
+            if name in self.taken:
+                name = _sanitize(q.replace(".", "_"))
+            self.taken.add(name)
+            signature = self.model.signature
+            if q in signature.predicate_symbols:   # a map into bool
+                sorts = signature.predicate_symbols[q] + ("BOOLEAN",)
+            else:
+                args, result = signature.operation_symbols[q]
+                sorts = args + (result,)
+            found = self.params[q] = (name, " \\<Rightarrow> ".join(
+                sort_name(s, self.name) for s in sorts))
+        return found[0]
 
     def connection_names(self, p_in, p_out):
         """A connection's assumption name, input first, then the legacy
@@ -204,9 +184,8 @@ class Renderer:
                 self.term(a, time, atomic=a.__class__ is m.App)
                 for a in t.args)
             return "(%s)" % s if atomic else s
-        name = self.params[t.op][0]
-        s = " ".join([name] + [self.term(a, time, atomic=True)
-                               for a in t.args])
+        s = " ".join([self.param(t.op)] + [self.term(a, time, atomic=True)
+                                           for a in t.args])
         return "(%s)" % s if atomic else s
 
     def predicate(self, p, time, outer=True):
@@ -222,7 +201,7 @@ class Renderer:
         if kind is m.Or:
             return "(%s)" % " \\<or> ".join(
                 self.predicate(d, time, outer=False) for d in p.parts)
-        return " ".join([self.params[p.pred][0]] + [
+        return " ".join([self.param(p.pred)] + [
             self.term(a, time, atomic=True) for a in p.args])
 
     def premises(self, p, time):
@@ -250,17 +229,32 @@ def _assumption_names(model):
 def contract_assumption(renderer, contract):
     vars_ = " ".join(renderer.name(n) for n, _ in contract.variables)
     binder = "\\<And>n%s. " % ((" " + vars_) if vars_ else "")
-    concl = renderer.predicate(contract.guarantee, contract.duration)
-    if not contract.triggers:
-        return '"%s%s"' % (binder, concl)
     prems = []
     for t in contract.triggers:
         prems.extend(renderer.premises(t.predicate, t.time))
+    concl = renderer.predicate(contract.guarantee, contract.duration)
+    if not contract.triggers:
+        return '"%s%s"' % (binder, concl)
     return '"%s\\<lbrakk>%s\\<rbrakk> \\<Longrightarrow> %s"' % (
         binder, "; ".join(prems), concl)
 
 
-def emit_locale(r):
+def locale_assumptions(r):
+    """(name, text) of each locale assumption: one per component contract,
+    then one per connection, or two with legacy connection names."""
+    model = r.model
+    assumes = [(r.assumptions[c.qualified], contract_assumption(r, c))
+               for ct in model.component_types for c in ct.contracts]
+    for p_in, p_out in model.connections:
+        text = '"\\<And>n. %s n = %s n"' % (r.ports[p_in.qualified],
+                                          r.ports[p_out.qualified])
+        assumes.extend((name, text)
+                       for name in r.connection_names(p_in, p_out))
+    return assumes
+
+
+def emit_locale(r, assumes):
+    """The locale: its ports, the symbols rendered so far, then assumes."""
     model = r.model
     lines = ["locale %s =" % _sanitize(model.short_name or model.name)]
     lines.append("  fixes")
@@ -271,15 +265,8 @@ def emit_locale(r):
                  % (r.ports[p.qualified], sort_name(p.sort, r.name))
                  for p in ct.ports]
         lines.append(("    and " if k else "    ") + " and ".join(decls))
-    for q, (name, ty) in r.params.items():
+    for name, ty in r.params.values():
         lines.append('    and %s::"%s"' % (name, ty))
-    assumes = [(r.assumptions[c.qualified], contract_assumption(r, c))
-               for ct in model.component_types for c in ct.contracts]
-    for p_in, p_out in model.connections:
-        text = '"\\<And>n. %s n = %s n"' % (r.ports[p_in.qualified],
-                                          r.ports[p_out.qualified])
-        assumes.extend((name, text)
-                       for name in r.connection_names(p_in, p_out))
     if assumes:
         lines.append("  assumes " + "%s: %s" % assumes[0])
         for name, text in assumes[1:]:
@@ -357,18 +344,13 @@ def emit_isar_proof(r, contract, verdict):
 
 
 def emit_theory(model, config=None):
-    """Complete theory file for a model."""
+    """Complete theory file for a model.  The locale's assumptions and the
+    theorems are rendered first; the header then declares the symbols they
+    use, predicates before operations, each in order of first use."""
     r = Renderer(model, config)
-    theory = _sanitize(model.short_name or model.name)
-    out = ["theory %s" % theory, "  imports Main", "begin", ""]
-    sorts = unmapped_sorts(model, r.params)
-    out.extend("typedecl %s" % s for s in sorts)
-    if sorts:
-        out.append("")
-    out.append(emit_locale(r))
-    out.append("begin")
-    out.append("")
+    assumes = locale_assumptions(r)
     verdicts = checker.check_model(model)
+    out = ["begin", ""]
     seen = {}
     for idx, contract in enumerate(model.contracts):
         name = _sanitize(contract.name)
@@ -381,7 +363,15 @@ def emit_theory(model, config=None):
         else:
             out.append(emit_isar_proof(r, contract, verdicts[idx]))
         out.append("")
-    out.append("end")
-    out.append("")
-    out.append("end")
-    return "\n".join(out) + "\n"
+    out += ["end", "", "end"]
+    preds = model.signature.predicate_symbols
+    r.params = dict(sorted(r.params.items(), key=lambda p: p[0] not in preds))
+    if r.params and r.config.strict_symbols:
+        raise UnmappedSymbol(next(iter(r.params)))
+    sorts = unmapped_sorts(model, r.params)
+    head = ["theory %s" % _sanitize(model.short_name or model.name),
+            "  imports Main", "begin", ""]
+    head += ["typedecl %s" % s for s in sorts]
+    if sorts:
+        head.append("")
+    return "\n".join(head + [emit_locale(r, assumes)] + out) + "\n"

@@ -5,8 +5,8 @@ import pathlib
 import pytest
 
 from apml.isar import (EmitConfig, Renderer, UnmappedSymbol, abbreviate,
-                       emit_locale, emit_theory, port_names, sort_name,
-                       unmapped_sorts)
+                       emit_locale, emit_theory, locale_assumptions,
+                       port_names, sort_name, unmapped_sorts)
 from apml.parser import parse_model
 
 from conftest import load, ROOT
@@ -30,7 +30,8 @@ def test_emission_is_deterministic(radder):
 
 
 def test_locale_assumption_counts(radder):
-    locale = emit_locale(Renderer(radder))
+    r = Renderer(radder)
+    locale = emit_locale(r, locale_assumptions(r))
     assume_lines = [l for l in locale.splitlines() if ': "' in l]
     # six contract assumptions then six connection assumptions
     assert len(assume_lines) == 6 + 6
@@ -109,7 +110,9 @@ Pattern P ShortName p {
   } }
 }""")
     assert not diags, diags
-    assert unmapped_sorts(model, Renderer(model).params) == ["KEY", "WID"]
+    r = Renderer(model)
+    locale_assumptions(r)            # names the symbols the contract uses
+    assert unmapped_sorts(model, r.params) == ["KEY", "WID"]
     theory = emit_theory(model)
     assert "typedecl KEY\ntypedecl WID\n" in theory
     assert 'h::"KEY \\<Rightarrow> nat"' in theory
