@@ -1131,10 +1131,15 @@ def naive_search_proof(model, contract, max_steps=32,
     assembled and whose triggers are entailed.  Search stops when a fact at
     the architecture's duration that entails its guarantee is added, and a
     new fact past ``max_steps`` facts ends it ``budget-exceeded``.
+    Saturation without a goal ends ``budget-exceeded`` after a trigger or
+    goal check past the DNF budget, else ``inconclusive`` naming the first
+    undecided application, else ``no-proof-at-bound``.
     """
     signature = model.signature
     triggers = list(contract.triggers)
     facts = []                       # derived steps, in discovery order
+    undecided = []                   # reasons of undecided trigger checks
+    over_budget = []                 # checks past the DNF budget
 
     def refs_at(time):
         """All references (with facts) available at one time point."""
@@ -1170,18 +1175,16 @@ def naive_search_proof(model, contract, max_steps=32,
                         facts_j.append(m.Eq(m.PortRef(p_in),
                                             m.PortRef(p_out)))
             goal = rename_variables(trig.predicate, renaming)
-            extended = []
-            for sigma in sigma_list:
-                try:
-                    found = e.match_trigger([goal], facts_j, variables,
-                                            signature, [sigma], budget)
-                except e.Inconclusive:
-                    found = None
-                if found:
-                    extended.extend(s for s in found if s not in extended)
-            if not extended:
+            try:
+                sigma_list = e.match_trigger([goal], facts_j, variables,
+                                             signature, sigma_list, budget)
+            except e.Inconclusive as why:
+                undecided.append("%s: trigger %d: %s" % (c.qualified, j, why))
+                if str(why) == e.OVER_BUDGET % budget:
+                    over_budget.append(undecided[-1])
                 return None
-            sigma_list = extended
+            if not sigma_list:
+                return None
             ref_sets.append(tuple(refs_j))
         return _bound_conjuncts(c.guarantee, renaming, sigma_list[0]), \
             tuple(ref_sets)
@@ -1196,9 +1199,12 @@ def naive_search_proof(model, contract, max_steps=32,
         facts.append(SimpleNamespace(time=time, state=state,
                                      rationale=rationale, refs=refs,
                                      index=len(facts)))
-        if time == contract.duration and e.entails(
-                [state], contract.guarantee, budget) == e.HOLDS:
-            raise _SearchEnds(o.FOUND)
+        if time == contract.duration:
+            status = e.entails([state], contract.guarantee, budget)
+            if status == e.HOLDS:
+                raise _SearchEnds(o.FOUND)
+            if status == e.INCONCLUSIVE:
+                over_budget.append("goal")
         return True
 
     def saturate():
@@ -1239,6 +1245,13 @@ def naive_search_proof(model, contract, max_steps=32,
             return o.SearchResult(o.BUDGET_EXCEEDED,
                                   steps_explored=len(facts))
     else:
+        if over_budget:
+            return o.SearchResult(o.BUDGET_EXCEEDED,
+                                  steps_explored=len(facts))
+        if undecided:
+            return o.SearchResult(checker.INCONCLUSIVE,
+                                  steps_explored=len(facts),
+                                  reason=undecided[0])
         return o.SearchResult(o.NO_PROOF_AT_BOUND,
                               steps_explored=len(facts))
     goal = facts[-1]

@@ -24,7 +24,7 @@ from oracles import (SORT, brute_force_verify, compose_behaviors,
                      random_match_case, random_tiny_model, relay_chain_model,
                      trace_satisfies, violated_window)
 
-from conftest import load, CORPUS, FOLD13
+from conftest import load, CORPUS, FOLD13, ROOT
 
 BIT = "Bit.BIT"
 
@@ -570,6 +570,10 @@ def _search_cases():
         model, _ = load(path.name)
         for contract in model.contracts:
             yield "%s:%s" % (path.stem, contract.name), model, contract
+    # the C3 reproducers: search is inconclusive on R1 and R2
+    for path in sorted((ROOT / "tests" / "golden" / "c3").glob("*.apml")):
+        model, _ = parse_model(path.read_text())
+        yield "c3:%s" % path.stem, model, model.contracts[0]
     for name, spec in [("port-free-disjunct", PORT_FREE_DISJUNCT),
                        ("feedback", FEEDBACK)]:
         model = _bit_model(**spec)
@@ -584,6 +588,27 @@ def test_search_matches_the_reference_saturation(max_steps):
         assert (search_proof(model, contract, max_steps=max_steps)
                 == naive_search_proof(model, contract, max_steps=max_steps)
                 ), name
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 32])
+def test_search_matches_the_reference_past_the_dnf_budget(max_steps):
+    """At a DNF budget of 1, an Or in relay's architecture trigger leaves
+    Stage1.fwd's trigger check undecided, and one in Stage2.fwd's guarantee
+    the goal check: both searches end budget-exceeded."""
+    text = (CORPUS / "relay.apml").read_text()
+    head, tail = text.rsplit("guarantees { [o = x] }", 1)   # Stage2.fwd's
+    variants = [
+        ("trigger", text.replace("t1: [Stage1.i = x]",
+                                 "t1: [Stage1.i = x] \\/ [Stage1.i = x]")),
+        ("goal", head + "guarantees { [o = x] \\/ [o = x] }" + tail)]
+    for name, variant in variants:
+        model, diags = parse_model(variant)
+        assert not diags, name
+        contract = model.contracts[0]
+        result = search_proof(model, contract, max_steps=max_steps, budget=1)
+        assert result == naive_search_proof(model, contract,
+                                            max_steps=max_steps, budget=1)
+        assert result.status == BUDGET_EXCEEDED, name
 
 
 def test_search_matches_the_reference_on_random_chains():
