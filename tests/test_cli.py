@@ -165,6 +165,16 @@ def test_check_writes_output_file(tmp_path, capsys):
     assert out_file.read_text().startswith("contract sum: ok")
 
 
+def test_output_into_a_missing_directory_is_one_error_line(tmp_path,
+                                                            capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "check", RADDER, "-o", str(target))
+    assert (code, out) == (3, "")
+    assert err == ("error: [Errno 2] No such file or directory: '%s'\n"
+                   % target)
+    assert not target.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # emit-isar
 

@@ -647,3 +647,13 @@ def test_model_container_annotations_resolve():
                 m.ComponentType):
         assert typing.get_type_hints(cls)["span"] is SourceSpan
     assert typing.get_type_hints(m.Model)["contracts"] is tuple
+
+
+def test_validation_leaves_a_symbol_the_parser_reported_unsorted():
+    """An undeclared operation or predicate is the parser's error; sort
+    checking skips its application instead of adding a SORT_MISMATCH."""
+    model, diags = parse_model((CORPUS / "relay.apml").read_text().replace(
+        "guarantees { [o = x] }",
+        "guarantees { [o = Bit.g[x]] /\\ Bit.ok[x] }", 1))
+    assert [d.rule for d in diags] == ["UNDECLARED_SYMBOL"] * 2
+    assert m.validate_structure(model) == []

@@ -290,6 +290,37 @@ def test_a_repeated_equation_gives_one_functional_result(relay, bits):
                                                                     None)
 
 
+def test_outputs_forced_to_two_values_leave_no_trace_to_refute():
+    """Stage1 of relay at duration 1 also guarantees ``[o = Bit.f[x]]``,
+    with f as negation: the two functional contracts force different values
+    on Stage1.o, so no composed trace exists and the contract holds, though
+    relay alone has a counterexample at that duration."""
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "duration 2", "duration 1")
+    model, _ = parse_model(text)
+    universe = parse_universe(
+        (ROOT / "tests" / "golden" / "c3" / "not.uni").read_text())
+    assert not verify_satisfaction(model, model.contracts[0], universe)[0]
+    text = text.replace("Sort BIT", "Sort BIT Operation f: Bit.BIT => Bit.BIT")
+    text = text.replace("""guarantees { [o = x] }
+          duration 1
+        }""", """guarantees { [o = x] }
+          duration 1
+        },
+        Contract neg {
+          var x: Bit.BIT
+          triggers { t1: [i = x] }
+          guarantees { [o = Bit.f[x]] }
+          duration 1
+        }""", 1)
+    model, diags = parse_model(text)
+    assert not diags and not m.validate_structure(model)
+    contract = model.contracts[0]
+    assert verify_satisfaction(model, contract, universe) == (True, None)
+    assert naive_verify_satisfaction(model, contract, universe) == (True,
+                                                                    None)
+
+
 # A delay-2 inverter: Inv.o at t + 2 is the negation of Inv.i at t.  The
 # contract claims Inv.o is one at 4 when Inv.i is one at 0, but Inv.o at 4
 # follows Inv.i at 2.  The search first exhausts the prefixes with Inv.i = 0
@@ -727,6 +758,62 @@ def test_search_derives_no_state_with_an_unbound_variable(triggers, guarantee,
     assert result.status == FOUND
     assert [print_step(s) for s in result.proof] == [step]
     assert _checks_before_and_after_printing(model, contract, result.proof)
+
+
+def test_search_renumbers_the_steps_it_keeps():
+    """A Side stage, declared between relay's two stages and fed by
+    Stage1.o, adds an unneeded fact before the goal: search explores 3
+    facts and keeps 2, citing the goal's reference by its new number."""
+    text = (CORPUS / "relay.apml").read_text()
+    stage2 = text.index("    CType Stage2 {")
+    side = text[text.index("    CType Stage1 {"):stage2].replace(
+        "Stage1", "Side")
+    text = text[:stage2] + side + text[stage2:]
+    text = text.replace("(Stage2.i, Stage1.o)",
+                        "(Stage2.i, Stage1.o), (Side.i, Stage1.o)")
+    model, diags = parse_model(text)
+    assert not diags and not m.validate_structure(model)
+    assert [ct.name for ct in model.component_types] == [
+        "Stage1", "Side", "Stage2"]
+    contract = model.contracts[0]
+    result = search_proof(model, contract)
+    assert result == naive_search_proof(model, contract)
+    assert (result.status, result.steps_explored) == (FOUND, 3)
+    assert [print_step(s) for s in result.proof] == [
+        "s0: at 1 have [Stage1.o = x] from [ t1 ] using Stage1.fwd",
+        "s1: at 2 have [Stage2.o = x] from [ s0 with [ (Stage2.i, Stage1.o) ]"
+        " ] using Stage2.fwd"]
+    assert _checks_before_and_after_printing(model, contract, result.proof)
+
+
+def test_a_trigger_at_a_time_without_references_is_not_applied():
+    """Stage2.fwd of relay gains a second trigger one step after its first,
+    where nothing is ever known; a port-free disjunct leaves it unanchored,
+    so only the missing references stop search from applying it."""
+    text = (CORPUS / "relay.apml").read_text().replace(
+        "duration 2", "duration 3")          # the architecture's
+    model, diags = parse_model(text.replace(
+        """t1: [i = x]
+          }
+          guarantees { [o = x] }
+          duration 1
+        }
+      }
+    }
+  }""", """t1: [i = x],
+            t2: [i = x] \\/ [x = x] at 1
+          }
+          guarantees { [o = x] }
+          duration 2
+        }
+      }
+    }
+  }"""))
+    assert not diags
+    contract = model.contracts[0]
+    result = search_proof(model, contract)
+    assert result == naive_search_proof(model, contract)
+    assert (result.status, result.steps_explored) == (NO_PROOF_AT_BOUND, 1)
 
 
 def test_port_free_disjunct_is_not_gated():
