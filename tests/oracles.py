@@ -804,6 +804,36 @@ def mutate_source(rng, text):
     return text[:at] + piece + " " + text[at:]
 
 
+_NUMBER_RE = re.compile(r"\b[0-9]+\b")
+_CONNECTIVE_RE = re.compile(r"/\\|\\/")
+_WORD_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def edit_source(rng, text):
+    """One seeded edit of model text that keeps its tokens well formed:
+    change a number to one from 0 to 4, swap a ``/\\`` and ``\\/``, replace
+    an identifier with another one from the text, or duplicate or drop a
+    line.  An edit with nothing to act on leaves the text as it is."""
+    kind = rng.randrange(5)
+    if kind < 3:
+        pattern = (_NUMBER_RE, _CONNECTIVE_RE, _WORD_RE)[kind]
+        spans = [mo.span() for mo in pattern.finditer(text)]
+        if not spans:
+            return text
+        start, end = rng.choice(spans)
+        if kind == 0:
+            new = str(rng.randint(0, 4))
+        elif kind == 1:
+            new = "\\/" if text[start:end] == "/\\" else "/\\"
+        else:
+            new = text[slice(*rng.choice(spans))]
+        return text[:start] + new + text[end:]
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    lines[i:i + 1] = [lines[i]] * (2 if kind == 3 else 0)
+    return "".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # Universe files
 

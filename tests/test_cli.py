@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ from apml.cli import COMMANDS, main, parse_args
 from apml.parser import MAX_NESTING, parse_model
 
 from conftest import CORPUS, ROOT
+from oracles import edit_source, trace_satisfies, violated_window
 
 RADDER = str(CORPUS / "radder.apml")
 MERGE1 = str(CORPUS / "radder_merge1.apml")
@@ -583,6 +586,47 @@ def test_alternation_at_the_nesting_limit_under_every_command(
     for level in range(MAX_NESTING):
         pred = "[o = x] %s (%s)" % ("/\\" if level % 2 else "\\/", pred)
     run_every_way(capsys, command, relay_with_guarantee(tmp_path, pred))
+
+
+# edits drawn per corpus file: relay is the one model tiny.uni can simulate,
+# and a tgmt command costs about ten times a radder one
+EDITS = {"relay.apml": 60, "tgmt.apml": 4}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        CORPUS.glob("*.apml")))
+def test_edited_corpus_models_exit_in_class_under_every_command(
+        tmp_path, capsys, name):
+    """Seeded edits that keep the tokens well formed never make a command
+    fail inside the tool or exit out of 0-3, and every simulate exit 1
+    prints a trace that satisfies each component contract and violates the
+    architecture contract."""
+    rng = random.Random("edits:" + name)
+    universe = oracle.parse_universe(pathlib.Path(TINY).read_text())
+    text = (CORPUS / name).read_text()
+    path = tmp_path / name
+    counterexamples = 0
+    for draw in range(EDITS.get(name, 12)):
+        edited = edit_source(rng, text)
+        path.write_text(edited)
+        for command, extra in EXTRA_ARGS.items():
+            code, out, err = run(capsys, command, *extra, str(path))
+            assert "error: internal" not in err, (draw, command, err)
+            assert code in (0, 1, 2, 3), (draw, command, code)
+            if command != "simulate" or code != 1:
+                continue
+            model, _ = parse_model(edited)
+            trace = [dict(cell.split("=") for cell in line.split()[1:])
+                     for line in out.splitlines()[1:]]
+            assert all(trace_satisfies(universe, trace, c)
+                       for ct in model.component_types
+                       for c in ct.contracts), draw
+            contract = model.contracts[0]
+            assert violated_window(universe, trace, contract,
+                                   contract.duration + 1), draw
+            counterexamples += 1
+    if name == "relay.apml":             # the trace check is not vacuous
+        assert counterexamples
 
 
 def test_non_ascii_digit_is_a_lex_error(tmp_path, capsys):
