@@ -1169,7 +1169,7 @@ def naive_search_proof(model, contract, max_steps=32,
     triggers = list(contract.triggers)
     facts = []                       # derived steps, in discovery order
     undecided = []                   # reasons of undecided trigger checks
-    over_budget = []                 # checks past the DNF budget
+    over_budget = []                 # names of checks past the DNF budget
 
     def refs_at(time):
         """All references (with facts) available at one time point."""
