@@ -7,6 +7,7 @@ Isar proof replays the architecture proof step by step.
 """
 
 import re
+from collections import Counter
 
 from . import model as m
 from . import checker
@@ -36,17 +37,10 @@ class EmitConfig(Record, defaults=dict(
                  "legacy_connection_names", "strict_symbols")
 
 
-def _camel_parts(word):
-    return re.findall(r"[A-Za-z][a-z]*|[0-9]+", word)
-
-
 def abbreviate(name):
     """Initials of the camel/underscore parts, digit runs kept whole."""
-    out = []
-    for word in name.split("_"):
-        for part in _camel_parts(word):
-            out.append(part if part.isdigit() else part[0].lower())
-    return "".join(out)
+    return "".join(part if part.isdigit() else part[0].lower()
+                   for part in re.findall(r"[A-Za-z][a-z]*|[0-9]+", name))
 
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_']")
@@ -67,26 +61,17 @@ def port_names(model):
     """
     prefix = {ct.name: abbreviate(ct.name) for ct in model.component_types}
     while True:
-        names = {}
-        collided = set()
+        names, collided = {}, set()
         for ct in model.component_types:
             for p in ct.ports:
                 pname = _sanitize(prefix[ct.name] + p.name)
                 if pname in names:
-                    collided.add(ct.name)
-                    collided.add(names[pname].owner)
+                    collided.update((ct.name, names[pname].owner))
                 names[pname] = p
-        if not collided:
-            break
-        progressed = False
-        for ct_name in collided:
-            full = _sanitize(ct_name).lower() + "_"
-            if prefix[ct_name] != full:
-                prefix[ct_name] = full
-                progressed = True
-        if not progressed:
-            break
-    return {p.qualified: name for name, p in names.items()}
+        full = {c: _sanitize(c).lower() + "_" for c in collided}
+        if all(prefix[c] == f for c, f in full.items()):
+            return {p.qualified: name for name, p in names.items()}
+        prefix.update(full)
 
 
 def sort_name(sort, sanitize=_sanitize):
@@ -97,12 +82,13 @@ def sort_name(sort, sanitize=_sanitize):
 
 def unmapped_sorts(model, symbols):
     """Isabelle types to declare: the unmapped sorts of ports, contract
-    variables and ``symbols`` (qualified), in that order of first use."""
+    variables and ``symbols`` (keys of ``Renderer.params``), in that order
+    of first use."""
     signature = model.signature
     sorts = [p.sort for ct in model.component_types for p in ct.ports]
     sorts += [s for c in _contracts(model) for _, s in c.variables]
-    for q in symbols:
-        if q in signature.predicate_symbols:
+    for q, predicate in symbols:
+        if predicate:
             sorts += signature.predicate_symbols[q]
         else:
             args, result = signature.operation_symbols[q]
@@ -125,15 +111,17 @@ class Renderer:
     """Names and predicate text for one emit under its config; each name is
     sanitized once.  A symbol without a built-in image becomes a locale
     parameter when it is first rendered, so ``params`` lists those rendered
-    so far, in order of first use."""
+    so far, in order of first use.  No two of the time binder ``n``, the
+    port and symbol parameters and the contract variables share a name."""
 
     def __init__(self, model, config=None):
         self.model = model
         self.config = config or EmitConfig()
         self.names = {}                  # name -> sanitized name
         self.ports = port_names(model)
-        self.params = {}                 # qualified symbol -> (name, type)
-        self.taken = set()               # parameter names given out
+        self.params = {}                 # (symbol, predicate) -> (name, type)
+        self.vars = {}                   # variable name -> rendered name
+        self.taken = {"n", *self.ports.values()}    # names given out
         self.assumptions = _assumption_names(model)
 
     def name(self, raw):
@@ -142,22 +130,37 @@ class Renderer:
             clean = self.names[raw] = _sanitize(raw)
         return clean
 
-    def param(self, q):
-        """The locale parameter of symbol q, named and typed on first use:
-        its base name, or its qualified name when the base name is taken."""
-        found = self.params.get(q)
+    def fresh(self, name, fallback=None):
+        """name, or fallback if name is taken, primed until free; now taken."""
+        if name in self.taken and fallback:
+            name = fallback
+        while name in self.taken:
+            name += "'"
+        self.taken.add(name)
+        return name
+
+    def var(self, raw):
+        """A contract variable's name, fresh when first rendered."""
+        clean = self.vars.get(raw)
+        if clean is None:
+            clean = self.vars[raw] = self.fresh(_sanitize(raw))
+        return clean
+
+    def param(self, q, predicate=False):
+        """The locale parameter of symbol q, a predicate's or an
+        operation's, named and typed on first use: its base name, or its
+        qualified name when the base name is taken."""
+        found = self.params.get((q, predicate))
         if found is None:
-            name = _sanitize(q.rpartition(".")[2])
-            if name in self.taken:
-                name = _sanitize(q.replace(".", "_"))
-            self.taken.add(name)
+            name = self.fresh(_sanitize(q.rpartition(".")[2]),
+                              _sanitize(q.replace(".", "_")))
             signature = self.model.signature
-            if q in signature.predicate_symbols:   # a map into bool
+            if predicate:                # a map into bool
                 sorts = signature.predicate_symbols[q] + ("BOOLEAN",)
             else:
                 args, result = signature.operation_symbols[q]
                 sorts = args + (result,)
-            found = self.params[q] = (name, " \\<Rightarrow> ".join(
+            found = self.params[q, predicate] = (name, " \\<Rightarrow> ".join(
                 sort_name(s, self.name) for s in sorts))
         return found[0]
 
@@ -173,7 +176,7 @@ class Renderer:
     def term(self, t, time, atomic=False):
         kind = t.__class__
         if kind is m.Var:
-            return self.name(t.name)
+            return self.var(t.name)
         if kind is m.PortRef:
             q = self.ports[t.port.qualified]
             s = "%s n" % q if time == 0 else "%s (n+%d)" % (q, time)
@@ -201,7 +204,7 @@ class Renderer:
         if kind is m.Or:
             return "(%s)" % " \\<or> ".join(
                 self.predicate(d, time, outer=False) for d in p.parts)
-        return " ".join([self.param(p.pred)] + [
+        return " ".join([self.param(p.pred, True)] + [
             self.term(a, time, atomic=True) for a in p.args])
 
     def premises(self, p, time):
@@ -214,20 +217,15 @@ class Renderer:
 
 def _assumption_names(model):
     """Contract assumption names, full component name prefix on collision."""
-    counts = {}
-    for ct in model.component_types:
-        for c in ct.contracts:
-            counts[c.name] = counts.get(c.name, 0) + 1
-    out = {}
-    for ct in model.component_types:
-        for c in ct.contracts:
-            out[c.qualified] = _sanitize(c.name if counts[c.name] == 1
-                                         else "%s_%s" % (ct.name, c.name))
-    return out
+    owned = [(ct, c) for ct in model.component_types for c in ct.contracts]
+    counts = Counter(c.name for _, c in owned)
+    return {c.qualified: _sanitize(c.name if counts[c.name] == 1
+                                   else "%s_%s" % (ct.name, c.name))
+            for ct, c in owned}
 
 
 def contract_assumption(renderer, contract):
-    vars_ = " ".join(renderer.name(n) for n, _ in contract.variables)
+    vars_ = " ".join(renderer.var(n) for n, _ in contract.variables)
     binder = "\\<And>n%s. " % ((" " + vars_) if vars_ else "")
     prems = []
     for t in contract.triggers:
@@ -278,7 +276,7 @@ def emit_locale(r, assumes):
 # Theorems and proofs
 
 def emit_theorem(r, contract, name):
-    vars_ = " ".join(r.name(n) for n, _ in contract.variables)
+    vars_ = " ".join(r.var(n) for n, _ in contract.variables)
     lines = ["theorem %s:" % name]
     fixes = "n" + ((" " + vars_) if vars_ else "")
     lines.append("  fixes %s" % fixes)
@@ -364,10 +362,9 @@ def emit_theory(model, config=None):
             out.append(emit_isar_proof(r, contract, verdicts[idx]))
         out.append("")
     out += ["end", "", "end"]
-    preds = model.signature.predicate_symbols
-    r.params = dict(sorted(r.params.items(), key=lambda p: p[0] not in preds))
+    r.params = dict(sorted(r.params.items(), key=lambda p: not p[0][1]))
     if r.params and r.config.strict_symbols:
-        raise UnmappedSymbol(next(iter(r.params)))
+        raise UnmappedSymbol(next(iter(r.params))[0])
     sorts = unmapped_sorts(model, r.params)
     head = ["theory %s" % _sanitize(model.short_name or model.name),
             "  imports Main", "begin", ""]

@@ -469,6 +469,10 @@ def validate_structure(model):
                                   "duplicate DT '%s' (last wins)" % dt.name,
                                   dt.span))
         seen_dt.add(dt.name)
+        for n in _repeated([n for n, _ in dt.predicates]
+                           + [n for n, _, _ in dt.operations]):
+            out.append(Diagnostic(ERROR, "DUPLICATE_NAME", "duplicate symbol "
+                                  "'%s' in '%s'" % (n, dt.name), dt.span))
 
     seen_ct = set()
     for ct in model.component_types:

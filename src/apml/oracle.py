@@ -12,15 +12,15 @@ states after the last window only add constraints.  Its depth-first search
 builds one state per level.  For a fixed window start and assignment,
 whether a prefix extends to a counterexample depends only on its length and
 its last L states, L the largest trigger offset or duration of a component
-contract: a component window or functional output completing at the next
-level reads at most L states back, and the architecture's triggers and
-guarantee are checked on the new state at fixed levels (a full trace has
-passed the guarantee's level, so it is a counterexample).  Keys whose
-subtree held no counterexample are skipped when met again, so the first
-counterexample found is unchanged.  A prefix of at most L states is its own
-key and is met only once, so only longer prefixes are recorded.  The memo
-holds at most ``MEMO_KEYS`` keys and starts afresh when full; forgetting
-keys only visits more nodes.
+contract: a component window completing at the next level, and so each
+output its guarantee fixes there, reads at most L states back, and the
+architecture's triggers and guarantee are checked on the new state at fixed
+levels (a full trace has passed the guarantee's level, so it is a
+counterexample).  Keys whose subtree held no counterexample are skipped
+when met again, so the first counterexample found is unchanged.  A prefix
+of at most L states is its own key and is met only once, so only longer
+prefixes are recorded.  The memo holds at most ``MEMO_KEYS`` keys and
+starts afresh when full; forgetting keys only visits more nodes.
 
 The search runs first in a cone.  A cell is a free port at a level; a
 union-find joins the cells each component window lying in the trace reads
@@ -160,36 +160,14 @@ def _compile(universe, node, names, slots):
     return lambda env, state: any(f(env, state) for f in parts)
 
 
-def _functional_form(c, outputs):
-    """Recognize contracts that determine outputs from earlier inputs.
-
-    Shape: every trigger is ``[port = var]`` at an offset below the duration,
-    binding each variable once, and the guarantee is a conjunction of
-    ``[output = term]`` equations whose right sides mention only bound
-    variables and no ports.  For such a contract the triggers fire on every
-    trace (an equality trigger is satisfied by the observed value), so the
-    outputs at ``n + duration`` are a function of earlier inputs; the trace
-    search can compute them instead of enumerating and rejecting.  A
-    repeated equation gives one result.
-    """
-    binds = {}
-    for t in c.triggers:
-        p = t.predicate
-        if not (isinstance(p, m.Eq) and isinstance(p.lhs, m.PortRef)
-                and isinstance(p.rhs, m.Var)) or p.rhs.name in binds \
-                or t.time >= c.duration:
-            return None
-        binds[p.rhs.name] = (p.lhs.port, t.time)
-    results = {}                     # (output, rhs) pairs, in order, once
-    for conj in m.conjuncts(c.guarantee):
-        if not (isinstance(conj, m.Eq) and isinstance(conj.lhs, m.PortRef)
-                and conj.lhs.port in outputs):
-            return None
-        if (m.ports_of(conj.rhs)
-                or not m.free_variables(conj.rhs) <= set(binds)):
-            return None
-        results[conj.lhs.port, conj.rhs] = None
-    return binds, results, c.duration
+def _equations(c):
+    """The (port, term) pair of each ``[port = term]`` conjunct of c's
+    guarantee whose term reads no port, each pair once: under an assignment
+    whose triggers hold, the guarantee fixes the port's value there."""
+    return list(dict.fromkeys(
+        (p.lhs.port, p.rhs) for p in m.conjuncts(c.guarantee)
+        if isinstance(p, m.Eq) and isinstance(p.lhs, m.PortRef)
+        and not m.ports_of(p.rhs)))
 
 
 def _carriers(universe, sorts):
@@ -223,12 +201,12 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     for p_in, p_out in conn.items():
         slots[p_in.qualified] = slots[p_out.qualified]
     carriers = _carriers(universe, [p.sort for p in free])
-    owned = [(ct, c) for ct in model.component_types for c in ct.contracts]
+    owned = [c for ct in model.component_types for c in ct.contracts]
     # each contract's assignments of its variables, the architecture's last,
     # looked up before any operation table, as the docstring orders them
     envs = [list(itertools.product(*_carriers(
                 universe, [sort for _, sort in c.variables])))
-            for _, c in owned + [(None, contract)]]
+            for c in owned + [contract]]
 
     def reads(c):
         """The (offset, slot) pairs a window of contract c reads."""
@@ -253,27 +231,21 @@ def verify_satisfaction(model, contract, universe, horizon=None,
         return cell
 
     # per level, the (cell read or None, window) of the windows completing
-    # there; a window is (span, envs, triggers, duration, guarantee, form)
+    # there; a window is (span, envs, triggers, duration, guarantee, fixes),
+    # fixes the (slot, term) of _equations when triggers precede the duration
     completing = [[] for _ in range(length)]
     lookback = 0
-    for (ct, c), c_envs in zip(owned, envs):
+    for c, c_envs in zip(owned, envs):
         names = {name: j for j, (name, _) in enumerate(c.variables)}
-        form = _functional_form(c, ct.outputs)
-        if form is not None:
-            binds, results, _ = form
-            order = {name: j for j, name in enumerate(binds)}
-            form = ([(t, slots[port.qualified])
-                     for port, t in binds.values()],
-                    [(slots[port.qualified],
-                      _compile(universe, rhs, order, {}))
-                     for port, rhs in results])
         span = max([t.time for t in c.triggers] + [c.duration])
         lookback = max(lookback, span)
         window = (span, c_envs,
                   [(t.time, _compile(universe, t.predicate, names, slots))
                    for t in c.triggers],
                   c.duration, _compile(universe, c.guarantee, names, slots),
-                  form)
+                  [(slots[port.qualified], _compile(universe, term, names, {}))
+                   for port, term in _equations(c)]
+                  if all(t.time < c.duration for t in c.triggers) else [])
         offsets = reads(c)
         for s in range(length - span):
             cells = [(s + t) * width + i for t, i in offsets]
@@ -290,18 +262,25 @@ def verify_satisfaction(model, contract, universe, horizon=None,
     arch_reads = reads(contract)
 
     def candidates(trace, upto, domains, live):
-        """The states to try at level upto: none when the functional
-        contracts completing there demand two values for one output."""
+        """The states to try at level upto: each port a live window fixes
+        there, under an assignment whose triggers hold, takes that value
+        (none off the table); none when one port is fixed to two values."""
         forced = {}
-        for _, _, _, duration, _, form in live[upto]:
-            if form is None:
+        for span, envs, triggers, _, _, fixes in live[upto]:
+            if not fixes:
                 continue
-            n = upto - duration
-            env = tuple(trace[n + t][i] for t, i in form[0])
-            for i, rhs in form[1]:
-                value = rhs(env, ())
-                if value is not None and forced.setdefault(i, value) != value:
-                    return ()
+            n = upto - span
+            checks = [(f, trace[n + t]) for t, f in triggers]
+            for env in envs:
+                for f, state in checks:
+                    if not f(env, state):
+                        break
+                else:
+                    for i, term in fixes:
+                        value = term(env, ())
+                        if (value is not None
+                                and forced.setdefault(i, value) != value):
+                            return ()
         domains = list(domains[upto])
         for i, value in forced.items():
             domains[i] = (value,)

@@ -989,6 +989,40 @@ def _component_ok_prefix(universe, trace, upto, contracts):
     return True
 
 
+# The reference search forces outputs only for these shapes, by its own copy
+# of the recognizer, independent of the rule by which apml.oracle fixes them.
+def _functional_form(c, outputs):
+    """Recognize contracts that determine outputs from earlier inputs.
+
+    Shape: every trigger is ``[port = var]`` at an offset below the duration,
+    binding each variable once, and the guarantee is a conjunction of
+    ``[output = term]`` equations whose right sides mention only bound
+    variables and no ports.  For such a contract the triggers fire on every
+    trace (an equality trigger is satisfied by the observed value), so the
+    outputs at ``n + duration`` are a function of earlier inputs; the trace
+    search can compute them instead of enumerating and rejecting.  A
+    repeated equation gives one result.
+    """
+    binds = {}
+    for t in c.triggers:
+        p = t.predicate
+        if not (isinstance(p, m.Eq) and isinstance(p.lhs, m.PortRef)
+                and isinstance(p.rhs, m.Var)) or p.rhs.name in binds \
+                or t.time >= c.duration:
+            return None
+        binds[p.rhs.name] = (p.lhs.port, t.time)
+    results = {}                     # (output, rhs) pairs, in order, once
+    for conj in m.conjuncts(c.guarantee):
+        if not (isinstance(conj, m.Eq) and isinstance(conj.lhs, m.PortRef)
+                and conj.lhs.port in outputs):
+            return None
+        if (m.ports_of(conj.rhs)
+                or not m.free_variables(conj.rhs) <= set(binds)):
+            return None
+        results[conj.lhs.port, conj.rhs] = None
+    return binds, results, c.duration
+
+
 def _forced_values(universe, trace, upto, functional):
     """Output values dictated by functional contracts completing at upto.
 
@@ -1028,7 +1062,7 @@ def naive_verify_satisfaction(model, contract, universe, horizon=None,
     comp_contracts = [c for ct in model.component_types for c in ct.contracts]
     functional = [form for ct in model.component_types
                   for c in ct.contracts
-                  for form in (o._functional_form(c, ct.outputs),)
+                  for form in (_functional_form(c, ct.outputs),)
                   if form is not None]
     if horizon is None:
         horizon = contract.duration + 1

@@ -378,6 +378,31 @@ def test_simulate_counterexample_matches_golden(tmp_path, capsys):
                    / "simulate_relay_d1.txt").read_text()
 
 
+def test_radder_duration6_counterexample_matches_golden(capsys):
+    """Over {0, 1} with add as xor, the reliable adder promising its sum at
+    6 has a counterexample: a trace every component contract allows in
+    which the sum is wrong at 6.  The Dispatcher's, the Adders' and the
+    Merger's fired equations fix their outputs, so the search decides
+    within 9,125 states."""
+    xor = str(ROOT / "tests" / "golden" / "simulate" / "xor.uni")
+    code, out, _ = run(capsys, "simulate", DUR6, "--universe", xor,
+                       "--horizon", "1")
+    assert code == 1
+    assert out == (ROOT / "tests" / "golden" / "simulate"
+                   / "radder_duration6.txt").read_text()
+    model, _ = parse_model(pathlib.Path(DUR6).read_text())
+    universe = oracle.parse_universe(pathlib.Path(xor).read_text())
+    trace = [dict(cell.split("=") for cell in line.split()[1:])
+             for line in out.splitlines()[1:]]
+    assert all(trace_satisfies(universe, trace, c)
+               for ct in model.component_types for c in ct.contracts)
+    contract = model.contracts[0]
+    assert violated_window(universe, trace, contract, 1)
+    holds, counter = oracle.verify_satisfaction(model, contract, universe,
+                                                horizon=1, budget=9125)
+    assert not holds and counter == trace
+
+
 def test_simulate_zero_duration_components(tmp_path, capsys):
     """A component contract of duration 0 is structurally invalid, so
     simulate refuses the model as check does, naming each error."""

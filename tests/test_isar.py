@@ -7,6 +7,7 @@ import pytest
 from apml.isar import (EmitConfig, Renderer, UnmappedSymbol, abbreviate,
                        emit_locale, emit_theory, locale_assumptions,
                        port_names, sort_name, unmapped_sorts)
+from apml.model import validate_structure
 from apml.parser import parse_model
 
 from conftest import load, ROOT
@@ -277,3 +278,71 @@ def test_a_symbol_first_used_by_the_architecture_is_fixed_in_the_locale():
         '    and A_ok::"S \\<Rightarrow> bool"']
     assert 'assumes a0: "ci n = y \\<and> ok y"' in theory
     assert 's0: "co (n+1) = y \\<and> A_ok y" using c' in theory
+
+
+# a model whose names invite clashes: the operation A.co and C's output port
+# parameter co, the predicate A.p and the operation A.p
+_CLASHES = """
+Pattern P ShortName p {
+  DTSpec { DT A ( Sort S Operation co: A.S => A.S Operation f: A.S => A.S
+                  Predicate p: A.S Operation p: A.S => A.S ) }
+  CTypes { CType C {
+    InputPorts { InputPort i (Type: A.S) }
+    OutputPorts { OutputPort o (Type: A.S) }
+    Contracts { Contract c {
+      var %s: A.S
+      triggers { t1: [i = %s] }
+      guarantees { %s }
+      duration 1
+    } }
+  } }
+  Contracts { Contract arch {
+    var %s: A.S
+    triggers { t1: [C.i = %s] }
+    guarantees { [C.o = %s] }
+    duration 1
+  } }
+}"""
+
+
+def _clash_model(var="x", guarantee="[o = x]", arch_var="y"):
+    model, diags = parse_model(
+        _CLASHES % (var, var, guarantee, arch_var, arch_var, arch_var))
+    assert not diags, diags
+    return model
+
+
+def test_a_symbol_never_takes_a_port_parameter_name():
+    theory = emit_theory(_clash_model(guarantee="[o = A.co[x]]"),
+                         EmitConfig(comments=False))
+    assert _symbol_fixes(theory) == ['    and A_co::"S \\<Rightarrow> S"']
+    assert 'co (n+1) = A_co x"' in theory
+
+
+def test_a_variable_is_never_the_time_binder_or_a_parameter():
+    """A variable takes a prime when the time binder or a locale parameter
+    has its name; a symbol then yields the name to the variable."""
+    theory = emit_theory(_clash_model("n", "[o = n]", "co"),
+                         EmitConfig(comments=False))
+    assert ('assumes c: "\\<And>n n\'. \\<lbrakk>ci n = n\'\\<rbrakk> '
+            '\\<Longrightarrow> co (n+1) = n\'"') in theory
+    assert ('  fixes n co\'\n  assumes a0: "ci n = co\'"\n'
+            '  shows "co (n+1) = co\'"') in theory
+    theory = emit_theory(_clash_model("f", "[o = A.f[f]]"),
+                         EmitConfig(comments=False))
+    assert _symbol_fixes(theory) == ['    and A_f::"S \\<Rightarrow> S"']
+    assert ('"\\<And>n f. \\<lbrakk>ci n = f\\<rbrakk> '
+            '\\<Longrightarrow> co (n+1) = A_f f"') in theory
+
+
+def test_a_predicate_and_an_operation_of_one_name():
+    """Structural validation reports them; emit-isar fixes each with its
+    own parameter and type."""
+    model = _clash_model(guarantee="[o = A.p[A.p[x]]] /\\ A.p[o]")
+    assert [(d.rule, d.message, d.span) for d in validate_structure(model)] \
+        == [("DUPLICATE_NAME", "duplicate symbol 'p' in 'A'",
+             model.datatypes[0].span)]
+    theory = emit_theory(model, EmitConfig(comments=False))
+    assert _symbol_fixes(theory) == ['    and A_p::"S \\<Rightarrow> bool"',
+                                     '    and p::"S \\<Rightarrow> S"']
+    assert 'co (n+1) = p (p x) \\<and> A_p (co (n+1))"' in theory

@@ -135,6 +135,22 @@ Pattern P ShortName p {
     assert "D.a" in sig.predicate_symbols and "D.b" in sig.predicate_symbols
 
 
+def test_a_symbol_declared_twice_in_a_dt_is_reported():
+    """The signature keeps one declaration per qualified name, so a second
+    operation ``f`` of another sort would silently replace the first."""
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec {
+    DT B ( Sort T ),
+    DT A ( Sort S Operation f: A.S => A.S, f: B.T => B.T Predicate ok: A.S )
+  }
+}""")
+    assert not diags
+    assert [(d.rule, d.message, d.span.start_line)
+            for d in m.validate_structure(model)] == [
+        ("DUPLICATE_NAME", "duplicate symbol 'f' in 'A'", 5)]
+
+
 def test_duplicate_component_type_and_contract_are_reported():
     contract = """
         Contract c { triggers { t1: [i = i] } guarantees { [o = o] }

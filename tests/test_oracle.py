@@ -275,14 +275,14 @@ def test_component_duration_at_a_trigger_offset_is_checked_by_window(relay,
 
 
 def test_a_repeated_equation_gives_one_functional_result(relay, bits):
-    """A guarantee repeating ``[o = x]`` computes ``o`` once per level, and
+    """A guarantee repeating ``[o = x]`` fixes ``o`` by one equation, and
     the relay still holds."""
     stage = relay.component_types[0]
     fwd = stage.contracts[0]
     repeated = dataclasses.replace(
         fwd, guarantee=m.conjoin([fwd.guarantee] * 3))
-    _, results, _ = oracle._functional_form(repeated, stage.outputs)
-    assert list(results) == [(fwd.guarantee.lhs.port, fwd.guarantee.rhs)]
+    assert oracle._equations(repeated) == [(fwd.guarantee.lhs.port,
+                                            fwd.guarantee.rhs)]
     model = dataclasses.replace(relay, component_types=(
         dataclasses.replace(stage, contracts=(repeated,)),)
         + relay.component_types[1:])
