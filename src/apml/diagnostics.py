@@ -1,47 +1,52 @@
 """Source spans and diagnostics shared by the parser, validator and checker,
 and ``Record``, the base of the toolchain's immutable value types."""
 
-from collections import UserDict
+from collections import UserDict, _tuplegetter
 from functools import cached_property
 from operator import attrgetter
 from types import FunctionType
 
 _set = object.__setattr__
-_SHAPES = {}                             # (field count, __post_init__) -> code
+_new = tuple.__new__
+_SHAPES = {}                  # (field count, __post_init__) -> (init, new)
 
 
 class Record:
     """An immutable value record.
 
     A subclass declares each field once, in constructor order after its
-    base's: in ``__slots__`` or by annotations; its default, if any, in the
-    class keyword ``defaults``; and, in the class keyword ``uncompared``,
-    the fields (spans, labels) left out of equality and hashing.  A check of
-    the field values goes in ``__post_init__``.  The class's ``__init__`` is
-    generated from these, as ``dataclasses`` and ``namedtuple`` do, from
-    code compiled once per shape.  Records are equal when they are of the
-    same class with equal compared fields.  The hash is computed on first
-    use and kept, so a term hashed again and again as a dictionary key pays
-    once.  ``repr`` lists every field, as a dataclass does; ``copy`` and
-    ``pickle`` rebuild a record through its constructor.  A record declared
-    by annotations keeps a ``__dict__`` (for ``cached_property``) and
-    ``dataclasses.replace``, ``fields`` and ``asdict`` take it.  Records
+    base's: in ``__slots__``, by annotations or (a ``Value``) in the class
+    keyword ``fields``; its default, if any, in the class keyword
+    ``defaults``; and, in the class keyword ``uncompared``, the fields
+    (spans, labels) left out of equality and hashing.  A check of the field
+    values goes in ``__post_init__``.  The class's ``__init__`` (a
+    ``Value``'s ``__new__``) is generated from these, as ``dataclasses`` and
+    ``namedtuple`` do, from code compiled once per shape.  Records are equal
+    when they are of the same class with equal compared fields, and hash by
+    those fields with no cache.  ``repr`` lists every field, as a dataclass
+    does; ``copy`` and ``pickle`` rebuild a record through its constructor.
+    A record declared by annotations keeps a ``__dict__`` (for
+    ``cached_property``) and ``dataclasses.replace``, ``fields`` and
+    ``asdict`` take it.  Records
     replace ``@dataclass(frozen=True)`` because importing ``dataclasses``
     and generating its methods took about half of ``import apml.cli``.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     __match_args__ = ()                  # the fields, in constructor order
     _defaults = {}
     _uncompared = ()
 
-    def __init_subclass__(cls, uncompared=(), defaults={}, **kwargs):
+    def __init_subclass__(cls, fields=(), uncompared=(), defaults={},
+                          **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls).get("__slots__")
         if own is None:
             own = vars(cls).get("__annotations__", ())
             cls.__dataclass_fields__ = _DataclassFields(cls)
-        fields = cls.__match_args__ = cls.__match_args__ + tuple(own)
+        fields = cls.__match_args__ = cls.__match_args__ + tuple(own) + fields
+        if not fields:                   # Value, a base with no fields
+            return
         uncompared = cls._uncompared = cls._uncompared + tuple(uncompared)
         defaults = cls._defaults = dict(cls._defaults, **defaults)
         cls._key = attrgetter(*[f for f in fields if f not in uncompared])
@@ -51,16 +56,22 @@ class Record:
             lines = ["def __init__(self, %s):" % ", ".join(args)]
             lines += ["    _set(self, %r, %s)" % (a, a) for a in args]
             lines += ["    self.__post_init__()"] * shape[1]
+            lines += ["def __new__(cls, %s):" % ", ".join(args),
+                      "    return _new(cls, (cls, %s))" % ", ".join(args)]
             exec("\n".join(lines), scope := {})
-            _SHAPES[shape] = scope["__init__"].__code__
-        code = _SHAPES[shape]            # renamed to this record's fields
+            _SHAPES[shape] = scope["__init__"], scope["__new__"]
+        value = issubclass(cls, tuple)   # a Value: built by __new__
+        code = _SHAPES[shape][value].__code__
         names = dict(zip(code.co_varnames[1:], fields))
-        init = cls.__init__ = FunctionType(code.replace(
-            co_varnames=("self",) + fields,
+        make = FunctionType(code.replace(
+            co_varnames=code.co_varnames[:1] + fields,
             co_consts=tuple(names.get(c, c) for c in code.co_consts)),
-            globals(), "__init__",
+            globals(), code.co_name,
             tuple(defaults[f] for f in fields[len(fields) - len(defaults):]))
-        init.__qualname__ = cls.__qualname__ + ".__init__"
+        make.__qualname__ = "%s.%s" % (cls.__qualname__, code.co_name)
+        setattr(cls, code.co_name, staticmethod(make) if value else make)
+        for i, f in enumerate(fields if value else (), 1):
+            setattr(cls, f, _tuplegetter(i, None))   # field i after the tag
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
@@ -79,22 +90,26 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        # getattr with a default, since catching the AttributeError of the
-        # unset slot costs twice as much as computing a first hash
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._key(self))
-            _set(self, "_hash", h)
-        return h
+        return hash(self._key(self))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
             "%s=%r" % (f, getattr(self, f)) for f in self.__match_args__))
 
     def __reduce__(self):
-        # rebuilt through the constructor: a hash is valid in one process only
+        # rebuilt through the constructor, which alone sets the fields
         return type(self), tuple(getattr(self, f)
                                  for f in self.__match_args__)
+
+
+class Value(tuple, Record):
+    """A record stored as the tuple ``(class, field, ...)``: ``tuple``'s own
+    ``__hash__`` and ``__eq__`` hash and compare it in C, and C getters read
+    its fields.  A subclass declares its fields in the class keyword
+    ``fields`` and has empty ``__slots__``."""
+
+    __slots__ = ()
+    __repr__ = Record.__repr__
 
 
 class _DataclassFields(UserDict):

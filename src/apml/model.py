@@ -13,11 +13,12 @@ parser bounds.  ``nodes`` lists the nodes of given classes in a predicate or
 term without recursing; code that needs the ports, variables, symbols or
 equalities of a predicate reads them off that list.
 
-The signature, terms, predicates, triggers and proof references are
-``Record``s: slotted value records that declare each field once, with its
-default and whether it is compared (spans and labels are not) as class
-keywords, and get a generated initialiser; they compare and hash by their
-compared fields and cache their hash.  ``Contract``,
+The signature, triggers and proof references are ``Record``s: slotted
+value records that declare each field once, with its default and whether it
+is compared (spans and labels are not) as class keywords, and get a
+generated initialiser; they compare and hash by their compared fields.
+Ports, terms and predicates are ``Value``s, records stored as tagged tuples,
+which ``tuple`` hashes and compares in C as dictionary keys.  ``Contract``,
 ``ArchitectureContract``, ``ProofStep``, ``ComponentType`` and ``Model`` are
 records declared by annotations: they keep a ``__dict__`` for cached
 indexes, and ``dataclasses.replace`` derives model variants from them.
@@ -35,8 +36,8 @@ an architecture contract the interface's.
 
 from functools import cached_property
 
-from .diagnostics import (Diagnostic, NO_SPAN, Record, SourceSpan, ERROR,
-                          WARNING)
+from .diagnostics import (Diagnostic, NO_SPAN, Record, SourceSpan, Value,
+                          ERROR, WARNING)
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +81,8 @@ INPUT = "input"
 OUTPUT = "output"
 
 
-class Port(Record):
-    __slots__ = ("name", "owner", "direction",
-                 "sort")                 # qualified sort name
+class Port(Value, fields=("name", "owner", "direction", "sort")):
+    __slots__ = ()                       # sort: a qualified sort name
 
     @property
     def qualified(self):
@@ -92,17 +92,16 @@ class Port(Record):
         return self.qualified
 
 
-class Var(Record):
-    __slots__ = ("name", "sort")
+class Var(Value, fields=("name", "sort")):
+    __slots__ = ()
 
 
-class PortRef(Record):
-    __slots__ = ("port",)
+class PortRef(Value, fields=("port",)):
+    __slots__ = ()
 
 
-class App(Record):
-    __slots__ = ("op",                   # qualified operation name
-                 "args")
+class App(Value, fields=("op", "args")):
+    __slots__ = ()                       # op: a qualified operation name
 
 
 Term = Var | PortRef | App
@@ -111,21 +110,20 @@ Term = Var | PortRef | App
 # ---------------------------------------------------------------------------
 # Predicates
 
-class Eq(Record):
-    __slots__ = ("lhs", "rhs")
+class Eq(Value, fields=("lhs", "rhs")):
+    __slots__ = ()
 
 
-class Atom(Record):
-    __slots__ = ("pred",                 # qualified predicate name
-                 "args")
+class Atom(Value, fields=("pred", "args")):
+    __slots__ = ()                       # pred: a qualified predicate name
 
 
-class And(Record):
-    __slots__ = ("parts",)               # two or more; none of them an And
+class And(Value, fields=("parts",)):
+    __slots__ = ()                       # two or more parts, none an And
 
 
-class Or(Record):
-    __slots__ = ("parts",)               # two or more; none of them an Or
+class Or(Value, fields=("parts",)):
+    __slots__ = ()                       # two or more parts, none an Or
 
 
 Predicate = Eq | Atom | And | Or
@@ -277,8 +275,9 @@ class ComponentType(Record, uncompared=("span",),
         return self.inputs + self.outputs
 
 
-class Model(Record, defaults=dict(datatypes=(), component_types=(),
-                                  connections=(), contracts=())):
+class Model(Record, uncompared=("connection_spans",), defaults=dict(
+        datatypes=(), component_types=(), connections=(), contracts=(),
+        connection_spans=())):
     """A pattern: datatypes, component types, connections and contracts."""
     name: str
     short_name: str
@@ -286,6 +285,7 @@ class Model(Record, defaults=dict(datatypes=(), component_types=(),
     component_types: tuple               # of ComponentType
     connections: tuple                   # of (input Port, output Port)
     contracts: tuple                     # of ArchitectureContract
+    connection_spans: tuple              # of SourceSpan, if parsed
 
     # Per-model indexes, built on first use; a model is immutable.  Lookups
     # by name resolve to the first declaration, hence the reversed walks.
@@ -500,26 +500,28 @@ def validate_structure(model):
         for c in ct.contracts:
             _check_contract(c, inputs, outputs, signature, out)
 
-    seen_inputs = set()
-    for p_in, p_out in model.connections:
+    seen_inputs, spans = set(), model.connection_spans
+    for k, (p_in, p_out) in enumerate(model.connections):
+        span = spans[k] if k < len(spans) else NO_SPAN
         if p_in.direction != INPUT:
             out.append(Diagnostic(ERROR, "CONNECTION_NOT_INPUT",
                                   "connection source %s is not an input port"
-                                  % p_in.qualified))
+                                  % p_in.qualified, span))
         if p_out.direction != OUTPUT:
             out.append(Diagnostic(ERROR, "CONNECTION_NOT_OUTPUT",
                                   "connection target %s is not an output port"
-                                  % p_out.qualified))
+                                  % p_out.qualified, span))
         if p_in in seen_inputs:
             out.append(Diagnostic(ERROR, "CONNECTION_DUPLICATE_INPUT",
                                   "input %s connected more than once"
-                                  % p_in.qualified))
+                                  % p_in.qualified, span))
         seen_inputs.add(p_in)
         if p_in.sort != p_out.sort:
             out.append(Diagnostic(
                 ERROR, "CONNECTION_SORT_MISMATCH",
                 "connected ports %s : %s and %s : %s differ in sort"
-                % (p_in.qualified, p_in.sort, p_out.qualified, p_out.sort)))
+                % (p_in.qualified, p_in.sort, p_out.qualified, p_out.sort),
+                span))
 
     if_inputs, if_outputs = architecture_interface(model)
     for n in _repeated([c.name for c in model.contracts]):

@@ -145,19 +145,24 @@ def _compile(universe, node, names, slots):
             if table is None:
                 raise ValueError("universe has no table for operation '%s'"
                                  % node.op)
-            return lambda env, state: table.get(tuple(a(env, state)
-                                                      for a in args))
+            return lambda env, state: table.get(tuple([a(env, state)
+                                                       for a in args]))
         table = universe.predicates.get(node.pred, set())
-        return lambda env, state: tuple(a(env, state) for a in args) in table
+        return lambda env, state: tuple([a(env, state) for a in args]) in table
     if isinstance(node, m.Eq):
         lhs = _compile(universe, node.lhs, names, slots)
         rhs = _compile(universe, node.rhs, names, slots)
         return lambda env, state: lhs(env, state) == rhs(env, state)
     parts = [_compile(universe, p, names, slots)
              for p in dict.fromkeys(node.parts)]
-    if isinstance(node, m.And):
-        return lambda env, state: all(f(env, state) for f in parts)
-    return lambda env, state: any(f(env, state) for f in parts)
+    decisive = isinstance(node, m.Or)    # a part of this value decides
+
+    def holds(env, state):
+        for f in parts:
+            if f(env, state) is decisive:
+                return decisive
+        return not decisive
+    return holds
 
 
 def _equations(c):

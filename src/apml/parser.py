@@ -325,7 +325,7 @@ class Parser:
             return m.EMPTY_MODEL
         self.advance()
         name = short = ""
-        datatypes, ctypes, connections, contracts = [], [], [], []
+        datatypes, ctypes, connections, contracts, spans = [], [], [], [], []
         try:
             name = self.texts[self.ident("pattern name")]
             self.expect("ID", "ShortName")
@@ -342,8 +342,8 @@ class Parser:
             for ct in ctypes:
                 self.ports_of.setdefault(ct.name, _by_name(ct.ports))
                 self.contracts.update(c.qualified for c in ct.contracts)
-            self.section("Connections", self.parse_connection, "LBRACE",
-                         connections)
+            self.section("Connections", lambda: self.parse_connection(spans),
+                         "LBRACE", connections)
             self.section("Contracts", self.parse_contract, "LBRACE",
                          contracts)
             self.expect("RBRACE")
@@ -355,7 +355,8 @@ class Parser:
                        datatypes=tuple(datatypes),
                        component_types=tuple(ctypes),
                        connections=tuple(connections),
-                       contracts=tuple(contracts))
+                       contracts=tuple(contracts),
+                       connection_spans=tuple(spans))
 
     # -- data types ----------------------------------------------------------
 
@@ -553,14 +554,18 @@ class Parser:
 
         return tuple(self.bracketed(parse_step, "LBRACE", steps))
 
-    def parse_connection(self):
-        self.expect("LPAREN")
+    def parse_connection(self, spans=None):
+        """An (input, output) port pair, or None once reported; its span
+        goes into ``spans`` if given."""
+        tok = self.expect("LPAREN")
         p_in = self.parse_port_ref()
         self.expect("COMMA")
         p_out = self.parse_port_ref()
         self.expect("RPAREN")
         if p_in is None or p_out is None:
             return None
+        if spans is not None:
+            spans.append(self.tokens.span(tok))
         return (p_in, p_out)
 
     def parse_port_ref(self):

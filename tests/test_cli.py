@@ -118,6 +118,21 @@ def test_check_structural_errors_alone_exit_3(tmp_path, capsys):
     assert code == 1 and "violated" in out
 
 
+def test_connection_diagnostics_name_the_file_and_line(tmp_path, capsys):
+    """A connection diagnostic points at the connection's parenthesis in the
+    file checked, not at line 1 of ``<input>``."""
+    path = tmp_path / "relay.apml"
+    path.write_text((CORPUS / "relay.apml").read_text().replace(
+        "(Stage2.i, Stage1.o)", "(Stage1.o, Stage2.i)"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 3
+    assert out.splitlines()[:2] == [
+        "%s:48:5: error: connection source Stage1.o is not an input port "
+        "[CONNECTION_NOT_INPUT]" % path,
+        "%s:48:5: error: connection target Stage2.i is not an output port "
+        "[CONNECTION_NOT_OUTPUT]" % path]
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "nonexistent.apml")
     assert code == 3

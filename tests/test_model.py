@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import inspect
+import itertools
 import pickle
 import typing
 from dataclasses import FrozenInstanceError
@@ -224,6 +225,39 @@ Pattern P ShortName p {
     assert "CONNECTION_NOT_OUTPUT" in rules
     assert "CONNECTION_DUPLICATE_INPUT" in rules
     assert "CONNECTION_SORT_MISMATCH" in rules
+
+
+def test_connection_diagnostics_carry_their_connection_span():
+    model, diags = parse_model("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ), DT C ( Sort INT ) }
+  CTypes {
+    CType A {
+      InputPorts { InputPort i (Type: B.NAT) }
+      OutputPorts { OutputPort o (Type: B.NAT) }
+    },
+    CType Z {
+      InputPorts { InputPort i (Type: C.INT) }
+      OutputPorts { OutputPort o (Type: C.INT) }
+    }
+  }
+  Connections {
+    (A.o, Z.o),
+    (Z.i, A.o), (Z.i, A.i)
+  }
+}""", "p.apml")
+    assert not diags
+    assert [(d.rule, str(d.span)) for d in m.validate_structure(model)] == [
+        ("CONNECTION_NOT_INPUT", "p.apml:15:5"),
+        ("CONNECTION_SORT_MISMATCH", "p.apml:15:5"),
+        ("CONNECTION_SORT_MISMATCH", "p.apml:16:5"),
+        ("CONNECTION_NOT_OUTPUT", "p.apml:16:17"),
+        ("CONNECTION_DUPLICATE_INPUT", "p.apml:16:17"),
+        ("CONNECTION_SORT_MISMATCH", "p.apml:16:17"),
+    ]
+    # a model built in code has no connection spans
+    assert {d.span for d in m.validate_structure(dataclasses.replace(
+        model, connection_spans=()))} == {NO_SPAN}
 
 
 def test_architecture_contract_over_connected_port():
@@ -474,7 +508,8 @@ RECORDS = [
      ("span",)),
     (m.Model, dict(name="P", short_name="p", datatypes=(m.DataType("B"),),
                    component_types=(COMPONENT,), connections=((PORT, PORT),),
-                   contracts=(m.ArchitectureContract(**CONTRACT),)), ()),
+                   contracts=(m.ArchitectureContract(**CONTRACT),),
+                   connection_spans=(SPAN,)), ("connection_spans",)),
     (isar.EmitConfig, dict(comments=False, legacy_connection_names=True,
                            strict_symbols=True), ()),
 ]
@@ -498,7 +533,7 @@ DEFAULTS = {
     m.ProofStep: dict(span=NO_SPAN),
     m.ComponentType: dict(span=NO_SPAN),
     m.Model: dict(datatypes=(), component_types=(), connections=(),
-                  contracts=()),
+                  contracts=(), connection_spans=()),
     isar.EmitConfig: dict(comments=True, legacy_connection_names=False,
                           strict_symbols=False),
 }
@@ -543,6 +578,31 @@ def test_and_and_or_over_the_same_parts_differ():
     parts = (EQ, m.Atom("B.P", (X,)))
     assert m.And(parts) != m.Or(parts)
     assert len({m.And(parts), m.Or(parts), m.And(parts)}) == 2
+
+
+VALUE_CLASSES = (m.Port, m.Var, m.PortRef, m.App, m.Eq, m.Atom, m.And, m.Or)
+VALUE_PAIRS = list(itertools.combinations(VALUE_CLASSES, 2))
+
+
+def _on_shared_fields(cls):
+    """A value of ``cls`` whose fields are the first of the same objects
+    every other value class is built on."""
+    return cls(*("a", (X,), X, "d")[:len(cls.__match_args__)])
+
+
+@pytest.mark.parametrize("first, second", VALUE_PAIRS, ids=[
+    "%s-%s" % (a.__name__, b.__name__) for a, b in VALUE_PAIRS])
+def test_values_of_two_classes_on_the_same_fields_stay_apart(first, second):
+    one, two = _on_shared_fields(first), _on_shared_fields(second)
+    assert one != two and not one == two
+    assert len({one, two}) == 2 and len({one: 1, two: 2}) == 2
+    for value in (one, two):
+        assert value != tuple(getattr(value, f) for f in value.__match_args__)
+        for again in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert again.__class__ is value.__class__
+            assert again == value and hash(again) == hash(value)
+            assert again != (two if value is one else one)
 
 
 @pytest.mark.parametrize("cls, fields, uncompared", RECORDS, ids=RECORD_IDS)
