@@ -398,7 +398,7 @@ def test_radder_duration6_counterexample_matches_golden(capsys):
     6 has a counterexample: a trace every component contract allows in
     which the sum is wrong at 6.  The Dispatcher's, the Adders' and the
     Merger's fired equations fix their outputs, so the search decides
-    within 9,125 states."""
+    in exactly 9,125 states."""
     xor = str(ROOT / "tests" / "golden" / "simulate" / "xor.uni")
     code, out, _ = run(capsys, "simulate", DUR6, "--universe", xor,
                        "--horizon", "1")
@@ -416,6 +416,9 @@ def test_radder_duration6_counterexample_matches_golden(capsys):
     holds, counter = oracle.verify_satisfaction(model, contract, universe,
                                                 horizon=1, budget=9125)
     assert not holds and counter == trace
+    with pytest.raises(oracle.ExplosionError):
+        oracle.verify_satisfaction(model, contract, universe, horizon=1,
+                                   budget=9124)
 
 
 def test_simulate_zero_duration_components(tmp_path, capsys):

@@ -401,8 +401,8 @@ ECHO = """Pattern Echo ShortName echo {
 
 def test_a_full_memo_starts_afresh(monkeypatch):
     """Forgetting dead keys only visits more nodes: Echo at horizon 5 needs
-    440 nodes with the whole memo and more when it holds two keys, and
-    verdicts and counterexamples stay the reference's."""
+    exactly 440 nodes with the whole memo and more when it holds two keys,
+    and verdicts and counterexamples stay the reference's."""
     model, diags = parse_model(ECHO)
     assert not diags
     universe = parse_universe("sort Bit.BIT: 0 1\n")
@@ -411,6 +411,8 @@ def test_a_full_memo_starts_afresh(monkeypatch):
     assert cones == [cells] * 5
     assert verify_satisfaction(model, contract, universe, horizon=5,
                                budget=440) == (True, None)
+    with pytest.raises(ExplosionError):
+        verify_satisfaction(model, contract, universe, horizon=5, budget=439)
     monkeypatch.setattr(oracle, "MEMO_KEYS", 2)
     with pytest.raises(ExplosionError):
         verify_satisfaction(model, contract, universe, horizon=5, budget=440)
