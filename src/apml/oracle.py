@@ -9,32 +9,35 @@ is an independent oracle for the proof checker.
 ``verify_satisfaction`` checks an architecture contract of duration d on
 traces of ``horizon + d + 1`` states, for windows starting before horizon;
 states after the last window only add constraints.  Its depth-first search
-builds one state per level.  For a fixed window start and assignment,
-whether a prefix extends to a counterexample depends only on its length and
-its last L states, L the largest trigger offset or duration of a component
-contract: a component window completing at the next level, and so each
-output its guarantee fixes there, reads at most L states back, and the
-architecture's triggers and guarantee are checked on the new state at fixed
-levels (a full trace has passed the guarantee's level, so it is a
-counterexample).  Keys whose subtree held no counterexample are skipped
-when met again, so the first counterexample found is unchanged.  A prefix
-of at most L states is its own key and is met only once, so only longer
-prefixes are recorded.  The memo holds at most ``MEMO_KEYS`` keys and
+over the cells of the ``layout`` builds one state per level.  On entering
+a level it judges, once per assignment, each component window completing
+there on the earlier levels: its triggers there must hold, and its
+guarantee, if due there, must fail.  A window that passes is pending, and
+each state tried is judged only on what reads it: the pending windows'
+triggers at the level and guarantees due there, and the architecture's
+conditions at the level.  A pending window whose triggers all precede its
+guarantee forces each port that an equation of the guarantee fixes; a port
+forced to two values leaves no state.
+
+For a fixed window start and assignment, whether a prefix extends to a
+counterexample depends only on its length and its last L states, L the
+largest trigger offset or duration of a component contract: the windows
+completing at the next level read at most L states back, and a full trace
+has met the architecture's conditions, which fall at fixed levels.  Keys
+whose subtree held no counterexample are skipped when met again, so the
+first counterexample found is unchanged; a prefix of at most L states is
+met once and not recorded.  The memo holds at most ``MEMO_KEYS`` keys and
 starts afresh when full; forgetting keys only visits more nodes.
 
-The search runs first in a cone.  A cell is a free port at a level; a
-union-find joins the cells each component window lying in the trace reads
-(its triggers' ports at their offsets, its guarantee's at its duration).  A
-window start's cone is the parts holding a cell the architecture contract
-reads there.  Cells outside it take one placeholder value and windows
-outside it go unchecked; that only adds traces, so a cone without
-counterexample means none exists.  No window reads both a cone cell and
-another, so the composed traces are the cone's times the other parts', and
-the first counterexample, the least in the search's order, pairs the first
-of each.  So when the cone is not every cell, the search runs again over
-every cell with the cone's pinned to its counterexample.  It returns the
-first counterexample, or none when the other parts have no trace: then no
-composed trace exists and the contract holds.
+The search runs first in the start's cone, the parts holding a cell the
+architecture contract reads.  Cells outside it take one placeholder value
+and windows outside it go unchecked; that only adds traces, so a cone
+without counterexample means none exists.  No window reads both a cone cell
+and another, so the composed traces are the cone's times the other parts',
+and the first counterexample, the least in the search's order, pairs the
+first of each.  So when the cone is not every cell, the search runs again
+over every cell with the cone's pinned to its counterexample; finding none,
+the other parts have no trace, so no composed trace exists at all.
 """
 
 import bisect
@@ -79,8 +82,8 @@ class FiniteUniverse:
 
     def eval_predicate(self, pred, env, state):
         """Truth of a predicate: ``env`` maps variable names and ``state``
-        qualified port names to values.  The package never calls it;
-        ``perfbench/tracing.py`` counts its calls."""
+        qualified port names to values.  Simulate no longer calls it, so
+        the count ``perfbench/tracing.py`` keeps of it reads 0."""
         names = {v: v for v in m.free_variables(pred)}
         slots = {p.qualified: p.qualified for p in m.ports_of(pred)}
         return _compile(self, pred, names, slots)(env, state)
@@ -177,54 +180,28 @@ def _equations(c):
 
 def _carriers(universe, sorts):
     """The carrier of each sort; a ValueError names the first one empty."""
-    carriers = [universe.carrier(sort) for sort in sorts]
-    if not all(carriers):
-        sort = next(s for s, values in zip(sorts, carriers) if not values)
-        raise ValueError("universe has no values for sort '%s'" % sort)
-    return carriers
+    for sort in sorts:
+        if not universe.carrier(sort):
+            raise ValueError("universe has no values for sort '%s'" % sort)
+    return [universe.carrier(sort) for sort in sorts]
 
 
-def verify_satisfaction(model, contract, universe, horizon=None,
-                        budget=NODE_BUDGET):
-    """Must every composed trace satisfying the component contracts satisfy
-    the architecture contract?
-
-    Searches for a counterexample trace per window start and variable
-    assignment, first in the start's cone and then over every cell (see the
-    module docstring); returns ``(True, None)`` when none exists,
-    ``(False, trace)`` with the first counterexample otherwise.  Each
-    enumerated state is a node, counted over both searches; raises
-    ExplosionError past ``budget`` nodes.  A sort without values or an
-    operation without a table would make any verdict vacuous: each is a
-    ValueError, sorts of free ports, then of variables, before operations.
-    So, next, is a horizon whose trace has more cells than a list holds.
-    """
+def layout(model, contract, horizon):
+    """``(free, slots, windows, part, cones)`` for the contract's traces of
+    ``horizon + duration + 1`` levels: ``free`` are the ports no connection
+    feeds, ``slots[q]`` the position in free of the port giving port q its
+    value, cell ``k * len(free) + i`` slot i at level k.  ``windows[k]``
+    holds ``(c, start, cell)`` for each component contract's window ending
+    at level k, cell one it reads or None; ``part[cell]`` names the part of
+    the cells that windows join, ``cones[n]`` the parts the contract reads
+    at window start n.  A ValueError refuses more cells than a list holds."""
     conn = model.connection_map()
     free = [p for ct in model.component_types for p in ct.ports
             if p not in conn]
     slots = {p.qualified: i for i, p in enumerate(free)}
     for p_in, p_out in conn.items():
         slots[p_in.qualified] = slots[p_out.qualified]
-    carriers = _carriers(universe, [p.sort for p in free])
-    owned = [c for ct in model.component_types for c in ct.contracts]
-    # each contract's assignments of its variables, the architecture's last,
-    # looked up before any operation table, as the docstring orders them
-    envs = [list(itertools.product(*_carriers(
-                universe, [sort for _, sort in c.variables])))
-            for c in owned + [contract]]
-
-    def reads(c):
-        """The (offset, slot) pairs a window of contract c reads."""
-        return [(t, slots[p.qualified])
-                for t, pred in [(t.time, t.predicate) for t in c.triggers]
-                + [(c.duration, c.guarantee)] for p in m.ports_of(pred)]
-
-    if horizon is None:
-        horizon = contract.duration + 1
-    length = horizon + contract.duration + 1
-    nodes = 0
-    # union-find over the cells, cell k * width + i being slot i at level k
-    width = len(free)
+    width, length = len(free), horizon + contract.duration + 1
     if width * length > sys.maxsize:
         raise ValueError("horizon %d is too long to lay out" % horizon)
     part = list(range(width * length))
@@ -235,95 +212,115 @@ def verify_satisfaction(model, contract, universe, horizon=None,
             cell = part[cell]
         return cell
 
-    # per level, the (cell read or None, window) of the windows completing
-    # there; a window is (span, envs, triggers, duration, guarantee, fixes),
-    # fixes the (slot, term) of _equations when triggers precede the duration
-    completing = [[] for _ in range(length)]
-    lookback = 0
-    for c, c_envs in zip(owned, envs):
-        names = {name: j for j, (name, _) in enumerate(c.variables)}
+    def reads(c):
+        """The (offset, slot) pairs a window of contract c reads."""
+        return [(t, slots[p.qualified])
+                for t, pred in [(t.time, t.predicate) for t in c.triggers]
+                + [(c.duration, c.guarantee)] for p in m.ports_of(pred)]
+
+    windows = [[] for _ in range(length)]
+    for c in [c for ct in model.component_types for c in ct.contracts]:
         span = max([t.time for t in c.triggers] + [c.duration])
-        lookback = max(lookback, span)
-        window = (span, c_envs,
-                  [(t.time, _compile(universe, t.predicate, names, slots))
-                   for t in c.triggers],
-                  c.duration, _compile(universe, c.guarantee, names, slots),
-                  [(slots[port.qualified], _compile(universe, term, names, {}))
-                   for port, term in _equations(c)]
-                  if all(t.time < c.duration for t in c.triggers) else [])
         offsets = reads(c)
         for s in range(length - span):
             cells = [(s + t) * width + i for t, i in offsets]
             for cell in cells[1:]:
                 part[find(cell)] = find(cells[0])
-            completing[s + span].append((cells[0] if cells else None,
-                                         window))
-    every = [[w for _, w in level] for level in completing]
+            windows[s + span].append((c, s, cells[0] if cells else None))
+    part = [find(cell) for cell in range(len(part))]
+    offsets = reads(contract)
+    return free, slots, windows, part, [
+        {part[(n + t) * width + i] for t, i in offsets if n + t < length}
+        for n in range(horizon)]
 
-    names = {name: j for j, (name, _) in enumerate(contract.variables)}
-    arch_triggers = [(t.time, _compile(universe, t.predicate, names, slots))
-                     for t in contract.triggers]
-    arch_guarantee = _compile(universe, contract.guarantee, names, slots)
-    arch_reads = reads(contract)
 
-    def candidates(trace, upto, domains, live):
-        """The states to try at level upto: each port a live window fixes
-        there, under an assignment whose triggers hold, takes that value
-        (none off the table); none when one port is fixed to two values."""
+def verify_satisfaction(model, contract, universe, horizon=None,
+                        budget=NODE_BUDGET):
+    """Must every composed trace satisfying the component contracts satisfy
+    the architecture contract?
+
+    Searches the ``layout`` for a counterexample per window start and
+    assignment (see the module docstring): ``(True, None)`` when none
+    exists, else ``(False, trace)`` with the first.  Each state tried is a
+    node; raises ExplosionError past ``budget`` nodes.  A sort without
+    values or an operation without a table would make any verdict vacuous:
+    each is a ValueError, sorts of free ports, then of variables, then a
+    horizon too long to lay out, then operations."""
+    conn = model.connection_map()
+    carriers = _carriers(universe, [p.sort for ct in model.component_types
+                                    for p in ct.ports if p not in conn])
+    owned = [c for ct in model.component_types for c in ct.contracts]
+    # each contract's assignments, the architecture's last, before any table
+    envs = [list(itertools.product(*_carriers(
+                universe, [sort for _, sort in c.variables])))
+            for c in owned + [contract]]
+    if horizon is None:
+        horizon = contract.duration + 1
+    free, slots, windows, part, cones = layout(model, contract, horizon)
+    width, length = len(free), len(windows)
+
+    def conditions(c):
+        """c's (offset, f, want): its window is broken when each f is want."""
+        names = {name: j for j, (name, _) in enumerate(c.variables)}
+        return [(t.time, _compile(universe, t.predicate, names, slots), True)
+                for t in c.triggers] + [(c.duration, _compile(
+                    universe, c.guarantee, names, slots), False)]
+
+    # per component contract, (envs, before, now, fixes): its conditions
+    # before its window's last level and on it, and _equations as forced
+    forms = {}
+    lookback = 0
+    for c, c_envs in zip(owned, envs):
+        span = max([t.time for t in c.triggers] + [c.duration])
+        lookback = max(lookback, span)
+        conds = conditions(c)
+        names = {name: j for j, (name, _) in enumerate(c.variables)}
+        forms[id(c)] = (
+            c_envs, [(t, f, want) for t, f, want in conds if t < span],
+            [(f, want) for t, f, want in conds if t == span],
+            [(slots[port.qualified], _compile(universe, term, names, {}))
+             for port, term in _equations(c)]
+            if all(t.time < c.duration for t in c.triggers) else [])
+    every = [[(s, forms[id(c)]) for c, s, _ in level] for level in windows]
+    arch_conds = conditions(contract)
+
+    def judge(trace, domains, live, arch):
+        """The states to try at level len(trace), and the (env, conds) each
+        must not meet: arch's there, and live windows' (see the module)."""
+        k = len(trace)
         forced = {}
-        for span, envs, triggers, _, _, fixes in live[upto]:
-            if not fixes:
-                continue
-            n = upto - span
-            checks = [(f, trace[n + t]) for t, f in triggers]
+        pending = list(arch[k])
+        for s, (envs, before, now, fixes) in live[k]:
+            checks = [(f, want, trace[s + t]) for t, f, want in before]
             for env in envs:
-                for f, state in checks:
-                    if not f(env, state):
+                for f, want, state in checks:
+                    if f(env, state) is not want:
                         break
                 else:
+                    pending.append((env, now))
                     for i, term in fixes:
                         value = term(env, ())
                         if (value is not None
                                 and forced.setdefault(i, value) != value):
-                            return ()
-        domains = list(domains[upto])
-        for i, value in forced.items():
-            domains[i] = (value,)
-        return itertools.product(*domains)
-
-    def windows_hold(trace, upto, live):
-        """Do the live component windows completing at trace[upto] hold?"""
-        for span, envs, triggers, duration, guarantee, _ in live[upto]:
-            n = upto - span
-            checks = [(f, trace[n + t]) for t, f in triggers]
-            last = trace[n + duration]
-            for env in envs:
-                for f, state in checks:
-                    if not f(env, state):
-                        break
-                else:
-                    if not guarantee(env, last):
-                        return False
-        return True
+                            return (), ()
+        return itertools.product(*[
+            (forced[i],) if i in forced else values
+            for i, values in enumerate(domains[k])]), pending
 
     def search(n, env, domains, live):
         """The first counterexample for window start n and assignment env
-        whose level k takes its states from domains[k] and satisfies the
-        windows live[k]."""
+        taking level k's states from domains[k] and meeting live[k]."""
         nonlocal nodes
-        # what each level's state must satisfy: the architecture triggers of
-        # this window, and at its duration the negated guarantee
-        arch_at = [[] for _ in range(length)]
-        for t, f in arch_triggers:
+        # the architecture's window at n must be broken
+        arch = [[] for _ in range(length)]
+        for t, f, want in arch_conds:
             if n + t < length:
-                arch_at[n + t].append(f)
-        arch_at[n + contract.duration].append(
-            lambda env, state: not arch_guarantee(env, state))
+                arch[n + t].append((env, [(f, not want)]))
         dead = set()                 # keys of levels that failed to extend
         trace = []
-        levels = [(None, candidates(trace, 0, domains, live))]
+        levels = [(None,) + judge(trace, domains, live, arch)]
         while levels:
-            key, states = levels[-1]
+            key, states, pending = levels[-1]
             upto = len(levels) - 1
             del trace[upto:]
             for state in states:
@@ -332,11 +329,14 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                     raise ExplosionError(
                         "node budget %d exhausted (%d nodes enumerated)"
                         % (budget, nodes))
-                trace.append(state)
-                if (windows_hold(trace, upto, live)
-                        and all(f(env, state) for f in arch_at[upto])):
-                    break
-                trace.pop()
+                for e, conds in pending:
+                    for f, want in conds:
+                        if f(e, state) is not want:
+                            break
+                    else:
+                        break        # the state meets the conditions
+                else:
+                    break            # the state escapes every condition
             else:
                 if key is not None:
                     if len(dead) >= MEMO_KEYS:
@@ -344,6 +344,7 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                     dead.add(key)
                 levels.pop()
                 continue
+            trace.append(state)
             if upto + 1 == length:
                 return trace
             key = None               # a prefix within the lookback is met once
@@ -351,17 +352,16 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                 key = (upto + 1, tuple(trace[upto + 1 - lookback:]))
                 if key in dead:
                     continue
-            levels.append((key, candidates(trace, upto + 1, domains, live)))
+            levels.append((key,) + judge(trace, domains, live, arch))
         return None
 
-    for n in range(horizon):
-        cone = {find((n + t) * width + i) for t, i in arch_reads
-                if n + t < length}
-        inside = [find(cell) in cone for cell in range(width * length)]
+    nodes = 0
+    for n, cone in enumerate(cones):
+        inside = [p in cone for p in part]
         domains = [[carriers[i] if inside[k * width + i] else (None,)
                     for i in range(width)] for k in range(length)]
-        live = [[w for cell, w in level if cell is None or inside[cell]]
-                for level in completing]
+        live = [[(s, forms[id(c)]) for c, s, cell in level
+                 if cell is None or inside[cell]] for level in windows]
         for env in envs[-1]:
             counter = search(n, env, domains, live)
             if counter is not None and not all(inside):

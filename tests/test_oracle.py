@@ -10,8 +10,8 @@ import pytest
 from apml import entailment, oracle
 from apml import model as m
 from apml.checker import check_proof, OK
-from apml.oracle import (ExplosionError, FiniteUniverse, parse_universe,
-                         search_proof, verify_satisfaction,
+from apml.oracle import (ExplosionError, FiniteUniverse, layout,
+                         parse_universe, search_proof, verify_satisfaction,
                          FOUND, NO_PROOF_AT_BOUND, BUDGET_EXCEEDED)
 from apml.diagnostics import errors
 from apml.parser import parse_model
@@ -446,6 +446,33 @@ def test_verify_satisfaction_matches_the_reference_on_tiny_models():
         cells, cones = cone_sizes(model, contract, horizon)
         partial += min(cones) < cells
         decided += 1
+    assert partial >= 30
+
+
+def _layout_cones(model, contract, horizon):
+    """``(cells, cones)`` as ``cone_sizes`` counts them, read off the parts
+    of ``layout``."""
+    _, _, _, part, cones = layout(model, contract, horizon)
+    return len(part), [sum(p in cone for p in part) for cone in cones]
+
+
+def test_layout_cones_match_the_reference():
+    """The parts of ``layout`` give the cones the reference walks, on Echo
+    and on the 351 draws the comparison on tiny models makes, the ones it
+    skips included."""
+    model, _ = parse_model(ECHO)
+    contract = model.contracts[0]
+    assert (_layout_cones(model, contract, 5)
+            == cone_sizes(model, contract, horizon=5))
+    rng = random.Random(20261019)
+    partial = 0
+    for _ in range(351):
+        model, _ = random_tiny_model(rng)
+        contract = model.contracts[0]
+        horizon = rng.randint(1, 3)
+        cells, cones = cone_sizes(model, contract, horizon)
+        assert _layout_cones(model, contract, horizon) == (cells, cones)
+        partial += min(cones) < cells
     assert partial >= 30
 
 
