@@ -785,11 +785,23 @@ _INSERTS = ("{", "}", "(", ")", "[", "]", ",", ":", ".", "=", "/\\", "\\/",
             "InputPorts", "OutputPorts", "Connections", "DT", "CType")
 
 
-def mutate_source(rng, text):
-    """One seeded edit of model text, on word and punctuation boundaries:
-    delete a run of one to four units, insert a bracket, separator or
-    keyword, or copy a slice of one to twelve units elsewhere."""
-    units = [mo.span() for mo in _UNIT_RE.finditer(text)]
+def mutated_corpus(corpus, per_file=200):
+    """``(name, k, text)`` for the k-th of ``per_file`` seeded edits of each
+    ``.apml`` file of the corpus directory, files in name order: the inputs
+    whose parses ``tests/golden/parse_mutations.txt`` pins."""
+    for path in sorted(corpus.glob("*.apml")):
+        text = path.read_text()
+        rng = random.Random(path.name)
+        units = [mo.span() for mo in _UNIT_RE.finditer(text)]
+        for k in range(per_file):
+            yield path.name, k, _mutate(rng, text, units)
+
+
+def _mutate(rng, text, units):
+    """One seeded edit of model text, on the word and punctuation units'
+    boundaries: delete a run of one to four units, insert a bracket,
+    separator or keyword, or copy a slice of one to twelve units
+    elsewhere."""
     i = rng.randrange(len(units))
     kind = rng.randrange(3)
     if kind == 0:

@@ -14,7 +14,8 @@ from apml.cli import COMMANDS, main, parse_args
 from apml.parser import MAX_NESTING, parse_model
 
 from conftest import CORPUS, ROOT
-from oracles import edit_source, trace_satisfies, violated_window
+from oracles import (edit_source, mutated_corpus, trace_satisfies,
+                     violated_window)
 
 RADDER = str(CORPUS / "radder.apml")
 MERGE1 = str(CORPUS / "radder_merge1.apml")
@@ -670,6 +671,29 @@ def test_edited_corpus_models_exit_in_class_under_every_command(
             counterexamples += 1
     if name == "relay.apml":             # the trace check is not vacuous
         assert counterexamples
+
+
+def test_parse_mutations_exit_in_class_under_every_command(tmp_path,
+                                                          capsys):
+    """The seeded edits whose parses tests/golden/parse_mutations.txt pins
+    never make a command fail inside the tool or exit out of 0-3.  Every
+    command runs on the inputs that parse without a diagnostic; on the
+    rest each command stops in the same ``_load_model``, so check alone
+    runs, and the golden says which are which without a second parse."""
+    golden = (ROOT / "tests" / "golden" / "parse_mutations.txt").read_text()
+    path = tmp_path / "mutated.apml"
+    clean = 0
+    for line, (name, k, text) in zip(golden.splitlines(),
+                                      mutated_corpus(CORPUS), strict=True):
+        assert line.split()[:2] == [name, str(k)]
+        commands = EXTRA_ARGS if line.split()[2] == "-" else {"check": []}
+        clean += commands is EXTRA_ARGS
+        path.write_text(text)
+        for command, extra in commands.items():
+            code, _, err = run(capsys, command, *extra, str(path))
+            assert "error: internal" not in err, (name, k, command, err)
+            assert code in (0, 1, 2, 3), (name, k, command, code)
+    assert clean == 46
 
 
 def test_non_ascii_digit_is_a_lex_error(tmp_path, capsys):

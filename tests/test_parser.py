@@ -14,7 +14,7 @@ from apml.printer import print_model
 from apml.model import validate_structure
 
 from conftest import load, CORPUS, ROOT
-from oracles import mutate_source, naive_tokenize, relay_chain_model
+from oracles import mutated_corpus, naive_tokenize, relay_chain_model
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.apml"))
 
@@ -498,22 +498,16 @@ def test_corpus_element_spans_match_the_golden():
     assert "\n".join(lines) + "\n" == golden.read_text()
 
 
-MUTATIONS_PER_FILE = 200
-
-
 def mutation_lines():
     """One line per seeded mutation of each corpus file: its diagnostics'
     rules and a short digest of the partial model and the diagnostics."""
     lines = []
-    for name in ALL_CORPUS:
-        text = (CORPUS / name).read_text()
-        rng = random.Random(name)
-        for k in range(MUTATIONS_PER_FILE):
-            model, diags = parse_model(mutate_source(rng, text), name)
-            digest = hashlib.sha1(
-                (repr(model) + "\n" + repr(diags)).encode()).hexdigest()
-            lines.append("%s %d %s %s" % (
-                name, k, ",".join(d.rule for d in diags) or "-", digest[:12]))
+    for name, k, text in mutated_corpus(CORPUS):
+        model, diags = parse_model(text, name)
+        digest = hashlib.sha1(
+            (repr(model) + "\n" + repr(diags)).encode()).hexdigest()
+        lines.append("%s %d %s %s" % (
+            name, k, ",".join(d.rule for d in diags) or "-", digest[:12]))
     return lines
 
 
