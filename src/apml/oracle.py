@@ -11,13 +11,12 @@ traces of ``horizon + d + 1`` states, for windows starting before horizon;
 states after the last window only add constraints.  Its depth-first search
 over the cells of the ``layout`` builds one state per level.  On entering
 a level it judges, once per assignment, each component window completing
-there on the earlier levels: its triggers there must hold, and its
-guarantee, if due there, must fail.  A window that passes is pending, and
-each state tried is judged only on what reads it: the pending windows'
-triggers at the level and guarantees due there, and the architecture's
-conditions at the level.  A pending window whose triggers all precede its
-guarantee forces each port that an equation of the guarantee fixes; a port
-forced to two values leaves no state.
+there on the earlier levels: the window is pending when its triggers there
+hold and its guarantee, if due there, fails.  Each state tried is then
+judged only on what reads it: the pending windows' triggers and due
+guarantees at its level, and the architecture's conditions there.  A
+pending window whose triggers all precede its guarantee forces each port
+an equation of the guarantee fixes; two values for a port leave no state.
 
 For a fixed window start and assignment, whether a prefix extends to a
 counterexample depends only on its length and its last L states, L the
@@ -180,10 +179,11 @@ def _equations(c):
 
 def _carriers(universe, sorts):
     """The carrier of each sort; a ValueError names the first one empty."""
-    for sort in sorts:
-        if not universe.carrier(sort):
-            raise ValueError("universe has no values for sort '%s'" % sort)
-    return [universe.carrier(sort) for sort in sorts]
+    carriers = [universe.carrier(sort) for sort in sorts]
+    if not all(carriers):
+        sort = next(s for s, values in zip(sorts, carriers) if not values)
+        raise ValueError("universe has no values for sort '%s'" % sort)
+    return carriers
 
 
 def layout(model, contract, horizon):
@@ -266,9 +266,7 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                 for t in c.triggers] + [(c.duration, _compile(
                     universe, c.guarantee, names, slots), False)]
 
-    # per component contract, (envs, before, now, fixes): its conditions
-    # before its window's last level and on it, and _equations as forced
-    forms = {}
+    forms = {}                       # id(c) -> (envs, before, now, fixes)
     lookback = 0
     for c, c_envs in zip(owned, envs):
         span = max([t.time for t in c.triggers] + [c.duration])
@@ -281,7 +279,6 @@ def verify_satisfaction(model, contract, universe, horizon=None,
             [(slots[port.qualified], _compile(universe, term, names, {}))
              for port, term in _equations(c)]
             if all(t.time < c.duration for t in c.triggers) else [])
-    every = [[(s, forms[id(c)]) for c, s, _ in level] for level in windows]
     arch_conds = conditions(contract)
 
     def judge(trace, domains, live, arch):
@@ -303,9 +300,10 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                         if (value is not None
                                 and forced.setdefault(i, value) != value):
                             return (), ()
-        return itertools.product(*[
-            (forced[i],) if i in forced else values
-            for i, values in enumerate(domains[k])]), pending
+        domains = list(domains[k])
+        for i, value in forced.items():
+            domains[i] = (value,)
+        return itertools.product(*domains), pending
 
     def search(n, env, domains, live):
         """The first counterexample for window start n and assignment env
@@ -369,7 +367,9 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                 pinned = [[(v,) if inside[k * width + i] else carriers[i]
                            for i, v in enumerate(state)]
                           for k, state in enumerate(counter)]
-                counter = search(n, env, pinned, every)
+                counter = search(n, env, pinned, [
+                    [(s, forms[id(c)]) for c, s, _ in level]
+                    for level in windows])
                 if counter is None:
                     return True, None    # the other parts have no trace
             if counter is not None:
