@@ -82,7 +82,7 @@ class FiniteUniverse:
     def eval_predicate(self, pred, env, state):
         """Truth of a predicate: ``env`` maps variable names and ``state``
         qualified port names to values.  Simulate no longer calls it, so
-        the count ``perfbench/tracing.py`` keeps of it reads 0."""
+        perfbench's ``oracle.eval_calls`` reads 0 until that counter moves."""
         names = {v: v for v in m.free_variables(pred)}
         slots = {p.qualified: p.qualified for p in m.ports_of(pred)}
         return _compile(self, pred, names, slots)(env, state)
@@ -332,9 +332,9 @@ def verify_satisfaction(model, contract, universe, horizon=None,
                         if f(e, state) is not want:
                             break
                     else:
-                        break        # the state meets the conditions
+                        break        # these conditions refuse the state
                 else:
-                    break            # the state escapes every condition
+                    break            # no condition refuses the state
             else:
                 if key is not None:
                     if len(dead) >= MEMO_KEYS:

@@ -785,15 +785,15 @@ _INSERTS = ("{", "}", "(", ")", "[", "]", ",", ":", ".", "=", "/\\", "\\/",
             "InputPorts", "OutputPorts", "Connections", "DT", "CType")
 
 
-def mutated_corpus(corpus, per_file=200):
-    """``(name, k, text)`` for the k-th of ``per_file`` seeded edits of each
-    ``.apml`` file of the corpus directory, files in name order: the inputs
-    whose parses ``tests/golden/parse_mutations.txt`` pins."""
+def mutated_corpus(corpus):
+    """``(name, k, text)`` for the k-th of 200 seeded edits of each ``.apml``
+    file of the corpus directory, files in name order: the inputs whose
+    parses ``tests/golden/parse_mutations.txt`` pins."""
     for path in sorted(corpus.glob("*.apml")):
         text = path.read_text()
         rng = random.Random(path.name)
         units = [mo.span() for mo in _UNIT_RE.finditer(text)]
-        for k in range(per_file):
+        for k in range(200):
             yield path.name, k, _mutate(rng, text, units)
 
 
