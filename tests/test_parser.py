@@ -517,6 +517,41 @@ def test_mutated_corpus_parses_like_the_golden():
     assert "\n".join(mutation_lines()) + "\n" == golden.read_text()
 
 
+def phrase_edits(text):
+    """``(edit, k, text)`` for each token k of text: the text cut after it,
+    each keyword replaced by the identifier ``q`` and each identifier by a
+    keyword, round-robin over the sorted keywords.  Together they break
+    every fixed phrase of the grammar at every token."""
+    tokens, _ = tokenize(text)
+    keywords = sorted(KEYWORDS)
+    renamed = 0
+    for k in range(len(tokens) - 1):
+        word, end = tokens.texts[k], tokens.ends[k]
+        start = end - len(word)
+        yield "cut", k, text[:end]
+        if word in KEYWORDS:
+            yield "q", k, text[:start] + "q" + text[end:]
+        elif word.isidentifier():
+            keyword = keywords[renamed % len(keywords)]
+            renamed += 1
+            yield "keyword", k, text[:start] + keyword + text[end:]
+
+
+def test_broken_phrases_parse_like_the_golden():
+    """Every fixed phrase of relay.apml, cut or with a token of the wrong
+    kind, reports the same first wrong token and keeps the same partial
+    model."""
+    lines = []
+    for edit, k, text in phrase_edits((CORPUS / "relay.apml").read_text()):
+        model, diags = parse_model(text, "relay.apml")
+        digest = hashlib.sha1(
+            (repr(model) + "\n" + repr(diags)).encode()).hexdigest()
+        lines.append("%s %d %s %s" % (
+            edit, k, ",".join(d.rule for d in diags) or "-", digest[:12]))
+    golden = ROOT / "tests" / "golden" / "phrase_mutations.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()
+
+
 def test_missing_brace_after_connections_keeps_the_parsed_connections():
     model, _ = load("relay.apml")
     text = (CORPUS / "relay.apml").read_text().replace(
