@@ -56,15 +56,18 @@ class Record:
             lines = ["def __init__(self, %s):" % ", ".join(args)]
             lines += ["    _set(self, %r, %s)" % (a, a) for a in args]
             lines += ["    self.__post_init__()"] * shape[1]
-            lines += ["def __new__(cls, %s):" % ", ".join(args),
-                      "    return _new(cls, (cls, %s))" % ", ".join(args)]
+            new = "_new(cls, (cls, %s))" % ", ".join(args)
+            lines += ["def __new__(cls, %s):" % ", ".join(args)]
+            lines += ["    self = " + new, "    self.__post_init__()",
+                      "    return self"] if shape[1] else ["    return " + new]
             exec("\n".join(lines), scope := {})
             _SHAPES[shape] = scope["__init__"], scope["__new__"]
         value = issubclass(cls, tuple)   # a Value: built by __new__
         code = _SHAPES[shape][value].__code__
         names = dict(zip(code.co_varnames[1:], fields))
         make = FunctionType(code.replace(
-            co_varnames=code.co_varnames[:1] + fields,
+            co_varnames=code.co_varnames[:1] + fields
+            + code.co_varnames[1 + len(fields):],
             co_consts=tuple(names.get(c, c) for c in code.co_consts)),
             globals(), code.co_name,
             tuple(defaults[f] for f in fields[len(fields) - len(defaults):]))
@@ -131,11 +134,12 @@ class _DataclassFields(UserDict):
             for f in cls.__match_args__]).__dataclass_fields__
 
 
-class SourceSpan(Record, defaults=dict(file="<input>", start_line=1,
-                                      start_col=1, end_line=1, end_col=1)):
+class SourceSpan(Value, fields=("file", "start_line", "start_col", "end_line",
+                               "end_col"), defaults=dict(
+        file="<input>", start_line=1, start_col=1, end_line=1, end_col=1)):
     """1-based half-open-ish source region; start must not exceed end."""
 
-    __slots__ = ("file", "start_line", "start_col", "end_line", "end_col")
+    __slots__ = ()
 
     def __post_init__(self):
         if (self.end_line, self.end_col) < (self.start_line, self.start_col):

@@ -3,12 +3,11 @@
 ``parse_model`` never raises on bad input: it returns a best-effort partial
 model together with span-carrying diagnostics.
 
-``tokenize`` fills ``Tokens``, three parallel columns: each token's kind, its
-text and its end offset.  A token is an index into them.  ``kind`` is ID,
-NAT, AND, OR, ARROW, EOF or a punctuation kind; NAT is ASCII digits only.
-No token stores its line or column: ``Tokens.span`` finds them by bisecting
-the offsets of the line starts, only where something keeps a span, a model
-element or a diagnostic, so most tokens never get one.
+``tokenize`` fills ``Tokens``: each token's kind, its text and its end
+offset.  A kind is one character: ID, NAT (ASCII digits only), EOF, a
+punctuation token's own or one per keyword, so no parse step compares
+texts.  ``Tokens.span`` counts a token's line and column only where a model
+element or a diagnostic keeps a span, so most tokens never get one.
 
 ``tokenize`` has no Python loop per token.  It scans the text in chunks of
 about ``CHUNK`` characters, each cut at a newline outside block comments, so
@@ -18,20 +17,24 @@ lengths.  A block comment left open is a chunk's last match, so the chunk is
 scanned again up to the line that closes it; at the end of the text it ends
 the input.  One pass over the single characters that start no token then
 joins up identifiers that start with a non-ASCII letter and reports any
-other character.  The parser finds component ports by name through one dict
-per component, so parsing is linear in the input.
+other character.
 
-Every comma list between braces or brackets goes through ``bracketed``, which
-recovers item by item, and every optional ``Keyword { ... }`` block through
-``section``.  Names inside a contract resolve against parser state that
-``parse_contract`` sets: the owner ("" for the architecture), its ports and
-the contract's variables.
+The parser reads each fixed run of the grammar, such as ``at NAT have``, as
+one phrase: one ``str.startswith`` on the kinds tests it, and its texts are
+read at known offsets.  On a miss, ``phrase`` reports the first token of
+the wrong kind as ``expect`` would.  A phrase ends where a name resolves,
+so that diagnostic precedes a later token's, as token by token.  Every
+comma list and optional ``Keyword { ... }`` block goes through
+``bracketed``, which recovers item by item.  Ports are found by name through
+one dict per component, so parsing is linear in the input.
 
 The parser is the one module that resolves names.  It reports every sort
 (a symbol declaration's once the whole DTSpec is read, as DTs may refer
 forward), port, symbol, variable and proof label that names nothing
 declared, so ``model.validate_structure`` judges only the declarations of
-the model it returns.
+the model it returns.  Names inside a contract resolve against state that
+``parse_contract`` sets: the owner ("" for the architecture), its ports and
+the contract's variables.
 """
 
 import re
@@ -64,14 +67,16 @@ _STRAY = re.compile(r"[^\w{}()\[\],:.=]", re.ASCII).fullmatch
 # ``tokenize`` scans this many characters per ``findall``, and on to the
 # next newline outside block comments.
 CHUNK = 4096
-_PUNCTUATION = {
-    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ":": "COLON", ".": "DOT",
-    "=": "EQ", "=>": "ARROW", "/\\": "AND", "\\/": "OR",
-}
+
+# The token kinds no text names; KINDS gives the kind of each punctuation
+# token and keyword, "@" and the capitals for the keywords.
+ID, NAT, EOF = "a", "0", "$"
+KINDS = {"=>": ">", "/\\": "&", "\\/": "|"}
+KINDS.update((c, c) for c in "{}()[],:.=")
+KINDS.update(zip(sorted(KEYWORDS), map(chr, range(64, 91))))
 
 # Parentheses and operation applications nest at most this deep in one
-# predicate.  Each level takes three Python frames here and a few in every
+# predicate.  Each level takes two Python frames here and a few in every
 # later recursive walk of the predicate, so deeper input is reported as
 # NESTING_LIMIT instead of exhausting the interpreter's recursion limit.
 # ``/\`` and ``\/`` chains add no depth: they parse to one flat node.
@@ -79,30 +84,33 @@ MAX_NESTING = 200
 
 
 class Tokens:
-    """The tokens of one text, ending with EOF: ``kinds[i]``, ``texts[i]``
-    and ``ends[i]`` (the offset just past it) describe token ``i``."""
+    """The tokens of one text, ending with EOF: ``kinds[i]`` (``kinds`` is
+    a string), ``texts[i]`` and ``ends[i]`` (the offset just past it).
+    Spans are mostly asked for in ascending order, so ``offset`` and
+    ``line`` keep the last one's place, and a span's line is that line plus
+    or minus the newlines between: a parse counts each about once."""
 
-    __slots__ = ("file", "kinds", "texts", "ends", "line_starts")
+    __slots__ = ("file", "text", "kinds", "texts", "ends", "offset", "line")
 
     def __init__(self, text, file):
-        self.file = file
-        self.kinds, self.texts, self.ends = [], [], array("l")
-        self.line_starts = array("l", [0] + [
-            mo.end() for mo in re.finditer("\n", text)])
+        self.file, self.text = file, text
+        self.kinds, self.texts, self.ends = "", [], array("l")
+        self.offset, self.line = 0, 1
 
     def __len__(self):
-        return len(self.kinds)
-
-    def at_offset(self, offset, width):
-        """The span of ``width`` characters from ``offset``, on one line."""
-        line = bisect_right(self.line_starts, offset)
-        col = offset - self.line_starts[line - 1] + 1
-        return SourceSpan(self.file, line, col, line, col + width)
+        return len(self.texts)
 
     def span(self, i):
         """The source span of token ``i``; a token lies on one line."""
-        width = len(self.texts[i])
-        return self.at_offset(self.ends[i] - width, width)
+        text, last, width = self.text, self.offset, len(self.texts[i])
+        offset = self.ends[i] - width
+        if offset < last:
+            line = self.line - text.count("\n", offset, last)
+        else:
+            line = self.line + text.count("\n", last, offset)
+        self.offset, self.line = offset, line
+        col = offset - text.rfind("\n", 0, offset)
+        return SourceSpan(self.file, line, col, line, col + width)
 
 
 class _Words(dict):
@@ -138,7 +146,7 @@ def tokenize(text, filename="<input>"):
                 opened = end - len(found[-1])
             keep = [w[:2] not in ("//", "/*") for w in found]
             offsets, found = compress(offsets, keep), compress(found, keep)
-        ends.extend(offsets)
+        ends.fromlist(list(offsets))
         texts.extend(found)
         pos = cut
     # repair the single characters that start no token, in order
@@ -157,28 +165,26 @@ def tokenize(text, filename="<input>"):
         else:
             diags.append(Diagnostic(ERROR, "LEX_ERROR", "unexpected "
                                     "character %r" % text[start],
-                                    tokens.at_offset(start, 1)))
+                                    tokens.span(i)))
             j = i + 1
         kept = kept or bytearray(b"\1") * len(texts)
         kept[i:j] = bytes(j - i)
     if kept:                         # drop them all in one pass
         texts[:] = compress(texts, kept)
         ends[:] = array("l", compress(ends, kept))
-    if opened is not None:
+    texts.append("")
+    ends.append(end if opened is None else opened)
+    if opened is not None:           # at EOF, where the comment opens
         diags.append(Diagnostic(ERROR, "UNTERMINATED_COMMENT",
                                 "unterminated block comment",
-                                tokens.at_offset(opened, 0)))
-        end = opened
-    texts.append("")
-    ends.append(end)
-    # A token's text determines its kind, so the kinds column is filled in
-    # one pass here: three columns growing side by side in the loop left
-    # the allocator more holes and raised the process's peak memory.
-    kind_of = {word: _PUNCTUATION.get(word)
-               or ("NAT" if word[0] in "0123456789" else "ID")
-               for word in words}
-    kind_of[""] = "EOF"
-    tokens.kinds.extend(map(kind_of.__getitem__, texts))
+                                tokens.span(len(texts) - 1)))
+    # A token's text determines its kind, so the kinds are filled in one
+    # pass here: columns growing side by side in the loop left the
+    # allocator more holes and raised the process's peak memory.
+    kind_of = {w: KINDS.get(w) or (NAT if w[0] in "0123456789" else ID)
+               for w in set(words.values())}
+    kind_of[""] = EOF
+    tokens.kinds = "".join(map(kind_of.__getitem__, texts))
     return tokens, diags
 
 
@@ -187,19 +193,33 @@ class _ParseError(Exception):
 
 
 # What ``expect`` names in its message when a token of a kind is missing.
-_EXPECTED = {kind: "'%s'" % text for text, kind in _PUNCTUATION.items()}
-_EXPECTED["NAT"] = "number"
+_EXPECTED = {kind: "'%s'" % text for text, kind in KINDS.items()}
+_EXPECTED[NAT] = "number"
+_WORDS = frozenset(ID + "".join(KINDS[word] for word in KEYWORDS))
 
 
-def _by_name(ports):
-    """Name -> port; the first declaration of a name wins."""
-    return {p.name: p for p in reversed(ports)}
+class _Phrases(dict):
+    """A fixed run of tokens, written as their texts -> its kinds, read on
+    first use.  NAT stands for a number and any word that is no token's text
+    for an identifier, which messages call by it ("_" for a blank)."""
+
+    def __missing__(self, spec):
+        self[spec] = "".join(KINDS.get(w) or (NAT if w == "NAT" else ID)
+                             for w in spec.split())
+        return self[spec]
+
+
+_PHRASES = _Phrases()
+# the commonest atoms, [x = y] and [C.p = y], are read whole
+_EQ_NAMES, _EQ_PORT = _PHRASES["[ x = y ]"], _PHRASES["[ C . p = y ]"]
+_PORT = {d: "%sPort port_name ( Type : sort_reference . sort_name" % kw
+         for d, kw in ((m.INPUT, "Input"), (m.OUTPUT, "Output"))}
 
 
 class Parser:
     def __init__(self, tokens, diags):
-        self.tokens = tokens
-        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.kinds, self.texts, self.span = (tokens.kinds, tokens.texts,
+                                             tokens.span)
         self.pos = 0
         self.diags = diags
         # resolution state
@@ -208,216 +228,182 @@ class Parser:
         self.symbol_sorts = []           # (sort token, sort) of DT symbols
         self.contracts = set()           # qualified component contracts
         # the contract being parsed: its owner ("" for the architecture),
-        # the owner's ports by name and the contract's variables by name
+        # the owner's ports and the contract's variables, by name
         self.owner, self.ports, self.variables = "", {}, {}
 
     # -- token plumbing ----------------------------------------------------
-    # A token is an index into ``kinds`` and ``texts``; index 0 is a token,
-    # so a returned index is tested against None, never for truth.  The
-    # columns end with EOF, which advance never passes; no caller accepts or
-    # expects EOF, so consuming a token that matched is a plain increment.
-
-    def advance(self):
-        if self.kinds[self.pos] != "EOF":
-            self.pos += 1
-
-    def at(self, kind, text=None):
-        i = self.pos
-        return self.kinds[i] == kind and (text is None
-                                          or self.texts[i] == text)
-
-    def accept(self, kind, text=None):
-        """The current token's index if it has this kind (and text), having
-        consumed it; else None."""
-        i = self.pos
-        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
-            self.pos = i + 1
-            return i
-        return None
+    # A token is an index into ``kinds`` and ``texts``.  The columns end
+    # with EOF, which is never consumed: no phrase holds EOF, so consuming
+    # tokens that matched is a plain increment.
 
     def error(self, message, tok=None, rule="UNEXPECTED_TOKEN"):
         """Report at token ``tok``, by default the current token."""
-        span = self.tokens.span(self.pos if tok is None else tok)
+        span = self.span(self.pos if tok is None else tok)
         self.diags.append(Diagnostic(ERROR, rule, message, span))
 
-    def expect(self, kind, text=None):
-        """The current token's index if it has this kind (and, for a
-        keyword, this text); else report it and abandon the enclosing
-        item."""
+    def expect(self, kind, what=None):
+        """The current token's index if it has this kind; else report it,
+        as ``what`` if given, and abandon the enclosing item."""
         i = self.pos
-        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
+        if self.kinds[i] == kind:
             self.pos = i + 1
             return i
-        self.error("expected %s, got %r" % (
-            "'%s'" % text if text else _EXPECTED[kind],
-            self.texts[i] or "<eof>"))
+        self.error("expected %s, got %r" % (what or _EXPECTED[kind],
+                                            self.texts[i] or "<eof>"))
         raise _ParseError()
 
-    def skip_balanced(self, until_kinds):
-        """Panic-mode recovery: skip to a follow token at bracket depth 0."""
-        depth = 0
-        while not self.at("EOF"):
-            k = self.kinds[self.pos]
-            if depth == 0 and k in until_kinds:
+    def phrase(self, spec):
+        """The index of the first token of the fixed run ``spec`` (see
+        ``_Phrases``), having consumed the run; else report its first token
+        of the wrong kind, as ``expect`` would, and abandon the item."""
+        kinds, i = self.kinds, self.pos
+        want = _PHRASES[spec]
+        if kinds.startswith(want, i):
+            self.pos = i + len(want)
+            return i
+        while kinds[self.pos] == want[self.pos - i]:   # EOF ends a miss
+            self.pos += 1
+        j = self.pos - i
+        self.expect(want[j], want[j] == ID and spec.split()[j].replace(
+            "_", " "))
+
+    def skip_balanced(self, until=""):
+        """Panic-mode recovery: skip to a follow token, one of the kinds
+        ``until``, at bracket depth 0."""
+        depth, kinds = 0, self.kinds
+        while kinds[self.pos] != EOF:
+            k = kinds[self.pos]
+            if depth == 0 and k in until:
                 return
-            if k in ("LBRACE", "LPAREN", "LBRACK"):
+            if k in "{([":
                 depth += 1
-            elif k in ("RBRACE", "RPAREN", "RBRACK"):
+            elif k in "})]":
                 if depth == 0:
                     return
                 depth -= 1
-            self.advance()
+            self.pos += 1
 
-    def ident(self, what="identifier"):
-        i = self.pos
-        if self.kinds[i] == "ID" and self.texts[i] not in KEYWORDS:
-            self.pos = i + 1
-            return i
-        self.error("expected %s, got %r" % (what, self.texts[i] or "<eof>"))
-        raise _ParseError()
-
-    def dotted(self, what, then):
-        """``ID . ID``: both token indices and the dotted name."""
-        first = self.ident(what)
-        self.expect("DOT")
-        second = self.ident(then)
-        return first, second, "%s.%s" % (self.texts[first],
-                                         self.texts[second])
-
-    def nat(self):
-        return int(self.texts[self.expect("NAT")])
-
-    def bracketed(self, parse_item, opener="LBRACE", items=None):
-        """A comma list between braces or brackets, each item recovered on
-        its own; None items are dropped.  The items go into ``items``, so a
-        caller that passes its own list keeps them should the closer be
+    def bracketed(self, head, parse_item, *args, items=None):
+        """An optional comma list: the run ``head`` ending in ``{`` or ``[``,
+        then items ``parse_item(*args)`` up to the closer, each recovered on
+        its own; none without head's first token.  Items but None go into
+        ``items``, so a caller's list keeps them should the closer be
         missing."""
-        closer = "RBRACE" if opener == "LBRACE" else "RBRACK"
         items = [] if items is None else items
-        self.expect(opener)
-        kinds = self.kinds
-        while kinds[self.pos] != "EOF" and kinds[self.pos] != closer:
+        kinds, i = self.kinds, self.pos
+        want = _PHRASES[head]
+        if kinds[i] != want[0]:
+            return items
+        if not kinds.startswith(want, i):
+            self.phrase(head)            # reports the missing opener
+        self.pos = i + len(want)
+        closer = "}" if want[-1] == "{" else "]"
+        while kinds[self.pos] != closer and kinds[self.pos] != EOF:
             try:
-                item = parse_item()
+                item = parse_item(*args)
+            except _ParseError:
+                self.skip_balanced("," + closer)
+            else:
                 if item is not None:
                     items.append(item)
-            except _ParseError:
-                self.skip_balanced(("COMMA", closer))
-            if kinds[self.pos] != "COMMA":
+            if kinds[self.pos] != ",":
                 break
             self.pos += 1
-        self.expect(closer)
+        if kinds[self.pos] != closer:
+            self.expect(closer)
+        self.pos += 1
         return items
-
-    def section(self, word, parse_item, opener="LBRACE", items=None):
-        """An optional ``word { ... }`` block; no items if it is absent."""
-        if self.accept("ID", word) is not None:
-            return self.bracketed(parse_item, opener, items)
-        return [] if items is None else items
 
     # -- model -------------------------------------------------------------
 
     def parse_model(self):
-        if not self.at("ID", "Pattern"):
-            self.error("empty input: expected a Pattern" if self.at("EOF")
+        if self.kinds[0] != KINDS["Pattern"]:
+            self.error("empty input: expected a Pattern"
+                       if self.kinds[0] == EOF
                        else "input does not start with a Pattern",
                        rule="EXPECTED_PATTERN")
             return m.EMPTY_MODEL
-        self.advance()
+        self.pos = 1
         name = short = ""
         datatypes, ctypes, connections, contracts, spans = [], [], [], [], []
         try:
-            name = self.texts[self.ident("pattern name")]
-            self.expect("ID", "ShortName")
-            short = self.texts[self.ident("short name")]
-            self.expect("LBRACE")
+            name = self.texts[self.expect(ID, "pattern name")]
+            self.expect(KINDS["ShortName"])
+            short = self.texts[self.expect(ID, "short name")]
+            self.expect("{")
             # an unclosed DTSpec or CTypes keeps none of its items; an
             # unclosed Connections or Contracts keeps those read so far
-            datatypes = self.section("DTSpec", self.parse_dt)
+            datatypes = self.bracketed("DTSpec {", self.parse_dt)
             self.signature = m.Signature(datatypes)
             # a symbol may name the sort of a DT declared after it
             for tok, sort in self.symbol_sorts:
                 self.check_sort(tok, sort)
-            ctypes = self.section("CTypes", self.parse_ctype)
-            for ct in ctypes:
-                self.ports_of.setdefault(ct.name, _by_name(ct.ports))
-                self.contracts.update(c.qualified for c in ct.contracts)
-            self.section("Connections", lambda: self.parse_connection(spans),
-                         "LBRACE", connections)
-            self.section("Contracts", self.parse_contract, "LBRACE",
-                         contracts)
-            self.expect("RBRACE")
-            if not self.at("EOF"):
+            ctypes = self.bracketed("CTypes {", self.parse_ctype)
+            self.bracketed("Connections {", self.parse_connection, spans,
+                           items=connections)
+            self.bracketed("Contracts {", self.parse_contract, items=contracts)
+            self.expect("}")
+            if self.kinds[self.pos] != EOF:
                 self.error("trailing input after pattern")
         except _ParseError:
-            self.skip_balanced(())
-        return m.Model(name=name, short_name=short,
-                       datatypes=tuple(datatypes),
-                       component_types=tuple(ctypes),
-                       connections=tuple(connections),
-                       contracts=tuple(contracts),
-                       connection_spans=tuple(spans))
+            self.skip_balanced()
+        return m.Model(name, short, tuple(datatypes), tuple(ctypes),
+                       tuple(connections), tuple(contracts), tuple(spans))
 
     # -- data types ----------------------------------------------------------
 
     def parse_dt(self):
-        span = self.tokens.span(self.expect("ID", "DT"))
-        name = self.texts[self.ident("data type name")]
-        self.expect("LPAREN")
-        sort = None
-        predicates = []
-        operations = []
-        while not self.at("RPAREN") and not self.at("EOF"):
-            if self.accept("ID", "Sort") is not None:
-                sort = self.texts[self.ident("sort name")]
-            elif self.accept("ID", "Predicate") is not None:
-                predicates.extend(self.parse_symbol_decls(name, with_result=False))
-            elif self.accept("ID", "Operation") is not None:
-                operations.extend(self.parse_symbol_decls(name, with_result=True))
+        i = self.phrase("DT data_type_name (")
+        span, name = self.span(i), self.texts[i + 1]
+        sort, predicates, operations, kinds = None, [], [], self.kinds
+        while kinds[self.pos] != ")" and kinds[self.pos] != EOF:
+            k = kinds[self.pos]
+            if k == KINDS["Sort"]:
+                sort = self.texts[self.phrase("Sort sort_name") + 1]
+            elif k == KINDS["Predicate"] or k == KINDS["Operation"]:
+                self.pos += 1
+                result = k == KINDS["Operation"]
+                (operations if result else predicates).extend(
+                    self.parse_symbol_decls(name, result))
             else:
                 self.error("expected Sort, Predicate or Operation")
                 raise _ParseError()
-        self.expect("RPAREN")
-        return m.DataType(name=name, sort=sort, predicates=tuple(predicates),
-                          operations=tuple(operations), span=span)
+        self.expect(")")
+        return m.DataType(name, sort, tuple(predicates), tuple(operations),
+                          span)
 
     def parse_symbol_decls(self, dt_name, with_result):
         """`name: S1, S2 => R, name2: ...` - a comma both separates argument
-        sorts and successive declarations; an `ID :` lookahead starts a new
-        declaration."""
+        sorts and successive declarations."""
         decls = []
         while True:
-            sym = self.texts[self.ident("symbol name")]
-            self.expect("COLON")
+            sym = self.texts[self.phrase("symbol_name :")]
             args = [self.parse_sort_ref(dt_name)]
-            while self.at("COMMA") and not self._next_is_decl_or_end():
-                self.advance()
+            while self.kinds[self.pos] == "," and not self._next_is_decl():
+                self.pos += 1
                 args.append(self.parse_sort_ref(dt_name))
             if with_result:
-                self.expect("ARROW")
+                self.expect(">")
                 result = self.parse_sort_ref(dt_name)
                 decls.append((sym, tuple(args), result))
             else:
                 decls.append((sym, tuple(args)))
-            # a comma followed by `ID :` continues the declaration list
-            if self.at("COMMA") and self._next_is_decl_or_end():
-                self.advance()
-                continue
-            break
-        return decls
+            if self.kinds[self.pos] != "," or not self._next_is_decl():
+                return decls
+            self.pos += 1
 
-    def _next_is_decl_or_end(self):
-        # after a comma inside an argument-sort list: `ID :` means a new
-        # symbol declaration rather than a further argument sort.  The
-        # current token is that comma, so i + 1 is at most EOF and i + 2 is
-        # read only after an ID.
+    def _next_is_decl(self):
+        # after a comma: a word (an identifier or a keyword) and ``:`` start
+        # a new declaration rather than a further argument sort.  i + 1 is
+        # at most EOF, and i + 2 is read only after a word.
         kinds, i = self.kinds, self.pos
-        return kinds[i + 1] == "ID" and kinds[i + 2] == "COLON"
+        return kinds[i + 1] in _WORDS and kinds[i + 2] == ":"
 
     def parse_sort_ref(self, dt_name):
-        tok = self.ident("sort name")
-        if self.accept("DOT") is not None:
-            dt_name, tok = self.texts[tok], self.ident("sort name")
+        tok = self.expect(ID, "sort name")
+        if self.kinds[self.pos] == ".":
+            self.pos += 1
+            dt_name, tok = self.texts[tok], self.expect(ID, "sort name")
         sort = "%s.%s" % (dt_name, self.texts[tok])
         self.symbol_sorts.append((tok, sort))
         return sort
@@ -425,34 +411,33 @@ class Parser:
     # -- component types -----------------------------------------------------
 
     def parse_ctype(self):
-        span = self.tokens.span(self.expect("ID", "CType"))
-        name = self.texts[self.ident("component type name")]
-        self.expect("LBRACE")
-        inputs = tuple(self.section(
-            "InputPorts", lambda: self.parse_port(name, m.INPUT)))
-        outputs = tuple(self.section(
-            "OutputPorts", lambda: self.parse_port(name, m.OUTPUT)))
-        ports = _by_name(inputs + outputs)
-        contracts = self.section(
-            "Contracts", lambda: self.parse_contract(name, ports))
-        self.expect("RBRACE")
-        return m.ComponentType(name=name, inputs=inputs, outputs=outputs,
-                               contracts=tuple(contracts), span=span)
+        i = self.phrase("CType component_type_name {")
+        span, name = self.span(i), self.texts[i + 1]
+        inputs = tuple(self.bracketed("InputPorts {", self.parse_port, name,
+                                      m.INPUT))
+        outputs = tuple(self.bracketed("OutputPorts {", self.parse_port,
+                                       name, m.OUTPUT))
+        # name -> a reference to the port; a name's first declaration wins
+        ports = {p.name: m.PortRef(p) for p in reversed(inputs + outputs)}
+        contracts = tuple(self.bracketed("Contracts {", self.parse_contract,
+                                         name, ports))
+        self.expect("}")
+        # connections and proofs, read after every CType, may name these
+        self.ports_of.setdefault(name, ports)
+        self.contracts.update(c.qualified for c in contracts)
+        return m.ComponentType(name, inputs, outputs, contracts, span)
 
     def parse_port(self, owner, direction):
-        self.expect("ID", "InputPort" if direction == m.INPUT
-                    else "OutputPort")
-        pname = self.texts[self.ident("port name")]
-        self.expect("LPAREN")
-        self.expect("ID", "Type")
-        self.expect("COLON")
-        sort = self.parse_qualified_sort()
-        self.expect("RPAREN")
-        return m.Port(name=pname, owner=owner, direction=direction, sort=sort)
+        i = self.phrase(_PORT[direction])
+        sort = self.qualified_sort(i + 5)
+        self.expect(")")
+        return m.Port(self.texts[i + 1], owner, direction, sort)
 
-    def parse_qualified_sort(self):
-        _, second, sort = self.dotted("sort reference", "sort name")
-        self.check_sort(second, sort)
+    def qualified_sort(self, tok):
+        """The sort ``DT.S`` read from token ``tok`` on, checked."""
+        sort = "%s.%s" % (self.texts[tok], self.texts[tok + 2])
+        if sort not in self.signature.sorts:
+            self.check_sort(tok + 2, sort)
         return sort
 
     def check_sort(self, tok, sort):
@@ -465,120 +450,108 @@ class Parser:
         """A component's contract, with its owner's ``ports`` by name, or the
         architecture's when ``owner`` is empty; only the architecture's may
         carry a proof."""
-        span = self.tokens.span(self.expect("ID", "Contract"))
-        name = self.texts[self.ident("contract name")]
-        self.expect("LBRACE")
-        variables = []
-        while self.accept("ID", "var") is not None:
-            vname = self.texts[self.ident("variable name")]
-            self.expect("COLON")
-            variables.append((vname, self.parse_qualified_sort()))
-            self.accept("COMMA")
+        i = self.phrase("Contract contract_name {")
+        span, name = self.span(i), self.texts[i + 1]
+        kinds, variables, names = self.kinds, [], {}
+        while kinds[self.pos] == KINDS["var"]:
+            i = self.phrase("var variable_name : sort_reference . sort_name")
+            vname, sort = self.texts[i + 1], self.qualified_sort(i + 3)
+            variables.append((vname, sort))
+            names[vname] = m.Var(vname, sort)
+            if kinds[self.pos] == ",":
+                self.pos += 1
         self.owner, self.ports = owner, {} if ports is None else ports
-        self.variables = dict(variables)
-        triggers = self.section("triggers", self.parse_trigger)
-        self.expect("ID", "guarantees")
-        self.expect("LBRACE")
+        self.variables = names
+        triggers = self.bracketed("triggers {", self.parse_trigger)
+        self.phrase("guarantees {")
         guarantee = self.parse_predicate()
-        self.expect("RBRACE")
-        self.expect("ID", "duration")
-        duration = self.nat()
+        duration = int(self.texts[self.phrase("} duration NAT") + 2])
         kind, proof = m.Contract, ()
         if not owner:
             kind, proof = m.ArchitectureContract, (
                 self.parse_proof(triggers)
-                if self.accept("ID", "proof") is not None else None,)
-        self.expect("RBRACE")
+                if kinds[self.pos] == KINDS["proof"] else None,)
+        self.expect("}")
         return kind(name, owner, tuple(variables), tuple(triggers), guarantee,
                     duration, span, *proof)
 
     def parse_trigger(self):
-        label_tok = self.ident("trigger label")
-        self.expect("COLON")
+        label_tok = self.phrase("trigger_label :")
+        span = self.span(label_tok)
         pred = self.parse_predicate()
-        time = self.nat() if self.accept("ID", "at") is not None else 0
-        return m.Trigger(label=self.texts[label_tok], predicate=pred,
-                         time=time, span=self.tokens.span(label_tok))
+        time = (int(self.texts[self.phrase("at NAT") + 1])
+                if self.kinds[self.pos] == KINDS["at"] else 0)
+        return m.Trigger(self.texts[label_tok], pred, time, span)
 
     # -- proofs ----------------------------------------------------------------
 
     def parse_proof(self, triggers):
         trigger_labels = {t.label: i for i, t in enumerate(triggers)}
-        steps = []
-        step_labels = {}
+        steps, step_labels = [], {}
 
         def parse_ref():
-            label_tok = self.ident("trigger or step label")
+            label_tok = self.expect(ID, "trigger or step label")
             label = self.texts[label_tok]
-            has_with = self.at("ID", "with")
-            connections = self.section("with", self.parse_connection,
-                                       "LBRACK")
+            has_with = self.kinds[self.pos] == KINDS["with"]
+            connections = self.bracketed("with [", self.parse_connection)
             if label in step_labels:
-                return m.StepRef(index=step_labels[label],
-                                 connections=tuple(connections), label=label)
+                return m.StepRef(step_labels[label], tuple(connections),
+                                 label)
             if label in trigger_labels:
                 if has_with:
                     self.error("'with' is only allowed on step references",
                                label_tok)
-                return m.TriggerRef(index=trigger_labels[label], label=label)
+                return m.TriggerRef(trigger_labels[label], label)
             self.error("unknown trigger or step label '%s'" % label,
                        label_tok, "UNKNOWN_LABEL")
             return None
 
         def ref_set():
-            if self.at("LBRACE"):
-                return self.bracketed(parse_ref)
+            if self.kinds[self.pos] == "{":
+                return self.bracketed("{", parse_ref)
             ref = parse_ref()
             return [] if ref is None else [ref]
 
         def parse_step():
-            label_tok = self.ident("step label")
-            self.expect("COLON")
-            self.expect("ID", "at")
-            time = self.nat()
-            self.expect("ID", "have")
+            i = self.phrase("step_label : at NAT have")
+            span = self.span(i)
             state = self.parse_predicate()
-            refs = self.section("from", ref_set, "LBRACK")
-            self.expect("ID", "using")
-            tok, _, rationale = self.dotted("contract reference",
-                                            "contract reference")
+            refs = self.bracketed("from [", ref_set)
+            tok = self.phrase(
+                "using contract_reference . contract_reference") + 1
+            rationale = "%s.%s" % (self.texts[tok], self.texts[tok + 2])
             if rationale not in self.contracts:
                 self.error("undeclared contract '%s'" % rationale, tok,
                            "UNDECLARED_CONTRACT")
-            label = self.texts[label_tok]
+            label = self.texts[i]
             step_labels[label] = len(steps)
-            return m.ProofStep(label=label, time=time, state=state,
-                               rationale=rationale,
-                               refs=tuple(tuple(r) for r in refs),
-                               span=self.tokens.span(label_tok))
+            return m.ProofStep(label, int(self.texts[i + 3]), state,
+                               rationale, tuple(map(tuple, refs)), span)
 
-        return tuple(self.bracketed(parse_step, "LBRACE", steps))
+        return tuple(self.bracketed("proof {", parse_step, items=steps))
 
     def parse_connection(self, spans=None):
         """An (input, output) port pair, or None once reported; its span
         goes into ``spans`` if given."""
-        tok = self.expect("LPAREN")
-        p_in = self.parse_port_ref()
-        self.expect("COMMA")
-        p_out = self.parse_port_ref()
-        self.expect("RPAREN")
+        tok = self.phrase("( qualified_port . port_name")
+        p_in = self.port_of(tok + 1)
+        p_out = self.port_of(self.phrase(", qualified_port . port_name") + 1)
+        self.expect(")")
         if p_in is None or p_out is None:
             return None
         if spans is not None:
-            spans.append(self.tokens.span(tok))
-        return (p_in, p_out)
+            spans.append(self.span(tok))
+        return (p_in.port, p_out.port)
 
-    def parse_port_ref(self):
-        tok, second, _ = self.dotted("qualified port", "port name")
-        return self.port_of(tok, self.texts[second],
-                            self.ports_of.get(self.texts[tok], {}))
-
-    def port_of(self, tok, name, ports):
-        """The port ``name`` in ``ports``, the ports by name of component
-        ``tok``, or None once reported."""
-        port = ports.get(name)
+    def port_of(self, tok, ports=None):
+        """A reference to the port ``C.p`` read from token ``tok`` on, found
+        in ``ports`` (by default C's), or None once reported."""
+        if ports is None:
+            ports = self.ports_of.get(self.texts[tok], {})
+        port = ports.get(self.texts[tok + 2])
         if port is None:
-            self.error("unknown port '%s.%s'" % (self.texts[tok], name), tok,
+            self.error("unknown port '%s.%s'" % (self.texts[tok],
+                                                 self.texts[tok + 2]), tok,
                        "UNDECLARED_PORT")
         return port
 
@@ -588,84 +561,107 @@ class Parser:
     # in a component's contract must be the owner, not yet declared.
 
     def parse_predicate(self, depth=0):
-        parts = [self.parse_conjunction(depth)]
-        while self.accept("OR") is not None:
-            parts.append(self.parse_conjunction(depth))
-        return m.disjoin(parts)
-
-    def parse_conjunction(self, depth):
-        parts = [self.parse_atom(depth)]
-        while self.accept("AND") is not None:
-            parts.append(self.parse_atom(depth))
-        return m.conjoin(parts)
+        """Atoms joined by ``/\\`` and, binding less tightly, ``\\/``; a
+        lone atom is returned as it is."""
+        p = self.parse_atom(depth)
+        kinds = self.kinds
+        if kinds[self.pos] not in "&|":
+            return p
+        disjuncts, conjuncts = [], [p]
+        while kinds[self.pos] in "&|":
+            if kinds[self.pos] == "|":
+                disjuncts.append(m.conjoin(conjuncts))
+                conjuncts = []
+            self.pos += 1
+            conjuncts.append(self.parse_atom(depth))
+        disjuncts.append(m.conjoin(conjuncts))
+        return m.disjoin(disjuncts)
 
     def parse_atom(self, depth):
         """``depth`` counts the parentheses and operation applications
         around this atom; see MAX_NESTING."""
-        if self.at("LPAREN"):
+        kinds, i = self.kinds, self.pos
+        if kinds.startswith(_EQ_NAMES, i):
+            self.pos = i + 5
+            return m.Eq(self.name_term(i + 1), self.name_term(i + 3))
+        if kinds.startswith(_EQ_PORT, i):
+            self.pos = i + 7
+            return m.Eq(self.port_term(i + 1), self.name_term(i + 5))
+        if kinds[i] == "(":
             if depth == MAX_NESTING:
                 self.skip_too_deep()
                 return m.Atom("?", ())
-            self.advance()
+            self.pos = i + 1
             p = self.parse_predicate(depth + 1)
-            self.expect("RPAREN")
+            self.expect(")")
             return p
-        if self.accept("LBRACK") is not None:
+        if kinds[i] == "[":
+            self.pos = i + 1
             lhs = self.parse_term(depth)
-            self.expect("EQ")
+            self.expect("=")
             rhs = self.parse_term(depth)
-            self.expect("RBRACK")
+            self.expect("]")
             return m.Eq(lhs, rhs)
         # predicate-symbol application: DT.pred[args]
-        tok, _, qualified = self.dotted("predicate", "predicate name")
-        args = self.bracketed(lambda: self.parse_term(depth), "LBRACK")
+        tok = self.phrase("predicate . predicate_name")
+        qualified = "%s.%s" % (self.texts[tok], self.texts[tok + 2])
+        if self.kinds[self.pos] != "[":
+            self.expect("[")
+        args = self.bracketed("[", self.parse_term, depth)
         if qualified not in self.signature.predicate_symbols:
             self.error("'%s' is not a declared predicate" % qualified, tok,
                        "UNDECLARED_SYMBOL")
         return m.Atom(qualified, tuple(args))
 
     def parse_term(self, depth):
-        tok = self.ident("term")
-        if self.accept("DOT") is None:
-            name = self.texts[tok]
-            if name in self.variables:
-                return m.Var(name, self.variables[name])
-            port = self.ports.get(name)
-            if port is not None:
-                return m.PortRef(port)
+        tok = self.expect(ID, "term")
+        if self.kinds[self.pos] != ".":
+            return self.name_term(tok)
+        self.pos += 1
+        self.expect(ID, "name")
+        if self.kinds[self.pos] != "[":
+            return self.port_term(tok)
+        qualified = "%s.%s" % (self.texts[tok], self.texts[tok + 2])
+        if depth == MAX_NESTING:
+            self.skip_too_deep()
+            return m.Var(qualified, "?")
+        args = self.bracketed("[", self.parse_term, depth + 1)
+        if qualified not in self.signature.operation_symbols:
+            self.error("'%s' is not a declared operation" % qualified,
+                       tok, "UNDECLARED_SYMBOL")
+        return m.App(qualified, tuple(args))
+
+    def name_term(self, tok):
+        """The variable or port that the name at token ``tok`` names."""
+        name = self.texts[tok]
+        term = self.variables.get(name) or self.ports.get(name)
+        if term is None:
             self.error("unknown variable or port '%s'" % name, tok,
                        "UNDECLARED_VARIABLE")
             return m.Var(name, "?")
-        second = self.texts[self.ident("name")]
-        component = self.texts[tok]
-        qualified = "%s.%s" % (component, second)
-        if self.at("LBRACK"):
-            if depth == MAX_NESTING:
-                self.skip_too_deep()
-                return m.Var(qualified, "?")
-            args = self.bracketed(lambda: self.parse_term(depth + 1),
-                                  "LBRACK")
-            if qualified not in self.signature.operation_symbols:
-                self.error("'%s' is not a declared operation" % qualified,
-                           tok, "UNDECLARED_SYMBOL")
-            return m.App(qualified, tuple(args))
+        return term
+
+    def port_term(self, tok):
+        """The port ``C.p`` read from token ``tok`` on."""
+        component, qualified = self.texts[tok], "%s.%s" % (
+            self.texts[tok], self.texts[tok + 2])
         if self.owner and component != self.owner:
             self.error("a contract of '%s' may name only its own ports, "
                        "not '%s'" % (self.owner, qualified), tok,
                        "UNDECLARED_PORT")
             return m.Var(qualified, "?")
-        port = self.port_of(tok, second, self.ports if self.owner
-                            else self.ports_of.get(component, {}))
-        return m.Var(qualified, "?") if port is None else m.PortRef(port)
+        port = self.port_of(tok, self.ports if self.owner else None)
+        return m.Var(qualified, "?") if port is None else port
 
     def skip_too_deep(self):
         """Report the bracket group opening at the current token, nested
         past MAX_NESTING, and skip it whole."""
         self.error("nesting deeper than %d levels" % MAX_NESTING,
                    rule="NESTING_LIMIT")
-        self.advance()
-        self.skip_balanced(())
-        self.advance()
+        self.pos += 1
+        self.skip_balanced()
+        if self.kinds[self.pos] != EOF:      # the group's closer
+            self.pos += 1
 
 
 def parse_model(text, filename="<input>"):

@@ -17,6 +17,7 @@ from apml import entailment as e
 from apml import model as m
 from apml import oracle as o
 from apml.diagnostics import Diagnostic, SourceSpan, ERROR
+from apml.parser import EOF, ID, KINDS, NAT
 
 SORT = "D.V"
 
@@ -24,11 +25,7 @@ SORT = "D.V"
 # ---------------------------------------------------------------------------
 # Reference lexer
 
-_PUNCT = {
-    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ":": "COLON",
-    ".": "DOT", "=": "EQ",
-}
+_PUNCT = frozenset("{}()[],:.=")
 
 
 _DIGITS = frozenset("0123456789")
@@ -40,6 +37,8 @@ def naive_tokenize(text, filename="<input>"):
     Returns ``(kind, text, span)`` triples ending with EOF, and the
     diagnostics.  The package keeps its tokens in columns instead: token
     ``i`` of its ``Tokens`` is the triple ``(kinds[i], texts[i], span(i))``.
+    A kind is the package's one-character code: ``KINDS`` gives those of
+    punctuation and keywords, and every other word is an ``ID``.
     A ``//`` comment advances the column, so EOF after a trailing comment
     sits at the end of input.  Only ASCII digits make a NAT: any other
     digit is a lexical error, or part of an identifier it follows.
@@ -86,17 +85,17 @@ def naive_tokenize(text, filename="<input>"):
             i = end + 2
             continue
         if text.startswith("/\\", i):
-            tokens.append(("AND", "/\\", span(l0, c0, l0, c0 + 2)))
+            tokens.append((KINDS["/\\"], "/\\", span(l0, c0, l0, c0 + 2)))
             i += 2
             col += 2
             continue
         if text.startswith("\\/", i):
-            tokens.append(("OR", "\\/", span(l0, c0, l0, c0 + 2)))
+            tokens.append((KINDS["\\/"], "\\/", span(l0, c0, l0, c0 + 2)))
             i += 2
             col += 2
             continue
         if text.startswith("=>", i):
-            tokens.append(("ARROW", "=>", span(l0, c0, l0, c0 + 2)))
+            tokens.append((KINDS["=>"], "=>", span(l0, c0, l0, c0 + 2)))
             i += 2
             col += 2
             continue
@@ -104,7 +103,7 @@ def naive_tokenize(text, filename="<input>"):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("NAT", text[i:j], span(l0, c0, l0, c0 + j - i)))
+            tokens.append((NAT, text[i:j], span(l0, c0, l0, c0 + j - i)))
             col += j - i
             i = j
             continue
@@ -112,12 +111,14 @@ def naive_tokenize(text, filename="<input>"):
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("ID", text[i:j], span(l0, c0, l0, c0 + j - i)))
+            word = text[i:j]
+            tokens.append((KINDS.get(word, ID), word,
+                           span(l0, c0, l0, c0 + j - i)))
             col += j - i
             i = j
             continue
         if c in _PUNCT:
-            tokens.append((_PUNCT[c], c, span(l0, c0, l0, c0 + 1)))
+            tokens.append((KINDS[c], c, span(l0, c0, l0, c0 + 1)))
             i += 1
             col += 1
             continue
@@ -126,7 +127,7 @@ def naive_tokenize(text, filename="<input>"):
                                 span(l0, c0, l0, c0 + 1)))
         i += 1
         col += 1
-    tokens.append(("EOF", "", span(line, col, line, col)))
+    tokens.append((EOF, "", span(line, col, line, col)))
     return tokens, diags
 
 

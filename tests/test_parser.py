@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from apml import model as m
 from apml import parser
-from apml.parser import parse_model, tokenize, KEYWORDS, MAX_NESTING
+from apml.parser import parse_model, tokenize, KEYWORDS, KINDS, MAX_NESTING
 from apml.printer import print_model
 from apml.model import validate_structure
 
@@ -44,7 +44,7 @@ def test_comments_and_whitespace_are_skipped():
     tokens, diags = tokenize("Pattern // c1\n/* c2\nc3 */ P\t{")
     assert not diags
     assert tokens.texts == ["Pattern", "P", "{", ""]
-    assert tokens.kinds == ["ID", "ID", "LBRACE", "EOF"]
+    assert tokens.kinds == KINDS["Pattern"] + parser.ID + "{" + parser.EOF
     assert tokens.span(1).start_line == 3
 
 
