@@ -362,9 +362,9 @@ class Parser:
                 sort = self.texts[self.phrase("Sort sort_name") + 1]
             elif k == KINDS["Predicate"] or k == KINDS["Operation"]:
                 self.pos += 1
-                result = k == KINDS["Operation"]
-                (operations if result else predicates).extend(
-                    self.parse_symbol_decls(name, result))
+                with_result = k == KINDS["Operation"]
+                (operations if with_result else predicates).extend(
+                    self.parse_symbol_decls(name, with_result))
             else:
                 self.error("expected Sort, Predicate or Operation")
                 raise _ParseError()
