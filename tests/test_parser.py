@@ -409,6 +409,16 @@ def test_tokenize_matches_the_reference_on_a_printed_chain():
     _lexes_like_the_reference(print_model(relay_chain_model(30)))
 
 
+def test_spans_asked_in_any_order_match_the_reference():
+    # spans count lines from the last one asked for, back or forth
+    text = (CORPUS / "tgmt.apml").read_text()
+    tokens, _ = tokenize(text, "f.apml")
+    expected, _ = naive_tokenize(text, "f.apml")
+    order = list(range(len(tokens))) * 2
+    random.Random(20261022).shuffle(order)
+    assert all(tokens.span(i) == expected[i][2] for i in order)
+
+
 # Every character class the lexer tells apart, and the two-character
 # lexemes whole so that they are frequent; a superscript and an Arabic-Indic
 # digit are digits but start no token.
