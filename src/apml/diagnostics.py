@@ -4,11 +4,9 @@ and ``Record``, the base of the toolchain's immutable value types."""
 from collections import UserDict, _tuplegetter
 from functools import cached_property
 from operator import attrgetter
-from types import FunctionType
 
 _set = object.__setattr__
 _new = tuple.__new__
-_SHAPES = {}                  # (field count, __post_init__) -> (init, new)
 
 
 class Record:
@@ -20,16 +18,16 @@ class Record:
     ``defaults``; and, in the class keyword ``uncompared``, the fields
     (spans, labels) left out of equality and hashing.  A check of the field
     values goes in ``__post_init__``.  The class's ``__init__`` (a
-    ``Value``'s ``__new__``) is generated from these, as ``dataclasses`` and
-    ``namedtuple`` do, from code compiled once per shape.  Records are equal
-    when they are of the same class with equal compared fields, and hash by
-    those fields with no cache.  ``repr`` lists every field, as a dataclass
-    does; ``copy`` and ``pickle`` rebuild a record through its constructor.
-    A record declared by annotations keeps a ``__dict__`` (for
+    ``Value``'s ``__new__``) is compiled from source naming its own fields,
+    as ``dataclasses`` and ``namedtuple`` do.  Records are equal when they
+    are of the same class with equal compared fields, and hash by those
+    fields with no cache.  ``repr`` lists every field, as a dataclass does;
+    ``copy`` and ``pickle`` rebuild a record through its constructor.  A
+    record declared by annotations keeps a ``__dict__`` (for
     ``cached_property``) and ``dataclasses.replace``, ``fields`` and
-    ``asdict`` take it.  Records
-    replace ``@dataclass(frozen=True)`` because importing ``dataclasses``
-    and generating its methods took about half of ``import apml.cli``.
+    ``asdict`` take it.  Records replace ``@dataclass(frozen=True)`` because
+    importing ``dataclasses`` and generating its methods took about half of
+    ``import apml.cli``.
     """
 
     __slots__ = ()
@@ -37,9 +35,8 @@ class Record:
     _defaults = {}
     _uncompared = ()
 
-    def __init_subclass__(cls, fields=(), uncompared=(), defaults={},
-                          **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls, fields=(), uncompared=(), defaults={}):
+        super().__init_subclass__()
         own = vars(cls).get("__slots__")
         if own is None:
             own = vars(cls).get("__annotations__", ())
@@ -50,29 +47,22 @@ class Record:
         uncompared = cls._uncompared = cls._uncompared + tuple(uncompared)
         defaults = cls._defaults = dict(cls._defaults, **defaults)
         cls._key = attrgetter(*[f for f in fields if f not in uncompared])
-        shape = len(fields), hasattr(cls, "__post_init__")
-        if shape not in _SHAPES:         # compile fields _0, _1, ... once
-            args = ["_%d" % i for i in range(shape[0])]
-            lines = ["def __init__(self, %s):" % ", ".join(args)]
-            lines += ["    _set(self, %r, %s)" % (a, a) for a in args]
-            lines += ["    self.__post_init__()"] * shape[1]
-            new = "_new(cls, (cls, %s))" % ", ".join(args)
-            lines += ["def __new__(cls, %s):" % ", ".join(args)]
-            lines += ["    self = " + new, "    self.__post_init__()",
-                      "    return self"] if shape[1] else ["    return " + new]
-            exec("\n".join(lines), scope := {})
-            _SHAPES[shape] = scope["__init__"], scope["__new__"]
         value = issubclass(cls, tuple)   # a Value: built by __new__
-        code = _SHAPES[shape][value].__code__
-        names = dict(zip(code.co_varnames[1:], fields))
-        make = FunctionType(code.replace(
-            co_varnames=code.co_varnames[:1] + fields
-            + code.co_varnames[1 + len(fields):],
-            co_consts=tuple(names.get(c, c) for c in code.co_consts)),
-            globals(), code.co_name,
-            tuple(defaults[f] for f in fields[len(fields) - len(defaults):]))
-        make.__qualname__ = "%s.%s" % (cls.__qualname__, code.co_name)
-        setattr(cls, code.co_name, staticmethod(make) if value else make)
+        args = ", ".join(fields)
+        check = ["    self.__post_init__()"] * hasattr(cls, "__post_init__")
+        if value:
+            new = "_new(cls, (cls, %s))" % args
+            lines = ["def __new__(cls, %s):" % args] + (
+                ["    self = " + new] + check + ["    return self"]
+                if check else ["    return " + new])
+        else:
+            lines = ["def __init__(self, %s):" % args] + [
+                "    _set(self, %r, %s)" % (f, f) for f in fields] + check
+        exec("\n".join(lines), globals(), scope := {})
+        (name, make), = scope.items()
+        make.__defaults__ = tuple(defaults[f] for f in fields if f in defaults)
+        make.__qualname__ = "%s.%s" % (cls.__qualname__, name)
+        setattr(cls, name, staticmethod(make) if value else make)
         for i, f in enumerate(fields if value else (), 1):
             setattr(cls, f, _tuplegetter(i, None))   # field i after the tag
 

@@ -12,8 +12,8 @@ import pytest
 
 from apml import checker, isar, oracle
 from apml import model as m
-from apml.diagnostics import (Diagnostic, NO_SPAN, SourceSpan, RULES, ERROR,
-                              WARNING)
+from apml.diagnostics import (Diagnostic, NO_SPAN, Record, SourceSpan, RULES,
+                              ERROR, WARNING, Value)
 from apml.parser import parse_model
 
 from conftest import CORPUS, load
@@ -514,6 +514,20 @@ RECORDS = [
                            strict_symbols=True), ()),
 ]
 RECORD_IDS = [cls.__qualname__ for cls, _, _ in RECORDS]
+
+
+def test_records_cover_every_record_class():
+    """Each record class compiles its own constructor, so the record tests
+    take every one of them: every subclass of ``Record`` but ``Value``."""
+    import apml.cli                      # noqa: F401  the commands' modules
+    classes, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.add(sub)
+            todo.append(sub)
+    assert classes - {Value} == {cls for cls, _, _ in RECORDS}
+    assert len(RECORDS) == len(classes) - 1 == 24
+
 
 # the constructor defaults of every record class that has any
 DEFAULTS = {
