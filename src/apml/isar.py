@@ -8,6 +8,7 @@ Isar proof replays the architecture proof step by step.
 
 import re
 from collections import Counter
+from functools import cache
 
 from . import model as m
 from . import checker
@@ -46,6 +47,7 @@ def abbreviate(name):
 _UNSAFE = re.compile(r"[^A-Za-z0-9_']")
 
 
+@cache
 def _sanitize(name):
     clean = _UNSAFE.sub("_", name)
     if not clean or not clean[0].isalpha():
@@ -57,7 +59,8 @@ def port_names(model):
     """Deterministic port parameter names, unique across the model.
 
     Components first get the abbreviated prefix; any component involved in a
-    name collision falls back to its full sanitized name as prefix.
+    name collision falls back to its full sanitized name as prefix, and a
+    port whose name another port still has is primed.
     """
     prefix = {ct.name: abbreviate(ct.name) for ct in model.component_types}
     while True:
@@ -67,6 +70,8 @@ def port_names(model):
                 pname = _sanitize(prefix[ct.name] + p.name)
                 if pname in names:
                     collided.update((ct.name, names[pname].owner))
+                while names.get(pname, p).qualified != p.qualified:
+                    pname += "'"
                 names[pname] = p
         full = {c: _sanitize(c).lower() + "_" for c in collided}
         if all(prefix[c] == f for c, f in full.items()):
@@ -74,25 +79,19 @@ def port_names(model):
         prefix.update(full)
 
 
-def sort_name(sort, sanitize=_sanitize):
+def sort_name(sort):
     """Isabelle type for a qualified sort; unmapped sorts keep their name."""
     base = sort.rpartition(".")[2]
-    return SORT_MAP.get(base) or sanitize(base)
+    return SORT_MAP.get(base) or _sanitize(base)
 
 
-def unmapped_sorts(model, symbols):
+def unmapped_sorts(model, params):
     """Isabelle types to declare: the unmapped sorts of ports, contract
-    variables and ``symbols`` (keys of ``Renderer.params``), in that order
-    of first use."""
-    signature = model.signature
+    variables and the symbols of ``params`` (a ``Renderer.params``), in
+    that order of first use."""
     sorts = [p.sort for ct in model.component_types for p in ct.ports]
     sorts += [s for c in _contracts(model) for _, s in c.variables]
-    for q, predicate in symbols:
-        if predicate:
-            sorts += signature.predicate_symbols[q]
-        else:
-            args, result = signature.operation_symbols[q]
-            sorts += args + (result,)
+    sorts += [s for _, symbol_sorts in params.values() for s in symbol_sorts]
     bases = dict.fromkeys(s.rpartition(".")[2] for s in sorts)
     return list(dict.fromkeys(_sanitize(b) for b in bases
                               if b not in SORT_MAP))
@@ -108,27 +107,21 @@ def _contracts(model):
 # Predicate rendering
 
 class Renderer:
-    """Names and predicate text for one emit under its config; each name is
-    sanitized once.  A symbol without a built-in image becomes a locale
-    parameter when it is first rendered, so ``params`` lists those rendered
-    so far, in order of first use.  No two of the time binder ``n``, the
-    port and symbol parameters and the contract variables share a name."""
+    """Names and predicate text for one emit under its config.  A symbol
+    without a built-in image becomes a locale parameter when it is first
+    rendered, so ``params`` lists those rendered so far, in order of first
+    use, each with its name and the sorts of its type.  No two of the time
+    binder ``n``, the port and symbol parameters and the contract variables
+    share a name."""
 
     def __init__(self, model, config=None):
         self.model = model
         self.config = config or EmitConfig()
-        self.names = {}                  # name -> sanitized name
         self.ports = port_names(model)
-        self.params = {}                 # (symbol, predicate) -> (name, type)
+        self.params = {}                 # (symbol, predicate) -> (name, sorts)
         self.vars = {}                   # variable name -> rendered name
         self.taken = {"n", *self.ports.values()}    # names given out
         self.assumptions = _assumption_names(model)
-
-    def name(self, raw):
-        clean = self.names.get(raw)
-        if clean is None:
-            clean = self.names[raw] = _sanitize(raw)
-        return clean
 
     def fresh(self, name, fallback=None):
         """name, or fallback if name is taken, primed until free; now taken."""
@@ -148,8 +141,8 @@ class Renderer:
 
     def param(self, q, predicate=False):
         """The locale parameter of symbol q, a predicate's or an
-        operation's, named and typed on first use: its base name, or its
-        qualified name when the base name is taken."""
+        operation's, named and its sorts recorded on first use: its base
+        name, or its qualified name when the base name is taken."""
         found = self.params.get((q, predicate))
         if found is None:
             name = self.fresh(_sanitize(q.rpartition(".")[2]),
@@ -160,8 +153,7 @@ class Renderer:
             else:
                 args, result = signature.operation_symbols[q]
                 sorts = args + (result,)
-            found = self.params[q, predicate] = (name, " \\<Rightarrow> ".join(
-                sort_name(s, self.name) for s in sorts))
+            found = self.params[q, predicate] = (name, sorts)
         return found[0]
 
     def connection_names(self, p_in, p_out):
@@ -260,11 +252,12 @@ def emit_locale(r, assumes):
         if r.config.comments:
             lines.append("    (* %s *)" % ct.name)
         decls = ['%s::"nat \\<Rightarrow> %s"'
-                 % (r.ports[p.qualified], sort_name(p.sort, r.name))
+                 % (r.ports[p.qualified], sort_name(p.sort))
                  for p in ct.ports]
         lines.append(("    and " if k else "    ") + " and ".join(decls))
-    for name, ty in r.params.values():
-        lines.append('    and %s::"%s"' % (name, ty))
+    for name, sorts in r.params.values():
+        lines.append('    and %s::"%s"' % (name, " \\<Rightarrow> ".join(
+            map(sort_name, sorts))))
     if assumes:
         lines.append("  assumes " + "%s: %s" % assumes[0])
         for name, text in assumes[1:]:

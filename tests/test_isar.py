@@ -1,16 +1,18 @@
 """Isabelle theory emission."""
 
 import pathlib
+import re
 
 import pytest
 
+from apml import cli
 from apml.isar import (EmitConfig, Renderer, UnmappedSymbol, abbreviate,
                        emit_locale, emit_theory, locale_assumptions,
                        port_names, sort_name, unmapped_sorts)
 from apml.model import validate_structure
 from apml.parser import parse_model
 
-from conftest import load, ROOT
+from conftest import CORPUS, load, ROOT
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -77,6 +79,40 @@ Pattern P ShortName p {
     names = port_names(model)
     assert names["Motor.o"] == "motor_o"
     assert names["Mixer.o"] == "mixer_o"
+
+
+# models whose port names still collide with full component prefixes: two
+# components named apart only by case, and two ports that sanitize alike
+_PRIMED_PORTS = {
+    "stage1_twice": ((CORPUS / "relay.apml").read_text().replace(
+        "Stage2", "stage1"), ["stage1_i", "stage1_o", "stage1_i'",
+                              "stage1_o'"]),
+    "sanitized_alike": ("""
+Pattern P ShortName p {
+  DTSpec { DT B ( Sort NAT ) }
+  CTypes { CType C { OutputPorts {
+    OutputPort a\u00e9 (Type: B.NAT), OutputPort a_ (Type: B.NAT)
+  } } }
+}""", ["c_a_", "c_a_'"]),
+}
+
+
+@pytest.mark.parametrize("name", _PRIMED_PORTS)
+def test_a_port_whose_full_prefixed_name_is_taken_is_primed(name, tmp_path,
+                                                            capsys):
+    text, fixed = _PRIMED_PORTS[name]
+    path = tmp_path / "m.apml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["emit-isar", str(path)]) == 0
+    theory, err = capsys.readouterr()
+    assert err == ""
+    # one fixes entry per port, in declaration order
+    assert re.findall(r"(\S+)::\"nat \\<Rightarrow>", theory) == fixed
+    if name == "stage1_twice":
+        assert "stage1_i'_stage1_o: \"\\<And>n. stage1_i' n = stage1_o n\"" \
+            in theory
 
 
 def test_sort_mapping_and_typedecls():
